@@ -17,7 +17,6 @@ from . import regularity as reg
 from .derham import (cokernel_of_dn, kernel_of_dn, les_consistency,
                      stable_cohomology_dims, stabilized_dims)
 from .errors import ParseError, ToolkitError
-from .modules import LocElement, ModulePresentation
 from .parser import parse_module, parse_operator, parse_series, parse_symbol
 from .series import (find_regularizing_substitution, weierstrass_divide,
                      weierstrass_prepare)
@@ -62,13 +61,6 @@ def _module_precision(args, schedule=None):
     poles = [k for _, k in (schedule or []) if k is not None]
     pole = max([args.pole_bound] + poles) if poles else args.pole_bound
     return trunc + 4 * pole + _MODULE_MARGIN
-
-
-def _parse_element(args, module, precision):
-    series = parse_series(_read_text(args.element), args.vars, precision)
-    if module.kind == "localization":
-        return LocElement(series, args.element_pole)
-    return series
 
 
 class Report:
@@ -238,7 +230,7 @@ def _run_regularity(args, report):
                           args.pole_bound)
     sub = args.check
     if sub == "kernel-relation":
-        elements = [_parse_series_or_loc(text, args, module, precision)
+        elements = [module.element(parse_series(text, args.vars, precision))
                     for text in _read_text(args.elements).split(";")]
         coeffs = [parse_series(text, args.vars, precision)
                   for text in _read_text(args.coeffs).split(";")]
@@ -250,7 +242,9 @@ def _run_regularity(args, report):
         report.add("degree-checked", outcome.degree_checked)
         return 0 if outcome.passed else 2
 
-    element = _parse_element(args, module, precision)
+    element = module.element(
+        parse_series(_read_text(args.element), args.vars, precision),
+        args.element_pole)
     f = parse_series(_read_text(args.f), args.vars, precision)
     if sub == "etau":
         outcome = reg.iterate_recurrence(module, element, f, args.pmax,
@@ -295,13 +289,6 @@ def _run_regularity(args, report):
         _echo_budgets(report, args, ["pmax", "trunc", "pole_bound"])
         return 0 if outcome.status == "yes" else (2 if outcome.status == "no-evidence" else 0)
     raise ValueError(f"unknown regularity check {sub!r}")
-
-
-def _parse_series_or_loc(text, args, module, precision):
-    series = parse_series(text, args.vars, precision)
-    if module.kind == "localization":
-        return LocElement(series, 0)
-    return series
 
 
 # -- argument wiring --------------------------------------------------------

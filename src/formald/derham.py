@@ -8,18 +8,19 @@ by running a schedule of truncation parameters and marking a degree
 stabilized when two consecutive runs agree; the report never upgrades
 truncation evidence to a proof.
 
-Level layout per variant (N = series bound, K = pole budget):
+Each presentation owns its level layout (N = series bound, K = pole
+budget; see :mod:`formald.modules`):
 
-* ring:        degree <= N - t monomials;
+* connection of rank r, the ring R being rank 1 with zero matrices:
+  component tags times degree <= N - t monomials, with maps truncated to
+  the target bound (this is what keeps d o d = 0 exact when flatness only
+  holds to precision);
 * localization at f: monomials x^e / f^(K+t) with
   |e| <= N + K*deg f + t*(deg f - 1), f's stored terms being treated as an
   exact polynomial.  The baseline N + K*deg f keeps every x^e/f^k with
   k <= K and |e| <= N representable at the common denominator, and the
   per-level growth of deg f - 1 matches exactly what the quotient rule
-  adds, so no top-of-window shell escapes the differential;
-* connection:  component tags times degree <= N - t monomials, with maps
-  truncated to the target bound (this is what keeps d o d = 0 exact when
-  flatness only holds to precision).
+  adds, so no top-of-window shell escapes the differential.
 
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
@@ -32,107 +33,35 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, NonIntegrable
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
-from .modules import (CONNECTION, LOCALIZATION, STRUCTURE, ModulePresentation,
-                      check_integrability)
-from .series import Series, format_poly, monomials_upto
-
-# -- raw polynomial helpers (exponent dict -> Fraction) -------------------
-
-
-def _terms_mult(a, b, bound):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            if sum(key) > bound:
-                continue
-            new = out.get(key, Fraction(0)) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
-
-
-def _terms_partial(terms, axis):
-    j = axis - 1
-    out = {}
-    for e, c in terms.items():
-        if e[j]:
-            out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c * e[j]
-    return out
-
-
-def _terms_scale(terms, factor):
-    return {e: c * factor for e, c in terms.items()}
-
-
-def _terms_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        new = out.get(e, Fraction(0)) + c
-        if new:
-            out[e] = new
-        else:
-            del out[e]
-    return out
-
-
-def _terms_truncate(terms, bound):
-    return {e: c for e, c in terms.items() if sum(e) <= bound}
-
 
 # -- level families --------------------------------------------------------
 
 
 class ModuleFamily:
-    """The truncation ladder of a module presentation."""
+    """The truncation ladder of a module presentation.
+
+    Caches the level bases; the geometry and the columns of every level
+    come from the presentation."""
 
     def __init__(self, module, trunc, pole=None):
         self.module = module
         self.num_vars = module.num_vars
         self.trunc = trunc
-        if module.kind == LOCALIZATION:
-            if pole is None:
-                raise ValueError("localization ladders need a pole budget")
-            self.pole0 = pole
-            self.f_terms = dict(module.f.terms)
-            self.f_deg = max((sum(e) for e in self.f_terms), default=0)
-            self.df_terms = [
-                _terms_partial(self.f_terms, axis)
-                for axis in range(1, self.num_vars + 1)
-            ]
-        elif module.kind == CONNECTION:
-            prec = min(entry.precision for m in module.matrices
-                       for row in m for entry in row)
-            if prec < trunc - 1:
-                raise InsufficientPrecision(
-                    f"connection entries known to {prec}, need >= {trunc - 1}")
+        self.pole0 = module.ladder_pole(pole)
         self.axes = list(range(1, self.num_vars + 1))
         self._basis_cache = {}
         self._index_cache = {}
 
     def bound(self, t):
-        if self.module.kind == LOCALIZATION:
-            return (self.trunc + self.pole0 * self.f_deg
-                    + t * max(self.f_deg - 1, 0))
-        return self.trunc - t
+        return self.module.level_bound(self, t)
 
     def pole(self, t):
-        if self.module.kind == LOCALIZATION:
-            return self.pole0 + t
-        return None
+        return self.module.level_pole(self, t)
 
     def basis(self, t):
         if t not in self._basis_cache:
-            monos = monomials_upto(self.num_vars, self.bound(t))
-            if self.module.kind == CONNECTION:
-                labels = [(comp, e) for e in monos
-                          for comp in range(self.module.rank)]
-            else:
-                labels = monos
+            labels = self.module.labels(self.bound(t))
             self._basis_cache[t] = labels
             self._index_cache[t] = {lab: i for i, lab in enumerate(labels)}
         return self._basis_cache[t]
@@ -145,78 +74,18 @@ class ModuleFamily:
         return self._index_cache[t]
 
     def label_text(self, t, label):
-        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
-        if self.module.kind == CONNECTION:
-            comp, e = label
-            mono = format_poly({e: Fraction(1)}, names)
-            return f"e{comp + 1}*{mono}"
-        mono = format_poly({label: Fraction(1)}, names)
-        if self.module.kind == LOCALIZATION:
-            return f"({mono})/f^{self.pole(t)}"
-        return mono
+        return self.module.label_text(self, t, label)
 
     def partial_columns(self, axis, t):
         """Images of the level-t basis under d_axis, in level t+1 coordinates."""
-        index = self.index(t + 1)
-        bound = self.bound(t + 1)
-        cols = []
-        if self.module.kind == STRUCTURE:
-            j = axis - 1
-            for e in self.basis(t):
-                col = {}
-                if e[j]:
-                    key = e[:j] + (e[j] - 1,) + e[j + 1:]
-                    col[index[key]] = Fraction(e[j])
-                cols.append(col)
-        elif self.module.kind == LOCALIZATION:
-            k = self.pole(t)
-            for e in self.basis(t):
-                mono = {e: Fraction(1)}
-                part = _terms_mult(_terms_partial(mono, axis), self.f_terms, bound)
-                part = _terms_add(
-                    part,
-                    _terms_scale(_terms_mult(mono, self.df_terms[axis - 1], bound), -k))
-                cols.append({index[exps]: c for exps, c in part.items()})
-        else:  # connection
-            a = self.module.matrices[axis - 1]
-            for comp, e in self.basis(t):
-                mono = {e: Fraction(1)}
-                acc = {}
-                deriv = _terms_partial(mono, axis)
-                for exps, c in _terms_truncate(deriv, bound).items():
-                    acc[(comp, exps)] = c
-                for row in range(self.module.rank):
-                    entry = _terms_truncate(
-                        _terms_mult(a[row][comp].terms, mono, bound), bound)
-                    for exps, c in entry.items():
-                        key = (row, exps)
-                        new = acc.get(key, Fraction(0)) + c
-                        if new:
-                            acc[key] = new
-                        else:
-                            del acc[key]
-                cols.append({index[lab]: c for lab, c in acc.items()})
-        return cols
+        return self.module.partial_columns(self, axis, t)
 
     def partial_matrix(self, axis, t):
         return Matrix.from_cols(self.partial_columns(axis, t), self.dim(t + 1))
 
     def multiply_columns(self, axis, t):
         """Images of the level-t basis under x_axis, truncated to level t."""
-        index = self.index(t)
-        bound = self.bound(t)
-        j = axis - 1
-        cols = []
-        for label in self.basis(t):
-            e = label[1] if self.module.kind == CONNECTION else label
-            key = e[:j] + (e[j] + 1,) + e[j + 1:]
-            col = {}
-            if sum(key) <= bound:
-                lab = ((label[0], key) if self.module.kind == CONNECTION
-                       else key)
-                col[index[lab]] = Fraction(1)
-            cols.append(col)
-        return cols
+        return self.module.multiply_columns(self, axis, t)
 
 
 class KernelFamily:
@@ -397,12 +266,7 @@ def complex_from_family(family, truncation, description):
 
 
 def module_family(module, trunc, pole=None):
-    if module.kind == CONNECTION:
-        report = check_integrability(module)
-        if not report.integrable:
-            i, j, row, col, entry = report.witness
-            raise NonIntegrable(
-                f"flatness fails at pair ({i},{j}) entry ({row},{col})")
+    module.validate_ladder(trunc)
     return ModuleFamily(module, trunc, pole)
 
 
@@ -421,15 +285,6 @@ class CohomologyReport:
     history: tuple | None = None
     deepened: tuple | None = None
 
-    def format_lines(self):
-        lines = []
-        for i, d in enumerate(self.dims):
-            flag = ""
-            if self.stabilized is not None:
-                flag = " stabilized" if self.stabilized[i] else " UNSTABLE"
-            lines.append(f"H^{i}: {d}{flag}")
-        return lines
-
 
 def cohomology_dims(complex_):
     """dims[i] = nullity(d^i) - rank(d^{i-1}), by exact rank computation."""
@@ -443,67 +298,16 @@ def cohomology_dims(complex_):
     return CohomologyReport(dims=tuple(dims), truncation=complex_.truncation)
 
 
-def _embedding_columns(fam_a, fam_b, t):
-    """Inclusion of fam_a's level t into fam_b's, in target coordinates.
-
-    For localizations this multiplies numerators by f once per extra pole;
-    rings embed label-by-label.  Both are exact chain maps because no
-    differential in either ladder truncates."""
-    index_b = fam_b.index(t)
-    cols = []
-    if fam_a.module.kind == LOCALIZATION:
-        steps = fam_b.pole(t) - fam_a.pole(t)
-        power = {(0,) * fam_a.num_vars: Fraction(1)}
-        for _ in range(steps):
-            power = _terms_mult(power, fam_a.f_terms, fam_b.bound(t))
-        for e in fam_a.basis(t):
-            col = {}
-            for ef, c in power.items():
-                key = tuple(i + j for i, j in zip(e, ef))
-                col[index_b[key]] = c
-            cols.append(col)
-    else:
-        for label in fam_a.basis(t):
-            cols.append({index_b[label]: Fraction(1)})
-    return cols
-
-
-def _projection_columns(fam_b, fam_a, t):
-    """Truncation of fam_b's level t onto fam_a's (a chain map even when
-    the differentials themselves truncate, as connection ladders do)."""
-    index_a = fam_a.index(t)
-    bound_a = fam_a.bound(t)
-    cols = []
-    for label in fam_b.basis(t):
-        degree = sum(label[1]) if fam_b.module.kind == CONNECTION else sum(label)
-        if degree <= bound_a:
-            cols.append({index_a[label]: Fraction(1)})
-        else:
-            cols.append({})
-    return cols
-
-
-def _deepened_family(module, fam_a, trunc, pole):
-    if module.kind == LOCALIZATION:
-        trunc_b, pole_b = trunc + max(fam_a.f_deg, 1), pole + 1
-    else:
-        trunc_b, pole_b = trunc + 1, pole
-    return module_family(module, trunc_b, pole_b), (trunc_b, pole_b)
-
-
 def _comparison_pair(module, trunc, pole):
     """(source family, target family, level column maps, deepened params).
 
     The stable dimensions are ranks of H(source) mapped into H(target)
-    along an exact chain map: the deepening embedding for rings and
-    localizations, the truncation projection for connections."""
-    fam_a = module_family(module, trunc, pole)
-    fam_b, deepened = _deepened_family(module, fam_a, trunc, pole)
-    if module.kind == CONNECTION:
-        maps = lambda t: _projection_columns(fam_b, fam_a, t)
-        return fam_b, fam_a, maps, deepened
-    maps = lambda t: _embedding_columns(fam_a, fam_b, t)
-    return fam_a, fam_b, maps, deepened
+    along an exact chain map between the ladder and its one-step
+    deepening; the presentation picks the direction and the map."""
+    deepened = module.deepened(trunc, pole)
+    fam_src, fam_tgt, maps = module.comparison(
+        module_family(module, trunc, pole), module_family(module, *deepened))
+    return fam_src, fam_tgt, maps, deepened
 
 
 def _mapped_cocycles(complex_src, level_cols, n_forms, i):
@@ -534,11 +338,9 @@ def stable_cohomology_dims(module, trunc, pole=None):
     dimensions a schedule can meaningfully compare."""
     fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole)
     complex_src = complex_from_family(
-        fam_src, (fam_src.trunc, getattr(fam_src, "pole0", None)),
-        module.describe())
+        fam_src, (fam_src.trunc, fam_src.pole0), module.describe())
     complex_tgt = complex_from_family(
-        fam_tgt, (fam_tgt.trunc, getattr(fam_tgt, "pole0", None)),
-        module.describe())
+        fam_tgt, (fam_tgt.trunc, fam_tgt.pole0), module.describe())
     axes = fam_src.axes
     top = len(axes)
     dims = []

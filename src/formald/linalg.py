@@ -148,12 +148,6 @@ class Matrix:
                 basis.append(null)
         return basis
 
-    def column_echelon(self):
-        ech = ColumnEchelon()
-        for j, col in enumerate(self.cols):
-            ech.add(col, j)
-        return ech
-
     def solve(self, rhs):
         """One solution of self * x = rhs (free coordinates 0), or None."""
         ech = ColumnEchelon()

@@ -19,6 +19,7 @@ from .errors import (InsufficientPrecision, NotRegularLeadingCoefficient,
                      PreconditionViolated, ZeroOperator)
 from .linalg import ColumnEchelon, Matrix
 from .series import Series, is_xn_regular, monomials_upto
+from .weyl import op_min_precision
 
 
 def valuation(series):
@@ -312,12 +313,6 @@ def _coefficients_of_dn(op):
         top = max(top, alpha[-1])
     return [coeffs.get(i, Series.zero(n, op_min_precision(op)))
             for i in range(top + 1)]
-
-
-def op_min_precision(op):
-    if not op.coeffs:
-        return 0
-    return min(s.precision for s in op.coeffs.values())
 
 
 def cokernel_generators(op, trunc):

@@ -1,51 +1,239 @@
 """Desk-scale module presentations the de Rham machinery operates on.
 
-Three variants: the ring itself, a localization at a nonzero series with a
-pole-order budget, and a rank-r presentation by connection matrices.
-Elements are plain series, LocElement fractions, or tuples of series.
+Two presentations: a localization R_f at a nonzero series with a pole-order
+budget, and a rank-r connection given by one matrix per variable.  The ring
+R itself is the rank-1 connection with zero matrices.  Elements are
+LocElement fractions or tuples of series (one per component).
+
+Each presentation owns both how it acts and how it is sliced into the
+truncation ladder of :mod:`formald.derham`: the bound and pole of every
+level, the basis labels (component, exponent) and their text, the columns
+of d_axis and x_axis between levels, the comparison map into a deepened
+ladder, and the level-0 coordinates of its elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import NonIntegrable, PoleBudgetExceeded, WrongVariant
-from .series import Series, try_divide
+from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
+                     WrongVariant)
+from .series import Series, format_poly, monomials_upto, try_divide
 
-STRUCTURE = "structure"
-LOCALIZATION = "localization"
-CONNECTION = "connection"
+
+def _add_product(out, a, b, bound, factor=1):
+    """out += factor * a * b on raw polynomials (exponent -> Fraction dicts),
+    dropping every term of total degree above bound."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            if sum(key) > bound:
+                continue
+            new = out.get(key, Fraction(0)) + factor * ca * cb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def _lowered(e, j):
+    return e[:j] + (e[j] - 1,) + e[j + 1:]
 
 
 class ModulePresentation:
-    """One of: the ring R, a localization R_f, or connection matrices."""
+    """A localization or a connection; the constructors pick the class.
 
-    __slots__ = ("kind", "num_vars", "f", "pole_bound", "rank", "matrices")
+    Ladder methods take the :class:`formald.derham.ModuleFamily` they serve
+    (its ``trunc``, ``pole0`` and cached level bases); basis labels are
+    ``(component, exponent)`` pairs for every presentation."""
 
-    def __init__(self, kind, num_vars, f=None, pole_bound=None,
-                 rank=None, matrices=None):
-        self.kind = kind
-        self.num_vars = num_vars
-        self.f = f
-        self.pole_bound = pole_bound
-        self.rank = rank
-        self.matrices = matrices
+    @staticmethod
+    def structure(num_vars, precision):
+        """The ring itself: the rank-1 connection whose zero matrices are
+        known to the given precision."""
+        zero = Series.zero(num_vars, precision)
+        return Connection([[[zero]]] * num_vars)
 
-    @classmethod
-    def structure(cls, num_vars):
-        """The ring itself, i.e. the rank-1 connection with zero matrices."""
-        return cls(STRUCTURE, num_vars)
+    @staticmethod
+    def localization(f, pole_bound):
+        return Localization(f, pole_bound)
 
-    @classmethod
-    def localization(cls, f, pole_bound):
+    @staticmethod
+    def connection(matrices):
+        return Connection(matrices)
+
+    def __repr__(self):
+        return f"ModulePresentation<{self.describe()}, n={self.num_vars}>"
+
+    def labels(self, bound):
+        return [(comp, e) for e in monomials_upto(self.num_vars, bound)
+                for comp in range(self.rank)]
+
+    def multiply_columns(self, ladder, axis, t):
+        """Images of the level-t basis under x_axis, truncated to level t."""
+        index = ladder.index(t)
+        bound = ladder.bound(t)
+        j = axis - 1
+        cols = []
+        for comp, e in ladder.basis(t):
+            key = e[:j] + (e[j] + 1,) + e[j + 1:]
+            cols.append({index[(comp, key)]: Fraction(1)}
+                        if sum(key) <= bound else {})
+        return cols
+
+
+class Localization(ModulePresentation):
+    """R_f with elements numerator / f^k, k at most the pole budget.
+
+    Ladder level t holds x^e / f^(K+t) with |e| <= N + K*deg f +
+    t*(deg f - 1), f's stored terms being treated as an exact polynomial;
+    the deepened ladder receives it by multiplying numerators by f."""
+
+    rank = 1
+
+    def __init__(self, f, pole_bound):
         if f.is_zero():
             raise ValueError("cannot localize at a series that is zero to precision")
         if pole_bound < 0:
             raise ValueError("pole bound must be >= 0")
-        return cls(LOCALIZATION, f.num_vars, f=f, pole_bound=pole_bound)
+        self.num_vars = f.num_vars
+        self.f = f
+        self.pole_bound = pole_bound
+        self.f_terms = dict(f.terms)
+        self.f_deg = f.degree()
+        self.f_ord = f.order()
 
-    @classmethod
-    def connection(cls, matrices):
+    def describe(self):
+        return f"R_loc({self.f})"
+
+    def element(self, series, pole=0):
+        return LocElement(series, pole)
+
+    def partial(self, element, axis):
+        numerator, pole = loc_partial_raw(element.numerator, self.f,
+                                          element.pole_order, axis)
+        result = loc_normalize(LocElement(numerator, pole), self.f)
+        if result.pole_order > self.pole_bound:
+            raise PoleBudgetExceeded(
+                f"pole order {result.pole_order} exceeds budget {self.pole_bound}")
+        return result
+
+    def scale(self, element, series):
+        return LocElement(series * element.numerator, element.pole_order)
+
+    def window(self, pole):
+        """The presentation acting inside a comparison window over f^pole:
+        the pole budget becomes the window's (default: unchanged)."""
+        if pole is None or pole == self.pole_bound:
+            return self
+        return Localization(self.f, pole)
+
+    # -- ladder ------------------------------------------------------------
+
+    def ladder_pole(self, pole):
+        if pole is None:
+            raise ValueError("localization ladders need a pole budget")
+        return pole
+
+    def validate_ladder(self, trunc):
+        pass
+
+    def level_bound(self, ladder, t):
+        return (ladder.trunc + ladder.pole0 * self.f_deg
+                + t * max(self.f_deg - 1, 0))
+
+    def level_pole(self, ladder, t):
+        return ladder.pole0 + t
+
+    def label_text(self, ladder, t, label):
+        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
+        mono = format_poly({label[1]: Fraction(1)}, names)
+        return f"({mono})/f^{ladder.pole(t)}"
+
+    def partial_columns(self, ladder, axis, t):
+        """d(x^e/f^k) = (d(x^e) f - k x^e d(f)) / f^(k+1), in level t+1."""
+        index = ladder.index(t + 1)
+        bound = ladder.bound(t + 1)
+        k = ladder.pole(t)
+        j = axis - 1
+        df_terms = self.f.partial(axis).terms
+        cols = []
+        for _, e in ladder.basis(t):
+            part = {}
+            if e[j]:
+                _add_product(part, {_lowered(e, j): Fraction(e[j])},
+                             self.f_terms, bound)
+            _add_product(part, {e: Fraction(1)}, df_terms, bound, -k)
+            cols.append({index[(0, exps)]: c for exps, c in part.items()})
+        return cols
+
+    def deepened(self, trunc, pole):
+        return trunc + max(self.f_deg, 1), pole + 1
+
+    def comparison(self, fam_a, fam_b):
+        """Embed the ladder into its deepening by multiplying numerators by f
+        once per extra pole: an exact chain map, since no differential in
+        either ladder truncates."""
+
+        def maps(t):
+            index_b = fam_b.index(t)
+            power = {(0,) * self.num_vars: Fraction(1)}
+            for _ in range(fam_b.pole(t) - fam_a.pole(t)):
+                power = _add_product({}, power, self.f_terms, fam_b.bound(t))
+            cols = []
+            for _, e in fam_a.basis(t):
+                cols.append({index_b[(0, tuple(i + j for i, j in zip(e, ef)))]: c
+                             for ef, c in power.items()})
+            return cols
+
+        return fam_a, fam_b, maps
+
+    def embed(self, ladder, element):
+        """Level-0 coordinates of numerator * f^(K - k) over f^K, plus the
+        degree the data is exact to."""
+        pole = ladder.pole(0)
+        if element.pole_order > pole:
+            raise PoleBudgetExceeded(
+                f"element pole {element.pole_order} exceeds space pole {pole}")
+        steps = pole - element.pole_order
+        bound = ladder.bound(0)
+        terms = {e: c for e, c in element.numerator.terms.items()
+                 if sum(e) <= bound}
+        for _ in range(steps):
+            terms = _add_product({}, terms, self.f_terms, bound)
+        known = min(element.numerator.precision + steps * self.f_ord, bound)
+        index = ladder.index(0)
+        return {index[(0, e)]: c for e, c in terms.items()}, known
+
+    def dn_image_columns(self, ladder):
+        """Level-0 coordinates spanning d_n(w / f^(K-1)) for numerators w up
+        to the degree whose image can reach the window."""
+        n = self.num_vars
+        k = ladder.pole(0) - 1
+        if k < 0:
+            return []
+        w_bound = ladder.trunc + k * self.f_deg + self.f_deg
+        cols = []
+        for e in monomials_upto(n, w_bound):
+            numerator = Series.monomial(n, e, w_bound + self.f_deg + 1)
+            new, new_pole = loc_partial_raw(numerator, self.f, k, n)
+            cols.append(self.embed(ladder, LocElement(new, new_pole)))
+        return cols
+
+
+class Connection(ModulePresentation):
+    """A rank-r module with nabla_i = d_i + A_i acting on tuples of series.
+
+    Ladder level t holds component tags times monomials of degree <= N - t,
+    with maps truncated to the target bound (this is what keeps d o d = 0
+    exact when flatness only holds to precision); the deepened ladder maps
+    back onto it by truncation."""
+
+    pole_bound = None
+
+    def __init__(self, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
         num_vars = len(matrices)
         if num_vars == 0:
@@ -58,17 +246,130 @@ class ModulePresentation:
                 for entry in row:
                     if entry.num_vars != num_vars:
                         raise ValueError("matrix entry has wrong variable count")
-        return cls(CONNECTION, num_vars, rank=rank, matrices=matrices)
+        self.num_vars = num_vars
+        self.rank = rank
+        self.matrices = matrices
+
+    def _entries(self):
+        return [entry for m in self.matrices for row in m for entry in row]
 
     def describe(self):
-        if self.kind == STRUCTURE:
+        if self.rank == 1 and all(entry.is_zero() for entry in self._entries()):
             return "R"
-        if self.kind == LOCALIZATION:
-            return f"R_loc({self.f})"
         return f"conn(rank {self.rank})"
 
-    def __repr__(self):
-        return f"ModulePresentation<{self.describe()}, n={self.num_vars}>"
+    def element(self, series, pole=0):
+        """A single series is an element of a rank-1 connection only."""
+        if self.rank != 1:
+            raise WrongVariant(
+                f"an element of a rank-{self.rank} connection needs "
+                f"{self.rank} components, not one series")
+        return (series,)
+
+    def partial(self, element, axis):
+        a = self.matrices[axis - 1]
+        out = []
+        for row in range(self.rank):
+            entry = element[row].partial(axis)
+            for col in range(self.rank):
+                entry = entry + a[row][col] * element[col]
+            out.append(entry)
+        return tuple(out)
+
+    def scale(self, element, series):
+        return tuple(series * component for component in element)
+
+    def window(self, pole):
+        return self
+
+    # -- ladder ------------------------------------------------------------
+
+    def ladder_pole(self, pole):
+        return None
+
+    def validate_ladder(self, trunc):
+        report = check_integrability(self)
+        if not report.integrable:
+            i, j, row, col, entry = report.witness
+            raise NonIntegrable(
+                f"flatness fails at pair ({i},{j}) entry ({row},{col})")
+        prec = min(entry.precision for entry in self._entries())
+        if prec < trunc - 1:
+            raise InsufficientPrecision(
+                f"connection entries known to {prec}, need >= {trunc - 1}")
+
+    def level_bound(self, ladder, t):
+        return ladder.trunc - t
+
+    def level_pole(self, ladder, t):
+        return None
+
+    def label_text(self, ladder, t, label):
+        comp, e = label
+        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
+        mono = format_poly({e: Fraction(1)}, names)
+        return mono if self.rank == 1 else f"e{comp + 1}*{mono}"
+
+    def partial_columns(self, ladder, axis, t):
+        """nabla_axis of every level-t basis element, truncated to level t+1."""
+        index = ladder.index(t + 1)
+        bound = ladder.bound(t + 1)
+        a = self.matrices[axis - 1]
+        j = axis - 1
+        cols = []
+        for comp, e in ladder.basis(t):
+            mono = {e: Fraction(1)}
+            col = {}
+            for row in range(self.rank):
+                part = {_lowered(e, j): Fraction(e[j])} if row == comp and e[j] else {}
+                _add_product(part, a[row][comp].terms, mono, bound)
+                for exps, c in part.items():
+                    col[index[(row, exps)]] = c
+            cols.append(col)
+        return cols
+
+    def deepened(self, trunc, pole):
+        return trunc + 1, pole
+
+    def comparison(self, fam_a, fam_b):
+        """Project the deepened ladder onto this one: truncation is a chain
+        map even though the differentials themselves truncate."""
+
+        def maps(t):
+            index_a = fam_a.index(t)
+            bound_a = fam_a.bound(t)
+            return [{index_a[label]: Fraction(1)} if sum(label[1]) <= bound_a
+                    else {} for label in fam_b.basis(t)]
+
+        return fam_b, fam_a, maps
+
+    def embed(self, ladder, element):
+        """Level-0 coordinates of a tuple element, plus the degree the data
+        is exact to."""
+        index = ladder.index(0)
+        bound = ladder.bound(0)
+        vec = {}
+        known = bound
+        for comp, series in enumerate(element):
+            known = min(known, series.precision)
+            for e, c in series.terms.items():
+                if sum(e) <= bound:
+                    vec[index[(comp, e)]] = c
+        return vec, known
+
+    def dn_image_columns(self, ladder):
+        """Level-0 coordinates spanning nabla_n of every monomial multiple of
+        every component tag up to one degree above the window."""
+        n = self.num_vars
+        trunc = ladder.trunc
+        zero = Series.zero(n, trunc + 1)
+        cols = []
+        for comp in range(self.rank):
+            for e in monomials_upto(n, trunc + 1):
+                series = Series.monomial(n, e, trunc + 1)
+                w = tuple(series if c == comp else zero for c in range(self.rank))
+                cols.append(self.embed(ladder, partial_action(self, w, n)))
+        return cols
 
 
 @dataclass(frozen=True)
@@ -97,7 +398,7 @@ def check_integrability(module):
     Returns the first violating entry in deterministic order, or a clean
     report when the residual vanishes to precision.
     """
-    if module.kind != CONNECTION:
+    if not isinstance(module, Connection):
         raise WrongVariant("integrability applies to connection presentations")
     n, r = module.num_vars, module.rank
     precision = None
@@ -149,43 +450,9 @@ def partial_action(module, element, axis):
     Localization elements are normalized afterwards and must stay within
     the pole budget; connection elements get the matrix correction.
     """
-    if module.kind == STRUCTURE:
-        return element.partial(axis)
-    if module.kind == LOCALIZATION:
-        numerator, pole = loc_partial_raw(element.numerator, module.f,
-                                          element.pole_order, axis)
-        result = loc_normalize(LocElement(numerator, pole), module.f)
-        if result.pole_order > module.pole_bound:
-            raise PoleBudgetExceeded(
-                f"pole order {result.pole_order} exceeds budget {module.pole_bound}")
-        return result
-    if module.kind == CONNECTION:
-        a = module.matrices[axis - 1]
-        out = []
-        for row in range(module.rank):
-            entry = element[row].partial(axis)
-            for col in range(module.rank):
-                entry = entry + a[row][col] * element[col]
-            out.append(entry)
-        return tuple(out)
-    raise WrongVariant(f"unknown presentation kind {module.kind}")
+    return module.partial(element, axis)
 
 
 def scalar_action(module, element, series):
     """Multiplication by a ring element in the given presentation."""
-    if module.kind == STRUCTURE:
-        return series * element
-    if module.kind == LOCALIZATION:
-        return LocElement(series * element.numerator, element.pole_order)
-    if module.kind == CONNECTION:
-        return tuple(series * component for component in element)
-    raise WrongVariant(f"unknown presentation kind {module.kind}")
-
-
-def require_integrable(module):
-    if module.kind == CONNECTION:
-        report = check_integrability(module)
-        if not report.integrable:
-            i, j, row, col, entry = report.witness
-            raise NonIntegrable(
-                f"flatness fails at pair ({i},{j}) entry ({row},{col}): {entry}")
+    return module.scale(element, series)

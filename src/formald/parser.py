@@ -112,7 +112,7 @@ class _Parser:
             kind, text, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", at)
-            value = self._pow(value, int(text), at)
+            value = value ** int(text)
         return value
 
     def atom(self):
@@ -211,11 +211,6 @@ class _Parser:
             value = Series.constant(self.num_vars, value, self.precision)
         return Symbol.from_series(value)
 
-    def _pow(self, value, exponent, at):
-        if isinstance(value, Fraction):
-            return value ** exponent
-        return value ** exponent
-
 
 def parse_series(text, num_vars, precision):
     value = _Parser(text, num_vars, precision).parse()
@@ -248,14 +243,6 @@ def parse_symbol(text, num_vars, precision):
     return value
 
 
-def parse_expression(text, num_vars, precision):
-    """Parse to whichever of Series / DiffOp / Symbol the text denotes."""
-    value = _Parser(text, num_vars, precision).parse()
-    if isinstance(value, Fraction):
-        return Series.constant(num_vars, value, precision)
-    return value
-
-
 def _split_top_level(text, separator):
     parts = []
     depth = 0
@@ -279,7 +266,7 @@ def parse_module(text, num_vars, precision, pole_bound=None):
     with each matrix written ``[[a,b],[c,d]]`` in the series grammar."""
     text = text.strip()
     if text == "R":
-        return ModulePresentation.structure(num_vars)
+        return ModulePresentation.structure(num_vars, precision)
     if text.startswith("R_loc(") and text.endswith(")"):
         inner = text[len("R_loc("):-1]
         f = parse_series(inner, num_vars, precision)

@@ -8,6 +8,12 @@ among kernel elements, and coverage of a cyclic module by a finitely
 generated slice plus the image of d_n.  All verdicts are three-valued
 (yes at truncation / no evidence within budget / inconclusive); finite
 data can support the underlying statements but never refute them.
+
+Elements are compared in the level-0 coordinates of the presentation's
+own truncation ladder (:class:`formald.derham.ModuleFamily`): a
+localization sits over the common denominator f^pole, f's stored terms
+being treated as an exact polynomial, and a connection is compared
+component by component.
 """
 
 from __future__ import annotations
@@ -15,100 +21,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleBudgetExceeded, PreconditionViolated
+from .derham import ModuleFamily
+from .errors import PreconditionViolated
 from .linalg import ColumnEchelon
-from .modules import (CONNECTION, LOCALIZATION, STRUCTURE, LocElement,
-                      ModulePresentation, loc_partial_raw, partial_action,
-                      scalar_action)
+from .modules import partial_action, scalar_action
 from .series import Series, is_xn_regular, monomials_upto, xn_coefficient
 
 
-class TruncatedSpace:
-    """Common coordinates for comparing module elements at a truncation.
+def _window(module, trunc, pole):
+    """The presentation acting in the comparison window, and the ladder
+    whose level 0 gives common coordinates to its elements (localizations
+    sit over the common denominator f^pole, pole defaulting to the
+    module's budget)."""
+    work = module.window(pole)
+    return work, ModuleFamily(work, trunc, work.pole_bound)
 
-    Localization elements are put over the common denominator f^pole;
-    the stored terms of f are treated as an exact polynomial."""
 
-    def __init__(self, module, trunc, pole=None):
-        self.module = module
-        self.trunc = trunc
-        self.num_vars = module.num_vars
-        if module.kind == LOCALIZATION:
-            if pole is None:
-                pole = module.pole_bound
-            self.pole = pole
-            self.f_terms = dict(module.f.terms)
-            self.f_deg = max((sum(e) for e in self.f_terms), default=0)
-            self.f_ord = min((sum(e) for e in self.f_terms), default=0)
-            self.bound = trunc + pole * self.f_deg
-        else:
-            self.pole = None
-            self.bound = trunc
-        if module.kind == CONNECTION:
-            labels = [(comp, e) for e in monomials_upto(self.num_vars, self.bound)
-                      for comp in range(module.rank)]
-        else:
-            labels = monomials_upto(self.num_vars, self.bound)
-        self.labels = labels
-        self.index = {lab: i for i, lab in enumerate(labels)}
-
-    def key_degree(self, label):
-        if self.module.kind == CONNECTION:
-            return sum(label[1])
-        return sum(label)
-
-    def embed(self, element):
-        """Coordinates of an element plus the degree its data is exact to."""
-        if self.module.kind == STRUCTURE:
-            vec = {self.index[e]: c for e, c in element.terms.items()
-                   if sum(e) <= self.bound}
-            return vec, min(element.precision, self.bound)
-        if self.module.kind == CONNECTION:
-            vec = {}
-            known = self.bound
-            for comp, series in enumerate(element):
-                known = min(known, series.precision)
-                for e, c in series.terms.items():
-                    if sum(e) <= self.bound:
-                        vec[self.index[(comp, e)]] = c
-            return vec, known
-        # localization: numerator * f^(pole - k) over f^pole
-        if element.pole_order > self.pole:
-            raise PoleBudgetExceeded(
-                f"element pole {element.pole_order} exceeds space pole {self.pole}")
-        steps = self.pole - element.pole_order
-        terms = {e: c for e, c in element.numerator.terms.items()
-                 if sum(e) <= self.bound}
-        for _ in range(steps):
-            new = {}
-            for e, c in terms.items():
-                for ef, cf in self.f_terms.items():
-                    key = tuple(a + b for a, b in zip(e, ef))
-                    if sum(key) > self.bound:
-                        continue
-                    acc = new.get(key, Fraction(0)) + c * cf
-                    if acc:
-                        new[key] = acc
-                    else:
-                        del new[key]
-            terms = new
-        known = min(element.numerator.precision + steps * self.f_ord, self.bound)
-        vec = {self.index[e]: c for e, c in terms.items()}
-        return vec, known
-
-    def restrict(self, vec, degree):
-        return {i: c for i, c in vec.items()
-                if self.key_degree(self.labels[i]) <= degree}
+def _restrict(ladder, vec, degree):
+    labels = ladder.basis(0)
+    return {i: c for i, c in vec.items() if sum(labels[i][1]) <= degree}
 
 
 def _tau_apply(module, f, element, axis=None):
     """tau(e) = f * d_n(e) in the given presentation."""
     axis = module.num_vars if axis is None else axis
     return scalar_action(module, partial_action(module, element, axis), f)
-
-
-def _monomial_series(num_vars, exps, precision):
-    return Series.monomial(num_vars, exps, precision)
 
 
 @dataclass
@@ -126,35 +63,28 @@ class RecurrenceReport:
         return self.order is not None
 
 
-def _working_module(module, pole):
-    if module.kind == LOCALIZATION and pole is not None:
-        return ModulePresentation.localization(module.f, pole)
-    return module
-
-
 def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
     """Search for an R-linear recurrence among the iterates of f*d_n.
 
     Coefficients are sought degree by degree (so the first hit is the
     minimal-degree relation) and the comparison only uses coordinates
     exact at the available precision; the report carries that degree."""
-    work = _working_module(module, pole)
-    space = TruncatedSpace(work, trunc, pole)
+    work, ladder = _window(module, trunc, pole)
     iterates = [element]
     for _ in range(p_max):
         iterates.append(_tau_apply(work, f, iterates[-1]))
     embedded = []
-    known = space.bound
+    known = ladder.bound(0)
     for it in iterates:
-        vec, k = space.embed(it)
+        vec, k = work.embed(ladder, it)
         embedded.append(vec)
         known = min(known, k)
     mult_cache = {}
 
     def column(i, mu):
         if (i, mu) not in mult_cache:
-            series = _monomial_series(space.num_vars, mu, trunc)
-            vec, k = space.embed(scalar_action(work, iterates[i], series))
+            series = Series.monomial(ladder.num_vars, mu, trunc)
+            vec, k = work.embed(ladder, scalar_action(work, iterates[i], series))
             mult_cache[(i, mu)] = (vec, k)
         return mult_cache[(i, mu)]
 
@@ -163,12 +93,12 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
         labels = []
         degree_known = known
         for i in range(p):
-            for mu in monomials_upto(space.num_vars, trunc):
+            for mu in monomials_upto(ladder.num_vars, trunc):
                 vec, k = column(i, mu)
                 degree_known = min(degree_known, k)
                 cols.append((sum(mu), i, mu, vec))
         cols.sort(key=lambda item: (item[0], item[1], item[2]))
-        target = space.restrict(embedded[p], degree_known)
+        target = _restrict(ladder, embedded[p], degree_known)
         ech = ColumnEchelon()
         count = 0
         solution = None
@@ -177,7 +107,7 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
             by_degree.setdefault(deg, []).append((i, mu, vec))
         for deg in sorted(by_degree):
             for i, mu, vec in by_degree[deg]:
-                ech.add(space.restrict(vec, degree_known), count)
+                ech.add(_restrict(ladder, vec, degree_known), count)
                 labels.append((i, mu))
                 count += 1
             combo = ech.express(target)
@@ -186,16 +116,16 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
                 break
         if solution is None:
             continue
-        coefficients = [Series.zero(space.num_vars, trunc) for _ in range(p)]
+        coefficients = [Series.zero(ladder.num_vars, trunc) for _ in range(p)]
         for pos, value in sorted(solution.items()):
             i, mu = labels[pos]
-            coefficients[i] = coefficients[i] + _monomial_series(
-                space.num_vars, mu, trunc) * value
+            coefficients[i] = coefficients[i] + Series.monomial(
+                ladder.num_vars, mu, trunc) * value
         return RecurrenceReport(order=p, coefficients=tuple(coefficients),
-                                p_max=p_max, trunc=trunc, pole=space.pole,
+                                p_max=p_max, trunc=trunc, pole=ladder.pole(0),
                                 degree_checked=degree_known)
     return RecurrenceReport(order=None, coefficients=None, p_max=p_max,
-                            trunc=trunc, pole=space.pole, degree_checked=known)
+                            trunc=trunc, pole=ladder.pole(0), degree_checked=known)
 
 
 @dataclass
@@ -256,18 +186,17 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
     interpreted as a counterexample."""
     if len(elements) != len(coefficients):
         raise ValueError("need one coefficient per element")
-    work = _working_module(module, pole)
-    space = TruncatedSpace(work, trunc, pole)
-    n = space.num_vars
-    known = space.bound
+    work, ladder = _window(module, trunc, pole)
+    n = ladder.num_vars
+    known = ladder.bound(0)
     for m in elements:
-        vec, k = space.embed(partial_action(work, m, n))
+        vec, k = work.embed(ladder, partial_action(work, m, n))
         known = min(known, k)
-        if space.restrict(vec, known):
+        if _restrict(ladder, vec, known):
             raise PreconditionViolated("an element is not killed by d_n at truncation")
     total = {}
     for f_i, m in zip(coefficients, elements):
-        vec, k = space.embed(scalar_action(work, m, f_i))
+        vec, k = work.embed(ladder, scalar_action(work, m, f_i))
         known = min(known, k)
         for pos, c in vec.items():
             acc = total.get(pos, Fraction(0)) + c
@@ -275,14 +204,14 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
                 total[pos] = acc
             else:
                 del total[pos]
-    if space.restrict(total, known):
+    if _restrict(ladder, total, known):
         raise PreconditionViolated("the relation does not vanish at truncation")
     for j in range(trunc + 1):
         component = {}
         comp_known = known
         for f_i, m in zip(coefficients, elements):
             fij = xn_coefficient(f_i, j)
-            vec, k = space.embed(scalar_action(work, m, fij.lift(n)))
+            vec, k = work.embed(ladder, scalar_action(work, m, fij.lift(n)))
             comp_known = min(comp_known, k)
             for pos, c in vec.items():
                 acc = component.get(pos, Fraction(0)) + c
@@ -290,7 +219,7 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
                     component[pos] = acc
                 else:
                     del component[pos]
-        if space.restrict(component, comp_known):
+        if _restrict(ladder, component, comp_known):
             return KernelRelationReport(passed=False, failed_index=j,
                                         degree_checked=known)
     return KernelRelationReport(passed=True, failed_index=None,
@@ -321,80 +250,50 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
         return CoverReport(status="inconclusive", slice_bound=None,
                            generator_texts=(), recurrence_order=None,
                            trunc=trunc, pole=pole)
-    work = _working_module(module, pole)
-    space = TruncatedSpace(work, trunc, pole)
-    n = space.num_vars
+    work, ladder = _window(module, trunc, pole)
+    n = ladder.num_vars
 
-    known = space.bound
+    known = ladder.bound(0)
     targets = []
     for e in monomials_upto(n, trunc):
-        vec, k = space.embed(scalar_action(work, element,
-                                           _monomial_series(n, e, trunc + 1)))
+        vec, k = work.embed(ladder, scalar_action(
+            work, element, Series.monomial(n, e, trunc + 1)))
         known = min(known, k)
         targets.append((e, vec))
 
     ech = ColumnEchelon()
     count = 0
     # image-of-d_n columns
-    for w_vec, k in _dn_image_columns(work, space, trunc):
+    for w_vec, k in work.dn_image_columns(ladder):
         known = min(known, k)
-        ech.add(space.restrict(w_vec, known), count)
+        ech.add(_restrict(ladder, w_vec, known), count)
         count += 1
 
     slice_cols = {}
     for a in range(slice_max + 1):
         xn_a = (0,) * (n - 1) + (a,)
-        base = scalar_action(work, element, _monomial_series(n, xn_a, trunc + 1))
+        base = scalar_action(work, element, Series.monomial(n, xn_a, trunc + 1))
         cols = []
         for mu in monomials_upto(n - 1, trunc):
-            series = _monomial_series(n, tuple(mu) + (0,), trunc + 1)
-            vec, k = space.embed(scalar_action(work, base, series))
+            series = Series.monomial(n, tuple(mu) + (0,), trunc + 1)
+            vec, k = work.embed(ladder, scalar_action(work, base, series))
             known = min(known, k)
             cols.append(vec)
         slice_cols[a] = cols
 
     for a in range(slice_max + 1):
         for vec in slice_cols[a]:
-            ech.add(space.restrict(vec, known), count)
+            ech.add(_restrict(ladder, vec, known), count)
             count += 1
-        if all(ech.contains(space.restrict(vec, known)) for _, vec in targets):
+        if all(ech.contains(_restrict(ladder, vec, known)) for _, vec in targets):
             texts = tuple("m" if b == 0 else
                           (f"x{n}*m" if b == 1 else f"x{n}^{b}*m")
                           for b in range(a + 1))
             return CoverReport(status="yes", slice_bound=a,
                                generator_texts=texts,
                                recurrence_order=verdict.recurrence.order,
-                               trunc=trunc, pole=space.pole)
+                               trunc=trunc, pole=ladder.pole(0))
     return CoverReport(status="no-evidence", slice_bound=None,
                        generator_texts=(),
                        recurrence_order=verdict.recurrence.order,
-                       trunc=trunc, pole=space.pole)
-
-
-def _dn_image_columns(module, space, trunc):
-    """Columns spanning d_n(M) inside the comparison space."""
-    n = space.num_vars
-    cols = []
-    if module.kind == STRUCTURE:
-        for e in monomials_upto(n, trunc + 1):
-            if e[-1] == 0:
-                continue
-            series = _monomial_series(n, e, trunc + 1)
-            cols.append(space.embed(series.partial(n)))
-    elif module.kind == LOCALIZATION:
-        k = space.pole - 1
-        if k < 0:
-            return cols
-        w_bound = space.trunc + k * space.f_deg + space.f_deg
-        for e in monomials_upto(n, w_bound):
-            numerator = _monomial_series(n, e, w_bound + space.f_deg + 1)
-            new, new_pole = loc_partial_raw(numerator, module.f, k, n)
-            cols.append(space.embed(LocElement(new, new_pole)))
-    else:  # connection
-        for comp in range(module.rank):
-            for e in monomials_upto(n, trunc + 1):
-                series = _monomial_series(n, e, trunc + 1)
-                w = tuple(series if c == comp else
-                          Series.zero(n, trunc + 1) for c in range(module.rank))
-                cols.append(space.embed(partial_action(module, w, n)))
-    return cols
+                       trunc=trunc, pole=ladder.pole(0))

@@ -188,22 +188,6 @@ class Series:
         terms = {e + pad: c for e, c in self.terms.items()}
         return Series._raw(num_vars, self.precision, terms)
 
-    def set_var_zero(self, axis):
-        """Substitute x_axis = 0 (result keeps the same variable count)."""
-        j = axis - 1
-        terms = {e: c for e, c in self.terms.items() if e[j] == 0}
-        return Series._raw(self.num_vars, self.precision, terms)
-
-    def drop_var(self, axis):
-        """Remove a variable the series does not depend on."""
-        j = axis - 1
-        terms = {}
-        for e, c in self.terms.items():
-            if e[j] != 0:
-                raise ValueError(f"series depends on x{axis}")
-            terms[e[:j] + e[j + 1:]] = c
-        return Series._raw(self.num_vars - 1, self.precision, terms)
-
     def restrict_to_last(self):
         """f(0, ..., 0, x_n) as a one-variable series."""
         n = self.num_vars

@@ -60,12 +60,6 @@ class Symbol:
     def is_zero(self):
         return not self.coeffs
 
-    @property
-    def zeta_degree(self):
-        if not self.coeffs:
-            return None
-        return max(sum(z) for z in self.coeffs)
-
     def zeta_order(self):
         if not self.coeffs:
             return None
@@ -75,11 +69,6 @@ class Symbol:
     def constant_term(self):
         c = self.coeffs.get((0,) * self.num_vars)
         return c.constant_term if c is not None else Fraction(0)
-
-    def homogeneous_part(self, j):
-        """The part of z-degree exactly j."""
-        return Symbol(self.num_vars,
-                      {z: s for z, s in self.coeffs.items() if sum(z) == j})
 
     def sorted_terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))

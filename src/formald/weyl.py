@@ -75,7 +75,7 @@ class DiffOp:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, _min_precision(self))
+            other = _promote(other, self.num_vars, op_min_precision(self))
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
@@ -98,7 +98,7 @@ class DiffOp:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, _min_precision(self))
+            other = _promote(other, self.num_vars, op_min_precision(self))
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self + (-other)
@@ -124,7 +124,7 @@ class DiffOp:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("operator powers take nonnegative integer exponents")
-        result = DiffOp.from_series(Series.one(self.num_vars, _min_precision(self)))
+        result = DiffOp.from_series(Series.one(self.num_vars, op_min_precision(self)))
         for _ in range(exponent):
             result = op_product(result, self)
         return result
@@ -184,7 +184,7 @@ class DiffOp:
         return Symbol(self.num_vars, top)
 
 
-def _min_precision(op):
+def op_min_precision(op):
     if not op.coeffs:
         return 0
     return min(s.precision for s in op.coeffs.values())
@@ -416,11 +416,3 @@ class TauOp:
             for j, b in enumerate(moved):
                 result[j] = result[j] + b * sign
         return TauOp(self.f, result)
-
-
-def tau_expand(t):
-    return t.expand()
-
-
-def tau_transpose(t):
-    return t.transpose()

@@ -80,3 +80,22 @@ def symbol_agree(a, b, precision=None):
         if not series_agree(ca, cb, precision):
             return False
     return True
+
+
+def run_cli(argv):
+    """Run ``formald`` in-process; returns (exit code, stdout text)."""
+    import contextlib
+    import io
+
+    from formald.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def cli_report(argv):
+    """Run ``formald`` in-process; returns (exit code, report as a dict)."""
+    code, text = run_cli(argv)
+    return code, dict(line.split(": ", 1) for line in text.splitlines())

@@ -26,7 +26,7 @@ def one_var(*coeff_terms):
 
 
 def test_valuation():
-    x = Series.variable(1, 6, 6)
+    x = Series.variable(1, 1, 6)
     s = Series(1, 6, {(3,): 1, (5,): 1})
     assert valuation(s) == 3
     assert valuation(Series.constant(1, 7, 6)) == 0
@@ -56,21 +56,21 @@ def test_indicial_data_unit_perturbation():
 
 def test_solve_first_derivative():
     op = one_var({}, {0: 1})
-    x = Series.variable(1, 8, 8)
+    x = Series.variable(1, 1, 8)
     f = solve(op, x * x, 1)
     assert series_agree(f, Series(1, 8, {(3,): Fraction(1, 3)}), precision=8)
 
 
 def test_solve_euler():
     op = one_var({}, {1: 1})
-    x = Series.variable(1, PREC, PREC)
+    x = Series.variable(1, 1, PREC)
     f = solve(op, x, 1)
     assert f.terms == {(1,): Fraction(1)}
 
 
 def test_solve_perturbed_and_verify():
     op = one_var({0: 1}, {2: 1})                  # f + x^2 f' = g
-    x = Series.variable(1, PREC, PREC)
+    x = Series.variable(1, 1, PREC)
     f = solve(op, x, 1)
     assert f.coefficient((1,)) == 1
     assert f.coefficient((2,)) == -1
@@ -128,7 +128,7 @@ def test_solve_uniqueness_via_invertible_block():
 
 def test_solve_preconditions():
     op = one_var({}, {0: 1})
-    x = Series.variable(1, 10, 10)
+    x = Series.variable(1, 1, 10)
     with pytest.raises(PreconditionViolated):
         solve(op, x, 0)                           # t below threshold
 

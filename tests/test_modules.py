@@ -40,8 +40,9 @@ def test_noncommuting_matrices_fail_integrability():
 
 
 def test_integrability_needs_connection():
+    x1 = Series.variable(2, 1, 6)
     with pytest.raises(WrongVariant):
-        check_integrability(ModulePresentation.structure(2))
+        check_integrability(ModulePresentation.localization(x1, 2))
 
 
 def test_partial_action_on_localization():
