@@ -50,6 +50,8 @@ def _parse_schedule(text):
             pole = None if right in ("-", "") else int(right)
         else:
             left, pole = chunk, None
+        if int(left) < 0 or (pole or 0) < 0:
+            raise ValueError("--schedule needs N >= 0 and K >= 0 in every step")
         steps.append((int(left), pole))
     if not steps:
         raise ValueError("empty schedule")
@@ -74,6 +76,25 @@ class Report:
         if machine:
             return json.dumps(dict(self.items), sort_keys=True)
         return "\n".join(f"{key}: {value}" for key, value in self.items)
+
+
+_BUDGETS = ("trunc", "pole_bound", "steps", "pmax", "smax", "zeta_bound",
+            "element_pole")
+
+
+def _check_args(args):
+    """Reject out-of-range budgets and missing inputs before computing."""
+    if getattr(args, "vars", 1) < 1:
+        raise ValueError("--vars must be >= 1")
+    for name in _BUDGETS:
+        if getattr(args, name, 0) < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0")
+    if args.verb == "regularity":
+        needed = (("elements", "coeffs") if args.check == "kernel-relation"
+                  else ("f",))
+        for name in needed:
+            if getattr(args, name) is None:
+                raise ValueError(f"regularity {args.check} needs --{name}")
 
 
 def _echo_budgets(report, args, names):
@@ -148,9 +169,7 @@ def _run_involutive(args, report):
 
 def _run_malgrange(args, report):
     op = parse_operator(_read_text(args.expr), 1, args.trunc + _MALGRANGE_MARGIN)
-    one_var = malg.OneVarOp([op.coeffs.get((i,),
-                             _zero_series(args.trunc + _MALGRANGE_MARGIN))
-                             for i in range((op.order or 0) + 1)])
+    one_var = malg.OneVarOp(malg.dn_coefficients(op))
     data = malg.indicial_data(one_var)
     dims = malg.finite_dims(one_var)
     report.add("status", "ok")
@@ -167,11 +186,6 @@ def _run_malgrange(args, report):
         report.add("oracle-30", r30)
         report.add("oracle-agrees", str(r20 == r30 == dims.cokernel).lower())
     return 0
-
-
-def _zero_series(precision):
-    from .series import Series
-    return Series.zero(1, precision)
 
 
 def _run_derham(args, report):
@@ -398,6 +412,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = Report(args.verb)
     try:
+        _check_args(args)
         if args.verb in ("kernel", "cokernel"):
             code = _run_kernel(args, report, args.verb)
         else:

@@ -19,7 +19,6 @@ from .errors import (InsufficientPrecision, NotRegularLeadingCoefficient,
                      PreconditionViolated, ZeroOperator)
 from .linalg import ColumnEchelon, Matrix
 from .series import Series, is_xn_regular, monomials_upto
-from .weyl import op_min_precision
 
 
 def valuation(series):
@@ -301,8 +300,9 @@ class GeneratorEvidence:
     failed_monomial: tuple | None
 
 
-def _coefficients_of_dn(op):
-    """Extract (r_0..r_l) from an operator that is polynomial in d_n."""
+def dn_coefficients(op):
+    """(r_0..r_l) of an operator that is polynomial in d_n; missing
+    coefficients are zero at the operator's least coefficient precision."""
     n = op.num_vars
     coeffs = {}
     top = 0
@@ -311,7 +311,7 @@ def _coefficients_of_dn(op):
             raise ValueError("operator must involve only the last derivative")
         coeffs[alpha[-1]] = series
         top = max(top, alpha[-1])
-    return [coeffs.get(i, Series.zero(n, op_min_precision(op)))
+    return [coeffs.get(i, Series.zero(n, op.min_precision()))
             for i in range(top + 1)]
 
 
@@ -323,7 +323,7 @@ def cokernel_generators(op, trunc):
     generator candidates; the containment of every monomial of total
     degree <= trunc in sum R_{n-1} g_j + Delta(R) is then verified as a
     finite linear system."""
-    rs = _coefficients_of_dn(op)
+    rs = dn_coefficients(op)
     n = op.num_vars
     if not rs or rs[-1].is_zero():
         raise ZeroOperator("operator is zero to precision")
@@ -342,9 +342,9 @@ def cokernel_generators(op, trunc):
                  for i, r in enumerate(rs) if not r.is_zero()), default=0)
     h_bound = trunc + max(shift, 0) + 1
     needed = h_bound + max(0, -min(0, shift))
-    if op_min_precision(op) < trunc:
+    if op.min_precision() < trunc:
         raise InsufficientPrecision(
-            f"coefficients known to {op_min_precision(op)}, need >= {trunc}")
+            f"coefficients known to {op.min_precision()}, need >= {trunc}")
 
     index = {e: i for i, e in enumerate(monomials_upto(n, trunc))}
     ech = ColumnEchelon()

@@ -182,34 +182,25 @@ class _Parser:
         return self._combine(a, b, at, add=False)
 
     def _combine(self, a, b, at, add):
-        if isinstance(a, DiffOp) and isinstance(b, Symbol):
-            raise ParseError("cannot mix derivative and symbol generators", at)
-        if isinstance(b, DiffOp) and isinstance(a, Symbol):
+        if {type(a), type(b)} == {DiffOp, Symbol}:
             raise ParseError("cannot mix derivative and symbol generators", at)
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return a + b if add else a * b
         if isinstance(a, DiffOp) or isinstance(b, DiffOp):
-            a, b = self._promote_op(a), self._promote_op(b)
+            a, b = self._promote(a, DiffOp), self._promote(b, DiffOp)
             return a + b if add else op_product(a, b)
         if isinstance(a, Symbol) or isinstance(b, Symbol):
-            a, b = self._promote_symbol(a), self._promote_symbol(b)
+            a, b = self._promote(a, Symbol), self._promote(b, Symbol)
             return a + b if add else a * b
         a, b = self._as_series(a, at), self._as_series(b, at)
         return a + b if add else a * b
 
-    def _promote_op(self, value):
-        if isinstance(value, DiffOp):
+    def _promote(self, value, cls):
+        if isinstance(value, cls):
             return value
         if isinstance(value, Fraction):
             value = Series.constant(self.num_vars, value, self.precision)
-        return DiffOp.from_series(value)
-
-    def _promote_symbol(self, value):
-        if isinstance(value, Symbol):
-            return value
-        if isinstance(value, Fraction):
-            value = Series.constant(self.num_vars, value, self.precision)
-        return Symbol.from_series(value)
+        return cls.from_series(value)
 
 
 def parse_series(text, num_vars, precision):
@@ -222,24 +213,20 @@ def parse_series(text, num_vars, precision):
 
 
 def parse_operator(text, num_vars, precision):
-    value = _Parser(text, num_vars, precision).parse()
-    if isinstance(value, Fraction):
-        value = Series.constant(num_vars, value, precision)
-    if isinstance(value, Series):
-        return DiffOp.from_series(value)
-    if not isinstance(value, DiffOp):
-        raise ParseError("expression is not an operator", 0)
-    return value
+    return _parse_poly(text, num_vars, precision, DiffOp, "an operator")
 
 
 def parse_symbol(text, num_vars, precision):
-    value = _Parser(text, num_vars, precision).parse()
-    if isinstance(value, Fraction):
-        value = Series.constant(num_vars, value, precision)
-    if isinstance(value, Series):
-        return Symbol.from_series(value)
-    if not isinstance(value, Symbol):
-        raise ParseError("expression is not a symbol", 0)
+    return _parse_poly(text, num_vars, precision, Symbol, "a symbol")
+
+
+def _parse_poly(text, num_vars, precision, cls, noun):
+    parser = _Parser(text, num_vars, precision)
+    value = parser.parse()
+    if isinstance(value, (Fraction, Series)):
+        return parser._promote(value, cls)
+    if not isinstance(value, cls):
+        raise ParseError(f"expression is not {noun}", 0)
     return value
 
 

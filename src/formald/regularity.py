@@ -19,11 +19,10 @@ component by component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .derham import ModuleFamily
 from .errors import PreconditionViolated
-from .linalg import ColumnEchelon
+from .linalg import ColumnEchelon, vec_add_scaled
 from .modules import partial_action, scalar_action
 from .series import Series, is_xn_regular, monomials_upto, xn_coefficient
 
@@ -198,12 +197,7 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
     for f_i, m in zip(coefficients, elements):
         vec, k = work.embed(ladder, scalar_action(work, m, f_i))
         known = min(known, k)
-        for pos, c in vec.items():
-            acc = total.get(pos, Fraction(0)) + c
-            if acc:
-                total[pos] = acc
-            else:
-                del total[pos]
+        vec_add_scaled(total, vec, 1)
     if _restrict(ladder, total, known):
         raise PreconditionViolated("the relation does not vanish at truncation")
     for j in range(trunc + 1):
@@ -213,12 +207,7 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
             fij = xn_coefficient(f_i, j)
             vec, k = work.embed(ladder, scalar_action(work, m, fij.lift(n)))
             comp_known = min(comp_known, k)
-            for pos, c in vec.items():
-                acc = component.get(pos, Fraction(0)) + c
-                if acc:
-                    component[pos] = acc
-                else:
-                    del component[pos]
+            vec_add_scaled(component, vec, 1)
         if _restrict(ladder, component, comp_known):
             return KernelRelationReport(passed=False, failed_index=j,
                                         degree_checked=known)

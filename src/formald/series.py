@@ -327,6 +327,143 @@ class Series:
         return invert_unit(self)
 
 
+class SeriesPoly:
+    """A polynomial over Q[[x_1..x_n]] in n further generators.
+
+    ``coeffs`` maps a generator exponent tuple to its nonzero series
+    coefficient.  Operators (generators d_i) and symbols (generators z_i)
+    are both free modules on these monomials and differ only in their
+    product, so the module structure lives here: validation, promotion of
+    int, Fraction and Series values, addition, scaling and powers.  A
+    subclass supplies ``_product`` and its printing.  Values of different
+    subclasses never combine or compare equal.
+    """
+
+    __slots__ = ("num_vars", "coeffs")
+
+    def __init__(self, num_vars, coeffs=None):
+        clean = {}
+        for key, series in (coeffs or {}).items():
+            key = tuple(int(k) for k in key)
+            if len(key) != num_vars or any(k < 0 for k in key):
+                raise ValueError(f"bad {type(self).__name__} exponent {key}")
+            if series.num_vars != num_vars:
+                raise ValueError("coefficient has wrong variable count")
+            if not series.is_zero():
+                clean[key] = series
+        self.num_vars = num_vars
+        self.coeffs = clean
+
+    @classmethod
+    def from_series(cls, series):
+        return cls(series.num_vars, {(0,) * series.num_vars: series})
+
+    @classmethod
+    def zero(cls, num_vars):
+        return cls(num_vars, {})
+
+    @classmethod
+    def generator(cls, num_vars, axis, precision):
+        """The generator with exponent 1 at ``axis`` (1-based)."""
+        if not 1 <= axis <= num_vars:
+            raise ValueError(f"axis {axis} out of range")
+        key = tuple(1 if j == axis - 1 else 0 for j in range(num_vars))
+        return cls(num_vars, {key: Series.one(num_vars, precision)})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def sorted_terms(self):
+        return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
+
+    def min_precision(self):
+        if not self.coeffs:
+            return 0
+        return min(s.precision for s in self.coeffs.values())
+
+    # -- module structure -----------------------------------------------
+
+    def _check(self, other):
+        if self.num_vars != other.num_vars:
+            raise ValueError("mismatched variable counts")
+
+    def _promote(self, value):
+        """int, Fraction or Series as a value of this class, else None;
+        scalars are known to this value's least coefficient precision."""
+        if isinstance(value, (int, Fraction)):
+            value = Series.constant(self.num_vars, value, self.min_precision())
+        if isinstance(value, Series):
+            return self.from_series(value)
+        return value if isinstance(value, type(self)) else None
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        coeffs = dict(self.coeffs)
+        for key, series in other.coeffs.items():
+            self._accumulate(coeffs, key, series)
+        return type(self)(self.num_vars, coeffs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.num_vars, {k: -s for k, s in self.coeffs.items()})
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = as_coeff(other)
+            return type(self)(self.num_vars,
+                              {k: s * c for k, s in self.coeffs.items()})
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        if isinstance(other, Series):
+            return self.from_series(other)._product(self)
+        return NotImplemented
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"{type(self).__name__} powers take nonnegative "
+                             "integer exponents")
+        result = self.from_series(Series.one(self.num_vars, self.min_precision()))
+        for _ in range(exponent):
+            result = result._product(self)
+        return result
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    @staticmethod
+    def _accumulate(coeffs, key, series):
+        """coeffs[key] += series.  A summand that vanishes to precision is
+        kept, since it still bounds the precision of the sum; the
+        constructor drops the sums that vanish to precision."""
+        coeffs[key] = coeffs[key] + series if key in coeffs else series
+
+
 def format_poly(terms, names):
     """Canonical graded-lex rendering of an exponent->Fraction mapping.
 

@@ -4,7 +4,9 @@ Symbols are polynomials in the commuting generators z_1..z_n (the classes
 of the derivatives under the order filtration) with truncated series
 coefficients.  The module provides the Poisson bracket in closed form,
 truncated ideal-membership tests with three-valued verdicts, involutivity
-probing, and the repeated-bracket chain probe.
+probing, and the repeated-bracket chain probe.  ``Symbol`` shares its
+coefficient container with ``weyl.DiffOp`` (``series.SeriesPoly``) and
+adds only its product, printing and calculus.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BoundOverflow, InsufficientPrecision
 from .linalg import ColumnEchelon
-from .series import Series, as_coeff, format_poly, monomials_upto
+from .series import Series, SeriesPoly, format_poly, monomials_upto
 
 _COLUMN_GUARD = 50000
 
@@ -23,42 +25,15 @@ MEMBER = "MemberWitness"
 INCONCLUSIVE = "Inconclusive"
 
 
-class Symbol:
+class Symbol(SeriesPoly):
     """An element of R[z_1..z_n]: dict from z-exponent to series coefficient."""
 
-    __slots__ = ("num_vars", "coeffs")
-
-    def __init__(self, num_vars, coeffs=None):
-        clean = {}
-        for zexp, series in (coeffs or {}).items():
-            zexp = tuple(int(z) for z in zexp)
-            if len(zexp) != num_vars or any(z < 0 for z in zexp):
-                raise ValueError(f"bad z-exponent {zexp}")
-            if series.num_vars != num_vars:
-                raise ValueError("coefficient has wrong variable count")
-            if not series.is_zero():
-                clean[zexp] = series
-        self.num_vars = num_vars
-        self.coeffs = clean
-
-    @classmethod
-    def from_series(cls, series):
-        return cls(series.num_vars, {(0,) * series.num_vars: series})
+    __slots__ = ()
 
     @classmethod
     def zeta(cls, num_vars, axis, precision):
         """The generator z_axis (axis is 1-based)."""
-        if not 1 <= axis <= num_vars:
-            raise ValueError(f"axis {axis} out of range")
-        zexp = tuple(1 if j == axis - 1 else 0 for j in range(num_vars))
-        return cls(num_vars, {zexp: Series.one(num_vars, precision)})
-
-    @classmethod
-    def zero(cls, num_vars):
-        return cls(num_vars, {})
-
-    def is_zero(self):
-        return not self.coeffs
+        return cls.generator(num_vars, axis, precision)
 
     def zeta_order(self):
         if not self.coeffs:
@@ -70,112 +45,25 @@ class Symbol:
         c = self.coeffs.get((0,) * self.num_vars)
         return c.constant_term if c is not None else Fraction(0)
 
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def _check(self, other):
-        if self.num_vars != other.num_vars:
-            raise ValueError("mismatched variable counts")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, self.min_precision())
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for z, s in other.coeffs.items():
-            if z in coeffs:
-                t = coeffs[z] + s
-                if t.is_zero():
-                    del coeffs[z]
-                else:
-                    coeffs[z] = t
-            else:
-                coeffs[z] = s
-        return Symbol(self.num_vars, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Symbol(self.num_vars, {z: -s for z, s in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, self.min_precision())
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            return Symbol(self.num_vars,
-                          {z: s * c for z, s in self.coeffs.items()})
-        if isinstance(other, Series):
-            other = Symbol.from_series(other)
-        if not isinstance(other, Symbol):
-            return NotImplemented
+    def _product(self, other):
         self._check(other)
         out = {}
         for za, sa in self.coeffs.items():
             for zb, sb in other.coeffs.items():
                 key = tuple(a + b for a, b in zip(za, zb))
-                prod = sa * sb
-                if prod.is_zero():
-                    continue
-                if key in out:
-                    t = out[key] + prod
-                    if t.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = t
-                else:
-                    out[key] = prod
+                self._accumulate(out, key, sa * sb)
         return Symbol(self.num_vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("symbol powers take nonnegative integer exponents")
-        result = Symbol.from_series(Series.one(self.num_vars, self.min_precision()))
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def min_precision(self):
-        if not self.coeffs:
-            return 0
-        return min(s.precision for s in self.coeffs.values())
 
     def x_partial(self, axis):
-        out = {}
-        for z, s in self.coeffs.items():
-            d = s.partial(axis)
-            if not d.is_zero():
-                out[z] = d
-        return Symbol(self.num_vars, out)
+        return Symbol(self.num_vars,
+                      {z: s.partial(axis) for z, s in self.coeffs.items()})
 
     def zeta_partial(self, axis):
+        # z -> z - e_j is injective, so no two terms meet
         j = axis - 1
-        out = {}
-        for z, s in self.coeffs.items():
-            if z[j] == 0:
-                continue
-            key = z[:j] + (z[j] - 1,) + z[j + 1:]
-            t = s * z[j]
-            if key in out:
-                t = out[key] + t
-            out[key] = t
-        return Symbol(self.num_vars, out)
+        return Symbol(self.num_vars,
+                      {z[:j] + (z[j] - 1,) + z[j + 1:]: s * z[j]
+                       for z, s in self.coeffs.items() if z[j]})
 
     def truncate_x(self, precision):
         return Symbol(self.num_vars,
@@ -194,12 +82,6 @@ class Symbol:
         return format_poly(joint, names)
 
     __repr__ = __str__
-
-
-def _promote(value, num_vars, precision):
-    if isinstance(value, Series):
-        return Symbol.from_series(value)
-    return Symbol.from_series(Series.constant(num_vars, value, precision))
 
 
 def poisson_bracket(a, b):

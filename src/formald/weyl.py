@@ -4,6 +4,8 @@ Operators live in Q[[x_1..x_n]]<d_1..d_n> with all series coefficients on
 the left of the derivative monomials.  Products reduce through the
 commutation rule [d_i, f] = d_i(f); the order filtration, principal
 symbols and the transposition calculus on tau-operators sit on top.
+``DiffOp`` shares its coefficient container with ``symbols.Symbol``
+(``series.SeriesPoly``) and adds only its product, printing and actions.
 """
 
 from __future__ import annotations
@@ -13,46 +15,19 @@ import math
 from fractions import Fraction
 
 from .errors import ZeroOperator
-from .series import Series, as_coeff, format_poly
+from .series import Series, SeriesPoly
 from .symbols import Symbol
 
 
-class DiffOp:
+class DiffOp(SeriesPoly):
     """A differential operator in normal form: sum_alpha c_alpha(x) d^alpha."""
 
-    __slots__ = ("num_vars", "coeffs")
-
-    def __init__(self, num_vars, coeffs=None):
-        clean = {}
-        for alpha, series in (coeffs or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != num_vars or any(a < 0 for a in alpha):
-                raise ValueError(f"bad derivative exponent {alpha}")
-            if series.num_vars != num_vars:
-                raise ValueError("coefficient has wrong variable count")
-            if not series.is_zero():
-                clean[alpha] = series
-        self.num_vars = num_vars
-        self.coeffs = clean
-
-    @classmethod
-    def from_series(cls, series):
-        return cls(series.num_vars, {(0,) * series.num_vars: series})
+    __slots__ = ()
 
     @classmethod
     def partial(cls, num_vars, axis, precision):
         """The operator d_axis (axis is 1-based)."""
-        if not 1 <= axis <= num_vars:
-            raise ValueError(f"axis {axis} out of range")
-        alpha = tuple(1 if j == axis - 1 else 0 for j in range(num_vars))
-        return cls(num_vars, {alpha: Series.one(num_vars, precision)})
-
-    @classmethod
-    def zero(cls, num_vars):
-        return cls(num_vars, {})
-
-    def is_zero(self):
-        return not self.coeffs
+        return cls.generator(num_vars, axis, precision)
 
     @property
     def order(self):
@@ -61,80 +36,8 @@ class DiffOp:
             return None
         return max(sum(a) for a in self.coeffs)
 
-    def coefficient(self, alpha):
-        return self.coeffs.get(tuple(alpha))
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    # -- ring structure -------------------------------------------------
-
-    def _check(self, other):
-        if self.num_vars != other.num_vars:
-            raise ValueError("mismatched variable counts")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, op_min_precision(self))
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for alpha, series in other.coeffs.items():
-            if alpha in coeffs:
-                s = coeffs[alpha] + series
-                if s.is_zero():
-                    del coeffs[alpha]
-                else:
-                    coeffs[alpha] = s
-            else:
-                coeffs[alpha] = series
-        return DiffOp(self.num_vars, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp(self.num_vars, {a: -s for a, s in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Series)):
-            other = _promote(other, self.num_vars, op_min_precision(self))
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_coeff(other)
-            return DiffOp(self.num_vars,
-                          {a: s * c for a, s in self.coeffs.items()})
-        if isinstance(other, Series):
-            other = DiffOp.from_series(other)
-        if not isinstance(other, DiffOp):
-            return NotImplemented
+    def _product(self, other):
         return op_product(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Series):
-            return op_product(DiffOp.from_series(other), self)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("operator powers take nonnegative integer exponents")
-        result = DiffOp.from_series(Series.one(self.num_vars, op_min_precision(self)))
-        for _ in range(exponent):
-            result = op_product(result, self)
-        return result
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def __str__(self):
         if not self.coeffs:
@@ -165,8 +68,7 @@ class DiffOp:
 
     def apply(self, g):
         """Apply the operator to a series; precision drops by the order."""
-        if g.num_vars != self.num_vars:
-            raise ValueError("mismatched variable counts")
+        self._check(g)
         order = self.order
         if order is None:
             return Series.zero(g.num_vars, g.precision)
@@ -182,18 +84,6 @@ class DiffOp:
             raise ZeroOperator("the zero operator has no principal symbol")
         top = {a: s for a, s in self.coeffs.items() if sum(a) == order}
         return Symbol(self.num_vars, top)
-
-
-def op_min_precision(op):
-    if not op.coeffs:
-        return 0
-    return min(s.precision for s in op.coeffs.values())
-
-
-def _promote(value, num_vars, precision):
-    if isinstance(value, Series):
-        return DiffOp.from_series(value)
-    return DiffOp.from_series(Series.constant(num_vars, value, precision))
 
 
 def op_product(a, b):
@@ -213,17 +103,8 @@ def op_product(a, b):
                     binom *= math.comb(ai, gi)
                 moved = tuple(ai - gi for ai, gi in zip(alpha, gamma))
                 coeff = ca * cb.partial_multi(moved) * binom
-                if coeff.is_zero():
-                    continue
                 key = tuple(gi + bi for gi, bi in zip(gamma, beta))
-                if key in out:
-                    s = out[key] + coeff
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = coeff
+                DiffOp._accumulate(out, key, coeff)
     return DiffOp(n, out)
 
 

@@ -48,24 +48,9 @@ def series_agree(a, b, precision=None):
     return a.truncate(common) == b.truncate(common)
 
 
-def diffop_agree(a, b, precision=None):
-    keys = set(a.coeffs) | set(b.coeffs)
-    for key in keys:
-        ca = a.coeffs.get(key)
-        cb = b.coeffs.get(key)
-        if ca is None or cb is None:
-            target = ca if ca is not None else cb
-            common = target.precision if precision is None else min(
-                target.precision, precision)
-            if not target.truncate(common).is_zero():
-                return False
-            continue
-        if not series_agree(ca, cb, precision):
-            return False
-    return True
-
-
-def symbol_agree(a, b, precision=None):
+def coeffs_agree(a, b, precision=None):
+    """Coefficientwise series_agree of two operators or two symbols; a
+    missing coefficient must be zero to the other's precision."""
     keys = set(a.coeffs) | set(b.coeffs)
     for key in keys:
         ca = a.coeffs.get(key)

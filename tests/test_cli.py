@@ -47,3 +47,49 @@ def test_higher_rank_connection_rejects_a_series_element():
          "--element", "x1", "--f", "x2"])
     assert code == 1
     assert (report["status"], report["error"]) == ("error", "WrongVariant")
+
+
+# out-of-range budgets and missing inputs are rejected before any
+# computation; each of these used to print an answer, a wrong verdict, an
+# unrelated error or a traceback
+REJECTED = [
+    (["derham", "--module", "R", "--vars", "0"], "--vars must be >= 1"),
+    (["derham", "--module", "R", "--vars", "2", "--trunc", "-1"],
+     "--trunc must be >= 0"),
+    (["derham", "--module", "R", "--vars", "2", "--pole-bound", "-1"],
+     "--pole-bound must be >= 0"),
+    (["derham", "--module", "R", "--vars", "2", "--schedule=-1,2;-2,3"],
+     "--schedule needs N >= 0 and K >= 0 in every step"),
+    (["derham", "--module", "R_loc(x1*x2)", "--vars", "2",
+      "--schedule=4,-1;5,-1"],
+     "--schedule needs N >= 0 and K >= 0 in every step"),
+    (["malgrange", "x*d^2+d", "--trunc", "-1"], "--trunc must be >= 0"),
+    (["bracket-probe", "x2", "--vars", "2", "--steps", "-1"],
+     "--steps must be >= 0"),
+    (["involutive", "z1", "x1", "--vars", "2", "--zeta-bound", "-1"],
+     "--zeta-bound must be >= 0"),
+    (["regularity", "etau", "--module", "R", "--vars", "2", "--f", "x2",
+      "--pmax", "-1"], "--pmax must be >= 0"),
+    (["regularity", "reglink", "--module", "R", "--vars", "2", "--f", "x2",
+      "--smax", "-1"], "--smax must be >= 0"),
+    (["regularity", "element", "--module", "R", "--vars", "2", "--f", "x2",
+      "--element-pole", "-1"], "--element-pole must be >= 0"),
+] + [
+    (["regularity", check, "--module", "R", "--vars", "2"],
+     f"regularity {check} needs --f")
+    for check in ("etau", "element", "reglink", "e0-cover")
+] + [
+    (["regularity", "kernel-relation", "--module", "R", "--vars", "2",
+      "--coeffs", "1"], "regularity kernel-relation needs --elements"),
+    (["regularity", "kernel-relation", "--module", "R", "--vars", "2",
+      "--elements", "1"], "regularity kernel-relation needs --coeffs"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED,
+                         ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_out_of_range_input_is_rejected(argv, message):
+    code, report = cli_report(argv)
+    assert code == 1
+    assert (report["status"], report["error"], report["message"]) == (
+        "error", "ValueError", message)

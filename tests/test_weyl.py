@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formald.errors import ZeroOperator
 from formald.series import Series
 from formald.symbols import Symbol
 from formald.weyl import DiffOp, TauOp, commutator, op_product, order_of
 
-from conftest import diffop_agree, random_series, series_agree
+from conftest import coeffs_agree, random_series, series_agree
+from test_containers import samples
 
 
 def random_op(rng, num_vars, precision, max_order=2, density=0.5):
@@ -31,7 +33,7 @@ def test_commutation_relation():
     xop = DiffOp.from_series(Series.variable(1, 1, 8))
     prod = op_product(d, xop)
     expected = xop * d + DiffOp.from_series(Series.one(1, 7))
-    assert diffop_agree(prod, expected)
+    assert coeffs_agree(prod, expected)
 
 
 def test_left_coefficients_already_normal():
@@ -120,21 +122,59 @@ def test_commutator_examples():
     x2 = Series.variable(n, 2, prec)
     one = commutator(DiffOp.partial(1, 1, prec),
                      DiffOp.from_series(Series.variable(1, 1, prec)))
-    assert diffop_agree(one, DiffOp.from_series(Series.one(1, prec)))
+    assert coeffs_agree(one, DiffOp.from_series(Series.one(1, prec)))
     assert commutator(d1, d2).is_zero()
     got = commutator(op_product(d1, d2), DiffOp.from_series(x1 * x2))
     expected = (DiffOp.from_series(x1) * d1 + DiffOp.from_series(x2) * d2
                 + DiffOp.from_series(Series.one(n, prec)))
-    assert diffop_agree(got, expected)
+    assert coeffs_agree(got, expected)
 
 
-def test_product_associativity():
-    rng = random.Random(24)
-    for _ in range(15):
-        n = rng.choice([1, 2])
-        a, b, c = (random_op(rng, n, 9, max_order=1) for _ in range(3))
-        assert diffop_agree(op_product(op_product(a, b), c),
-                            op_product(a, op_product(b, c)))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_associativity(data):
+    (a, b, c), s = data.draw(samples(DiffOp, max_order=1, max_precision=9))
+    left = op_product(op_product(a, b), c)
+    right = op_product(a, op_product(b, c))
+    for key in left.coeffs.keys() & right.coeffs.keys():
+        assert series_agree(left.coeffs[key], right.coeffs[key])
+    # a key on one side only was dropped from the other as zero to a
+    # precision that is not kept (see the xfail below); each side
+    # differentiates a coefficient at most twice, so that precision is at
+    # least p - 2
+    for key in left.coeffs.keys() ^ right.coeffs.keys():
+        coeff = left.coeffs.get(key, right.coeffs.get(key))
+        assert coeff.truncate(min(coeff.precision, s.precision - 2)).is_zero()
+
+
+@pytest.mark.xfail(strict=True, reason="a coefficient that vanishes to "
+                   "precision is dropped and then reads as an exact zero")
+def test_product_associativity_keeps_vanishing_precision():
+    # a(bc) has x2^2 * 1 known to precision 1, which vanishes there and is
+    # dropped; (ab)c has x2^2 known to precision 2
+    p = 2
+    x2 = Series.variable(2, 2, p)
+    a = DiffOp.from_series(x2 * x2)
+    b = DiffOp(2, {(0, 0): Series.one(2, p), (0, 1): x2})
+    c = DiffOp.from_series(Series.one(2, p))
+    assert coeffs_agree(op_product(op_product(a, b), c),
+                        op_product(a, op_product(b, c)))
+
+
+def test_product_keeps_precision_of_vanishing_summands():
+    # in a(bc) the constant coefficient is 1 + d1(1), where d1(1) is zero
+    # known only to precision 0; the true coefficient is 1 + x2 + x1*x2
+    p = 2
+    x1, x2 = Series.variable(2, 1, p), Series.variable(2, 2, p)
+    a = DiffOp.from_series(Series.one(2, p)) + DiffOp.partial(2, 1, p)
+    b = DiffOp.from_series(x1) + DiffOp.partial(2, 2, p)
+    c = DiffOp.from_series(x2)
+    left = op_product(op_product(a, b), c)
+    right = op_product(a, op_product(b, c))
+    assert right.coeffs[(0, 0)].precision == 0
+    assert series_agree(left.coeffs[(0, 0)],
+                        Series(2, p, {(0, 0): 1, (0, 1): 1}))
+    assert coeffs_agree(left, right)
 
 
 def test_normal_form_faithful_on_actions():
@@ -169,7 +209,7 @@ def test_tau_expand_generator():
     tau = TauOp.tau(f)
     expanded = tau.expand()
     expected = DiffOp.from_series(f) * DiffOp.partial(1, 1, 10)
-    assert diffop_agree(expanded, expected)
+    assert coeffs_agree(expanded, expected)
 
 
 def test_tau_square_euler():
@@ -179,7 +219,7 @@ def test_tau_square_euler():
     x = f
     d = DiffOp.partial(1, 1, 10)
     expected = DiffOp.from_series(x * x) * (d * d) + DiffOp.from_series(x) * d
-    assert diffop_agree(sq, expected)
+    assert coeffs_agree(sq, expected)
     for i in range(1, 5):
         assert series_agree(sq.apply(x ** i), (i * i) * x ** i)
 
