@@ -210,11 +210,11 @@ def _run_derham(args, report):
     return 0
 
 
-def _run_kernel(args, report, which):
+def _run_kernel(args, report):
     precision = _module_precision(args)
     module = parse_module(_read_text(args.module), args.vars, precision,
                           args.pole_bound)
-    build = kernel_of_dn if which == "kernel" else cokernel_of_dn
+    build = kernel_of_dn if args.verb == "kernel" else cokernel_of_dn
     data = build(module, args.trunc, args.pole_bound)
     report.add("status", "ok")
     report.add("dims", ",".join(str(d) for d in data.dims))
@@ -402,6 +402,8 @@ _HANDLERS = {
     "involutive": _run_involutive,
     "malgrange": _run_malgrange,
     "derham": _run_derham,
+    "kernel": _run_kernel,
+    "cokernel": _run_kernel,
     "les": _run_les,
     "regularity": _run_regularity,
 }
@@ -413,16 +415,8 @@ def main(argv=None):
     report = Report(args.verb)
     try:
         _check_args(args)
-        if args.verb in ("kernel", "cokernel"):
-            code = _run_kernel(args, report, args.verb)
-        else:
-            code = _HANDLERS[args.verb](args, report)
-    except ToolkitError as err:
-        report.add("status", "error")
-        report.add("error", type(err).__name__)
-        report.add("message", str(err))
-        code = 1
-    except (ValueError, OSError) as err:
+        code = _HANDLERS[args.verb](args, report)
+    except (ToolkitError, ValueError, OSError) as err:
         report.add("status", "error")
         report.add("error", type(err).__name__)
         report.add("message", str(err))

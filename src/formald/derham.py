@@ -106,10 +106,7 @@ class KernelFamily:
 
     def _echelon(self, t):
         if t not in self._echelon_cache:
-            ech = ColumnEchelon()
-            for i, v in enumerate(self.vectors(t)):
-                ech.add(v, i)
-            self._echelon_cache[t] = ech
+            self._echelon_cache[t] = ColumnEchelon(self.vectors(t))
         return self._echelon_cache[t]
 
     def basis(self, t):
@@ -163,10 +160,7 @@ class CokernelFamily:
 
     def _image(self, t):
         if t not in self._ech_cache:
-            ech = ColumnEchelon()
-            cols = self.base.partial_columns(self.base.num_vars, t)
-            for i, col in enumerate(cols):
-                ech.add(col, i)
+            ech = ColumnEchelon(self.base.partial_columns(self.base.num_vars, t))
             self._ech_cache[t] = ech
             pivots = set(ech.pivots())
             self._reps_cache[t] = [i for i in range(self.base.dim(t + 1))
@@ -347,16 +341,10 @@ def stable_cohomology_dims(module, trunc, pole=None):
     for i in range(top + 1):
         n_forms = len(_forms(axes, i))
         mapped = _mapped_cocycles(complex_src, maps(i), n_forms, i)
-        ech = ColumnEchelon()
-        count = 0
-        if i > 0:
-            for col in complex_tgt.differentials[i - 1].cols:
-                ech.add(col, count)
-                count += 1
+        ech = ColumnEchelon(complex_tgt.differentials[i - 1].cols if i else ())
         boundary_rank = ech.rank
         for vec in mapped:
-            ech.add(vec, count)
-            count += 1
+            ech.add(vec)
         dims.append(ech.rank - boundary_rank)
     return CohomologyReport(dims=tuple(dims), truncation=(trunc, pole),
                             deepened=deepened)
@@ -385,7 +373,6 @@ def stabilized_dims(module, schedule):
 class DnSubquotient:
     """A kernel or cokernel ladder presented by explicit bases."""
 
-    kind: str                  # "kernel" or "cokernel"
     family: object
     dims: tuple                # per level
     basis_texts: tuple         # level-0 basis descriptions
@@ -408,7 +395,7 @@ def kernel_of_dn(module, trunc, pole=None, levels=None):
     levels = base.num_vars if levels is None else levels
     dims = tuple(family.dim(t) for t in range(levels))
     texts = tuple(family.label_text(0, lab) for lab in family.basis(0))
-    return DnSubquotient("kernel", family, dims, texts)
+    return DnSubquotient(family, dims, texts)
 
 
 def cokernel_of_dn(module, trunc, pole=None, levels=None):
@@ -425,22 +412,14 @@ def cokernel_of_dn(module, trunc, pole=None, levels=None):
     dims = []
     texts = None
     for t in range(levels):
-        ech = ColumnEchelon()
-        count = 0
-        for col in fam_tgt.partial_columns(axis, t):
-            ech.add(col, count)
-            count += 1
-        level_cols = maps(t + 1)
-        reps = []
-        for pos, label in enumerate(fam_src.basis(t + 1)):
-            if ech.add(level_cols[pos], count) is None:
-                reps.append(label)
-            count += 1
+        ech = ColumnEchelon(fam_tgt.partial_columns(axis, t))
+        reps = [label for col, label in zip(maps(t + 1), fam_src.basis(t + 1))
+                if ech.add(col) is None]
         dims.append(len(reps))
         if t == 0:
             texts = tuple(fam_src.label_text(1, label) for label in reps)
     family = CokernelFamily(module_family(module, trunc, pole))
-    return DnSubquotient("cokernel", family, tuple(dims), texts or ())
+    return DnSubquotient(family, tuple(dims), texts or ())
 
 
 # -- long-exact-sequence consistency ---------------------------------------

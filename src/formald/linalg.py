@@ -4,6 +4,10 @@ Vectors are dicts mapping row index -> nonzero Fraction; matrices are kept
 column-major (one vector per basis element of the source).  Pivots are
 always the smallest available row index, so every computation here is
 deterministic: no pivoting randomness, no floats.
+
+``ColumnEchelon`` is formald's only elimination: every rank, kernel, solve
+and span test in the package, the inverse of a linear substitution
+included, is a sequence of its insertions.
 """
 
 from __future__ import annotations
@@ -34,13 +38,18 @@ class ColumnEchelon:
 
     Supports rank queries, span membership with an explicit combination in
     terms of the added columns, and projection onto the complement of the
-    pivot coordinates (used for cokernel representatives).
+    pivot coordinates (used for cokernel representatives).  A column's
+    label in every combination is its insertion position: the number of
+    columns added before it, dependent ones included.
     """
 
-    def __init__(self):
+    def __init__(self, columns=()):
         # list of (pivot_row, vector, combination) sorted by pivot_row;
         # each vector is reduced against all others and has pivot entry 1
         self.rows = []
+        self.added = 0
+        for col in columns:
+            self.add(col)
 
     @property
     def rank(self):
@@ -59,9 +68,11 @@ class ColumnEchelon:
                 vec_add_scaled(comb, basis_comb, -factor)
         return vec, comb
 
-    def add(self, vec, label):
+    def add(self, vec):
         """Insert a column.  Returns None if independent, otherwise the
         combination expressing it through previously added columns."""
+        label = self.added
+        self.added += 1
         vec, comb = self._reduce(vec, {})
         if not vec:
             # vec_orig + sum comb[l]*col_l = 0, so col_label = -sum comb*col
@@ -128,10 +139,7 @@ class Matrix:
         return all(not c for c in self.cols)
 
     def rank(self):
-        ech = ColumnEchelon()
-        for j, col in enumerate(self.cols):
-            ech.add(col, j)
-        return ech.rank
+        return ColumnEchelon(self.cols).rank
 
     def nullity(self):
         return self.ncols - self.rank()
@@ -141,7 +149,7 @@ class Matrix:
         ech = ColumnEchelon()
         basis = []
         for j, col in enumerate(self.cols):
-            comb = ech.add(col, j)
+            comb = ech.add(col)
             if comb is not None:
                 null = {j: Fraction(1)}
                 vec_add_scaled(null, comb, Fraction(-1))
@@ -150,22 +158,11 @@ class Matrix:
 
     def solve(self, rhs):
         """One solution of self * x = rhs (free coordinates 0), or None."""
-        ech = ColumnEchelon()
-        for j, col in enumerate(self.cols):
-            ech.add(col, j)
-        return ech.express(rhs)
+        return ColumnEchelon(self.cols).express(rhs)
 
 
 def intersection_dim(vectors_a, vectors_b):
-    """dim(span A  intersect  span B) for two families of dict vectors."""
-    ech_a = ColumnEchelon()
-    for i, v in enumerate(vectors_a):
-        ech_a.add(v, i)
-    ech_ab = ColumnEchelon()
-    for i, v in enumerate(vectors_a):
-        ech_ab.add(v, i)
-    rank_b = ColumnEchelon()
-    for i, v in enumerate(vectors_b):
-        rank_b.add(v, i)
-        ech_ab.add(v, len(vectors_a) + i)
-    return ech_a.rank + rank_b.rank - ech_ab.rank
+    """dim(span A  intersect  span B) = rank A + rank B - rank (A u B)
+    for two lists of dict vectors."""
+    return (ColumnEchelon(vectors_a).rank + ColumnEchelon(vectors_b).rank
+            - ColumnEchelon(vectors_a + vectors_b).rank)

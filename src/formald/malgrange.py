@@ -71,25 +71,8 @@ class OneVarOp:
         if out_bound > self.min_precision():
             raise InsufficientPrecision(
                 f"need coefficients to degree {out_bound}, have {self.min_precision()}")
-        out = {}
-        for i, r in enumerate(self.coefficients):
-            if j < i:
-                continue
-            falling = 1
-            for step in range(i):
-                falling *= j - step
-            if falling == 0:
-                continue
-            for (e,), c in r.terms.items():
-                deg = e + j - i
-                if deg > out_bound:
-                    continue
-                new = out.get(deg, Fraction(0)) + c * falling
-                if new:
-                    out[deg] = new
-                else:
-                    del out[deg]
-        return out
+        image = _monomial_image(self.coefficients, (j,), out_bound)
+        return {deg: c for (deg,), c in image.items()}
 
     def __str__(self):
         if not self.coefficients:
@@ -127,12 +110,41 @@ class IndicialData:
     t0: int
 
     def eval(self, t):
-        acc = Fraction(0)
-        power = 1
-        for c in self.poly:
-            acc += c * power
-            power *= t
-        return acc
+        return _eval_poly(self.poly, t)
+
+
+def _monomial_image(coefficients, e, trunc):
+    """Exact terms of total degree <= trunc of sum_i r_i d_n^i (x^e), for
+    the coefficients (r_0, r_1, ...) of an operator in the last derivative.
+
+    Stored coefficient terms are used as exact data."""
+    out = {}
+    for i, r in enumerate(coefficients):
+        # j(j-1)...(j-i+1), zero when j < i
+        falling = math.prod(range(e[-1] - i + 1, e[-1] + 1))
+        if falling == 0:
+            continue
+        base = e[:-1] + (e[-1] - i,)
+        for re_, c in r.terms.items():
+            key = tuple(a + b for a, b in zip(base, re_))
+            if sum(key) > trunc:
+                continue
+            new = out.get(key, Fraction(0)) + c * falling
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def _eval_poly(coeffs, t):
+    """Value at t of the polynomial with coefficients low to high."""
+    acc = Fraction(0)
+    power = 1
+    for c in coeffs:
+        acc += c * power
+        power *= t
+    return acc
 
 
 def _falling_factorial_poly(i):
@@ -155,16 +167,7 @@ def _integer_roots(poly):
     lead = abs(coeffs[-1])
     bound = 1 + max(abs(c) for c in coeffs[:-1]) / lead
     limit = math.floor(bound)
-    roots = []
-    for t in range(-limit, limit + 1):
-        acc = Fraction(0)
-        power = 1
-        for c in coeffs:
-            acc += c * power
-            power *= t
-        if acc == 0:
-            roots.append(t)
-    return roots
+    return [t for t in range(-limit, limit + 1) if _eval_poly(coeffs, t) == 0]
 
 
 def indicial_data(op):
@@ -188,7 +191,7 @@ def indicial_data(op):
             poly[pos] += c * rho0
     while poly and poly[-1] == 0:
         poly.pop()
-    roots = [t for t in _integer_roots(poly)]
+    roots = _integer_roots(poly)
     t0 = max(s, 0)
     if roots:
         t0 = max(t0, max(roots) + 1)
@@ -248,9 +251,7 @@ def finite_dims(op):
     t = data.t0
     rows = t - data.s
     matrix = _truncated_matrix(op, t, rows)
-    ech = ColumnEchelon()
-    for j, col in enumerate(matrix.cols):
-        ech.add(col, j)
+    ech = ColumnEchelon(matrix.cols)
     rank = ech.rank
     pivots = set(ech.pivots())
     reps = tuple(i for i in range(rows) if i not in pivots)
@@ -341,47 +342,24 @@ def cokernel_generators(op, trunc):
     shift = max((i - (valuation(r.restrict_to_last()) or 0)
                  for i, r in enumerate(rs) if not r.is_zero()), default=0)
     h_bound = trunc + max(shift, 0) + 1
-    needed = h_bound + max(0, -min(0, shift))
     if op.min_precision() < trunc:
         raise InsufficientPrecision(
             f"coefficients known to {op.min_precision()}, need >= {trunc}")
 
     index = {e: i for i, e in enumerate(monomials_upto(n, trunc))}
     ech = ColumnEchelon()
-    count = 0
     # columns from the R_{n-1}-multiples of the generators
     for gen in generators:
         gexp = next(iter(gen.terms))
         for mu in monomials_upto(n - 1, trunc):
             key = tuple(mu) + (gexp[-1],)
             if sum(key) <= trunc:
-                ech.add({index[key]: Fraction(1)}, count)
-                count += 1
+                ech.add({index[key]: Fraction(1)})
     # columns Delta(x^e) truncated to degree <= trunc
     for e in monomials_upto(n, h_bound):
-        col = {}
-        for i, r in enumerate(rs):
-            if e[-1] < i:
-                continue
-            falling = 1
-            for step in range(i):
-                falling *= e[-1] - step
-            if falling == 0:
-                continue
-            base = e[:-1] + (e[-1] - i,)
-            for re_, c in r.terms.items():
-                key = tuple(a + b for a, b in zip(base, re_))
-                if sum(key) > trunc:
-                    continue
-                pos = index[key]
-                new = col.get(pos, Fraction(0)) + c * falling
-                if new:
-                    col[pos] = new
-                else:
-                    del col[pos]
+        col = {index[key]: c for key, c in _monomial_image(rs, e, trunc).items()}
         if col:
-            ech.add(col, count)
-            count += 1
+            ech.add(col)
 
     failed = None
     for e in monomials_upto(n, trunc):

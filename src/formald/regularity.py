@@ -99,16 +99,14 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
         cols.sort(key=lambda item: (item[0], item[1], item[2]))
         target = _restrict(ladder, embedded[p], degree_known)
         ech = ColumnEchelon()
-        count = 0
         solution = None
         by_degree = {}
         for deg, i, mu, vec in cols:
             by_degree.setdefault(deg, []).append((i, mu, vec))
         for deg in sorted(by_degree):
             for i, mu, vec in by_degree[deg]:
-                ech.add(_restrict(ladder, vec, degree_known), count)
+                ech.add(_restrict(ladder, vec, degree_known))
                 labels.append((i, mu))
-                count += 1
             combo = ech.express(target)
             if combo is not None:
                 solution = combo
@@ -251,12 +249,10 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
         targets.append((e, vec))
 
     ech = ColumnEchelon()
-    count = 0
     # image-of-d_n columns
     for w_vec, k in work.dn_image_columns(ladder):
         known = min(known, k)
-        ech.add(_restrict(ladder, w_vec, known), count)
-        count += 1
+        ech.add(_restrict(ladder, w_vec, known))
 
     slice_cols = {}
     for a in range(slice_max + 1):
@@ -272,8 +268,7 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
 
     for a in range(slice_max + 1):
         for vec in slice_cols[a]:
-            ech.add(_restrict(ladder, vec, known), count)
-            count += 1
+            ech.add(_restrict(ladder, vec, known))
         if all(ech.contains(_restrict(ladder, vec, known)) for _, vec in targets):
             texts = tuple("m" if b == 0 else
                           (f"x{n}*m" if b == 1 else f"x{n}^{b}*m")

@@ -26,6 +26,7 @@ from .errors import (
     NotRegular,
     UnsupportedExponent,
 )
+from .linalg import ColumnEchelon
 
 
 def as_coeff(value):
@@ -322,9 +323,6 @@ class Series:
             for _ in range(k):
                 out = out.partial(axis)
         return out
-
-    def inverse(self):
-        return invert_unit(self)
 
 
 class SeriesPoly:
@@ -696,7 +694,7 @@ def weierstrass_prepare(f):
 class LinearSubstitution:
     """An invertible linear change of coordinates x_i -> sum_j c_ij x_j."""
 
-    __slots__ = ("num_vars", "rows")
+    __slots__ = ("num_vars", "rows", "_columns")
 
     def __init__(self, rows):
         rows = tuple(tuple(as_coeff(v) for v in row) for row in rows)
@@ -705,7 +703,9 @@ class LinearSubstitution:
             raise ValueError("substitution matrix must be square")
         self.num_vars = n
         self.rows = rows
-        if _det(rows) == 0:
+        self._columns = ColumnEchelon(
+            {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n))
+        if self._columns.rank < n:
             raise ValueError("substitution matrix is singular")
 
     @classmethod
@@ -732,14 +732,11 @@ class LinearSubstitution:
         return cls(rows)
 
     def inverse(self):
-        return LinearSubstitution(_invert_matrix(self.rows))
-
-    def compose(self, other):
-        """self after other (matrix product self.rows * other.rows)."""
+        # column j of the inverse solves rows * x = e_j
         n = self.num_vars
-        rows = [[sum(self.rows[i][k] * other.rows[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-        return LinearSubstitution(rows)
+        cols = [self._columns.express({j: Fraction(1)}) for j in range(n)]
+        return LinearSubstitution([[cols[j].get(i, 0) for j in range(n)]
+                                   for i in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, LinearSubstitution) and self.rows == other.rows
@@ -749,44 +746,6 @@ class LinearSubstitution:
     def __repr__(self):
         body = "; ".join(",".join(str(v) for v in row) for row in self.rows)
         return f"LinearSubstitution[{body}]"
-
-
-def _det(rows):
-    n = len(rows)
-    m = [list(row) for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / m[col][col]
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
-
-
-def _invert_matrix(rows):
-    n = len(rows)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 def apply_linear_substitution(f, sub):

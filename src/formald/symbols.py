@@ -174,10 +174,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
             if sum(e) <= x_used:
                 rhs[row_index(e, z)] = c
 
-    ech = ColumnEchelon()
-    for j, col in enumerate(columns):
-        ech.add(col, j)
-    combo = ech.express(rhs)
+    combo = ColumnEchelon(columns).express(rhs)
     if combo is None:
         return MembershipVerdict(NOT_MEMBER, None, x_bound, zeta_bound, x_used)
     multipliers = [Symbol.zero(n) for _ in gens]

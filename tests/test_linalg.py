@@ -1,9 +1,20 @@
-"""Exact sparse linear algebra: echelon bases, rank, nullspace, solve."""
+"""Exact sparse linear algebra: echelon bases, rank, nullspace, solve.
+
+The property tests check the echelon against sympy's ``DomainMatrix`` over
+QQ, which serves only as a test oracle."""
 
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
 from formald.linalg import ColumnEchelon, Matrix, intersection_dim
+from formald.series import LinearSubstitution
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
 
 def dense_to_cols(rows):
@@ -57,8 +68,8 @@ def test_solve_detects_infeasible():
 
 def test_echelon_membership_and_projection():
     ech = ColumnEchelon()
-    ech.add({0: Fraction(1), 1: Fraction(1)}, "a")
-    ech.add({1: Fraction(1)}, "b")
+    ech.add({0: Fraction(1), 1: Fraction(1)})
+    ech.add({1: Fraction(1)})
     assert ech.contains({0: Fraction(2), 1: Fraction(5)})
     residual = ech.project({2: Fraction(3), 0: Fraction(1)})
     assert residual == {2: Fraction(3)}
@@ -76,3 +87,80 @@ def test_compose_matches_manual():
     b = dense_to_cols([[1, 0], [1, 1]])
     ab = a.compose(b)
     assert ab.cols == dense_to_cols([[3, 2], [1, 1]]).cols
+
+
+# -- sympy as an independent oracle ------------------------------------------
+
+
+def dense_rows(nrows, ncols):
+    entry = st.integers(-2, 2)
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def int_matrices(draw, max_rows=5, max_cols=6):
+    return draw(dense_rows(draw(st.integers(1, max_rows)),
+                           draw(st.integers(1, max_cols))))
+
+
+def oracle(rows):
+    return DomainMatrix([[QQ(v) for v in row] for row in rows],
+                        (len(rows), len(rows[0])), QQ)
+
+
+@SETTINGS
+@given(int_matrices())
+def test_rank_and_nullspace_match_sympy(rows):
+    m = dense_to_cols(rows)
+    rank = oracle(rows).rank()
+    assert m.rank() == rank
+    basis = m.nullspace()
+    assert len(basis) == m.ncols - rank
+    for vec in basis:
+        assert not m.apply(vec)
+
+
+@SETTINGS
+@given(int_matrices())
+def test_dependent_column_combination_uses_insertion_positions(rows):
+    m = dense_to_cols(rows)
+    ech = ColumnEchelon()
+    rank = 0
+    for j, col in enumerate(m.cols):
+        comb = ech.add(col)
+        prefix_rank = oracle([row[:j + 1] for row in rows]).rank()
+        assert (comb is None) == (prefix_rank > rank)
+        rank = prefix_rank
+        if comb is not None:
+            assert all(0 <= k < j for k in comb)
+            assert m.apply(comb) == col
+
+
+@SETTINGS
+@given(int_matrices(), st.data())
+def test_express_fails_exactly_when_rank_rises(rows, data):
+    rhs = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                             max_size=len(rows)))
+    m = dense_to_cols(rows)
+    target = {i: Fraction(v) for i, v in enumerate(rhs) if v}
+    augmented = [row + [v] for row, v in zip(rows, rhs)]
+    rises = oracle(augmented).rank() > oracle(rows).rank()
+    combo = ColumnEchelon(m.cols).express(target)
+    assert (combo is None) == rises
+    if combo is not None:
+        assert m.apply(combo) == target
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: dense_rows(n, n)))
+def test_substitution_inverse_matches_sympy_determinant(rows):
+    n = len(rows)
+    if oracle(rows).det() == 0:
+        with pytest.raises(ValueError):
+            LinearSubstitution(rows)
+        return
+    inverse = LinearSubstitution(rows).inverse().rows
+    product = [[sum(inverse[i][k] * rows[k][j] for k in range(n))
+                for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]

@@ -1,0 +1,116 @@
+"""The expression grammar: canonical printing reparses, and every malformed
+input is rejected with a typed error."""
+
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formald.errors import InsufficientPrecision, ParseError, UnsupportedExponent
+from formald.parser import parse_module, parse_operator, parse_series, parse_symbol
+from formald.series import Series, monomials_upto
+from formald.symbols import Symbol
+from formald.weyl import DiffOp
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+rationals = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]))
+PARSERS = {Series: parse_series, DiffOp: parse_operator, Symbol: parse_symbol}
+
+
+@st.composite
+def printed_values(draw):
+    """(value, num_vars, parse precision, exact): every coefficient of the
+    value is known to at most the parse precision, and to exactly it when
+    ``exact`` holds.  Operators have order at most precision + 1: the
+    parser builds d^k as a product, which differentiates the generator's
+    coefficient k - 1 times (see the xfail below)."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(0, 6))
+    exact = draw(st.booleans())
+
+    def series():
+        q = p if exact else draw(st.integers(0, p))
+        exponents = st.sampled_from(monomials_upto(n, min(q, 3)))
+        return Series(n, q, draw(st.dictionaries(exponents, rationals, max_size=4)))
+
+    cls = draw(st.sampled_from(list(PARSERS)))
+    if cls is Series:
+        return series(), n, p, exact
+    order = min(2, p + 1) if cls is DiffOp else 2
+    keys = draw(st.lists(st.sampled_from(monomials_upto(n, order)), max_size=3,
+                         unique=True))
+    return cls(n, {key: series() for key in keys}), n, p, exact
+
+
+@SETTINGS
+@given(printed_values())
+def test_canonical_printing_reparses(sample):
+    value, n, p, exact = sample
+    parsed = PARSERS[type(value)](str(value), n, p)
+    assert type(parsed) is type(value)
+    assert str(parsed) == str(value)
+    if exact:
+        assert parsed == value
+
+
+@pytest.mark.xfail(raises=InsufficientPrecision, strict=True,
+                   reason="d1^k is parsed as a product, which differentiates "
+                          "the coefficient 1 of d1 below precision 0")
+def test_operator_of_order_above_precision_plus_one_reparses():
+    value = DiffOp(1, {(3,): Series.constant(1, 1, 1)})
+    assert parse_operator(str(value), 1, 1) == value
+
+
+@pytest.mark.parametrize("text, num_vars, message", [
+    ("x", 2, "bare 'x' needs an index"),
+    ("x3", 2, "index 3 out of range"),
+    ("d0", 2, "index 0 out of range"),
+    ("1/0", 1, "zero denominator"),
+    ("1/x", 1, "denominator must be an integer"),
+    ("d1*z1", 2, "cannot mix derivative and symbol generators"),
+    ("z1 + d2", 2, "cannot mix derivative and symbol generators"),
+    ("x1 x2", 2, "trailing input"),
+    ("(x1", 2, "expected ')'"),
+    ("x1^x2", 2, "exponent must be a nonnegative integer"),
+    ("x1^(1/2)", 2, "exponent must be a nonnegative integer"),
+    ("x1^-1", 2, "exponent must be a nonnegative integer"),
+    ("x1 % 2", 2, "unexpected character"),
+    ("exp(d1)", 2, "expected a plain series expression"),
+])
+def test_malformed_expressions_raise_parse_error(text, num_vars, message):
+    parse = parse_symbol if "z" in text else parse_operator
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text, num_vars, 4)
+
+
+def test_exp_of_a_unit_is_unsupported():
+    with pytest.raises(UnsupportedExponent):
+        parse_series("exp(1 + x)", 1, 4)
+
+
+def test_plain_series_parser_rejects_operators():
+    with pytest.raises(ParseError, match="not a plain series"):
+        parse_series("d1", 1, 4)
+    with pytest.raises(ParseError, match="not an operator"):
+        parse_operator("z1", 1, 4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("conn(a; [[0]]; [[0]])", "conn rank must be an integer"),
+    ("conn(1; [[0]])", "conn needs a rank and 2 matrices"),
+    ("conn(2; [[0,1],[0]]; [[0,0],[0,0]])", "matrix row needs 2 entries"),
+    ("conn(2; [[0,1]]; [[0,0],[0,0]])", "matrix needs 2 rows"),
+    ("conn(1; 0; [[0]])", "matrix must be bracketed"),
+    ("conn(1; [0]; [[0]])", "matrix rows must be bracketed"),
+    ("R_loc(x1", "unknown module descriptor"),
+])
+def test_malformed_modules_raise_parse_error(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_module(text, 2, 4, pole_bound=2)
+
+
+def test_localization_needs_a_pole_bound():
+    with pytest.raises(ParseError, match="needs a pole bound"):
+        parse_module("R_loc(x1)", 2, 4)
