@@ -242,13 +242,9 @@ def complex_from_family(family, truncation, description):
                     sign = -1 if before % 2 else 1
                     target_form = tuple(sorted(form + (axis,)))
                     fpos = next_pos[target_form]
+                    # each axis lands in its own target form: no collisions
                     for row, val in partial_cols[axis][key_pos].items():
-                        idx = row * nf_next + fpos
-                        new = col.get(idx, Fraction(0)) + sign * val
-                        if new:
-                            col[idx] = new
-                        else:
-                            del col[idx]
+                        col[row * nf_next + fpos] = sign * val
                 cols.append(col)
         differentials.append(Matrix.from_cols(cols, dim_next * nf_next))
     for j in range(len(differentials) - 1):
@@ -388,17 +384,16 @@ class DnSubquotient:
         return Matrix.from_cols(cols, self.family.dim(t))
 
 
-def kernel_of_dn(module, trunc, pole=None, levels=None):
+def kernel_of_dn(module, trunc, pole=None):
     """Exact nullspace ladder of d_n with induced x_i, d_i (i < n) actions."""
     base = module_family(module, trunc, pole)
     family = KernelFamily(base)
-    levels = base.num_vars if levels is None else levels
-    dims = tuple(family.dim(t) for t in range(levels))
+    dims = tuple(family.dim(t) for t in range(base.num_vars))
     texts = tuple(family.label_text(0, lab) for lab in family.basis(0))
     return DnSubquotient(family, dims, texts)
 
 
-def cokernel_of_dn(module, trunc, pole=None, levels=None):
+def cokernel_of_dn(module, trunc, pole=None):
     """Cokernel ladder of d_n, counted stably across a deepening.
 
     Raw quotients V_{t+1}/d_n(V_t) carry classes whose antiderivative
@@ -408,10 +403,9 @@ def cokernel_of_dn(module, trunc, pole=None, levels=None):
     are the basis elements that stay independent there."""
     fam_src, fam_tgt, maps, _ = _comparison_pair(module, trunc, pole)
     axis = module.num_vars
-    levels = module.num_vars if levels is None else levels
     dims = []
     texts = None
-    for t in range(levels):
+    for t in range(axis):
         ech = ColumnEchelon(fam_tgt.partial_columns(axis, t))
         reps = [label for col, label in zip(maps(t + 1), fam_src.basis(t + 1))
                 if ech.add(col) is None]
@@ -446,18 +440,11 @@ def les_consistency(module, trunc, pole=None):
     base = module_family(module, trunc, pole)
     full = complex_from_family(base, (trunc, pole), module.describe())
     dims_m = cohomology_dims(full).dims
-    if base.num_vars == 1:
-        kernel = KernelFamily(base)
-        cokernel = CokernelFamily(base)
-        dims_k = (kernel.dim(0),)
-        dims_c = (cokernel.dim(0),)
-    else:
-        kernel_cx = complex_from_family(KernelFamily(base), (trunc, pole),
-                                        "ker d_n")
-        cokernel_cx = complex_from_family(CokernelFamily(base), (trunc, pole),
-                                          "coker d_n")
-        dims_k = cohomology_dims(kernel_cx).dims
-        dims_c = cohomology_dims(cokernel_cx).dims
+    # at n = 1 both complexes have zero axes: one space and no maps
+    kernel_cx = complex_from_family(KernelFamily(base), (trunc, pole), "ker d_n")
+    cokernel_cx = complex_from_family(CokernelFamily(base), (trunc, pole), "coker d_n")
+    dims_k = cohomology_dims(kernel_cx).dims
+    dims_c = cohomology_dims(cokernel_cx).dims
 
     def at(dims, i):
         return dims[i] if 0 <= i < len(dims) else 0

@@ -7,7 +7,9 @@ deterministic: no pivoting randomness, no floats.
 
 ``ColumnEchelon`` is formald's only elimination: every rank, kernel, solve
 and span test in the package, the inverse of a linear substitution
-included, is a sequence of its insertions.
+included, is a sequence of its insertions.  ``vec_add_scaled`` is the one
+scaled accumulate of sparse vectors; truncated products of exponent dicts
+go through :func:`formald.series.add_product`.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class ColumnEchelon:
         inv = Fraction(1) / vec[pivot]
         vec = vec_scale(vec, inv)
         comb = vec_scale(comb, inv)
-        comb[label] = comb.get(label, Fraction(0)) + inv
+        comb[label] = inv  # the label is new, so comb has no entry yet
         # back-eliminate the new pivot from the stored basis
         for _, basis_vec, basis_comb in self.rows:
             factor = basis_vec.get(pivot)

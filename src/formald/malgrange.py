@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .errors import (InsufficientPrecision, NotRegularLeadingCoefficient,
                      PreconditionViolated, ZeroOperator)
-from .linalg import ColumnEchelon, Matrix
-from .series import Series, is_xn_regular, monomials_upto
+from .linalg import ColumnEchelon, Matrix, vec_add_scaled
+from .series import Series, add_product, is_xn_regular, monomials_upto
 
 
 def valuation(series):
@@ -120,20 +120,9 @@ def _monomial_image(coefficients, e, trunc):
     Stored coefficient terms are used as exact data."""
     out = {}
     for i, r in enumerate(coefficients):
-        # j(j-1)...(j-i+1), zero when j < i
+        # j(j-1)...(j-i+1), zero when j < i, and then nothing is added
         falling = math.prod(range(e[-1] - i + 1, e[-1] + 1))
-        if falling == 0:
-            continue
-        base = e[:-1] + (e[-1] - i,)
-        for re_, c in r.terms.items():
-            key = tuple(a + b for a, b in zip(base, re_))
-            if sum(key) > trunc:
-                continue
-            new = out.get(key, Fraction(0)) + c * falling
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+        add_product(out, {e[:-1] + (e[-1] - i,): 1}, r.terms, trunc, falling)
     return out
 
 
@@ -221,12 +210,7 @@ def solve(op, g, t):
             continue
         cj = want / data.eval(j)
         coeffs[(j,)] = cj
-        for deg, c in op.apply_monomial(j, out_prec - data.s).items():
-            new = residual.get(deg, Fraction(0)) - c * cj
-            if new:
-                residual[deg] = new
-            else:
-                residual.pop(deg, None)
+        vec_add_scaled(residual, op.apply_monomial(j, out_prec - data.s), -cj)
     return Series(1, out_prec, coeffs)
 
 

@@ -19,23 +19,7 @@ from fractions import Fraction
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
-from .series import Series, format_poly, monomials_upto, try_divide
-
-
-def _add_product(out, a, b, bound, factor=1):
-    """out += factor * a * b on raw polynomials (exponent -> Fraction dicts),
-    dropping every term of total degree above bound."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ea, eb))
-            if sum(key) > bound:
-                continue
-            new = out.get(key, Fraction(0)) + factor * ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+from .series import Series, add_product, format_poly, monomials_upto, try_divide
 
 
 def _lowered(e, j):
@@ -163,9 +147,9 @@ class Localization(ModulePresentation):
         for _, e in ladder.basis(t):
             part = {}
             if e[j]:
-                _add_product(part, {_lowered(e, j): Fraction(e[j])},
+                add_product(part, {_lowered(e, j): Fraction(e[j])},
                              self.f_terms, bound)
-            _add_product(part, {e: Fraction(1)}, df_terms, bound, -k)
+            add_product(part, {e: Fraction(1)}, df_terms, bound, -k)
             cols.append({index[(0, exps)]: c for exps, c in part.items()})
         return cols
 
@@ -181,7 +165,7 @@ class Localization(ModulePresentation):
             index_b = fam_b.index(t)
             power = {(0,) * self.num_vars: Fraction(1)}
             for _ in range(fam_b.pole(t) - fam_a.pole(t)):
-                power = _add_product({}, power, self.f_terms, fam_b.bound(t))
+                power = add_product({}, power, self.f_terms, fam_b.bound(t))
             cols = []
             for _, e in fam_a.basis(t):
                 cols.append({index_b[(0, tuple(i + j for i, j in zip(e, ef)))]: c
@@ -202,7 +186,7 @@ class Localization(ModulePresentation):
         terms = {e: c for e, c in element.numerator.terms.items()
                  if sum(e) <= bound}
         for _ in range(steps):
-            terms = _add_product({}, terms, self.f_terms, bound)
+            terms = add_product({}, terms, self.f_terms, bound)
         known = min(element.numerator.precision + steps * self.f_ord, bound)
         index = ladder.index(0)
         return {index[(0, e)]: c for e, c in terms.items()}, known
@@ -322,7 +306,7 @@ class Connection(ModulePresentation):
             col = {}
             for row in range(self.rank):
                 part = {_lowered(e, j): Fraction(e[j])} if row == comp and e[j] else {}
-                _add_product(part, a[row][comp].terms, mono, bound)
+                add_product(part, a[row][comp].terms, mono, bound)
                 for exps, c in part.items():
                     col[index[(row, exps)]] = c
             cols.append(col)

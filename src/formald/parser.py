@@ -91,11 +91,13 @@ class _Parser:
         value = self.factor()
         while True:
             kind, text, at = self.peek()
-            if text == "*":
-                self.next()
-                value = self._mul(value, self.factor(), at)
-            else:
+            if text != "*":
                 return value
+            self.next()
+            if self.peek()[1].startswith("d"):
+                value = self._times_derivative(value, self.power(), at)
+            else:
+                value = self._mul(value, self.factor(), at)
 
     def factor(self):
         kind, text, at = self.peek()
@@ -105,6 +107,7 @@ class _Parser:
         return self.power()
 
     def power(self):
+        literal = self.peek()[1].startswith("d")
         value = self.atom()
         kind, text, at = self.peek()
         if text == "^":
@@ -112,7 +115,12 @@ class _Parser:
             kind, text, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", at)
-            value = value ** int(text)
+            if literal:
+                # d_i^k directly: the literal's coefficient 1 is exact
+                value = DiffOp(self.num_vars, {tuple(a * int(text) for a in key): c
+                                               for key, c in value.coeffs.items()})
+            else:
+                value = value ** int(text)
         return value
 
     def atom(self):
@@ -194,6 +202,17 @@ class _Parser:
             return a + b if add else a * b
         a, b = self._as_series(a, at), self._as_series(b, at)
         return a + b if add else a * b
+
+    def _times_derivative(self, value, literal, at):
+        """value * d^beta for a derivative literal d^beta: its coefficient 1
+        is exact and derivatives commute, so every key of value shifts by
+        beta and no coefficient is differentiated."""
+        if isinstance(value, Symbol):
+            raise ParseError("cannot mix derivative and symbol generators", at)
+        (beta,) = literal.coeffs
+        value = self._promote(value, DiffOp)
+        return DiffOp(self.num_vars, {tuple(a + b for a, b in zip(alpha, beta)): c
+                                      for alpha, c in value.coeffs.items()})
 
     def _promote(self, value, cls):
         if isinstance(value, cls):

@@ -26,6 +26,8 @@ from .linalg import ColumnEchelon, vec_add_scaled
 from .modules import partial_action, scalar_action
 from .series import Series, is_xn_regular, monomials_upto, xn_coefficient
 
+_SLICE_MAX = 6  # cover_check's largest a in the slice m, x_n m, ..., x_n^a m
+
 
 def _window(module, trunc, pole):
     """The presentation acting in the comparison window, and the ladder
@@ -41,10 +43,9 @@ def _restrict(ladder, vec, degree):
     return {i: c for i, c in vec.items() if sum(labels[i][1]) <= degree}
 
 
-def _tau_apply(module, f, element, axis=None):
+def _tau_apply(module, f, element):
     """tau(e) = f * d_n(e) in the given presentation."""
-    axis = module.num_vars if axis is None else axis
-    return scalar_action(module, partial_action(module, element, axis), f)
+    return scalar_action(module, partial_action(module, element, module.num_vars), f)
 
 
 @dataclass
@@ -87,29 +88,25 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
             mult_cache[(i, mu)] = (vec, k)
         return mult_cache[(i, mu)]
 
+    monomials = monomials_upto(ladder.num_vars, trunc)
     for p in range(1, p_max + 1):
-        cols = []
-        labels = []
         degree_known = known
         for i in range(p):
-            for mu in monomials_upto(ladder.num_vars, trunc):
-                vec, k = column(i, mu)
-                degree_known = min(degree_known, k)
-                cols.append((sum(mu), i, mu, vec))
-        cols.sort(key=lambda item: (item[0], item[1], item[2]))
+            for mu in monomials:
+                degree_known = min(degree_known, column(i, mu)[1])
         target = _restrict(ladder, embedded[p], degree_known)
         ech = ColumnEchelon()
+        labels = []
         solution = None
-        by_degree = {}
-        for deg, i, mu, vec in cols:
-            by_degree.setdefault(deg, []).append((i, mu, vec))
-        for deg in sorted(by_degree):
-            for i, mu, vec in by_degree[deg]:
-                ech.add(_restrict(ladder, vec, degree_known))
-                labels.append((i, mu))
-            combo = ech.express(target)
-            if combo is not None:
-                solution = combo
+        # by degree, so the first hit is the minimal-degree relation
+        for deg in range(trunc + 1):
+            for i in range(p):
+                for mu in monomials:
+                    if sum(mu) == deg:
+                        ech.add(_restrict(ladder, column(i, mu)[0], degree_known))
+                        labels.append((i, mu))
+            solution = ech.express(target)
+            if solution is not None:
                 break
         if solution is None:
             continue
@@ -225,7 +222,7 @@ class CoverReport:
     pole: int | None
 
 
-def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
+def cover_check(module, element, f, trunc, pole=None, p_max=8):
     """Verify R*m subset E0 + d_n(M) at truncation, where E0 is the module
     generated over the first n-1 variables by m, x_n m, ..., x_n^a m.
 
@@ -255,7 +252,7 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
         ech.add(_restrict(ladder, w_vec, known))
 
     slice_cols = {}
-    for a in range(slice_max + 1):
+    for a in range(_SLICE_MAX + 1):
         xn_a = (0,) * (n - 1) + (a,)
         base = scalar_action(work, element, Series.monomial(n, xn_a, trunc + 1))
         cols = []
@@ -266,7 +263,7 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8, slice_max=6):
             cols.append(vec)
         slice_cols[a] = cols
 
-    for a in range(slice_max + 1):
+    for a in range(_SLICE_MAX + 1):
         for vec in slice_cols[a]:
             ech.add(_restrict(ladder, vec, known))
         if all(ech.contains(_restrict(ladder, vec, known)) for _, vec in targets):

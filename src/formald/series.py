@@ -10,6 +10,10 @@ Conventions used throughout the package:
 * exponent vectors are tuples of nonnegative ints of length ``num_vars``;
 * axes are 1-based, matching the printed names ``x1..xn``;
 * the distinguished variable for regularity questions is always the last.
+
+Every truncated product of exponent -> Fraction dicts goes through one
+kernel, :func:`add_product`; scaled sparse accumulation goes through
+:func:`formald.linalg.vec_add_scaled`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,29 @@ def _homogeneous(num_vars, deg):
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def add_product(out, a, b, bound, factor=1):
+    """out += factor * a * b on exponent -> Fraction dicts, keeping only the
+    terms of total degree <= bound and dropping cancellations."""
+    if not factor:
+        return out
+    b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
+    for ea, ca in a.items():
+        room = bound - sum(ea)
+        if room < 0:
+            continue
+        ca = ca * factor
+        for eb, db, cb in b_terms:
+            if db > room:
+                continue
+            key = tuple(i + j for i, j in zip(ea, eb))
+            new = out.get(key, 0) + ca * cb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
 
 
 class Series:
@@ -250,21 +277,8 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
-        terms = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > prec:
-                continue
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > prec:
-                    continue
-                key = tuple(a + b for a, b in zip(ea, eb))
-                new = terms.get(key, Fraction(0)) + ca * cb
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        return Series._raw(self.num_vars, prec, terms)
+        return Series._raw(self.num_vars, prec,
+                           add_product({}, self.terms, other.terms, prec))
 
     __rmul__ = __mul__
 
@@ -586,15 +600,6 @@ def _split_last(f, d):
             Series._raw(f.num_vars, f.precision, high))
 
 
-def _shift_down_last(h, d):
-    """The x_n^d-quotient of h (terms with smaller x_n-exponent are dropped)."""
-    terms = {}
-    for e, c in h.terms.items():
-        if e[-1] >= d:
-            terms[e[:-1] + (e[-1] - d,)] = c
-    return Series._raw(h.num_vars, h.precision, terms)
-
-
 def weierstrass_divide(g, f):
     """Divide g by an x_n-regular f: g = q*f + sum_{i<d} r_i*x_n^i.
 
@@ -624,7 +629,7 @@ def weierstrass_divide(g, f):
     q = Series.zero(f.num_vars, window)
     for _ in range(window + 2):
         h = g - q * f_low
-        new_q = inv_high * _shift_down_last(h, d)
+        new_q = inv_high * _split_last(h, d)[1]
         if new_q == q:
             break
         q = new_q
@@ -771,7 +776,10 @@ def apply_linear_substitution(f, sub):
     return result
 
 
-def find_regularizing_substitution(f, shear_bound=4):
+_SHEAR_BOUND = 4  # largest max|c_i| of the tried shears x_i -> x_i + c_i*x_n
+
+
+def find_regularizing_substitution(f):
     """A deterministic search for L making f regular in the last variable.
 
     Tries the identity, then coordinate permutations in itertools order,
@@ -788,7 +796,7 @@ def find_regularizing_substitution(f, shear_bound=4):
             if perm != tuple(range(n)):
                 yield LinearSubstitution.permutation(perm)
         if n > 1:
-            for bound in range(1, shear_bound + 1):
+            for bound in range(1, _SHEAR_BOUND + 1):
                 for coeffs in itertools.product(range(-bound, bound + 1),
                                                 repeat=n - 1):
                     if max(abs(c) for c in coeffs) == bound:
@@ -799,7 +807,7 @@ def find_regularizing_substitution(f, shear_bound=4):
         if reg.order is not None:
             return sub, reg.order
     raise NotFoundWithinBudget(
-        f"no regularizing substitution with shear bound {shear_bound}")
+        f"no regularizing substitution with shear bound {_SHEAR_BOUND}")
 
 
 def try_divide(g, f):

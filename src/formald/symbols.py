@@ -137,9 +137,6 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
         return MembershipVerdict(INCONCLUSIVE if not target.is_zero() else MEMBER,
                                  None, x_bound, zeta_bound, max(x_used, 0))
 
-    def row_index(e, z):
-        return (e, z)
-
     columns = []
     labels = []
     for i, g in live:
@@ -158,8 +155,8 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
                         erow = tuple(a + b for a, b in zip(mu, eg))
                         if sum(erow) > x_used:
                             continue
-                        key = row_index(erow, zrow)
-                        col[key] = col.get(key, Fraction(0)) + c
+                        # distinct (zg, eg) pairs give distinct rows
+                        col[erow, zrow] = c
                 if col:
                     columns.append(col)
                     labels.append((i, mu, zu))
@@ -172,7 +169,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
             continue
         for e, c in s.terms.items():
             if sum(e) <= x_used:
-                rhs[row_index(e, z)] = c
+                rhs[e, z] = c
 
     combo = ColumnEchelon(columns).express(rhs)
     if combo is None:

@@ -81,6 +81,14 @@ def test_stabilized_dims_partial_localization():
     assert all(report.stabilized)
 
 
+def test_localization_from_pole_zero():
+    # level 0 holds numerators over f^0, so d_axis scales f's derivative by 0
+    x1 = Series.variable(2, 1, 40)
+    x2 = Series.variable(2, 2, 40)
+    M = ModulePresentation.localization(x1 * x2, 0)
+    assert stable_cohomology_dims(M, 6, 0).dims == (1, 2, 1)
+
+
 def test_smooth_hypersurface_matches_linear_model():
     # x2^2 + x1 is a coordinate away from x1: the dims must agree
     x1 = Series.variable(2, 1, 40)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formald.errors import InsufficientPrecision, ParseError, UnsupportedExponent
+from formald.errors import ParseError, UnsupportedExponent
 from formald.parser import parse_module, parse_operator, parse_series, parse_symbol
 from formald.series import Series, monomials_upto
 from formald.symbols import Symbol
@@ -23,9 +23,8 @@ PARSERS = {Series: parse_series, DiffOp: parse_operator, Symbol: parse_symbol}
 def printed_values(draw):
     """(value, num_vars, parse precision, exact): every coefficient of the
     value is known to at most the parse precision, and to exactly it when
-    ``exact`` holds.  Operators have order at most precision + 1: the
-    parser builds d^k as a product, which differentiates the generator's
-    coefficient k - 1 times (see the xfail below)."""
+    ``exact`` holds.  Operators have order up to 3 at every precision,
+    above precision + 1 included."""
     n = draw(st.integers(1, 3))
     p = draw(st.integers(0, 6))
     exact = draw(st.booleans())
@@ -38,7 +37,7 @@ def printed_values(draw):
     cls = draw(st.sampled_from(list(PARSERS)))
     if cls is Series:
         return series(), n, p, exact
-    order = min(2, p + 1) if cls is DiffOp else 2
+    order = 3 if cls is DiffOp else 2
     keys = draw(st.lists(st.sampled_from(monomials_upto(n, order)), max_size=3,
                          unique=True))
     return cls(n, {key: series() for key in keys}), n, p, exact
@@ -55,9 +54,6 @@ def test_canonical_printing_reparses(sample):
         assert parsed == value
 
 
-@pytest.mark.xfail(raises=InsufficientPrecision, strict=True,
-                   reason="d1^k is parsed as a product, which differentiates "
-                          "the coefficient 1 of d1 below precision 0")
 def test_operator_of_order_above_precision_plus_one_reparses():
     value = DiffOp(1, {(3,): Series.constant(1, 1, 1)})
     assert parse_operator(str(value), 1, 1) == value

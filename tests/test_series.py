@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from formald.errors import (InsufficientPrecision, NotAUnit, NotRegular,
                             UnsupportedExponent)
-from formald.series import (LinearSubstitution, Series,
+from formald.series import (LinearSubstitution, Series, add_product,
                             apply_linear_substitution, exp_series,
                             find_regularizing_substitution, invert_unit,
-                            is_xn_regular, try_divide, weierstrass_divide,
-                            weierstrass_prepare, xn_coefficient)
+                            is_xn_regular, monomials_upto, try_divide,
+                            weierstrass_divide, weierstrass_prepare,
+                            xn_coefficient)
 
 from conftest import random_series, random_xn_regular, series_agree
 
@@ -368,3 +371,69 @@ def test_printing_is_graded_lex():
     n, prec = 2, 4
     f = Series(n, prec, {(0, 0): 1, (2, 0): -2, (0, 1): Fraction(1, 2)})
     assert str(f) == "1 + 1/2*x2 - 2*x1^2"
+
+
+# -- the truncated product kernel against sympy ------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+nonzero_rationals = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                              st.sampled_from([1, 2, 3]))
+
+
+def _poly_dicts(n, max_degree):
+    return st.dictionaries(st.sampled_from(monomials_upto(n, max_degree)),
+                           nonzero_rationals, max_size=6)
+
+
+def _sympy_product(n, a, b):
+    gens = sympy.symbols(f"x1:{n + 1}")
+
+    def poly(terms):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in terms.items()}
+            or {(0,) * n: 0}, gens, domain=sympy.QQ)
+
+    return {e: Fraction(int(c.p), int(c.q))
+            for e, c in (poly(a) * poly(b)).terms() if c}
+
+
+@st.composite
+def product_cases(draw):
+    n = draw(st.integers(1, 3))
+    return (n, draw(_poly_dicts(n, 5)), draw(_poly_dicts(n, 5)),
+            draw(_poly_dicts(n, 8)), draw(st.integers(-1, 10)),
+            draw(st.sampled_from([1, -1, 2, Fraction(-3, 2), 0])))
+
+
+@KERNEL_SETTINGS
+@given(product_cases())
+def test_add_product_matches_sympy(case):
+    n, a, b, out, bound, factor = case
+    expected = dict(out)
+    for e, c in _sympy_product(n, a, b).items():
+        if sum(e) <= bound:
+            expected[e] = expected.get(e, 0) + factor * c
+    expected = {e: c for e, c in expected.items() if c}
+    result = add_product(dict(out), a, b, bound, factor)
+    assert result == expected
+    assert all(result.values())
+
+
+@st.composite
+def series_pairs(draw):
+    n = draw(st.integers(1, 3))
+    pa, pb = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return (Series(n, pa, draw(_poly_dicts(n, pa))),
+            Series(n, pb, draw(_poly_dicts(n, pb))))
+
+
+@KERNEL_SETTINGS
+@given(series_pairs())
+def test_series_product_matches_sympy_at_smaller_precision(pair):
+    a, b = pair
+    prec = min(a.precision, b.precision)
+    product = a * b
+    assert product.precision == prec
+    assert product.terms == {e: c for e, c in
+                             _sympy_product(a.num_vars, a.terms, b.terms).items()
+                             if sum(e) <= prec}
