@@ -3,7 +3,9 @@
 Every verb parses its expressions with an explicit variable count, runs
 one computation and prints a deterministic key/value report (or JSON with
 --machine).  Exit codes: 0 for affirmative or neutral outcomes, 2 for a
-certified-negative verdict at the stated truncation, 1 for errors.
+certified-negative verdict at the stated truncation, 1 for errors, 3 for
+a broken internal invariant (an ``AssertionError``, as from the d o d = 0
+check or a division that does not stabilize): ``error: InternalInvariant``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from . import malgrange as malg
 from . import regularity as reg
 from .derham import (cokernel_of_dn, kernel_of_dn, les_consistency,
                      stable_cohomology_dims, stabilized_dims)
-from .errors import ParseError, ToolkitError
+from .errors import ToolkitError
 from .parser import parse_module, parse_operator, parse_series, parse_symbol
 from .series import (find_regularizing_substitution, weierstrass_divide,
                      weierstrass_prepare)
@@ -416,11 +418,12 @@ def main(argv=None):
     try:
         _check_args(args)
         code = _HANDLERS[args.verb](args, report)
-    except (ToolkitError, ValueError, OSError) as err:
+    except (ToolkitError, ValueError, OSError, AssertionError) as err:
+        internal = isinstance(err, AssertionError)
         report.add("status", "error")
-        report.add("error", type(err).__name__)
+        report.add("error", "InternalInvariant" if internal else type(err).__name__)
         report.add("message", str(err))
-        code = 1
+        code = 3 if internal else 1
     print(report.render(args.machine))
     return code
 

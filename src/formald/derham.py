@@ -106,7 +106,7 @@ class KernelFamily:
 
     def _echelon(self, t):
         if t not in self._echelon_cache:
-            self._echelon_cache[t] = ColumnEchelon(self.vectors(t))
+            self._echelon_cache[t] = ColumnEchelon(self.vectors(t), track=True)
         return self._echelon_cache[t]
 
     def basis(self, t):
@@ -376,12 +376,6 @@ class DnSubquotient:
     def partial_matrix(self, axis, t=0):
         cols = self.family.partial_columns(axis, t)
         return Matrix.from_cols(cols, self.family.dim(t + 1))
-
-    def multiply_matrix(self, axis, t=0):
-        if not hasattr(self.family, "multiply_columns"):
-            raise NotImplementedError("multiplication is exposed on kernels only")
-        cols = self.family.multiply_columns(axis, t)
-        return Matrix.from_cols(cols, self.family.dim(t))
 
 
 def kernel_of_dn(module, trunc, pole=None):

@@ -7,13 +7,16 @@ deterministic: no pivoting randomness, no floats.
 
 ``ColumnEchelon`` is formald's only elimination: every rank, kernel, solve
 and span test in the package, the inverse of a linear substitution
-included, is a sequence of its insertions.  ``vec_add_scaled`` is the one
-scaled accumulate of sparse vectors; truncated products of exponent dicts
-go through :func:`formald.series.add_product`.
+included, is a sequence of its insertions.  It eliminates forward only,
+and keeps combinations of the added columns only where they are read.
+``vec_add_scaled`` is the one scaled accumulate of sparse vectors;
+truncated products of exponent dicts go through
+:func:`formald.series.add_product`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +26,7 @@ def vec_add_scaled(target, source, factor):
     if not factor:
         return target
     for k, v in source.items():
-        new = target.get(k, Fraction(0)) + factor * v
+        new = target[k] + factor * v if k in target else factor * v
         if new:
             target[k] = new
         else:
@@ -31,84 +34,89 @@ def vec_add_scaled(target, source, factor):
     return target
 
 
-def vec_scale(vec, factor):
-    return {k: v * factor for k, v in vec.items()}
-
-
 class ColumnEchelon:
-    """A fully reduced echelon basis of a growing family of column vectors.
+    """A forward echelon basis of a growing family of column vectors.
 
-    Supports rank queries, span membership with an explicit combination in
-    terms of the added columns, and projection onto the complement of the
-    pivot coordinates (used for cokernel representatives).  A column's
-    label in every combination is its insertion position: the number of
-    columns added before it, dependent ones included.
+    A column is reduced only against the stored pivots it meets, in
+    increasing order; if anything is left, it is stored as it is under its
+    pivot, the least row left, and no stored vector is touched.  Supports
+    rank queries, span membership and projection onto the complement of
+    the pivot rows (used for cokernel representatives).  ``track=True``
+    also keeps each stored vector's combination of the added columns, for
+    ``add``'s answer on a dependent column and for ``express``; a column's
+    label is its insertion position, dependent columns included.  Without
+    tracking, ``add`` returns True for a dependent column and ``express``
+    raises.
     """
 
-    def __init__(self, columns=()):
-        # list of (pivot_row, vector, combination) sorted by pivot_row;
-        # each vector is reduced against all others and has pivot entry 1
-        self.rows = []
+    def __init__(self, columns=(), track=False):
+        # pivot row -> (vector, 1 / vector[pivot], combination or None)
+        self._rows = {}
+        self.track = track
         self.added = 0
         for col in columns:
             self.add(col)
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self):
-        return [p for p, _, _ in self.rows]
+        return sorted(self._rows)
 
-    def _reduce(self, vec, comb):
+    def _reduce(self, vec):
+        """(residual, combination): residual = vec + sum comb[l]*col_l."""
         vec = dict(vec)
-        comb = dict(comb)
-        for pivot, basis_vec, basis_comb in self.rows:
-            factor = vec.get(pivot)
-            if factor:
-                vec_add_scaled(vec, basis_vec, -factor)
-                vec_add_scaled(comb, basis_comb, -factor)
+        comb = {} if self.track else None
+        rows = self._rows
+        heap = [row for row in vec if row in rows]
+        heapq.heapify(heap)
+        while heap:
+            pivot = heapq.heappop(heap)
+            entry = vec.get(pivot)
+            if not entry:
+                continue  # cancelled, or a repeated key already reduced
+            basis_vec, inv, basis_comb = rows[pivot]
+            factor = -entry * inv
+            # basis_vec lives on rows >= pivot; queue the stored pivots
+            # among them that vec does not hold yet
+            for row in basis_vec:
+                if row not in vec and row in rows:
+                    heapq.heappush(heap, row)
+            vec_add_scaled(vec, basis_vec, factor)
+            if comb is not None:
+                vec_add_scaled(comb, basis_comb, factor)
         return vec, comb
 
     def add(self, vec):
-        """Insert a column.  Returns None if independent, otherwise the
-        combination expressing it through previously added columns."""
+        """Insert a column.  Returns None if it is independent of the
+        columns before it; otherwise its combination of them (tracked)
+        or True."""
         label = self.added
         self.added += 1
-        vec, comb = self._reduce(vec, {})
+        vec, comb = self._reduce(vec)
         if not vec:
             # vec_orig + sum comb[l]*col_l = 0, so col_label = -sum comb*col
-            return {k: -v for k, v in comb.items()}
+            return True if comb is None else {k: -v for k, v in comb.items()}
         pivot = min(vec)
-        inv = Fraction(1) / vec[pivot]
-        vec = vec_scale(vec, inv)
-        comb = vec_scale(comb, inv)
-        comb[label] = inv  # the label is new, so comb has no entry yet
-        # back-eliminate the new pivot from the stored basis
-        for _, basis_vec, basis_comb in self.rows:
-            factor = basis_vec.get(pivot)
-            if factor:
-                vec_add_scaled(basis_vec, vec, -factor)
-                vec_add_scaled(basis_comb, comb, -factor)
-        self.rows.append((pivot, vec, comb))
-        self.rows.sort(key=lambda item: item[0])
+        if comb is not None:
+            comb[label] = Fraction(1)  # the label is new
+        self._rows[pivot] = (vec, Fraction(1) / vec[pivot], comb)
         return None
 
     def express(self, vec):
         """Combination of added columns giving vec, or None if outside the span."""
-        residual, comb = self._reduce(vec, {})
-        if residual:
-            return None
-        return {k: -v for k, v in comb.items()}
+        if not self.track:
+            raise ValueError("express needs an echelon built with track=True")
+        residual, comb = self._reduce(vec)
+        return None if residual else {k: -v for k, v in comb.items()}
 
     def contains(self, vec):
-        residual, _ = self._reduce(vec, {})
-        return not residual
+        return not self._reduce(vec)[0]
 
     def project(self, vec):
-        """Residual of vec after reduction (supported off the pivot rows)."""
-        residual, _ = self._reduce(vec, {})
-        return residual
+        """Residual of vec after reduction; it has no entry on a pivot row."""
+        return self._reduce(vec)[0]
 
 
 @dataclass
@@ -148,23 +156,15 @@ class Matrix:
 
     def nullspace(self):
         """Deterministic basis of the kernel (vectors over column indices)."""
-        ech = ColumnEchelon()
+        ech = ColumnEchelon(track=True)
         basis = []
         for j, col in enumerate(self.cols):
             comb = ech.add(col)
-            if comb is not None:
-                null = {j: Fraction(1)}
-                vec_add_scaled(null, comb, Fraction(-1))
-                basis.append(null)
+            if comb is not None:  # its labels are all below j
+                basis.append({j: Fraction(1), **{k: -v for k, v in comb.items()}})
         return basis
 
     def solve(self, rhs):
         """One solution of self * x = rhs (free coordinates 0), or None."""
-        return ColumnEchelon(self.cols).express(rhs)
+        return ColumnEchelon(self.cols, track=True).express(rhs)
 
-
-def intersection_dim(vectors_a, vectors_b):
-    """dim(span A  intersect  span B) = rank A + rank B - rank (A u B)
-    for two lists of dict vectors."""
-    return (ColumnEchelon(vectors_a).rank + ColumnEchelon(vectors_b).rank
-            - ColumnEchelon(vectors_a + vectors_b).rank)

@@ -95,7 +95,7 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
             for mu in monomials:
                 degree_known = min(degree_known, column(i, mu)[1])
         target = _restrict(ladder, embedded[p], degree_known)
-        ech = ColumnEchelon()
+        ech = ColumnEchelon(track=True)
         labels = []
         solution = None
         # by degree, so the first hit is the minimal-degree relation

@@ -709,7 +709,8 @@ class LinearSubstitution:
         self.num_vars = n
         self.rows = rows
         self._columns = ColumnEchelon(
-            {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n))
+            ({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)),
+            track=True)
         if self._columns.rank < n:
             raise ValueError("substitution matrix is singular")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BoundOverflow, InsufficientPrecision
+from .errors import BoundOverflow
 from .linalg import ColumnEchelon
 from .series import Series, SeriesPoly, format_poly, monomials_upto
 
@@ -171,7 +171,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
             if sum(e) <= x_used:
                 rhs[e, z] = c
 
-    combo = ColumnEchelon(columns).express(rhs)
+    combo = ColumnEchelon(columns, track=True).express(rhs)
     if combo is None:
         return MembershipVerdict(NOT_MEMBER, None, x_bound, zeta_bound, x_used)
     multipliers = [Symbol.zero(n) for _ in gens]

@@ -3,6 +3,7 @@ precision-aware comparisons."""
 
 from fractions import Fraction
 
+from formald.linalg import ColumnEchelon
 from formald.series import Series, monomials_upto
 
 
@@ -38,6 +39,11 @@ def random_xn_regular(rng, num_vars, precision, order):
         from formald.series import is_xn_regular
         if is_xn_regular(f).order == order:
             return f
+
+
+def span_rank(vectors):
+    """Dimension of the span of a list of sparse vectors."""
+    return ColumnEchelon(vectors).rank
 
 
 def series_agree(a, b, precision=None):

@@ -93,3 +93,16 @@ def test_out_of_range_input_is_rejected(argv, message):
     assert code == 1
     assert (report["status"], report["error"], report["message"]) == (
         "error", "ValueError", message)
+
+
+def test_broken_invariant_is_reported_without_traceback(monkeypatch, capsys):
+    from formald.linalg import Matrix
+
+    # every d o d composite now looks nonzero, so the exact check fails
+    monkeypatch.setattr(Matrix, "is_zero", lambda self: False)
+    code, text = run_cli(["derham", "--module", "R", "--vars", "2"])
+    report = dict(line.split(": ", 1) for line in text.splitlines())
+    assert code == 3
+    assert (report["status"], report["error"]) == ("error", "InternalInvariant")
+    assert report["message"].startswith("d^1 o d^0 != 0")
+    assert "Traceback" not in text + capsys.readouterr().err

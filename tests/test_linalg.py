@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from formald.linalg import ColumnEchelon, Matrix, intersection_dim
+from formald.linalg import ColumnEchelon, Matrix
 from formald.series import LinearSubstitution
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -75,13 +75,6 @@ def test_echelon_membership_and_projection():
     assert residual == {2: Fraction(3)}
 
 
-def test_intersection_dim():
-    a = [{0: Fraction(1)}, {1: Fraction(1)}]
-    b = [{1: Fraction(1)}, {2: Fraction(1)}]
-    assert intersection_dim(a, b) == 1
-    assert intersection_dim(a, [{2: Fraction(1)}]) == 0
-
-
 def test_compose_matches_manual():
     a = dense_to_cols([[1, 2], [0, 1]])
     b = dense_to_cols([[1, 0], [1, 1]])
@@ -125,7 +118,7 @@ def test_rank_and_nullspace_match_sympy(rows):
 @given(int_matrices())
 def test_dependent_column_combination_uses_insertion_positions(rows):
     m = dense_to_cols(rows)
-    ech = ColumnEchelon()
+    ech = ColumnEchelon(track=True)
     rank = 0
     for j, col in enumerate(m.cols):
         comb = ech.add(col)
@@ -146,10 +139,59 @@ def test_express_fails_exactly_when_rank_rises(rows, data):
     target = {i: Fraction(v) for i, v in enumerate(rhs) if v}
     augmented = [row + [v] for row, v in zip(rows, rhs)]
     rises = oracle(augmented).rank() > oracle(rows).rank()
-    combo = ColumnEchelon(m.cols).express(target)
+    combo = ColumnEchelon(m.cols, track=True).express(target)
     assert (combo is None) == rises
     if combo is not None:
         assert m.apply(combo) == target
+
+
+def prefix_rank(rows, count):
+    """Rank of the first ``count`` rows."""
+    return oracle(rows[:count]).rank() if count else 0
+
+
+@SETTINGS
+@given(int_matrices())
+def test_pivot_rows_are_where_the_row_prefix_rank_rises(rows):
+    pivots = set(ColumnEchelon(dense_to_cols(rows).cols).pivots())
+    for r in range(len(rows)):
+        rises = prefix_rank(rows, r + 1) > prefix_rank(rows, r)
+        assert (r in pivots) == rises
+
+
+@SETTINGS
+@given(int_matrices(), st.data())
+def test_projection_is_off_the_pivots_and_differs_by_the_span(rows, data):
+    v = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                           max_size=len(rows)))
+    ech = ColumnEchelon(dense_to_cols(rows).cols)
+    residual = ech.project({i: Fraction(c) for i, c in enumerate(v) if c})
+    assert not set(residual) & set(ech.pivots())
+    difference = [c - residual.get(i, 0) for i, c in enumerate(v)]
+    augmented = [row + [c] for row, c in zip(rows, difference)]
+    assert oracle(augmented).rank() == oracle(rows).rank()
+
+
+@SETTINGS
+@given(int_matrices(), st.data())
+def test_tracking_changes_no_answer(rows, data):
+    v = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                           max_size=len(rows)))
+    vec = {i: Fraction(c) for i, c in enumerate(v) if c}
+    tracked, untracked = ColumnEchelon(track=True), ColumnEchelon()
+    for col in dense_to_cols(rows).cols:
+        assert (tracked.add(col) is None) == (untracked.add(col) is None)
+        assert tracked.pivots() == untracked.pivots()
+        assert tracked.project(vec) == untracked.project(vec)
+    assert tracked.rank == untracked.rank
+    assert tracked.contains(vec) == untracked.contains(vec)
+
+
+def test_untracked_echelon_does_not_express():
+    ech = ColumnEchelon([{0: Fraction(1)}])
+    assert ech.add({0: Fraction(2)}) is not None   # dependent
+    with pytest.raises(ValueError):
+        ech.express({0: Fraction(1)})
 
 
 @SETTINGS
