@@ -19,7 +19,7 @@ from .series import (LinearSubstitution, Series, WeierstrassForm,
                      find_regularizing_substitution, invert_unit,
                      is_xn_regular, try_divide, weierstrass_divide,
                      weierstrass_prepare, xn_coefficient)
-from .weyl import DiffOp, TauOp, commutator, op_product, order_of
+from .weyl import DiffOp, commutator, op_product, order_of
 from .symbols import (MembershipVerdict, Symbol, bracket_chain_probe,
                       involutivity_check, membership_truncated,
                       poisson_bracket)

@@ -5,7 +5,8 @@ one computation and prints a deterministic key/value report (or JSON with
 --machine).  Exit codes: 0 for affirmative or neutral outcomes, 2 for a
 certified-negative verdict at the stated truncation, 1 for errors, 3 for
 a broken internal invariant (an ``AssertionError``, as from the d o d = 0
-check or a division that does not stabilize): ``error: InternalInvariant``.
+check or a Weierstrass remainder with a term of x_n-degree >= d):
+``error: InternalInvariant``.
 """
 
 from __future__ import annotations

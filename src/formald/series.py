@@ -13,13 +13,15 @@ Conventions used throughout the package:
 
 Every truncated product of exponent -> Fraction dicts goes through one
 kernel, :func:`add_product`; scaled sparse accumulation goes through
-:func:`formald.linalg.vec_add_scaled`.
+:func:`formald.linalg.vec_add_scaled`.  Unit inversion, the exponential
+and Weierstrass division each solve x = rhs + step(x) for a linear step
+that raises a grading, through one solver, :func:`_solve_graded`: it fixes
+x one grade layer at a time, so each costs about one truncated product.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +32,7 @@ from .errors import (
     NotRegular,
     UnsupportedExponent,
 )
-from .linalg import ColumnEchelon
+from .linalg import ColumnEchelon, vec_add_scaled
 
 
 def as_coeff(value):
@@ -509,37 +511,64 @@ def format_poly(terms, names):
 # -- units, exponentials, coefficient extraction -----------------------
 
 
+def _solve_graded(rhs, step, grade, top):
+    """The x with x = rhs + step(x), as an exponent -> Fraction dict.
+
+    ``step(layer, out)`` adds its image of ``layer`` into ``out``; it must be
+    linear and raise ``grade`` by at least 1, and keep no term of grade
+    above ``top``.  The layers of x are fixed in increasing grade: the layer
+    of grade k is what ``rhs`` and the images of the lower layers leave
+    there, and it passes through ``step`` once, so the solve costs about
+    one product with step's multiplier.
+    """
+    pending, x = dict(rhs), {}
+    for k in range(top + 1):
+        if not pending:
+            break
+        layer = {e: c for e, c in pending.items() if grade(e) == k}
+        if layer:
+            for e in layer:
+                del pending[e]
+            x.update(layer)
+            step(layer, pending)
+    return x
+
+
 def invert_unit(a):
-    """Multiplicative inverse of a unit, exact to a's precision."""
+    """Multiplicative inverse of a unit, exact to a's precision.
+
+    b = 1/c0 + e*b with e = 1 - a/c0 in the maximal ideal, graded by total
+    degree.
+    """
     c0 = a.constant_term
     if not c0:
         raise NotAUnit("series has zero constant term")
     n, prec = a.num_vars, a.precision
-    # geometric series in e = 1 - a/c0, which lies in the maximal ideal
-    e = Series.one(n, prec) - a / c0
-    acc = Series.one(n, prec)
-    power = Series.one(n, prec)
-    for _ in range(prec):
-        power = power * e
-        if power.is_zero():
-            break
-        acc = acc + power
-    return acc / c0
+    inv = 1 / c0
+    rest = {e: c for e, c in a.terms.items() if any(e)}
+    b = _solve_graded({(0,) * n: inv},
+                      lambda layer, out: add_product(out, layer, rest, prec, -inv),
+                      sum, prec)
+    return Series._raw(n, prec, b)
 
 
 def exp_series(a):
-    """exp(a) for a series with zero constant term, truncated at a's precision."""
+    """exp(a) for a series with zero constant term, truncated at a's precision.
+
+    With the Euler operator theta = sum x_i d_i, E = exp(a) solves
+    theta(E) = theta(a)*E, so its degree-k layer is (1/k)[theta(a)*E]_k.
+    """
     if a.constant_term:
         raise UnsupportedExponent("exp needs a zero constant term")
     n, prec = a.num_vars, a.precision
-    acc = Series.one(n, prec)
-    power = Series.one(n, prec)
-    for k in range(1, prec + 1):
-        power = power * a
-        if power.is_zero():
-            break
-        acc = acc + power / math.factorial(k)
-    return acc
+    theta_a = {e: c * sum(e) for e, c in a.terms.items()}
+
+    def step(layer, out):
+        product = add_product({}, layer, theta_a, prec)
+        vec_add_scaled(out, {e: c / sum(e) for e, c in product.items()}, 1)
+
+    return Series._raw(n, prec, _solve_graded({(0,) * n: Fraction(1)}, step,
+                                              sum, prec))
 
 
 def xn_coefficient(f, j):
@@ -588,25 +617,21 @@ def is_xn_regular(f):
 # -- Weierstrass division and preparation ------------------------------
 
 
-def _split_last(f, d):
-    """f = low + x_n^d * high, split at last-variable exponent d."""
-    low, high = {}, {}
-    for e, c in f.terms.items():
-        if e[-1] < d:
-            low[e] = c
-        else:
-            high[e[:-1] + (e[-1] - d,)] = c
-    return (Series._raw(f.num_vars, f.precision, low),
-            Series._raw(f.num_vars, f.precision, high))
+def _xn_quotient(terms, d):
+    """The x_n^d-quotient: terms with x_n-exponent >= d, divided by x_n^d."""
+    return {e[:-1] + (e[-1] - d,): c for e, c in terms.items() if e[-1] >= d}
 
 
 def weierstrass_divide(g, f):
     """Divide g by an x_n-regular f: g = q*f + sum_{i<d} r_i*x_n^i.
 
-    Splitting f = f_low + x_n^d*f_high (f_high a unit), the quotient is the
-    fixed point of q -> f_high^{-1} * T(g - q*f_low) where T extracts the
-    x_n^d-quotient.  Corrections gain one order in (x_1..x_{n-1}) per pass,
-    so at window precision N the iteration stabilizes within N+1 rounds.
+    Split f = f_low + x_n^d*f_high, where f_high is a unit with constant
+    term c, and let T take the x_n^d-quotient.  At window precision N the
+    quotient is the unique solution of q*f_high + T(q*f_low) = T(g), all
+    truncated at total degree N.  Weighting x_1..x_{n-1} by d+1 and x_n by
+    1, both q -> (f_high - c)*q and q -> T(q*f_low) raise the weight, so q
+    = (1/c)*(T(g) - (f_high - c)*q - T(q*f_low)) is solved layer by layer
+    in weight up to (d+1)*N.
 
     Returns (q, [r_0..r_{d-1}]) with the r_i in n-1 variables; outputs are
     reported at the conservative precision N - d.
@@ -624,18 +649,25 @@ def weierstrass_divide(g, f):
             f"precision {window} is below the regularity order {d}")
     g = g.truncate(window)
     f = f.truncate(window)
-    f_low, f_high = _split_last(f, d)
-    inv_high = invert_unit(f_high)
-    q = Series.zero(f.num_vars, window)
-    for _ in range(window + 2):
-        h = g - q * f_low
-        new_q = inv_high * _split_last(h, d)[1]
-        if new_q == q:
-            break
-        q = new_q
+    f_high = _xn_quotient(f.terms, d)
+    inv = 1 / f_high.pop((0,) * f.num_vars)
+    # T(q*f_low) is the sum over k < d of T_{d-k}(q)*c_k, with c_k the
+    # x_n^k-coefficient of f and T_j the x_n^j-quotient: only pairs that T
+    # keeps are multiplied
+    low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
+                  for k in range(d)]
+
+    def step(layer, out):
+        add_product(out, layer, f_high, window, -inv)
+        for k, coeff in enumerate(low_coeffs):
+            add_product(out, _xn_quotient(layer, d - k), coeff, window - d, -inv)
+
+    q = _solve_graded(vec_add_scaled({}, _xn_quotient(g.terms, d), inv), step,
+                      lambda e: (d + 1) * sum(e) - d * e[-1], (d + 1) * window)
+    q = Series._raw(f.num_vars, window, q)
     remainder = g - q * f
     if any(e[-1] >= d for e in remainder.terms):
-        raise AssertionError("division iteration failed to stabilize")
+        raise AssertionError("Weierstrass remainder has a term of x_n-degree >= d")
     out_prec = window - d
     q_out = q.truncate(out_prec)
     r_out = [xn_coefficient(remainder, i).truncate(out_prec) for i in range(d)]
@@ -657,14 +689,12 @@ class WeierstrassForm:
 
     def reconstruct(self):
         """unit * (x_n^d + sum tail_i x_n^i) at the stated precision."""
-        n = self.unit.num_vars
-        poly = Series.monomial(n, (0,) * (n - 1) + (self.degree,),
-                               self.precision)
-        for i, b in enumerate(self.tail):
-            term = b.lift(n) * Series.monomial(n, (0,) * (n - 1) + (i,),
-                                               self.precision)
-            poly = poly + term
-        return self.unit * poly
+        n, prec = self.unit.num_vars, self.precision
+        poly = {e + (i,): c for i, b in enumerate(self.tail)
+                for e, c in b.terms.items() if sum(e) + i <= prec}
+        if self.degree <= prec:
+            poly[(0,) * (n - 1) + (self.degree,)] = Fraction(1)
+        return self.unit * Series._raw(n, prec, poly)
 
 
 def weierstrass_prepare(f):

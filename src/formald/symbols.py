@@ -65,11 +65,6 @@ class Symbol(SeriesPoly):
                       {z[:j] + (z[j] - 1,) + z[j + 1:]: s * z[j]
                        for z, s in self.coeffs.items() if z[j]})
 
-    def truncate_x(self, precision):
-        return Symbol(self.num_vars,
-                      {z: s.truncate(min(precision, s.precision))
-                       for z, s in self.coeffs.items()})
-
     def __str__(self):
         if not self.coeffs:
             return "0"

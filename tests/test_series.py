@@ -437,3 +437,182 @@ def test_series_product_matches_sympy_at_smaller_precision(pair):
     assert product.terms == {e: c for e, c in
                              _sympy_product(a.num_vars, a.terms, b.terms).items()
                              if sum(e) <= prec}
+
+
+# -- graded solves against the power-sum and fixed-point references ----------
+
+GRADED_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+_MAX_PRECISION = {1: 10, 2: 7, 3: 5}
+
+
+def _geometric_inverse(a):
+    """1/a as the geometric series in 1 - a/c0, one full product a term."""
+    c0 = a.constant_term
+    n, prec = a.num_vars, a.precision
+    e = Series.one(n, prec) - a / c0
+    acc = power = Series.one(n, prec)
+    for _ in range(prec):
+        power = power * e
+        if power.is_zero():
+            break
+        acc = acc + power
+    return acc / c0
+
+
+def _fixed_point_divide(g, f):
+    """Weierstrass division by iterating q -> f_high^{-1} T(g - q*f_low)
+    to its fixed point, T the x_n^d-quotient."""
+    d = is_xn_regular(f).order
+    window = min(g.precision, f.precision)
+    g, f = g.truncate(window), f.truncate(window)
+    n = f.num_vars
+    low = Series(n, window, {e: c for e, c in f.terms.items() if e[-1] < d})
+
+    def quotient(h):
+        return Series(n, window, {e[:-1] + (e[-1] - d,): c
+                                  for e, c in h.terms.items() if e[-1] >= d})
+
+    inv_high = _geometric_inverse(quotient(f))
+    q = Series.zero(n, window)
+    for _ in range(window + 2):
+        new_q = inv_high * quotient(g - q * low)
+        if new_q == q:
+            break
+        q = new_q
+    remainder = g - q * f
+    out = window - d
+    return (q.truncate(out),
+            [xn_coefficient(remainder, i).truncate(out) for i in range(d)])
+
+
+@st.composite
+def graded_series(draw, unit=False):
+    n = draw(st.integers(1, 3))
+    prec = draw(st.integers(0, _MAX_PRECISION[n]))
+    terms = draw(_poly_dicts(n, prec))
+    terms.pop((0,) * n, None)
+    if unit:
+        terms[(0,) * n] = draw(nonzero_rationals)
+    return Series(n, prec, terms)
+
+
+@st.composite
+def regular_series(draw):
+    """An x_n-regular f of order d (d = 0 included) at precision >= d."""
+    n = draw(st.integers(1, 3))
+    prec = draw(st.integers(0, _MAX_PRECISION[n]))
+    d = draw(st.integers(0, min(prec, 3)))
+    axis = (0,) * (n - 1)
+    terms = {e: c for e, c in draw(_poly_dicts(n, prec)).items()
+             if e[:-1] != axis or e[-1] > d}
+    terms[axis + (d,)] = draw(nonzero_rationals)
+    return Series(n, prec, terms)
+
+
+@st.composite
+def division_cases(draw):
+    """(g, f) with g at precision d (window = d), at f's or at another."""
+    f = draw(regular_series())
+    d = is_xn_regular(f).order
+    prec = draw(st.sampled_from([d, f.precision, f.precision + 1,
+                                 max(d, f.precision - 1)]))
+    return Series(f.num_vars, prec, draw(_poly_dicts(f.num_vars, prec))), f
+
+
+@GRADED_SETTINGS
+@given(graded_series(unit=True))
+def test_invert_unit_matches_geometric_series(a):
+    b = invert_unit(a)
+    assert b == _geometric_inverse(a)
+    assert a * b == Series.one(a.num_vars, a.precision)
+
+
+@GRADED_SETTINGS
+@given(graded_series())
+def test_exp_series_matches_power_sum(a):
+    n, prec = a.num_vars, a.precision
+    gens = sympy.symbols(f"x1:{n + 1}")
+
+    def truncated(poly):
+        return sympy.Poly.from_dict(
+            {e: c for e, c in poly.terms() if sum(e) <= prec} or {(0,) * n: 0},
+            gens, domain=sympy.QQ)
+
+    base = truncated(sympy.Poly.from_dict(
+        {e: sympy.Rational(c.numerator, c.denominator) for e, c in a.terms.items()}
+        or {(0,) * n: 0}, gens, domain=sympy.QQ))
+    total = power = sympy.Poly(1, *gens, domain=sympy.QQ)
+    for k in range(1, prec + 1):
+        power = truncated(power * base) * sympy.Rational(1, k)
+        total = total + power
+    expected = Series(n, prec, {e: Fraction(int(c.p), int(c.q))
+                                for e, c in total.terms() if c})
+    assert exp_series(a) == expected
+
+
+@GRADED_SETTINGS
+@given(division_cases())
+def test_weierstrass_divide_matches_fixed_point(case):
+    g, f = case
+    n, d = f.num_vars, is_xn_regular(f).order
+    q, r = weierstrass_divide(g, f)
+    assert (q, r) == _fixed_point_divide(g, f)
+    assert len(r) == d and all(ri.num_vars == n - 1 for ri in r)
+    out = q.precision
+    rest = g.truncate(out) - q * f.truncate(out)
+    for i, ri in enumerate(r):
+        assert ri.precision == out
+        if i <= out:
+            rest = rest - ri.lift(n) * Series.monomial(n, (0,) * (n - 1) + (i,), out)
+    assert rest.is_zero()
+
+
+@GRADED_SETTINGS
+@given(regular_series())
+def test_weierstrass_form_reconstructs(f):
+    form = weierstrass_prepare(f)
+    assert form.reconstruct() == f.truncate(form.precision)
+
+
+# -- cost: each graded solve is about one truncated product ------------------
+
+
+def _pairs(a, b, bound):
+    """Term pairs of a*b that add_product multiplies under the bound."""
+    degrees = [sum(e) for e in b]
+    return sum(1 for ea in a for db in degrees if sum(ea) + db <= bound)
+
+
+@pytest.fixture
+def product_pairs(monkeypatch):
+    """Counts the term pairs every add_product call multiplies."""
+    import formald.series as series_module
+    kernel = series_module.add_product
+    count = [0]
+
+    def counted(out, a, b, bound, factor=1):
+        if factor:
+            count[0] += _pairs(a, b, bound)
+        return kernel(out, a, b, bound, factor)
+
+    monkeypatch.setattr(series_module, "add_product", counted)
+    return count
+
+
+def test_graded_solves_cost_about_one_product(product_pairs):
+    rng = random.Random(12)
+    n, prec = 2, 12
+    a = random_series(rng, n, prec, density=0.9, unit=True)
+    b = invert_unit(a)
+    assert product_pairs[0] <= _pairs(a.terms, b.terms, prec)
+
+    product_pairs[0] = 0
+    a = random_series(rng, n, prec, density=0.9, zero_constant=True)
+    e = exp_series(a)
+    assert product_pairs[0] <= _pairs(a.terms, e.terms, prec)
+
+    product_pairs[0] = 0
+    f = random_xn_regular(rng, n, prec, 3)
+    g = random_series(rng, n, prec, density=0.9)
+    q, _ = weierstrass_divide(g, f)
+    assert product_pairs[0] <= 3 * _pairs(q.terms, f.terms, prec)

@@ -1,4 +1,4 @@
-"""Normal-form operator arithmetic, principal symbols, the tau calculus."""
+"""Normal-form operator arithmetic, principal symbols."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from formald.errors import ZeroOperator
 from formald.series import Series
 from formald.symbols import Symbol
-from formald.weyl import DiffOp, TauOp, commutator, op_product, order_of
+from formald.weyl import DiffOp, commutator, op_product, order_of
 
 from conftest import coeffs_agree, random_series, series_agree
 from test_containers import samples
@@ -201,23 +201,15 @@ def test_symbol_multiplicativity_when_orders_add():
         checked += 1
 
 
-# -- tau calculus -----------------------------------------------------------
-
-
-def test_tau_expand_generator():
-    f = Series.variable(1, 1, 10)
-    tau = TauOp.tau(f)
-    expanded = tau.expand()
-    expected = DiffOp.from_series(f) * DiffOp.partial(1, 1, 10)
-    assert coeffs_agree(expanded, expected)
+# -- tau = f*d_n as an operator ---------------------------------------------
 
 
 def test_tau_square_euler():
-    f = Series.variable(1, 1, 10)
-    tau = TauOp.tau(f)
-    sq = (tau * tau).expand()
-    x = f
+    # for f = x, tau^2 = (x d)^2 = x^2 d^2 + x d acts on x^i by i^2
+    x = Series.variable(1, 1, 10)
     d = DiffOp.partial(1, 1, 10)
+    tau = DiffOp.from_series(x) * d
+    sq = tau * tau
     expected = DiffOp.from_series(x * x) * (d * d) + DiffOp.from_series(x) * d
     assert coeffs_agree(sq, expected)
     for i in range(1, 5):
@@ -226,72 +218,6 @@ def test_tau_square_euler():
 
 def test_constant_tau_op_is_multiplication():
     rng = random.Random(27)
-    f = Series.variable(1, 1, 9)
     g = random_series(rng, 1, 9)
-    op = TauOp.from_series(f, g)
     h = random_series(rng, 1, 9)
-    assert series_agree(op.apply(h), g * h)
-
-
-def test_transpose_of_tau_is_minus_tau():
-    f = Series.variable(1, 1, 10)
-    tau = TauOp.tau(f)
-    got = tau.transpose()
-    expected = -tau
-    for i in range(2):
-        assert series_agree(got.coefficient(i), expected.coefficient(i))
-
-
-def test_transpose_of_tau_powers():
-    f = Series.variable(1, 1, 16)
-    tau = TauOp.tau(f)
-    power = tau
-    for p in range(2, 6):
-        power = power * tau
-        transposed = power.transpose()
-        sign = -1 if p % 2 else 1
-        expected = power * sign
-        for i in range(len(power.coeffs)):
-            assert series_agree(transposed.coefficient(i),
-                                expected.coefficient(i))
-
-
-def test_transpose_of_series_times_tau():
-    # (g tau)* = -g tau - tau(g)
-    rng = random.Random(28)
-    for _ in range(10):
-        f = random_series(rng, 2, 10, unit=rng.random() < 0.5)
-        if f.is_zero():
-            continue
-        g = random_series(rng, 2, 10)
-        tau = TauOp.tau(f)
-        gtau = TauOp.from_series(f, g) * tau
-        got = gtau.transpose()
-        tau_g = f * g.partial(2)
-        assert series_agree(got.coefficient(0), -tau_g)
-        assert series_agree(got.coefficient(1), -g)
-
-
-def test_transpose_is_involution():
-    rng = random.Random(29)
-    for _ in range(20):
-        f = random_series(rng, 1, 14, unit=True)
-        coeffs = [random_series(rng, 1, 14, degree=2) for _ in range(3)]
-        s = TauOp(f, coeffs)
-        back = s.transpose().transpose()
-        for i in range(max(len(s.coeffs), len(back.coeffs))):
-            assert series_agree(s.coefficient(i), back.coefficient(i),
-                                precision=8)
-
-
-def test_right_multiplication_congruence():
-    # residue(g*S) modulo tau-multiples equals the transpose acting on g
-    rng = random.Random(30)
-    for _ in range(50):
-        f = random_series(rng, 1, 12, unit=True)
-        g = random_series(rng, 1, 12, degree=3)
-        coeffs = [random_series(rng, 1, 12, degree=2) for _ in range(3)]
-        s = TauOp(f, coeffs)
-        left = TauOp.from_series(f, g) * s         # the element g*S
-        assert series_agree(left.residue(), s.transpose().apply(g),
-                            precision=8)
+    assert series_agree(DiffOp.from_series(g).apply(h), g * h)
