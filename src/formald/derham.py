@@ -25,13 +25,17 @@ budget; see :mod:`formald.modules`):
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.
+
+Matrix entries are ``int | Fraction``: a presentation with integral
+coefficients yields integer-valued differentials and comparison maps,
+and :class:`formald.linalg.ColumnEchelon` stores primitive integer
+vectors, so an exact rank costs no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
 
@@ -200,7 +204,6 @@ class TruncatedComplex:
     """Explicit bases and exact differentials of a truncated de Rham complex."""
 
     num_vars: int
-    space_labels: list       # per degree: list of (basis label text, form tuple)
     dims: list               # per degree: space dimension
     differentials: list      # Matrix, one per degree 0..len(axes)-1
     truncation: tuple        # (N, K)
@@ -215,14 +218,7 @@ def complex_from_family(family, truncation, description):
     """Assemble spaces and differentials; d o d = 0 is verified exactly."""
     axes = family.axes
     n_forms = len(axes)
-    space_labels = []
-    dims = []
-    for j in range(n_forms + 1):
-        forms = _forms(axes, j)
-        labels = [(family.label_text(j, lab), form)
-                  for lab in family.basis(j) for form in forms]
-        space_labels.append(labels)
-        dims.append(family.dim(j) * len(forms))
+    dims = [family.dim(j) * len(_forms(axes, j)) for j in range(n_forms + 1)]
     differentials = []
     for j in range(n_forms):
         forms = _forms(axes, j)
@@ -250,8 +246,8 @@ def complex_from_family(family, truncation, description):
     for j in range(len(differentials) - 1):
         if not differentials[j + 1].compose(differentials[j]).is_zero():
             raise AssertionError(f"d^{j + 1} o d^{j} != 0 in {description}")
-    return TruncatedComplex(num_vars=len(axes), space_labels=space_labels,
-                            dims=dims, differentials=differentials,
+    return TruncatedComplex(num_vars=len(axes), dims=dims,
+                            differentials=differentials,
                             truncation=truncation, description=description)
 
 
@@ -305,7 +301,7 @@ def _mapped_cocycles(complex_src, level_cols, n_forms, i):
     if i < top:
         cocycles = complex_src.differentials[i].nullspace()
     else:
-        cocycles = [{j: Fraction(1)} for j in range(complex_src.dims[i])]
+        cocycles = [{j: 1} for j in range(complex_src.dims[i])]
     mapped = []
     for z in cocycles:
         vec = {}

@@ -1,14 +1,15 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts mapping row index -> nonzero Fraction; matrices are kept
-column-major (one vector per basis element of the source).  Pivots are
-always the smallest available row index, so every computation here is
-deterministic: no pivoting randomness, no floats.
+Vectors are dicts mapping row index -> nonzero ``int | Fraction``;
+matrices are kept column-major (one vector per basis element of the
+source).  Pivots are always the smallest available row index, so every
+computation here is deterministic: no pivoting randomness, no floats.
 
 ``ColumnEchelon`` is formald's only elimination: every rank, kernel, solve
 and span test in the package, the inverse of a linear substitution
-included, is a sequence of its insertions.  It eliminates forward only,
-and keeps combinations of the added columns only where they are read.
+included, is a sequence of its insertions.  It eliminates forward only
+and fraction-free: every stored vector is a primitive integer vector, and
+keeps combinations of the added columns only where they are read.
 ``vec_add_scaled`` is the one scaled accumulate of sparse vectors;
 truncated products of exponent dicts go through
 :func:`formald.series.add_product`.
@@ -17,6 +18,7 @@ truncated products of exponent dicts go through
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,20 +39,28 @@ def vec_add_scaled(target, source, factor):
 class ColumnEchelon:
     """A forward echelon basis of a growing family of column vectors.
 
-    A column is reduced only against the stored pivots it meets, in
-    increasing order; if anything is left, it is stored as it is under its
-    pivot, the least row left, and no stored vector is touched.  Supports
-    rank queries, span membership and projection onto the complement of
-    the pivot rows (used for cokernel representatives).  ``track=True``
-    also keeps each stored vector's combination of the added columns, for
-    ``add``'s answer on a dependent column and for ``express``; a column's
-    label is its insertion position, dependent columns included.  Without
-    tracking, ``add`` returns True for a dependent column and ``express``
-    raises.
+    A column is scaled to integers by the lcm of its denominators and
+    reduced only against the stored pivots it meets, in increasing order,
+    by w <- a*w - c*b with a = b[p]/g, c = w[p]/g and g = gcd(w[p], b[p])
+    (gcd-based fraction-free elimination).  Once the multipliers a since
+    the last such step pass 64 bits, w is divided by its content, so its
+    entries stay within 64 bits of the primitive residual's.  If anything
+    is left, it is divided by its content and stored under its pivot, the
+    least row left, with a positive pivot entry; no stored vector is
+    touched.  Supports rank queries, span membership and projection onto
+    the complement of the pivot rows (used for cokernel representatives).
+    ``track=True`` also keeps each stored vector's combination of the
+    added columns, for ``add``'s answer on a dependent column and for
+    ``express``; a column's label is its insertion position, dependent
+    columns included.  Without tracking, ``add`` returns True for a
+    dependent column and ``express`` raises.  Residuals, pivot rows and
+    combinations over the independent labels do not depend on how the
+    stored vectors are scaled, so every answer is the one a ``Fraction``
+    elimination gives.
     """
 
     def __init__(self, columns=(), track=False):
-        # pivot row -> (vector, 1 / vector[pivot], combination or None)
+        # pivot row -> (primitive integer vector, combination or None)
         self._rows = {}
         self.track = track
         self.added = 0
@@ -65,28 +75,47 @@ class ColumnEchelon:
         return sorted(self._rows)
 
     def _reduce(self, vec):
-        """(residual, combination): residual = vec + sum comb[l]*col_l."""
-        vec = dict(vec)
+        """(w, sigma, comb): the integer vector w = sigma * (vec + sum
+        comb[l]*col_l) has no entry on a pivot row; sigma is rational."""
+        sigma = math.lcm(*(v.denominator for v in vec.values()))
+        w = {k: v.numerator * (sigma // v.denominator)
+             for k, v in vec.items() if v}
         comb = {} if self.track else None
         rows = self._rows
-        heap = [row for row in vec if row in rows]
+        heap = [row for row in w if row in rows]
         heapq.heapify(heap)
+        scale = 1  # product of the multipliers since w was last made primitive
         while heap:
             pivot = heapq.heappop(heap)
-            entry = vec.get(pivot)
+            entry = w.get(pivot)
             if not entry:
                 continue  # cancelled, or a repeated key already reduced
-            basis_vec, inv, basis_comb = rows[pivot]
-            factor = -entry * inv
+            basis_vec, basis_comb = rows[pivot]
+            lead = basis_vec[pivot]
+            g = math.gcd(entry, lead)
             # basis_vec lives on rows >= pivot; queue the stored pivots
-            # among them that vec does not hold yet
+            # among them that w does not hold yet
             for row in basis_vec:
-                if row not in vec and row in rows:
+                if row not in w and row in rows:
                     heapq.heappush(heap, row)
-            vec_add_scaled(vec, basis_vec, factor)
+            if lead != g:
+                a = lead // g
+                for k in w:
+                    w[k] *= a
+                sigma *= a
+                scale *= a
+            c = entry // g
+            vec_add_scaled(w, basis_vec, -c)
             if comb is not None:
-                vec_add_scaled(comb, basis_comb, factor)
-        return vec, comb
+                vec_add_scaled(comb, basis_comb, Fraction(-c, sigma))
+            if scale.bit_length() > 64 and w:
+                content = math.gcd(*w.values())
+                if content != 1:
+                    for k in w:
+                        w[k] //= content
+                    sigma = Fraction(sigma, content)
+                scale = 1
+        return w, sigma, comb
 
     def add(self, vec):
         """Insert a column.  Returns None if it is independent of the
@@ -94,29 +123,37 @@ class ColumnEchelon:
         or True."""
         label = self.added
         self.added += 1
-        vec, comb = self._reduce(vec)
-        if not vec:
+        w, sigma, comb = self._reduce(vec)
+        if not w:
             # vec_orig + sum comb[l]*col_l = 0, so col_label = -sum comb*col
             return True if comb is None else {k: -v for k, v in comb.items()}
-        pivot = min(vec)
+        pivot = min(w)
+        content = math.gcd(*w.values())
+        if w[pivot] < 0:
+            content = -content
+        if content != 1:
+            w = {k: v // content for k, v in w.items()}
         if comb is not None:
-            comb[label] = Fraction(1)  # the label is new
-        self._rows[pivot] = (vec, Fraction(1) / vec[pivot], comb)
+            comb[label] = 1  # the label is new
+            ratio = Fraction(sigma, content)
+            comb = {k: v * ratio for k, v in comb.items()}
+        self._rows[pivot] = (w, comb)
         return None
 
     def express(self, vec):
         """Combination of added columns giving vec, or None if outside the span."""
         if not self.track:
             raise ValueError("express needs an echelon built with track=True")
-        residual, comb = self._reduce(vec)
-        return None if residual else {k: -v for k, v in comb.items()}
+        w, _, comb = self._reduce(vec)
+        return None if w else {k: -v for k, v in comb.items()}
 
     def contains(self, vec):
         return not self._reduce(vec)[0]
 
     def project(self, vec):
         """Residual of vec after reduction; it has no entry on a pivot row."""
-        return self._reduce(vec)[0]
+        w, sigma, _ = self._reduce(vec)
+        return {k: Fraction(v, sigma) for k, v in w.items()}
 
 
 @dataclass
@@ -132,7 +169,7 @@ class Matrix:
         return cls(nrows=nrows, ncols=len(cols), cols=[dict(c) for c in cols])
 
     def apply(self, vec):
-        """Image of a coordinate vector (dict col -> Fraction)."""
+        """Image of a coordinate vector (dict col -> int | Fraction)."""
         out = {}
         for col, factor in vec.items():
             vec_add_scaled(out, self.cols[col], factor)

@@ -26,6 +26,13 @@ def _lowered(e, j):
     return e[:j] + (e[j] - 1,) + e[j + 1:]
 
 
+def _ladder_terms(terms):
+    """A ladder copy of a term dict: integral coefficients become ints, so
+    the ladder columns are integer-valued; rational ones stay Fraction."""
+    return {e: c.numerator if c.denominator == 1 else c
+            for e, c in terms.items()}
+
+
 class ModulePresentation:
     """A localization or a connection; the constructors pick the class.
 
@@ -63,8 +70,7 @@ class ModulePresentation:
         cols = []
         for comp, e in ladder.basis(t):
             key = e[:j] + (e[j] + 1,) + e[j + 1:]
-            cols.append({index[(comp, key)]: Fraction(1)}
-                        if sum(key) <= bound else {})
+            cols.append({index[(comp, key)]: 1} if sum(key) <= bound else {})
         return cols
 
 
@@ -85,7 +91,7 @@ class Localization(ModulePresentation):
         self.num_vars = f.num_vars
         self.f = f
         self.pole_bound = pole_bound
-        self.f_terms = dict(f.terms)
+        self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
 
@@ -142,14 +148,13 @@ class Localization(ModulePresentation):
         bound = ladder.bound(t + 1)
         k = ladder.pole(t)
         j = axis - 1
-        df_terms = self.f.partial(axis).terms
+        df_terms = _ladder_terms(self.f.partial(axis).terms)
         cols = []
         for _, e in ladder.basis(t):
             part = {}
             if e[j]:
-                add_product(part, {_lowered(e, j): Fraction(e[j])},
-                             self.f_terms, bound)
-            add_product(part, {e: Fraction(1)}, df_terms, bound, -k)
+                add_product(part, {_lowered(e, j): e[j]}, self.f_terms, bound)
+            add_product(part, {e: 1}, df_terms, bound, -k)
             cols.append({index[(0, exps)]: c for exps, c in part.items()})
         return cols
 
@@ -163,7 +168,7 @@ class Localization(ModulePresentation):
 
         def maps(t):
             index_b = fam_b.index(t)
-            power = {(0,) * self.num_vars: Fraction(1)}
+            power = {(0,) * self.num_vars: 1}
             for _ in range(fam_b.pole(t) - fam_a.pole(t)):
                 power = add_product({}, power, self.f_terms, fam_b.bound(t))
             cols = []
@@ -298,15 +303,16 @@ class Connection(ModulePresentation):
         """nabla_axis of every level-t basis element, truncated to level t+1."""
         index = ladder.index(t + 1)
         bound = ladder.bound(t + 1)
-        a = self.matrices[axis - 1]
+        a = [[_ladder_terms(entry.terms) for entry in row]
+             for row in self.matrices[axis - 1]]
         j = axis - 1
         cols = []
         for comp, e in ladder.basis(t):
-            mono = {e: Fraction(1)}
+            mono = {e: 1}
             col = {}
             for row in range(self.rank):
-                part = {_lowered(e, j): Fraction(e[j])} if row == comp and e[j] else {}
-                add_product(part, a[row][comp].terms, mono, bound)
+                part = {_lowered(e, j): e[j]} if row == comp and e[j] else {}
+                add_product(part, a[row][comp], mono, bound)
                 for exps, c in part.items():
                     col[index[(row, exps)]] = c
             cols.append(col)
@@ -322,8 +328,8 @@ class Connection(ModulePresentation):
         def maps(t):
             index_a = fam_a.index(t)
             bound_a = fam_a.bound(t)
-            return [{index_a[label]: Fraction(1)} if sum(label[1]) <= bound_a
-                    else {} for label in fam_b.basis(t)]
+            return [{index_a[label]: 1} if sum(label[1]) <= bound_a else {}
+                    for label in fam_b.basis(t)]
 
         return fam_b, fam_a, maps
 

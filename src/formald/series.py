@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     InsufficientPrecision,
@@ -84,7 +85,7 @@ def add_product(out, a, b, bound, factor=1):
         for eb, db, cb in b_terms:
             if db > room:
                 continue
-            key = tuple(i + j for i, j in zip(ea, eb))
+            key = tuple(map(add, ea, eb))
             new = out.get(key, 0) + ca * cb
             if new:
                 out[key] = new
@@ -295,6 +296,12 @@ class Series:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take nonnegative integer exponents")
+        if len(self.terms) == 1:
+            # a monomial's power is c^k x^(k e), or zero beyond precision
+            ((exps, coeff),) = self.terms.items()
+            power = tuple(exponent * e for e in exps)
+            terms = {power: coeff ** exponent} if sum(power) <= self.precision else {}
+            return Series._raw(self.num_vars, self.precision, terms)
         result = Series.one(self.num_vars, self.precision)
         for _ in range(exponent):
             result = result * self

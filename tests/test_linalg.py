@@ -3,6 +3,7 @@
 The property tests check the echelon against sympy's ``DomainMatrix`` over
 QQ, which serves only as a test oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -206,3 +207,158 @@ def test_substitution_inverse_matches_sympy_determinant(rows):
     product = [[sum(inverse[i][k] * rows[k][j] for k in range(n))
                 for j in range(n)] for i in range(n)]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+# -- the fraction-free echelon against a Fraction elimination ----------------
+
+
+class FractionEchelon:
+    """The elimination ``ColumnEchelon`` replaced, kept as a test oracle:
+    forward only, over ``Fraction``, stored vectors unscaled."""
+
+    def __init__(self, track=False):
+        self.rows = {}
+        self.track = track
+        self.added = 0
+
+    def reduce(self, vec):
+        vec = {k: Fraction(v) for k, v in vec.items() if v}
+        comb = {} if self.track else None
+        pending = sorted(row for row in vec if row in self.rows)
+        while pending:
+            pivot = pending.pop(0)
+            if not vec.get(pivot):
+                continue
+            basis_vec, basis_comb = self.rows[pivot]
+            factor = -vec[pivot] / basis_vec[pivot]
+            for row, v in basis_vec.items():
+                new = vec.get(row, 0) + factor * v
+                if new:
+                    vec[row] = new
+                else:
+                    vec.pop(row, None)
+            if comb is not None:
+                for label, v in basis_comb.items():
+                    new = comb.get(label, 0) + factor * v
+                    if new:
+                        comb[label] = new
+                    else:
+                        comb.pop(label, None)
+            pending = sorted(row for row in vec if row in self.rows and row > pivot)
+        return vec, comb
+
+    def add(self, vec):
+        label = self.added
+        self.added += 1
+        vec, comb = self.reduce(vec)
+        if not vec:
+            return True if comb is None else {k: -v for k, v in comb.items()}
+        if comb is not None:
+            comb[label] = Fraction(1)
+        self.rows[min(vec)] = (vec, comb)
+        return None
+
+    def express(self, vec):
+        residual, comb = self.reduce(vec)
+        return None if residual else {k: -v for k, v in comb.items()}
+
+
+def rational_entry():
+    """0 a third of the time, else num/den with den in 1..6; an integral
+    value is passed as an int or as a Fraction."""
+    value = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    return st.one_of(st.just(0), value, value.map(
+        lambda v: v.numerator if v.denominator == 1 else v))
+
+
+@st.composite
+def rational_columns(draw, max_rows=6, max_cols=7):
+    """(columns, a probe vector), with mixed int/Fraction entries."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    vector = st.lists(rational_entry(), min_size=nrows, max_size=nrows).map(
+        lambda vals: {i: v for i, v in enumerate(vals) if v})
+    return draw(st.lists(vector, min_size=ncols, max_size=ncols)), draw(vector)
+
+
+def echelon_answers(make, columns, probe):
+    """Every answer of an echelon built by ``make`` from the columns."""
+    answers = []
+    for track in (False, True):
+        ech = make(track)
+        answers.append([ech.add(col) for col in columns])
+    # ech is the tracked one from here on
+    if isinstance(ech, ColumnEchelon):
+        pivots, rank = ech.pivots(), ech.rank
+        project, contains = ech.project(probe), ech.contains(probe)
+    else:
+        pivots, rank = sorted(ech.rows), len(ech.rows)
+        project = ech.reduce(probe)[0]
+        contains = not project
+    return answers, pivots, rank, ech.express(probe), project, contains
+
+
+@SETTINGS
+@given(rational_columns())
+def test_fraction_free_echelon_matches_the_fraction_elimination(sample):
+    columns, probe = sample
+    assert (echelon_answers(lambda track: ColumnEchelon(track=track), columns, probe)
+            == echelon_answers(FractionEchelon, columns, probe))
+
+
+@SETTINGS
+@given(rational_columns(), st.data())
+def test_stored_vectors_are_primitive_integer_vectors(sample, data):
+    columns, _ = sample
+    ech = ColumnEchelon(columns, track=data.draw(st.booleans()))
+    for pivot, (vec, _) in ech._rows.items():
+        assert pivot == min(vec) and vec[pivot] > 0
+        assert all(type(v) is int for v in vec.values())
+        assert math.gcd(*vec.values()) == 1
+
+
+@SETTINGS
+@given(rational_columns(), st.data())
+def test_echelon_answers_do_not_change_when_a_column_is_rescaled(sample, data):
+    columns, probe = sample
+    j = data.draw(st.integers(0, len(columns) - 1))
+    factor = data.draw(st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                                 st.integers(1, 6)))
+    scaled = list(columns)
+    scaled[j] = {k: v * factor for k, v in columns[j].items()}
+
+    def unscale(comb, label):
+        # a combination of the rescaled columns, as one of the originals
+        if comb is None or comb is True:
+            return comb
+        if label == j:
+            return {k: v / factor for k, v in unscale(comb, None).items()}
+        return {k: v * factor if k == j else v for k, v in comb.items()}
+
+    (untracked, tracked), *rest = echelon_answers(
+        lambda track: ColumnEchelon(track=track), columns, probe)
+    (untracked_s, tracked_s), *rest_s = echelon_answers(
+        lambda track: ColumnEchelon(track=track), scaled, probe)
+    assert untracked_s == untracked
+    assert [unscale(c, label) for label, c in enumerate(tracked_s)] == tracked
+    pivots, rank, express, project, contains = rest
+    pivots_s, rank_s, express_s, project_s, contains_s = rest_s
+    assert (pivots_s, rank_s, project_s, contains_s) == (pivots, rank, project,
+                                                         contains)
+    assert unscale(express_s, None) == express
+
+
+def test_factorial_denominators_match_and_stay_near_primitive():
+    # exp-like columns: entry i of column j is c/(i+j+1)!, so the
+    # multipliers of a reduction grow with the factorials
+    rng = random.Random(7)
+    n = 14
+    for _ in range(10):
+        columns = [{i: Fraction(c, math.factorial(i + j + 1))
+                    for i in range(n) if (c := rng.randint(-3, 3))}
+                   for j in range(n - 2)]
+        probe = {i: Fraction(1, math.factorial(2 * i + 1)) for i in range(n)}
+        assert (echelon_answers(lambda track: ColumnEchelon(track=track), columns, probe)
+                == echelon_answers(FractionEchelon, columns, probe))
+        w, _, _ = ColumnEchelon(columns)._reduce(probe)
+        assert w and math.gcd(*w.values()).bit_length() <= 64

@@ -110,3 +110,29 @@ def test_malformed_modules_raise_parse_error(text, message):
 def test_localization_needs_a_pole_bound():
     with pytest.raises(ParseError, match="needs a pole bound"):
         parse_module("R_loc(x1)", 2, 4)
+
+
+def repeated_product(series, k):
+    result = Series.one(series.num_vars, series.precision)
+    for _ in range(k):
+        result = result * series
+    return result
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.integers(1, 6), st.integers(0, 9),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n), rationals.filter(bool))))
+def test_monomial_power_matches_repeated_products(sample):
+    n, axis, p, k, exps, c = sample
+    # a power of a one-term series, beyond the precision included
+    if sum(exps) <= p:
+        monomial = Series.monomial(n, exps, p, c)
+        power = monomial ** k
+        expected = repeated_product(monomial, k)
+        assert power == expected and repr(power) == repr(expected)
+        assert all(type(v) is Fraction for v in power.terms.values())
+    # an x_i^k literal parses to the same series
+    expected = repeated_product(Series.variable(n, axis, p), k)
+    parsed = parse_series(f"x{axis}^{k}", n, p)
+    assert parsed == expected and repr(parsed) == repr(expected)
