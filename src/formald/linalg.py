@@ -9,7 +9,10 @@ computation here is deterministic: no pivoting randomness, no floats.
 and span test in the package, the inverse of a linear substitution
 included, is a sequence of its insertions.  It eliminates forward only
 and fraction-free: every stored vector is a primitive integer vector, and
-keeps combinations of the added columns only where they are read.
+it keeps combinations of the added columns, as integers over one
+denominator, only where they are read.  ``Fraction``s are made only in
+what ``add``, ``express`` and ``project`` return, and so in
+``Matrix.nullspace`` and ``Matrix.solve``.
 ``vec_add_scaled`` is the one scaled accumulate of sparse vectors;
 truncated products of exponent dicts go through
 :func:`formald.series.add_product`.
@@ -49,18 +52,24 @@ class ColumnEchelon:
     least row left, with a positive pivot entry; no stored vector is
     touched.  Supports rank queries, span membership and projection onto
     the complement of the pivot rows (used for cokernel representatives).
-    ``track=True`` also keeps each stored vector's combination of the
+    ``track=True`` also keeps each stored vector b's combination of the
     added columns, for ``add``'s answer on a dependent column and for
     ``express``; a column's label is its insertion position, dependent
-    columns included.  Without tracking, ``add`` returns True for a
-    dependent column and ``express`` raises.  Residuals, pivot rows and
-    combinations over the independent labels do not depend on how the
-    stored vectors are scaled, so every answer is the one a ``Fraction``
-    elimination gives.
+    columns included.  It is an integer dict B with a positive integer
+    beta, beta*b = sum B[l]*col_l.  A reduction updates its combination
+    with the same a and c as the vector, over the lcm of the denominators
+    it meets, and divides it by the common gcd with its denominator at the
+    content step; B and beta are divided by theirs when b is stored.
+    Without tracking, ``add`` returns True for a dependent column and
+    ``express`` raises.  Residuals, pivot rows and combinations over the
+    independent labels do not depend on how the stored vectors are
+    scaled, so every answer is the one a ``Fraction`` elimination gives;
+    the ``Fraction``s are made only in what ``add``, ``express`` and
+    ``project`` return.
     """
 
     def __init__(self, columns=(), track=False):
-        # pivot row -> (primitive integer vector, combination or None)
+        # pivot row -> (primitive integer vector, (B, beta) or None)
         self._rows = {}
         self.track = track
         self.added = 0
@@ -75,11 +84,13 @@ class ColumnEchelon:
         return sorted(self._rows)
 
     def _reduce(self, vec):
-        """(w, sigma, comb): the integer vector w = sigma * (vec + sum
-        comb[l]*col_l) has no entry on a pivot row; sigma is rational."""
+        """(w, (sigma, tau), comb): integers with tau*w = sigma*vec +
+        sum comb[l]*col_l, sigma and tau positive, and no entry of w on a
+        pivot row; comb is None untracked."""
         sigma = math.lcm(*(v.denominator for v in vec.values()))
         w = {k: v.numerator * (sigma // v.denominator)
              for k, v in vec.items() if v}
+        tau = 1
         comb = {} if self.track else None
         rows = self._rows
         heap = [row for row in w if row in rows]
@@ -98,24 +109,40 @@ class ColumnEchelon:
             for row in basis_vec:
                 if row not in w and row in rows:
                     heapq.heappush(heap, row)
-            if lead != g:
-                a = lead // g
+            a = lead // g
+            if a != 1:
                 for k in w:
                     w[k] *= a
-                sigma *= a
                 scale *= a
             c = entry // g
             vec_add_scaled(w, basis_vec, -c)
             if comb is not None:
-                vec_add_scaled(comb, basis_comb, Fraction(-c, sigma))
+                # tau*w and beta*b are integer combinations; over their
+                # common denominator lcm(tau, beta), sigma and comb take
+                # w's multiplier a times the lift common/tau
+                basis, beta = basis_comb
+                common = math.lcm(tau, beta)
+                a *= common // tau
+                if a != 1:
+                    for k in comb:
+                        comb[k] *= a
+                vec_add_scaled(comb, basis, -c * (common // beta))
+                tau = common
+            sigma *= a
             if scale.bit_length() > 64 and w:
                 content = math.gcd(*w.values())
                 if content != 1:
                     for k in w:
                         w[k] //= content
-                    sigma = Fraction(sigma, content)
+                    tau *= content
+                    g = math.gcd(tau, sigma, *(comb or {}).values())
+                    if g != 1:
+                        tau //= g
+                        sigma //= g
+                        for k in comb or ():
+                            comb[k] //= g
                 scale = 1
-        return w, sigma, comb
+        return w, (sigma, tau), comb
 
     def add(self, vec):
         """Insert a column.  Returns None if it is independent of the
@@ -123,10 +150,11 @@ class ColumnEchelon:
         or True."""
         label = self.added
         self.added += 1
-        w, sigma, comb = self._reduce(vec)
+        w, (sigma, tau), comb = self._reduce(vec)
         if not w:
-            # vec_orig + sum comb[l]*col_l = 0, so col_label = -sum comb*col
-            return True if comb is None else {k: -v for k, v in comb.items()}
+            # sigma*col_label + sum comb[l]*col_l = 0
+            return True if comb is None else {k: Fraction(-v, sigma)
+                                              for k, v in comb.items()}
         pivot = min(w)
         content = math.gcd(*w.values())
         if w[pivot] < 0:
@@ -134,9 +162,14 @@ class ColumnEchelon:
         if content != 1:
             w = {k: v // content for k, v in w.items()}
         if comb is not None:
-            comb[label] = 1  # the label is new
-            ratio = Fraction(sigma, content)
-            comb = {k: v * ratio for k, v in comb.items()}
+            comb[label] = sigma  # the label is new
+            beta = tau * content
+            g = math.gcd(beta, *comb.values())
+            if beta < 0:
+                g = -g
+            if g != 1:
+                comb = {k: v // g for k, v in comb.items()}
+            comb = (comb, beta // g)
         self._rows[pivot] = (w, comb)
         return None
 
@@ -144,16 +177,16 @@ class ColumnEchelon:
         """Combination of added columns giving vec, or None if outside the span."""
         if not self.track:
             raise ValueError("express needs an echelon built with track=True")
-        w, _, comb = self._reduce(vec)
-        return None if w else {k: -v for k, v in comb.items()}
+        w, (sigma, _), comb = self._reduce(vec)
+        return None if w else {k: Fraction(-v, sigma) for k, v in comb.items()}
 
     def contains(self, vec):
         return not self._reduce(vec)[0]
 
     def project(self, vec):
         """Residual of vec after reduction; it has no entry on a pivot row."""
-        w, sigma, _ = self._reduce(vec)
-        return {k: Fraction(v, sigma) for k, v in w.items()}
+        w, (sigma, tau), _ = self._reduce(vec)
+        return {k: Fraction(v * tau, sigma) for k, v in w.items()}
 
 
 @dataclass

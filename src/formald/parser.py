@@ -75,17 +75,22 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
+        # a chain of Fraction and Series summands is added in one pass at
+        # its end; an operator or symbol summand is added pairwise
+        plain = (Fraction, Series)
+        summands = [self.term()]
         while True:
             kind, text, at = self.peek()
-            if text == "+":
-                self.next()
-                value = self._add(value, self.term(), at)
-            elif text == "-":
-                self.next()
-                value = self._add(value, self._neg(self.term()), at)
+            if text not in ("+", "-"):
+                return self._sum(summands)
+            self.next()
+            value = self.term()
+            if text == "-":
+                value = self._neg(value)
+            if isinstance(summands[0], plain) and isinstance(value, plain):
+                summands.append(value)
             else:
-                return value
+                summands = [self._add(self._sum(summands), value, at)]
 
     def term(self):
         value = self.factor()
@@ -179,6 +184,15 @@ class _Parser:
         if isinstance(value, Series):
             return value
         raise ParseError("expected a plain series expression", at)
+
+    def _sum(self, values):
+        """The sum of one value, or of several Fraction and Series values."""
+        if len(values) == 1:
+            return values[0]
+        if all(isinstance(v, Fraction) for v in values):
+            return sum(values)
+        return Series.sum_of([Series.constant(self.num_vars, v, self.precision)
+                              if isinstance(v, Fraction) else v for v in values])
 
     def _neg(self, value):
         return -value

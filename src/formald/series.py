@@ -11,17 +11,24 @@ Conventions used throughout the package:
 * axes are 1-based, matching the printed names ``x1..xn``;
 * the distinguished variable for regularity questions is always the last.
 
-Every truncated product of exponent -> Fraction dicts goes through one
-kernel, :func:`add_product`; scaled sparse accumulation goes through
+Every truncated product of exponent dicts goes through one kernel,
+:func:`add_product`; scaled sparse accumulation goes through
 :func:`formald.linalg.vec_add_scaled`.  Unit inversion, the exponential
 and Weierstrass division each solve x = rhs + step(x) for a linear step
 that raises a grading, through one solver, :func:`_solve_graded`: it fixes
 x one grade layer at a time, so each costs about one truncated product.
+
+Coefficients are stored and returned as ``Fraction``, but no product runs
+on them: ``Series.__mul__`` and the steps of ``_solve_graded`` split each
+factor once into integer numerators over the lcm of its denominators
+(:func:`_split`), run ``add_product`` on the integers, and make one
+``Fraction`` per output term.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -92,6 +99,14 @@ def add_product(out, a, b, bound, factor=1):
             else:
                 del out[key]
     return out
+
+
+def _split(*dicts):
+    """(ints_1, ..., ints_k, den): integer dicts with dicts[i] = ints_i/den,
+    den the lcm of every denominator."""
+    den = math.lcm(*(c.denominator for d in dicts for c in d.values()))
+    return (*({e: c.numerator * (den // c.denominator) for e, c in d.items()}
+              for d in dicts), den)
 
 
 class Series:
@@ -235,23 +250,31 @@ class Series:
             raise ValueError(
                 f"mismatched variable counts: {self.num_vars} vs {other.num_vars}")
 
+    @staticmethod
+    def sum_of(summands):
+        """The sum of one or more series in one pass, known to their least
+        precision."""
+        first, *rest = summands
+        prec = min(s.precision for s in summands)
+        terms = {e: c for e, c in first.terms.items() if sum(e) <= prec}
+        for other in rest:
+            first._check_compatible(other)
+            for e, c in other.terms.items():
+                if sum(e) > prec:
+                    continue
+                new = terms[e] + c if e in terms else c
+                if new:
+                    terms[e] = new
+                else:
+                    del terms[e]
+        return Series._raw(first.num_vars, prec, terms)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Series.constant(self.num_vars, other, self.precision)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_compatible(other)
-        prec = min(self.precision, other.precision)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= prec}
-        for e, c in other.terms.items():
-            if sum(e) > prec:
-                continue
-            new = terms.get(e, Fraction(0)) + c
-            if new:
-                terms[e] = new
-            else:
-                terms.pop(e, None)
-        return Series._raw(self.num_vars, prec, terms)
+        return Series.sum_of((self, other))
 
     __radd__ = __add__
 
@@ -280,8 +303,12 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
+        a, da = _split(self.terms)
+        b, db = _split(other.terms)
+        den = da * db
         return Series._raw(self.num_vars, prec,
-                           add_product({}, self.terms, other.terms, prec))
+                           {e: Fraction(v, den)
+                            for e, v in add_product({}, a, b, prec).items()})
 
     __rmul__ = __mul__
 
@@ -521,12 +548,13 @@ def format_poly(terms, names):
 def _solve_graded(rhs, step, grade, top):
     """The x with x = rhs + step(x), as an exponent -> Fraction dict.
 
-    ``step(layer, out)`` adds its image of ``layer`` into ``out``; it must be
-    linear and raise ``grade`` by at least 1, and keep no term of grade
-    above ``top``.  The layers of x are fixed in increasing grade: the layer
-    of grade k is what ``rhs`` and the images of the lower layers leave
-    there, and it passes through ``step`` once, so the solve costs about
-    one product with step's multiplier.
+    ``step(layer, den, out)`` adds its image of the layer ``layer``/``den``
+    (integer numerators over one denominator) into the Fraction dict
+    ``out``; it must be linear and raise ``grade`` by at least 1, and keep
+    no term of grade above ``top``.  The layers of x are fixed in
+    increasing grade: the layer of grade k is what ``rhs`` and the images
+    of the lower layers leave there, and it passes through ``step`` once,
+    so the solve costs about one product with step's multiplier.
     """
     pending, x = dict(rhs), {}
     for k in range(top + 1):
@@ -537,7 +565,7 @@ def _solve_graded(rhs, step, grade, top):
             for e in layer:
                 del pending[e]
             x.update(layer)
-            step(layer, pending)
+            step(*_split(layer), pending)
     return x
 
 
@@ -552,11 +580,12 @@ def invert_unit(a):
         raise NotAUnit("series has zero constant term")
     n, prec = a.num_vars, a.precision
     inv = 1 / c0
-    rest = {e: c for e, c in a.terms.items() if any(e)}
-    b = _solve_graded({(0,) * n: inv},
-                      lambda layer, out: add_product(out, layer, rest, prec, -inv),
-                      sum, prec)
-    return Series._raw(n, prec, b)
+    rest, den = _split({e: c for e, c in a.terms.items() if any(e)})
+
+    def step(layer, scale, out):
+        vec_add_scaled(out, add_product({}, layer, rest, prec), -inv / (scale * den))
+
+    return Series._raw(n, prec, _solve_graded({(0,) * n: inv}, step, sum, prec))
 
 
 def exp_series(a):
@@ -568,11 +597,12 @@ def exp_series(a):
     if a.constant_term:
         raise UnsupportedExponent("exp needs a zero constant term")
     n, prec = a.num_vars, a.precision
-    theta_a = {e: c * sum(e) for e, c in a.terms.items()}
+    theta_a, den = _split({e: c * sum(e) for e, c in a.terms.items()})
 
-    def step(layer, out):
+    def step(layer, scale, out):
         product = add_product({}, layer, theta_a, prec)
-        vec_add_scaled(out, {e: c / sum(e) for e, c in product.items()}, 1)
+        vec_add_scaled(out, {e: Fraction(v, sum(e)) for e, v in product.items()},
+                       Fraction(1, scale * den))
 
     return Series._raw(n, prec, _solve_graded({(0,) * n: Fraction(1)}, step,
                                               sum, prec))
@@ -660,14 +690,17 @@ def weierstrass_divide(g, f):
     inv = 1 / f_high.pop((0,) * f.num_vars)
     # T(q*f_low) is the sum over k < d of T_{d-k}(q)*c_k, with c_k the
     # x_n^k-coefficient of f and T_j the x_n^j-quotient: only pairs that T
-    # keeps are multiplied
+    # keeps are multiplied.  The multipliers share one denominator, so a
+    # step's products add up as integers
     low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
                   for k in range(d)]
+    f_high, *low_coeffs, den = _split(f_high, *low_coeffs)
 
-    def step(layer, out):
-        add_product(out, layer, f_high, window, -inv)
+    def step(layer, scale, out):
+        image = add_product({}, layer, f_high, window)
         for k, coeff in enumerate(low_coeffs):
-            add_product(out, _xn_quotient(layer, d - k), coeff, window - d, -inv)
+            add_product(image, _xn_quotient(layer, d - k), coeff, window - d)
+        vec_add_scaled(out, image, -inv / (scale * den))
 
     q = _solve_graded(vec_add_scaled({}, _xn_quotient(g.terms, d), inv), step,
                       lambda e: (d + 1) * sum(e) - d * e[-1], (d + 1) * window)

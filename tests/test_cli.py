@@ -11,8 +11,10 @@ from conftest import cli_report, run_cli
 # derham/kernel/cokernel/les reports for R (n = 1..3), R_loc(x1*x2) and a
 # rank-2 connection at the CLI defaults, plus one --machine report; kernel
 # and cokernel reports for the cusp (N=8, K=4), the A1 surface (N=4, K=2)
-# and x1*x2*x3 (N=3, K=1), and derham on R_loc(exp(x)-1) (N=3, K=1); every
-# line is pinned byte for byte
+# and x1*x2*x3 (N=3, K=1), and derham on R_loc(exp(x)-1) (N=3, K=1); prep,
+# divide (n=3, precision 10), regularize, poisson, bracket-probe,
+# involutive and malgrange reports on the series-calculus inputs of
+# bench/workloads.py at seed 1; every line is pinned byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 

@@ -298,12 +298,51 @@ def echelon_answers(make, columns, probe):
     return answers, pivots, rank, ech.express(probe), project, contains
 
 
+def fraction_nullspace(columns):
+    """Matrix.nullspace's basis, from the Fraction elimination."""
+    ech, basis = FractionEchelon(track=True), []
+    for j, col in enumerate(columns):
+        comb = ech.add(col)
+        if comb is not None:
+            basis.append({j: Fraction(1), **{k: -v for k, v in comb.items()}})
+    return basis
+
+
+def fraction_solve(columns, rhs):
+    ech = FractionEchelon(track=True)
+    for col in columns:
+        ech.add(col)
+    return ech.express(rhs)
+
+
+def excess_bits(den, nums):
+    """Bits that den and nums take beyond the Fractions nums/den written
+    over their least common denominator."""
+    fractions = [Fraction(v, den) for v in nums]
+    lcm = math.lcm(*(f.denominator for f in fractions))
+    lowest = [lcm, *(int(f * lcm) for f in fractions)]
+    return (max(abs(v).bit_length() for v in (den, *nums))
+            - max(abs(v).bit_length() for v in lowest))
+
+
+def assert_combinations_in_lowest_terms(ech):
+    """A stored combination B/beta takes no more bits than the same
+    combination written with Fractions in lowest terms."""
+    for vec, (comb, beta) in ech._rows.values():
+        assert beta > 0 and all(type(v) is int for v in (beta, *comb.values()))
+        assert excess_bits(beta, list(comb.values())) <= 0
+
+
 @SETTINGS
 @given(rational_columns())
 def test_fraction_free_echelon_matches_the_fraction_elimination(sample):
     columns, probe = sample
     assert (echelon_answers(lambda track: ColumnEchelon(track=track), columns, probe)
             == echelon_answers(FractionEchelon, columns, probe))
+    matrix = Matrix.from_cols(columns, nrows=6)
+    assert matrix.nullspace() == fraction_nullspace(columns)
+    assert matrix.solve(probe) == fraction_solve(columns, probe)
+    assert_combinations_in_lowest_terms(ColumnEchelon(columns, track=True))
 
 
 @SETTINGS
@@ -360,5 +399,11 @@ def test_factorial_denominators_match_and_stay_near_primitive():
         probe = {i: Fraction(1, math.factorial(2 * i + 1)) for i in range(n)}
         assert (echelon_answers(lambda track: ColumnEchelon(track=track), columns, probe)
                 == echelon_answers(FractionEchelon, columns, probe))
+        assert Matrix.from_cols(columns, n).nullspace() == fraction_nullspace(columns)
+        assert_combinations_in_lowest_terms(ColumnEchelon(columns, track=True))
         w, _, _ = ColumnEchelon(columns)._reduce(probe)
         assert w and math.gcd(*w.values()).bit_length() <= 64
+        # the content step keeps the tracked combination of a reduction near
+        # its lowest terms too: 70 bits over them here, about 500 without
+        _, (sigma, _), comb = ColumnEchelon(columns, track=True)._reduce(probe)
+        assert excess_bits(sigma, list(comb.values())) <= 128

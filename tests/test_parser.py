@@ -136,3 +136,38 @@ def test_monomial_power_matches_repeated_products(sample):
     expected = repeated_product(Series.variable(n, axis, p), k)
     parsed = parse_series(f"x{axis}^{k}", n, p)
     assert parsed == expected and repr(parsed) == repr(expected)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 5), st.lists(st.tuples(
+        st.sampled_from("+-"), rationals,
+        st.lists(st.integers(0, 3), min_size=n, max_size=n)), min_size=1, max_size=30))))
+def test_sum_chain_matches_pairwise_sums(sample):
+    # a chain of Fraction and Series summands is added in one pass
+    n, p, summands = sample
+    text, expected = "", Series.zero(n, p)
+    for sign, c, exps in summands:
+        mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e)
+        text += f" {sign} ({c})" + (f"*{mono}" if mono else "")
+        term = (Series.monomial(n, exps, p, c) if sum(exps) <= p
+                else Series.zero(n, p))
+        expected = expected + term if sign == "+" else expected - term
+    parsed = parse_series(text.lstrip(" +"), n, p)
+    assert parsed == expected and repr(parsed) == repr(expected)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("x1 + 1/2 + z1 + d2", "cannot mix derivative and symbol generators", 14),
+    ("1 - x1 + d1 - z2 + x2", "cannot mix derivative and symbol generators", 12),
+    ("z1 + x1 + 1 + d2 + )", "cannot mix derivative and symbol generators", 12),
+    ("1/2 + 1/3 - x1^2 + d1 + d1*z1", "cannot mix derivative and symbol generators", 26),
+    ("x1 + 2 - x2 + (", "unexpected token ''", 15),
+    ("x1 + exp(d1) + 1", "expected a plain series expression", 5),
+])
+def test_sum_chain_errors_keep_their_positions(text, message, position):
+    # the first error of a chain, where the pairwise sums met it
+    for parse in PARSERS.values():
+        with pytest.raises(ParseError, match=re.escape(message)) as error:
+            parse(text, 2, 4)
+        assert error.value.position == position

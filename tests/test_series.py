@@ -1,6 +1,7 @@
 """Exact series arithmetic, Weierstrass division/preparation, coordinate
 changes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -380,9 +381,9 @@ nonzero_rationals = st.builds(Fraction, st.integers(-5, 5).filter(bool),
                               st.sampled_from([1, 2, 3]))
 
 
-def _poly_dicts(n, max_degree):
+def _poly_dicts(n, max_degree, coeffs=nonzero_rationals):
     return st.dictionaries(st.sampled_from(monomials_upto(n, max_degree)),
-                           nonzero_rationals, max_size=6)
+                           coeffs, max_size=6)
 
 
 def _sympy_product(n, a, b):
@@ -420,11 +421,10 @@ def test_add_product_matches_sympy(case):
 
 
 @st.composite
-def series_pairs(draw):
+def series_pairs(draw, coeffs=nonzero_rationals, size=2):
     n = draw(st.integers(1, 3))
-    pa, pb = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    return (Series(n, pa, draw(_poly_dicts(n, pa))),
-            Series(n, pb, draw(_poly_dicts(n, pb))))
+    precisions = [draw(st.integers(0, 6)) for _ in range(size)]
+    return tuple(Series(n, p, draw(_poly_dicts(n, p, coeffs))) for p in precisions)
 
 
 @KERNEL_SETTINGS
@@ -486,37 +486,37 @@ def _fixed_point_divide(g, f):
 
 
 @st.composite
-def graded_series(draw, unit=False):
+def graded_series(draw, unit=False, coeffs=nonzero_rationals):
     n = draw(st.integers(1, 3))
     prec = draw(st.integers(0, _MAX_PRECISION[n]))
-    terms = draw(_poly_dicts(n, prec))
+    terms = draw(_poly_dicts(n, prec, coeffs))
     terms.pop((0,) * n, None)
     if unit:
-        terms[(0,) * n] = draw(nonzero_rationals)
+        terms[(0,) * n] = draw(coeffs)
     return Series(n, prec, terms)
 
 
 @st.composite
-def regular_series(draw):
+def regular_series(draw, coeffs=nonzero_rationals):
     """An x_n-regular f of order d (d = 0 included) at precision >= d."""
     n = draw(st.integers(1, 3))
     prec = draw(st.integers(0, _MAX_PRECISION[n]))
     d = draw(st.integers(0, min(prec, 3)))
     axis = (0,) * (n - 1)
-    terms = {e: c for e, c in draw(_poly_dicts(n, prec)).items()
+    terms = {e: c for e, c in draw(_poly_dicts(n, prec, coeffs)).items()
              if e[:-1] != axis or e[-1] > d}
-    terms[axis + (d,)] = draw(nonzero_rationals)
+    terms[axis + (d,)] = draw(coeffs)
     return Series(n, prec, terms)
 
 
 @st.composite
-def division_cases(draw):
+def division_cases(draw, coeffs=nonzero_rationals):
     """(g, f) with g at precision d (window = d), at f's or at another."""
-    f = draw(regular_series())
+    f = draw(regular_series(coeffs))
     d = is_xn_regular(f).order
     prec = draw(st.sampled_from([d, f.precision, f.precision + 1,
                                  max(d, f.precision - 1)]))
-    return Series(f.num_vars, prec, draw(_poly_dicts(f.num_vars, prec))), f
+    return Series(f.num_vars, prec, draw(_poly_dicts(f.num_vars, prec, coeffs))), f
 
 
 @GRADED_SETTINGS
@@ -616,3 +616,164 @@ def test_graded_solves_cost_about_one_product(product_pairs):
     g = random_series(rng, n, prec, density=0.9)
     q, _ = weierstrass_divide(g, f)
     assert product_pairs[0] <= 3 * _pairs(q.terms, f.terms, prec)
+
+
+# -- the integer kernels against the Fraction code they replaced -------------
+
+# numerators up to 6 over 1..6, or over a factorial up to 12!, as exp-like
+# series have them
+kernel_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6)),
+    st.builds(lambda c, k: Fraction(c, math.factorial(k)),
+              st.integers(-6, 6).filter(bool), st.integers(2, 12)))
+
+
+def _fraction_product(out, a, b, bound, factor=1):
+    """out += factor*a*b on exponent -> Fraction dicts, pair by pair, in
+    Fraction arithmetic."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ea, eb))
+            if sum(key) <= bound:
+                _fraction_accumulate(out, {key: factor * ca * cb})
+    return out
+
+
+def _fraction_accumulate(out, terms):
+    for e, c in terms.items():
+        new = out.get(e, 0) + c
+        if new:
+            out[e] = new
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _fraction_mul(a, b):
+    prec = min(a.precision, b.precision)
+    return Series(a.num_vars, prec, _fraction_product({}, a.terms, b.terms, prec))
+
+
+def _fraction_solve_graded(rhs, step, grade, top):
+    """The graded solve on Fraction layers: ``step(layer, out)``."""
+    pending, x = dict(rhs), {}
+    for k in range(top + 1):
+        layer = {e: c for e, c in pending.items() if grade(e) == k}
+        for e in layer:
+            del pending[e]
+        x.update(layer)
+        step(layer, pending)
+    return x
+
+
+def _fraction_invert(a):
+    n, prec = a.num_vars, a.precision
+    inv = 1 / a.constant_term
+    rest = {e: c for e, c in a.terms.items() if any(e)}
+    return Series(n, prec, _fraction_solve_graded(
+        {(0,) * n: inv},
+        lambda layer, out: _fraction_product(out, layer, rest, prec, -inv),
+        sum, prec))
+
+
+def _fraction_exp(a):
+    n, prec = a.num_vars, a.precision
+    theta_a = {e: c * sum(e) for e, c in a.terms.items()}
+
+    def step(layer, out):
+        product = _fraction_product({}, layer, theta_a, prec)
+        _fraction_accumulate(out, {e: c / sum(e) for e, c in product.items()})
+
+    return Series(n, prec, _fraction_solve_graded({(0,) * n: Fraction(1)}, step,
+                                                  sum, prec))
+
+
+def _fraction_divide(g, f):
+    """Weierstrass division as a weighted graded solve on Fraction layers."""
+    d = is_xn_regular(f).order
+    window = min(g.precision, f.precision)
+    g, f = g.truncate(window), f.truncate(window)
+    n = f.num_vars
+
+    def quotient(terms, j):
+        return {e[:-1] + (e[-1] - j,): c for e, c in terms.items() if e[-1] >= j}
+
+    f_high = quotient(f.terms, d)
+    inv = 1 / f_high.pop((0,) * n)
+    low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
+                  for k in range(d)]
+
+    def step(layer, out):
+        _fraction_product(out, layer, f_high, window, -inv)
+        for k, coeff in enumerate(low_coeffs):
+            _fraction_product(out, quotient(layer, d - k), coeff, window - d, -inv)
+
+    q = Series(n, window, _fraction_solve_graded(
+        {e: c * inv for e, c in quotient(g.terms, d).items()}, step,
+        lambda e: (d + 1) * sum(e) - d * e[-1], (d + 1) * window))
+    remainder = g - _fraction_mul(q, f)
+    out = window - d
+    return (q.truncate(out),
+            [xn_coefficient(remainder, i).truncate(out) for i in range(d)])
+
+
+@KERNEL_SETTINGS
+@given(series_pairs(kernel_rationals, size=3))
+def test_ring_laws_keep_the_least_precision(triple):
+    a, b, c = triple
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a + b == b + a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b).precision == (a + b).precision == min(a.precision, b.precision)
+
+
+@KERNEL_SETTINGS
+@given(series_pairs(kernel_rationals))
+def test_series_product_matches_the_fraction_product(pair):
+    a, b = pair
+    assert a * b == _fraction_mul(a, b)
+
+
+@GRADED_SETTINGS
+@given(graded_series(unit=True, coeffs=kernel_rationals))
+def test_invert_unit_matches_the_fraction_solve(a):
+    assert invert_unit(a) == _fraction_invert(a)
+
+
+@GRADED_SETTINGS
+@given(graded_series(coeffs=kernel_rationals))
+def test_exp_series_matches_the_fraction_solve(a):
+    assert exp_series(a) == _fraction_exp(a)
+
+
+@GRADED_SETTINGS
+@given(division_cases(kernel_rationals))
+def test_weierstrass_divide_matches_the_fraction_solve(case):
+    g, f = case
+    assert weierstrass_divide(g, f) == _fraction_divide(g, f)
+
+
+def test_factorial_denominators_match_the_fraction_code():
+    # every coefficient c/(|e|+j)! is dense and exp-like, so each layer of a
+    # solve brings a new denominator
+    rng = random.Random(9)
+
+    def dense(n, prec, constant=None):
+        terms = {e: Fraction(rng.randint(-3, 3), math.factorial(sum(e) + rng.randint(0, 3)))
+                 for e in monomials_upto(n, prec)}
+        if constant is not None:
+            terms[(0,) * n] = constant
+        return Series(n, prec, terms)
+
+    for n, prec in ((1, 14), (2, 9), (3, 6)):
+        a, b = dense(n, prec), dense(n, prec)
+        assert a * b == _fraction_mul(a, b)
+        unit = dense(n, prec, Fraction(rng.choice([1, -2, 3]), rng.randint(1, 6)))
+        assert invert_unit(unit) == _fraction_invert(unit)
+        small = dense(n, prec, 0)
+        assert exp_series(small) == _fraction_exp(small)
+        axis = (0,) * (n - 1)
+        f = Series(n, prec, {**{e: c for e, c in dense(n, prec).terms.items()
+                                if e[:-1] != axis}, axis + (2,): Fraction(1, 2)})
+        assert weierstrass_divide(b, f) == _fraction_divide(b, f)
