@@ -28,9 +28,8 @@ from .modules import (LocElement, ModulePresentation, check_integrability,
 from .derham import (CohomologyReport, TruncatedComplex, build_complex,
                      cohomology_dims, cokernel_of_dn, kernel_of_dn,
                      les_consistency, stable_cohomology_dims, stabilized_dims)
-from .malgrange import (IndicialData, OneVarOp, cokernel_dim,
-                        cokernel_generators, finite_dims, indicial_data,
-                        kernel_dim, solve, truncated_cokernel_rank, valuation)
+from .malgrange import (IndicialData, cokernel_generators, finite_dims,
+                        indicial_data, solve, truncated_cokernel_rank)
 from .regularity import (cover_check, iterate_recurrence,
                          kernel_relation_homogeneity, power_search,
                          xn_regular_element_check)

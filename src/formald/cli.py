@@ -172,9 +172,8 @@ def _run_involutive(args, report):
 
 def _run_malgrange(args, report):
     op = parse_operator(_read_text(args.expr), 1, args.trunc + _MALGRANGE_MARGIN)
-    one_var = malg.OneVarOp(malg.dn_coefficients(op))
-    data = malg.indicial_data(one_var)
-    dims = malg.finite_dims(one_var)
+    data = malg.indicial_data(op)
+    dims = malg.finite_dims(op)
     report.add("status", "ok")
     report.add("s", data.s)
     report.add("index-set", ",".join(str(i) for i in data.index_set))
@@ -183,8 +182,8 @@ def _run_malgrange(args, report):
     report.add("coker-dim", dims.cokernel)
     report.add("kernel-dim", dims.kernel)
     if args.oracle:
-        r20 = malg.truncated_cokernel_rank(one_var, 20)
-        r30 = malg.truncated_cokernel_rank(one_var, 30)
+        r20 = malg.truncated_cokernel_rank(op, 20)
+        r30 = malg.truncated_cokernel_rank(op, 30)
         report.add("oracle-20", r20)
         report.add("oracle-30", r30)
         report.add("oracle-agrees", str(r20 == r30 == dims.cokernel).lower())

@@ -35,6 +35,7 @@ vectors, so an exact rank costs no ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
@@ -46,9 +47,11 @@ class ModuleFamily:
     """The truncation ladder of a module presentation.
 
     Caches the level bases; the geometry and the columns of every level
-    come from the presentation."""
+    come from the presentation, which is validated for the truncation
+    first (a connection must be flat and known to precision)."""
 
     def __init__(self, module, trunc, pole=None):
+        module.validate_ladder(trunc)
         self.module = module
         self.num_vars = module.num_vars
         self.trunc = trunc
@@ -251,13 +254,8 @@ def complex_from_family(family, truncation, description):
                             truncation=truncation, description=description)
 
 
-def module_family(module, trunc, pole=None):
-    module.validate_ladder(trunc)
-    return ModuleFamily(module, trunc, pole)
-
-
 def build_complex(module, trunc, pole=None):
-    family = module_family(module, trunc, pole)
+    family = ModuleFamily(module, trunc, pole)
     return complex_from_family(family, (trunc, pole), module.describe())
 
 
@@ -292,11 +290,14 @@ def _comparison_pair(module, trunc, pole):
     deepening; the presentation picks the direction and the map."""
     deepened = module.deepened(trunc, pole)
     fam_src, fam_tgt, maps = module.comparison(
-        module_family(module, trunc, pole), module_family(module, *deepened))
+        ModuleFamily(module, trunc, pole), ModuleFamily(module, *deepened))
     return fam_src, fam_tgt, maps, deepened
 
 
 def _mapped_cocycles(complex_src, level_cols, n_forms, i):
+    """Images of the degree-i cocycles of the source complex under the
+    level maps, each cocycle first scaled to integers (which does not
+    change the rank a column adds)."""
     top = len(complex_src.differentials)
     if i < top:
         cocycles = complex_src.differentials[i].nullspace()
@@ -304,11 +305,12 @@ def _mapped_cocycles(complex_src, level_cols, n_forms, i):
         cocycles = [{j: 1} for j in range(complex_src.dims[i])]
     mapped = []
     for z in cocycles:
+        scale = math.lcm(*(v.denominator for v in z.values()))
         vec = {}
         for idx, val in z.items():
             key_pos, fpos = divmod(idx, n_forms)
-            for row, c in level_cols[key_pos].items():
-                vec_add_scaled(vec, {row * n_forms + fpos: c}, val)
+            col = {row * n_forms + fpos: c for row, c in level_cols[key_pos].items()}
+            vec_add_scaled(vec, col, val.numerator * (scale // val.denominator))
         mapped.append(vec)
     return mapped
 
@@ -365,18 +367,15 @@ def stabilized_dims(module, schedule):
 class DnSubquotient:
     """A kernel or cokernel ladder presented by explicit bases."""
 
-    family: object
+    family: object | None      # the kernel ladder; None for the cokernel,
+                               # whose stable dims no single ladder has
     dims: tuple                # per level
     basis_texts: tuple         # level-0 basis descriptions
-
-    def partial_matrix(self, axis, t=0):
-        cols = self.family.partial_columns(axis, t)
-        return Matrix.from_cols(cols, self.family.dim(t + 1))
 
 
 def kernel_of_dn(module, trunc, pole=None):
     """Exact nullspace ladder of d_n with induced x_i, d_i (i < n) actions."""
-    base = module_family(module, trunc, pole)
+    base = ModuleFamily(module, trunc, pole)
     family = KernelFamily(base)
     dims = tuple(family.dim(t) for t in range(base.num_vars))
     texts = tuple(family.label_text(0, lab) for lab in family.basis(0))
@@ -402,8 +401,7 @@ def cokernel_of_dn(module, trunc, pole=None):
         dims.append(len(reps))
         if t == 0:
             texts = tuple(fam_src.label_text(1, label) for label in reps)
-    family = CokernelFamily(module_family(module, trunc, pole))
-    return DnSubquotient(family, tuple(dims), texts or ())
+    return DnSubquotient(None, tuple(dims), texts or ())
 
 
 # -- long-exact-sequence consistency ---------------------------------------
@@ -427,7 +425,7 @@ def les_consistency(module, trunc, pole=None):
     """Dimension constraints a long exact sequence forces on the three
     cohomologies: H^i(M) <= H^i(ker d_n) + H^{i-1}(coker d_n) and the
     Euler characteristic identity chi(M) = chi(ker) - chi(coker)."""
-    base = module_family(module, trunc, pole)
+    base = ModuleFamily(module, trunc, pole)
     full = complex_from_family(base, (trunc, pole), module.describe())
     dims_m = cohomology_dims(full).dims
     # at n = 1 both complexes have zero axes: one space and no maps

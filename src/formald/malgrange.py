@@ -1,12 +1,14 @@
 """One-variable operators with finite cokernel, and the multivariate
 reduction producing generators of R/Delta(R) over the smaller ring.
 
-For Delta = sum r_i d^i with r_l != 0 acting on k[[x]], the indicial data
-(the degree shift s, the index set I where it is attained, the indicial
-polynomial P, and the threshold t0 past which P has no integer roots)
-turns Delta into an isomorphism m^t -> m^{t-s} for t >= t0.  The snake
-lemma then reduces kernel and cokernel of Delta on the whole ring to a
-single finite matrix, which is computed exactly.
+An operator Delta = sum r_i d^i on k[[x]] is a one-variable
+:class:`formald.weyl.DiffOp`, whose coefficients r_0..r_l are read through
+:func:`dn_coefficients`.  For r_l != 0 the indicial data (the degree
+shift s, the index set I where it is attained, the indicial polynomial P,
+and the threshold t0 past which P has no integer roots) turns Delta into
+an isomorphism m^t -> m^{t-s} for t >= t0.  The snake lemma then reduces
+kernel and cokernel of Delta on the whole ring to a single finite matrix,
+which is computed exactly.
 """
 
 from __future__ import annotations
@@ -19,80 +21,27 @@ from .errors import (InsufficientPrecision, NotRegularLeadingCoefficient,
                      PreconditionViolated, ZeroOperator)
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
 from .series import Series, add_product, is_xn_regular, monomials_upto
+from .weyl import DiffOp
 
 
-def valuation(series):
-    """Least exponent with a nonzero coefficient; None when the series is
-    zero to its precision (read: 'at least precision + 1')."""
-    return series.order()
+def _one_var_coefficients(op):
+    """(r_0..r_l) of a one-variable operator."""
+    if op.num_vars != 1:
+        raise ValueError("coefficients must be one-variable series")
+    return dn_coefficients(op)
 
 
-class OneVarOp:
-    """Delta = sum_{i<=l} r_i d^i acting on k[[x]]."""
+def _monomial_column(rs, j, out_bound):
+    """Exact coefficients of Delta(x^j) up to degree out_bound, for the
+    coefficients rs = (r_0..r_l) of a one-variable operator.
 
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        coefficients = list(coefficients)
-        while coefficients and coefficients[-1].is_zero():
-            coefficients.pop()
-        for r in coefficients:
-            if r.num_vars != 1:
-                raise ValueError("coefficients must be one-variable series")
-        self.coefficients = tuple(coefficients)
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1 if self.coefficients else None
-
-    def is_zero(self):
-        return not self.coefficients
-
-    def min_precision(self):
-        if not self.coefficients:
-            return 0
-        return min(r.precision for r in self.coefficients)
-
-    def apply(self, g):
-        out = Series.zero(1, max(g.precision - (self.order or 0), 0))
-        deriv = g
-        for i, r in enumerate(self.coefficients):
-            if i > 0:
-                deriv = deriv.partial(1)
-            if not r.is_zero():
-                out = out + r * deriv
-        return out
-
-    def apply_monomial(self, j, out_bound):
-        """Exact coefficients of Delta(x^j) up to degree out_bound.
-
-        Stored coefficient terms are used as exact data, so out_bound must
-        stay within the coefficient precision."""
-        if out_bound > self.min_precision():
-            raise InsufficientPrecision(
-                f"need coefficients to degree {out_bound}, have {self.min_precision()}")
-        image = _monomial_image(self.coefficients, (j,), out_bound)
-        return {deg: c for (deg,), c in image.items()}
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for i, r in enumerate(self.coefficients):
-            if r.is_zero():
-                continue
-            head = "" if i == 0 else ("d" if i == 1 else f"d^{i}")
-            text = str(r)
-            plain = len(r.terms) == 1 and not text.startswith("-")
-            if not head:
-                parts.append(text if plain else f"({text})")
-            elif text == "1":
-                parts.append(head)
-            else:
-                parts.append(f"{text}*{head}" if plain else f"({text})*{head}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+    Stored coefficient terms are used as exact data, so out_bound must
+    stay within the coefficient precision."""
+    have = min(r.precision for r in rs)
+    if out_bound > have:
+        raise InsufficientPrecision(
+            f"need coefficients to degree {out_bound}, have {have}")
+    return {deg: c for (deg,), c in _monomial_image(rs, (j,), out_bound).items()}
 
 
 @dataclass(frozen=True)
@@ -162,20 +111,14 @@ def _integer_roots(poly):
 def indicial_data(op):
     if op.is_zero():
         raise ZeroOperator("indicial data needs a nonzero operator")
-    shifts = {}
-    for i, r in enumerate(op.coefficients):
-        nu = valuation(r)
-        if nu is not None:
-            shifts[i] = i - nu
-    if not shifts:
-        raise ZeroOperator("all coefficients vanish to precision")
-    s = max(shifts.values())
-    index_set = tuple(sorted(i for i, v in shifts.items() if v == s))
+    rs = _one_var_coefficients(op)
+    orders = {i: r.order() for i, r in enumerate(rs) if not r.is_zero()}
+    s = max(i - nu for i, nu in orders.items())
+    index_set = tuple(i for i, nu in orders.items() if i - nu == s)
     size = max(index_set) + 1
     poly = [Fraction(0)] * size
     for i in index_set:
-        r = op.coefficients[i]
-        rho0 = r.terms[(valuation(r),)]
+        rho0 = rs[i].terms[(orders[i],)]
         for pos, c in enumerate(_falling_factorial_poly(i)):
             poly[pos] += c * rho0
     while poly and poly[-1] == 0:
@@ -193,9 +136,10 @@ def solve(op, g, t):
     Solves coefficient by coefficient from degree t upward; every step
     divides by P(j), which is nonzero by the threshold condition."""
     data = indicial_data(op)
+    rs = _one_var_coefficients(op)
     if t < data.t0:
         raise PreconditionViolated(f"t = {t} is below the threshold t0 = {data.t0}")
-    nu_g = valuation(g)
+    nu_g = g.order()
     if nu_g is not None and nu_g < t - data.s:
         raise PreconditionViolated(
             f"right-hand side has valuation {nu_g} < t - s = {t - data.s}")
@@ -210,7 +154,7 @@ def solve(op, g, t):
             continue
         cj = want / data.eval(j)
         coeffs[(j,)] = cj
-        vec_add_scaled(residual, op.apply_monomial(j, out_prec - data.s), -cj)
+        vec_add_scaled(residual, _monomial_column(rs, j, out_prec - data.s), -cj)
     return Series(1, out_prec, coeffs)
 
 
@@ -234,7 +178,7 @@ def finite_dims(op):
     data = indicial_data(op)
     t = data.t0
     rows = t - data.s
-    matrix = _truncated_matrix(op, t, rows)
+    matrix = _truncated_matrix(_one_var_coefficients(op), t, rows)
     ech = ColumnEchelon(matrix.cols)
     rank = ech.rank
     pivots = set(ech.pivots())
@@ -243,20 +187,12 @@ def finite_dims(op):
                       t0=t, s=data.s, representatives=reps)
 
 
-def cokernel_dim(op):
-    return finite_dims(op).cokernel
-
-
-def kernel_dim(op):
-    return finite_dims(op).kernel
-
-
-def _truncated_matrix(op, ncols, nrows):
+def _truncated_matrix(rs, ncols, nrows):
     """Columns Delta(x^j) mod x^{nrows}, for j < ncols."""
     cols = []
     out_bound = max(nrows - 1, 0)
     for j in range(ncols):
-        image = op.apply_monomial(j, out_bound)
+        image = _monomial_column(rs, j, out_bound)
         cols.append({deg: c for deg, c in image.items() if deg < nrows})
     return Matrix.from_cols(cols, nrows)
 
@@ -267,7 +203,7 @@ def truncated_cokernel_rank(op, size):
     excluded columns, so the count is honest and stabilizes in size."""
     data = indicial_data(op)
     nrows = size - data.s
-    matrix = _truncated_matrix(op, size, nrows)
+    matrix = _truncated_matrix(_one_var_coefficients(op), size, nrows)
     return nrows - matrix.rank()
 
 
@@ -316,15 +252,15 @@ def cokernel_generators(op, trunc):
         raise NotRegularLeadingCoefficient(
             "top coefficient is not regular in the last variable")
 
-    one_var = OneVarOp([r.restrict_to_last() for r in rs])
-    dims = finite_dims(one_var)
+    restricted = [r.restrict_to_last() for r in rs]
+    dims = finite_dims(DiffOp(1, {(i,): r for i, r in enumerate(restricted)}))
     generators = tuple(
         Series.monomial(n, (0,) * (n - 1) + (j,), trunc)
         for j in dims.representatives)
 
     # verification system over monomials of degree <= trunc
-    shift = max((i - (valuation(r.restrict_to_last()) or 0)
-                 for i, r in enumerate(rs) if not r.is_zero()), default=0)
+    shift = max((i - (q.order() or 0) for i, (r, q) in enumerate(zip(rs, restricted))
+                 if not r.is_zero()), default=0)
     h_bound = trunc + max(shift, 0) + 1
     if op.min_precision() < trunc:
         raise InsufficientPrecision(

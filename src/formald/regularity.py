@@ -136,6 +136,7 @@ def xn_regular_element_check(module, element, f, p_max, trunc, pole=None):
     yes: f is x_n-regular and a recurrence was found; no-evidence: f is
     regular but no recurrence exists within budget; inconclusive: the
     regularity of f itself cannot be certified from its precision."""
+    module.validate_ladder(trunc)
     reg = is_xn_regular(f)
     if reg.order is None:
         return RegularElementVerdict("inconclusive", None, None,

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from formald.derham import (build_complex, cohomology_dims, cokernel_of_dn,
-                            complex_from_family, kernel_of_dn, les_consistency,
-                            module_family, stable_cohomology_dims,
+from formald.derham import (ModuleFamily, build_complex, cohomology_dims,
+                            cokernel_of_dn, complex_from_family, kernel_of_dn,
+                            les_consistency, stable_cohomology_dims,
                             stabilized_dims)
 from formald.errors import NonIntegrable
 from formald.linalg import ColumnEchelon
@@ -40,7 +40,7 @@ def test_d_squared_zero_structure():
 def test_localization_dzero_sends_inverse_to_derivative():
     x = Series.variable(1, 1, 30)
     M = ModulePresentation.localization(x, 3)
-    family = module_family(M, 4, 3)
+    family = ModuleFamily(M, 4, 3)
     C = complex_from_family(family, (4, 3), M.describe())
     # level-0 basis is x^e/f^3; the element x^2/f^3 = 1/x maps to -1/x^2,
     # i.e. to -1 * x^2/f^4 at level 1
@@ -142,12 +142,22 @@ def test_cokernel_of_dn():
     assert cokernel_of_dn(M3, 6, 4).dims[0] == 0
 
 
+def test_subquotient_family_agrees_with_its_dims():
+    # the cokernel dims are counted stably, across a deepening, so no single
+    # ladder has them and no family is returned; the kernel ladder has them
+    M = parse_module("R_loc(x1*x2)", 2, 40, 4)
+    coker = cokernel_of_dn(M, 8, 4)
+    assert coker.dims == (14, 14) and coker.family is None
+    kernel = kernel_of_dn(M, 8, 4)
+    assert kernel.dims == tuple(kernel.family.dim(t) for t in range(2))
+
+
 def test_kernel_actions_stay_in_kernel():
     x1 = Series.variable(2, 1, 40)
     M = ModulePresentation.localization(x1, 4)
     data = kernel_of_dn(M, 6, 4)
     # induced first-variable derivative and multiplication close on the ladder
-    data.partial_matrix(1, 0)
+    data.family.partial_columns(1, 0)
     data.family.multiply_columns(1, 0)
 
 
@@ -160,7 +170,6 @@ def test_kernel_meets_xn_multiples_trivially():
         # x2-multiples of the one-step-smaller truncation, embedded exactly
         family = data.family.base
         small = ModulePresentation.structure(2, 30)
-        from formald.derham import ModuleFamily
         fam_small = ModuleFamily(small, base_n - 1, None)
         index = family.index(0)
         image = []
@@ -250,7 +259,7 @@ def rank_only_stable_dims(module, trunc, pole):
     the boundaries."""
     deepened = module.deepened(trunc, pole)
     fam_src, fam_tgt, maps = module.comparison(
-        module_family(module, trunc, pole), module_family(module, *deepened))
+        ModuleFamily(module, trunc, pole), ModuleFamily(module, *deepened))
     src = complex_from_family(fam_src, None, "source")
     tgt = complex_from_family(fam_tgt, None, "target")
     top = len(fam_src.axes)

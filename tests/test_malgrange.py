@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from formald.errors import PreconditionViolated, ZeroOperator
+from formald.errors import (InsufficientPrecision, PreconditionViolated,
+                            ZeroOperator)
 from formald.linalg import Matrix
-from formald.malgrange import (OneVarOp, cokernel_dim, cokernel_generators,
-                               finite_dims, indicial_data, kernel_dim, solve,
-                               truncated_cokernel_rank, valuation)
+from formald.malgrange import (cokernel_generators, finite_dims,
+                               indicial_data, solve, truncated_cokernel_rank)
 from formald.series import Series
 from formald.weyl import DiffOp
 
@@ -19,18 +19,23 @@ from conftest import random_series, series_agree
 PREC = 64
 
 
+def one_var_op(coeffs):
+    """The one-variable operator sum_i coeffs[i] d^i."""
+    return DiffOp(1, {(i,): r for i, r in enumerate(coeffs)})
+
+
 def one_var(*coeff_terms):
     """Build an operator from dicts of exponent -> value."""
-    return OneVarOp([Series(1, PREC, {(e,): v for e, v in terms.items()})
-                     for terms in coeff_terms])
+    return one_var_op([Series(1, PREC, {(e,): v for e, v in terms.items()})
+                       for terms in coeff_terms])
 
 
 def test_valuation():
-    x = Series.variable(1, 1, 6)
+    # the valuation the indicial data reads is Series.order()
     s = Series(1, 6, {(3,): 1, (5,): 1})
-    assert valuation(s) == 3
-    assert valuation(Series.constant(1, 7, 6)) == 0
-    assert valuation(Series.zero(1, 6)) is None
+    assert s.order() == 3
+    assert Series.constant(1, 7, 6).order() == 0
+    assert Series.zero(1, 6).order() is None
 
 
 def test_indicial_data_first_derivative():
@@ -90,7 +95,7 @@ def test_solve_round_trip_random():
                 if rng.random() < 0.4:
                     terms[(e,)] = Fraction(rng.randint(-3, 3))
             coeffs.append(Series(1, PREC, terms))
-        op = OneVarOp(coeffs)
+        op = one_var_op(coeffs)
         if op.is_zero():
             continue
         data = indicial_data(op)
@@ -119,8 +124,8 @@ def test_solve_uniqueness_via_invertible_block():
         t, width = data.t0, 10
         cols = []
         for j in range(t, t + width):
-            image = op.apply_monomial(j, t - data.s + width - 1)
-            cols.append({deg - (t - data.s): c for deg, c in image.items()
+            image = op.apply(Series.monomial(1, (j,), PREC))
+            cols.append({deg - (t - data.s): c for (deg,), c in image.terms.items()
                          if t - data.s <= deg < t - data.s + width})
         m = Matrix.from_cols(cols, width)
         assert m.rank() == width
@@ -134,19 +139,18 @@ def test_solve_preconditions():
 
 
 def test_finite_dims_named_cases():
-    assert cokernel_dim(one_var({}, {0: 1})) == 0            # d
-    assert kernel_dim(one_var({}, {0: 1})) == 1
-    assert cokernel_dim(one_var({}, {1: 1})) == 1            # x d
-    assert kernel_dim(one_var({}, {1: 1})) == 1
-    assert cokernel_dim(one_var({0: 1}, {2: 1})) == 0        # x^2 d + 1
-    assert kernel_dim(one_var({0: 1}, {2: 1})) == 0
-    assert cokernel_dim(one_var({1: 1})) == 1                # x
-    assert kernel_dim(one_var({1: 1})) == 0
+    cases = [(one_var({}, {0: 1}), 0, 1),                 # d
+             (one_var({}, {1: 1}), 1, 1),                 # x d
+             (one_var({0: 1}, {2: 1}), 0, 0),             # x^2 d + 1
+             (one_var({1: 1}), 1, 0)]                     # x
+    for op, cokernel, kernel in cases:
+        dims = finite_dims(op)
+        assert (dims.cokernel, dims.kernel) == (cokernel, kernel)
 
 
 def test_zero_operator_rejected():
     with pytest.raises(ZeroOperator):
-        indicial_data(OneVarOp([Series.zero(1, 6)]))
+        indicial_data(one_var_op([Series.zero(1, 6)]))
 
 
 def random_regular_one_var(rng):
@@ -162,14 +166,14 @@ def random_regular_one_var(rng):
     if coeffs[-1].is_zero():
         nu = rng.randint(0, 3)
         coeffs[-1] = Series(1, PREC, {(nu,): Fraction(rng.choice([1, -1, 2]))})
-    return OneVarOp(coeffs)
+    return one_var_op(coeffs)
 
 
 def test_cokernel_dim_matches_bruteforce():
     rng = random.Random(71)
     for _ in range(20):
         op = random_regular_one_var(rng)
-        expected = cokernel_dim(op)
+        expected = finite_dims(op).cokernel
         r20 = truncated_cokernel_rank(op, 20)
         r30 = truncated_cokernel_rank(op, 30)
         assert r20 == r30 == expected
@@ -217,3 +221,15 @@ def test_cokernel_generators_regularity_required():
     from formald.errors import NotRegularLeadingCoefficient
     with pytest.raises(NotRegularLeadingCoefficient):
         cokernel_generators(DiffOp(n, {(0, 1): x1}), 5)
+
+
+def test_coefficients_must_be_one_variable():
+    with pytest.raises(ValueError):
+        finite_dims(DiffOp.partial(2, 2, PREC))
+
+
+def test_images_stay_within_the_coefficient_precision():
+    # the 20-column oracle reads Delta(x^j) to degree 18, past precision 10
+    with pytest.raises(InsufficientPrecision):
+        truncated_cokernel_rank(DiffOp.partial(1, 1, 10), 20)
+    assert truncated_cokernel_rank(DiffOp.partial(1, 1, 30), 20) == 0

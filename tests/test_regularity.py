@@ -106,6 +106,26 @@ def test_cli_verdicts(check, tail, code, expected):
     assert {k: report[k] for k in expected if k in report} == expected
 
 
+# curvature d_2(x2) - d_1(0) = 1: derham rejects it, and so must every probe,
+# the early inconclusive exits (f = x1 is not x2-regular) included
+CURVED = ["--module", "conn(1; [[x2]]; [[0]])", "--vars", "2"]
+
+
+@pytest.mark.parametrize("check, tail", [
+    ("etau", ["--element", "x1", "--f", "x2"]),
+    ("element", ["--element", "x1", "--f", "x2"]),
+    ("element", ["--element", "x1", "--f", "x1"]),
+    ("reglink", ["--element", "x1", "--f", "x2"]),
+    ("kernel-relation", ["--elements", "x1", "--coeffs", "0"]),
+    ("e0-cover", ["--element", "x1", "--f", "x2"]),
+    ("e0-cover", ["--element", "x1", "--f", "x1"]),
+])
+def test_every_probe_rejects_a_curved_connection(check, tail):
+    code, report = cli_report(["regularity", check] + CURVED + tail)
+    assert code == 1
+    assert (report["status"], report["error"]) == ("error", "NonIntegrable")
+
+
 def test_cli_echoes_budgets():
     _, report = cli_report(["regularity", "reglink"] + RING
                            + ["--element", "x1+x2^2", "--f", "x2"])
