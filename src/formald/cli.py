@@ -81,8 +81,9 @@ class Report:
         return "\n".join(f"{key}: {value}" for key, value in self.items)
 
 
-_BUDGETS = ("trunc", "pole_bound", "steps", "pmax", "smax", "zeta_bound",
-            "element_pole")
+# budget options, named as on the command line and in the report
+_BUDGETS = ("trunc", "pole-bound", "steps", "pmax", "smax", "zeta-bound",
+            "element-pole")
 
 
 def _check_args(args):
@@ -90,8 +91,8 @@ def _check_args(args):
     if getattr(args, "vars", 1) < 1:
         raise ValueError("--vars must be >= 1")
     for name in _BUDGETS:
-        if getattr(args, name, 0) < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0")
+        if getattr(args, name.replace("-", "_"), 0) < 0:
+            raise ValueError(f"--{name} must be >= 0")
     if args.verb == "regularity":
         needed = (("elements", "coeffs") if args.check == "kernel-relation"
                   else ("f",))
@@ -102,7 +103,7 @@ def _check_args(args):
 
 def _echo_budgets(report, args, names):
     for name in names:
-        report.add(name.replace("_", "-"), getattr(args, name))
+        report.add(name, getattr(args, name.replace("-", "_")))
 
 
 # -- verb handlers ---------------------------------------------------------
@@ -193,8 +194,7 @@ def _run_malgrange(args, report):
 def _run_derham(args, report):
     schedule = _parse_schedule(args.schedule) if args.schedule else None
     precision = _module_precision(args, schedule)
-    module = parse_module(_read_text(args.module), args.vars, precision,
-                          args.pole_bound)
+    module = parse_module(_read_text(args.module), args.vars, precision)
     if schedule:
         outcome = stabilized_dims(module, schedule)
         report.add("status", "ok")
@@ -214,8 +214,7 @@ def _run_derham(args, report):
 
 def _run_kernel(args, report):
     precision = _module_precision(args)
-    module = parse_module(_read_text(args.module), args.vars, precision,
-                          args.pole_bound)
+    module = parse_module(_read_text(args.module), args.vars, precision)
     build = kernel_of_dn if args.verb == "kernel" else cokernel_of_dn
     data = build(module, args.trunc, args.pole_bound)
     report.add("status", "ok")
@@ -229,8 +228,7 @@ def _run_kernel(args, report):
 
 def _run_les(args, report):
     precision = _module_precision(args)
-    module = parse_module(_read_text(args.module), args.vars, precision,
-                          args.pole_bound)
+    module = parse_module(_read_text(args.module), args.vars, precision)
     outcome = les_consistency(module, args.trunc, args.pole_bound)
     report.add("status", "ok" if outcome.consistent else "violated")
     report.add("dims-module", ",".join(str(d) for d in outcome.dims_module))
@@ -242,8 +240,7 @@ def _run_les(args, report):
 
 def _run_regularity(args, report):
     precision = _module_precision(args)
-    module = parse_module(_read_text(args.module), args.vars, precision,
-                          args.pole_bound)
+    module = parse_module(_read_text(args.module), args.vars, precision)
     sub = args.check
     if sub == "kernel-relation":
         elements = [module.element(parse_series(text, args.vars, precision))
@@ -272,7 +269,7 @@ def _run_regularity(args, report):
             for i, c in enumerate(outcome.coefficients):
                 report.add(f"r{i}", str(c))
         report.add("degree-checked", outcome.degree_checked)
-        _echo_budgets(report, args, ["pmax", "trunc", "pole_bound"])
+        _echo_budgets(report, args, ["pmax", "trunc", "pole-bound"])
         return 0 if found else 2
     if sub == "element":
         outcome = reg.xn_regular_element_check(module, element, f, args.pmax,
@@ -282,7 +279,7 @@ def _run_regularity(args, report):
             report.add("p", outcome.recurrence.order)
         report.add("f-regular-order",
                    outcome.f_regular_order if outcome.f_regular_order is not None else "-")
-        _echo_budgets(report, args, ["pmax", "trunc", "pole_bound"])
+        _echo_budgets(report, args, ["pmax", "trunc", "pole-bound"])
         return 2 if outcome.status == "no-evidence" else 0
     if sub == "reglink":
         outcome = reg.power_search(module, element, f, args.smax, args.pmax,
@@ -292,7 +289,7 @@ def _run_regularity(args, report):
         if found:
             report.add("s", outcome.found_s)
             report.add("p", outcome.recurrence.order)
-        _echo_budgets(report, args, ["smax", "pmax", "trunc", "pole_bound"])
+        _echo_budgets(report, args, ["smax", "pmax", "trunc", "pole-bound"])
         return 0 if found else 2
     if sub == "e0-cover":
         outcome = reg.cover_check(module, element, f, args.trunc,
@@ -302,7 +299,7 @@ def _run_regularity(args, report):
             report.add("slice-bound", outcome.slice_bound)
             report.add("generators", "; ".join(outcome.generator_texts))
             report.add("p", outcome.recurrence_order)
-        _echo_budgets(report, args, ["pmax", "trunc", "pole_bound"])
+        _echo_budgets(report, args, ["pmax", "trunc", "pole-bound"])
         return 0 if outcome.status == "yes" else (2 if outcome.status == "no-evidence" else 0)
     raise ValueError(f"unknown regularity check {sub!r}")
 
@@ -313,8 +310,8 @@ def _run_regularity(args, report):
 def _common_flags(sub, pole_default=4):
     sub.add_argument("--vars", type=int, required=True, help="number of variables")
     sub.add_argument("--trunc", type=int, default=8, help="series truncation degree")
-    sub.add_argument("--pole-bound", dest="pole_bound", type=int,
-                     default=pole_default, help="pole-order budget")
+    sub.add_argument("--pole-bound", type=int, default=pole_default,
+                     help="pole-order budget")
     sub.add_argument("--machine", action="store_true",
                      help="emit the report as JSON")
 

@@ -8,8 +8,9 @@ by running a schedule of truncation parameters and marking a degree
 stabilized when two consecutive runs agree; the report never upgrades
 truncation evidence to a proof.
 
-Each presentation owns its level layout (N = series bound, K = pole
-budget; see :mod:`formald.modules`):
+The ladder alone holds the truncation (N = series bound, K = pole
+budget); each presentation owns its level layout (see
+:mod:`formald.modules`):
 
 * connection of rank r, the ring R being rank 1 with zero matrices:
   component tags times degree <= N - t monomials, with maps truncated to
@@ -46,16 +47,17 @@ from .linalg import ColumnEchelon, Matrix, vec_add_scaled
 class ModuleFamily:
     """The truncation ladder of a module presentation.
 
-    Caches the level bases; the geometry and the columns of every level
-    come from the presentation, which is validated for the truncation
-    first (a connection must be flat and known to precision)."""
+    The only holder of the truncation (N, K).  Caches the level bases;
+    the geometry and the columns of every level come from the
+    presentation, which validates the truncation and returns the pole0:
+    K for a localization, which needs one, and None for a connection,
+    which must be flat and known to precision."""
 
     def __init__(self, module, trunc, pole=None):
-        module.validate_ladder(trunc)
         self.module = module
         self.num_vars = module.num_vars
         self.trunc = trunc
-        self.pole0 = module.ladder_pole(pole)
+        self.pole0 = module.validate_ladder(trunc, pole)
         self.axes = list(range(1, self.num_vars + 1))
         self._basis_cache = {}
         self._index_cache = {}
@@ -64,7 +66,7 @@ class ModuleFamily:
         return self.module.level_bound(self, t)
 
     def pole(self, t):
-        return self.module.level_pole(self, t)
+        return None if self.pole0 is None else self.pole0 + t
 
     def basis(self, t):
         if t not in self._basis_cache:
@@ -287,10 +289,12 @@ def _comparison_pair(module, trunc, pole):
 
     The stable dimensions are ranks of H(source) mapped into H(target)
     along an exact chain map between the ladder and its one-step
-    deepening; the presentation picks the direction and the map."""
+    deepening; the presentation picks the direction and the map.  The
+    source ladder validates (N, K) before anything is deepened."""
+    source = ModuleFamily(module, trunc, pole)
     deepened = module.deepened(trunc, pole)
     fam_src, fam_tgt, maps = module.comparison(
-        ModuleFamily(module, trunc, pole), ModuleFamily(module, *deepened))
+        source, ModuleFamily(module, *deepened))
     return fam_src, fam_tgt, maps, deepened
 
 

@@ -1,21 +1,24 @@
 """Desk-scale module presentations the de Rham machinery operates on.
 
-Two presentations: a localization R_f at a nonzero series with a pole-order
-budget, and a rank-r connection given by one matrix per variable.  The ring
-R itself is the rank-1 connection with zero matrices.  Elements are
-LocElement fractions or tuples of series (one per component).
+Two presentations: a localization R_f at a nonzero series, and a rank-r
+connection given by one matrix per variable.  The ring R itself is the
+rank-1 connection with zero matrices.  Elements are LocElement fractions
+or tuples of series (one per component).
 
-Each presentation owns both how it acts and how it is sliced into the
-truncation ladder of :mod:`formald.derham`: the bound and pole of every
-level, the basis labels (component, exponent) and their text, the columns
-of d_axis and x_axis between levels, the comparison map into a deepened
-ladder, and the level-0 coordinates of its elements.
+A presentation carries no truncation: the series bound N and the pole
+order K belong to the ladder of :mod:`formald.derham`.  It owns how it
+acts and how that ladder slices it: the validated pole0, the bound of
+every level, the basis labels (component, exponent) and their text, the
+columns of d_axis and x_axis between levels, the comparison map into a
+deepened ladder, and the level-0 coordinates of its elements, where the
+pole budget K is enforced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
@@ -48,8 +51,8 @@ class ModulePresentation:
         return Connection([[[zero]]] * num_vars)
 
     @staticmethod
-    def localization(f, pole_bound):
-        return Localization(f, pole_bound)
+    def localization(f):
+        return Localization(f)
 
     @staticmethod
     def connection(matrices):
@@ -75,22 +78,20 @@ class ModulePresentation:
 
 
 class Localization(ModulePresentation):
-    """R_f with elements numerator / f^k, k at most the pole budget.
+    """R_f with elements numerator / f^k, for every k >= 0.
 
-    Ladder level t holds x^e / f^(K+t) with |e| <= N + K*deg f +
-    t*(deg f - 1), f's stored terms being treated as an exact polynomial;
-    the deepened ladder receives it by multiplying numerators by f."""
+    A ladder with pole K holds at level t the x^e / f^(K+t) with
+    |e| <= N + K*deg f + t*(deg f - 1), f's stored terms being treated as
+    an exact polynomial; the deepened ladder receives it by multiplying
+    numerators by f.  An element enters a ladder only with pole <= K."""
 
     rank = 1
 
-    def __init__(self, f, pole_bound):
+    def __init__(self, f):
         if f.is_zero():
             raise ValueError("cannot localize at a series that is zero to precision")
-        if pole_bound < 0:
-            raise ValueError("pole bound must be >= 0")
         self.num_vars = f.num_vars
         self.f = f
-        self.pole_bound = pole_bound
         self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
@@ -104,38 +105,24 @@ class Localization(ModulePresentation):
     def partial(self, element, axis):
         numerator, pole = loc_partial_raw(element.numerator, self.f,
                                           element.pole_order, axis)
-        result = loc_normalize(LocElement(numerator, pole), self.f)
-        if result.pole_order > self.pole_bound:
-            raise PoleBudgetExceeded(
-                f"pole order {result.pole_order} exceeds budget {self.pole_bound}")
-        return result
+        return loc_normalize(LocElement(numerator, pole), self.f)
 
     def scale(self, element, series):
         return LocElement(series * element.numerator, element.pole_order)
 
-    def window(self, pole):
-        """The presentation acting inside a comparison window over f^pole:
-        the pole budget becomes the window's (default: unchanged)."""
-        if pole is None or pole == self.pole_bound:
-            return self
-        return Localization(self.f, pole)
-
     # -- ladder ------------------------------------------------------------
 
-    def ladder_pole(self, pole):
+    def validate_ladder(self, trunc, pole):
+        """The ladder's pole0: its pole budget K, which must be given."""
         if pole is None:
-            raise ValueError("localization ladders need a pole budget")
+            raise ValueError("a localization ladder needs a pole bound")
+        if pole < 0:
+            raise ValueError("pole bound must be >= 0")
         return pole
-
-    def validate_ladder(self, trunc):
-        pass
 
     def level_bound(self, ladder, t):
         return (ladder.trunc + ladder.pole0 * self.f_deg
                 + t * max(self.f_deg - 1, 0))
-
-    def level_pole(self, ladder, t):
-        return ladder.pole0 + t
 
     def label_text(self, ladder, t, label):
         names = [f"x{i}" for i in range(1, self.num_vars + 1)]
@@ -181,11 +168,11 @@ class Localization(ModulePresentation):
 
     def embed(self, ladder, element):
         """Level-0 coordinates of numerator * f^(K - k) over f^K, plus the
-        degree the data is exact to."""
+        degree the data is exact to; k above the budget K is an error."""
         pole = ladder.pole(0)
         if element.pole_order > pole:
             raise PoleBudgetExceeded(
-                f"element pole {element.pole_order} exceeds space pole {pole}")
+                f"pole order {element.pole_order} exceeds budget {pole}")
         steps = pole - element.pole_order
         bound = ladder.bound(0)
         terms = {e: c for e, c in element.numerator.terms.items()
@@ -219,8 +206,6 @@ class Connection(ModulePresentation):
     with maps truncated to the target bound (this is what keeps d o d = 0
     exact when flatness only holds to precision); the deepened ladder maps
     back onto it by truncation."""
-
-    pole_bound = None
 
     def __init__(self, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
@@ -268,16 +253,16 @@ class Connection(ModulePresentation):
     def scale(self, element, series):
         return tuple(series * component for component in element)
 
-    def window(self, pole):
-        return self
+    @cached_property
+    def integrability(self):
+        """The flatness report, computed once per presentation."""
+        return check_integrability(self)
 
     # -- ladder ------------------------------------------------------------
 
-    def ladder_pole(self, pole):
-        return None
-
-    def validate_ladder(self, trunc):
-        report = check_integrability(self)
+    def validate_ladder(self, trunc, pole):
+        """Flatness and precision for the truncation; the pole0 is None."""
+        report = self.integrability
         if not report.integrable:
             i, j, row, col, entry = report.witness
             raise NonIntegrable(
@@ -289,9 +274,6 @@ class Connection(ModulePresentation):
 
     def level_bound(self, ladder, t):
         return ladder.trunc - t
-
-    def level_pole(self, ladder, t):
-        return None
 
     def label_text(self, ladder, t, label):
         comp, e = label
@@ -437,8 +419,9 @@ def loc_normalize(element, f):
 def partial_action(module, element, axis):
     """The derivative action in the given presentation.
 
-    Localization elements are normalized afterwards and must stay within
-    the pole budget; connection elements get the matrix correction.
+    Localization elements are normalized afterwards (a ladder checks the
+    pole budget when they are embedded); connection elements get the
+    matrix correction.
     """
     return module.partial(element, axis)
 

@@ -281,18 +281,19 @@ def _split_top_level(text, separator):
     return parts
 
 
-def parse_module(text, num_vars, precision, pole_bound=None):
+def parse_module(text, num_vars, precision):
     """Module descriptors: ``R``, ``R_loc(f)`` or ``conn(r; A1; ...; An)``
-    with each matrix written ``[[a,b],[c,d]]`` in the series grammar."""
+    with each matrix written ``[[a,b],[c,d]]`` in the series grammar.
+
+    The result is the module itself, with no truncation: the series bound
+    and the pole order are given to the ladder that slices it."""
     text = text.strip()
     if text == "R":
         return ModulePresentation.structure(num_vars, precision)
     if text.startswith("R_loc(") and text.endswith(")"):
         inner = text[len("R_loc("):-1]
-        f = parse_series(inner, num_vars, precision)
-        if pole_bound is None:
-            raise ParseError("localization needs a pole bound", 0)
-        return ModulePresentation.localization(f, pole_bound)
+        return ModulePresentation.localization(
+            parse_series(inner, num_vars, precision))
     if text.startswith("conn(") and text.endswith(")"):
         inner = text[len("conn("):-1]
         parts = [p.strip() for p in _split_top_level(inner, ";")]

@@ -9,16 +9,18 @@ generated slice plus the image of d_n.  All verdicts are three-valued
 (yes at truncation / no evidence within budget / inconclusive); finite
 data can support the underlying statements but never refute them.
 
-Elements are compared in the level-0 coordinates of the presentation's
-own truncation ladder (:class:`formald.derham.ModuleFamily`): a
-localization sits over the common denominator f^pole, f's stored terms
-being treated as an exact polynomial, and a connection is compared
-component by component.
+Elements are compared in the level-0 coordinates of the truncation ladder
+(:class:`formald.derham.ModuleFamily`) each probe builds from its
+``trunc`` and ``pole``: a localization needs the pole, sits over the
+common denominator f^pole (f's stored terms treated as an exact
+polynomial) and rejects an element past it; a connection has no pole and
+is compared component by component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .derham import ModuleFamily
 from .errors import PreconditionViolated
@@ -27,15 +29,6 @@ from .modules import partial_action, scalar_action
 from .series import Series, is_xn_regular, monomials_upto, xn_coefficient
 
 _SLICE_MAX = 6  # cover_check's largest a in the slice m, x_n m, ..., x_n^a m
-
-
-def _window(module, trunc, pole):
-    """The presentation acting in the comparison window, and the ladder
-    whose level 0 gives common coordinates to its elements (localizations
-    sit over the common denominator f^pole, pole defaulting to the
-    module's budget)."""
-    work = module.window(pole)
-    return work, ModuleFamily(work, trunc, work.pole_bound)
 
 
 def _restrict(ladder, vec, degree):
@@ -68,15 +61,15 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
 
     Coefficients are sought degree by degree (so the first hit is the
     minimal-degree relation) and the comparison only uses coordinates
-    exact at the available precision; the report carries that degree."""
-    work, ladder = _window(module, trunc, pole)
-    iterates = [element]
-    for _ in range(p_max):
-        iterates.append(_tau_apply(work, f, iterates[-1]))
-    embedded = []
+    exact at the available precision; the report carries that degree.
+    Each iterate is embedded as soon as it is computed, so the first one
+    past the pole budget stops the search."""
+    ladder = ModuleFamily(module, trunc, pole)
+    iterates, embedded = [], []
     known = ladder.bound(0)
-    for it in iterates:
-        vec, k = work.embed(ladder, it)
+    for i in range(p_max + 1):
+        iterates.append(_tau_apply(module, f, iterates[-1]) if i else element)
+        vec, k = module.embed(ladder, iterates[-1])
         embedded.append(vec)
         known = min(known, k)
     mult_cache = {}
@@ -84,7 +77,7 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
     def column(i, mu):
         if (i, mu) not in mult_cache:
             series = Series.monomial(ladder.num_vars, mu, trunc)
-            vec, k = work.embed(ladder, scalar_action(work, iterates[i], series))
+            vec, k = module.embed(ladder, scalar_action(module, iterates[i], series))
             mult_cache[(i, mu)] = (vec, k)
         return mult_cache[(i, mu)]
 
@@ -136,7 +129,7 @@ def xn_regular_element_check(module, element, f, p_max, trunc, pole=None):
     yes: f is x_n-regular and a recurrence was found; no-evidence: f is
     regular but no recurrence exists within budget; inconclusive: the
     regularity of f itself cannot be certified from its precision."""
-    module.validate_ladder(trunc)
+    module.validate_ladder(trunc, pole)
     reg = is_xn_regular(f)
     if reg.order is None:
         return RegularElementVerdict("inconclusive", None, None,
@@ -181,17 +174,17 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
     interpreted as a counterexample."""
     if len(elements) != len(coefficients):
         raise ValueError("need one coefficient per element")
-    work, ladder = _window(module, trunc, pole)
+    ladder = ModuleFamily(module, trunc, pole)
     n = ladder.num_vars
     known = ladder.bound(0)
     for m in elements:
-        vec, k = work.embed(ladder, partial_action(work, m, n))
+        vec, k = module.embed(ladder, partial_action(module, m, n))
         known = min(known, k)
         if _restrict(ladder, vec, known):
             raise PreconditionViolated("an element is not killed by d_n at truncation")
     total = {}
     for f_i, m in zip(coefficients, elements):
-        vec, k = work.embed(ladder, scalar_action(work, m, f_i))
+        vec, k = module.embed(ladder, scalar_action(module, m, f_i))
         known = min(known, k)
         vec_add_scaled(total, vec, 1)
     if _restrict(ladder, total, known):
@@ -201,7 +194,7 @@ def kernel_relation_homogeneity(module, elements, coefficients, trunc, pole=None
         comp_known = known
         for f_i, m in zip(coefficients, elements):
             fij = xn_coefficient(f_i, j)
-            vec, k = work.embed(ladder, scalar_action(work, m, fij.lift(n)))
+            vec, k = module.embed(ladder, scalar_action(module, m, fij.lift(n)))
             comp_known = min(comp_known, k)
             vec_add_scaled(component, vec, 1)
         if _restrict(ladder, component, comp_known):
@@ -229,37 +222,37 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8):
 
     The x_n-power slice is grown until every monomial multiple of m up to
     the truncation degree lies in the span of the slice columns and the
-    d_n-image columns; the successful bound is reported."""
+    d_n-image columns; the successful bound is reported.  Every outcome
+    reports the ladder's pole (None for a connection)."""
+    ladder = ModuleFamily(module, trunc, pole)
+    report = partial(CoverReport, trunc=trunc, pole=ladder.pole(0))
     verdict = xn_regular_element_check(module, element, f, p_max, trunc, pole)
     if verdict.status != "yes":
-        return CoverReport(status="inconclusive", slice_bound=None,
-                           generator_texts=(), recurrence_order=None,
-                           trunc=trunc, pole=pole)
-    work, ladder = _window(module, trunc, pole)
+        return report("inconclusive", None, (), None)
     n = ladder.num_vars
 
     known = ladder.bound(0)
     targets = []
     for e in monomials_upto(n, trunc):
-        vec, k = work.embed(ladder, scalar_action(
-            work, element, Series.monomial(n, e, trunc + 1)))
+        vec, k = module.embed(ladder, scalar_action(
+            module, element, Series.monomial(n, e, trunc + 1)))
         known = min(known, k)
         targets.append((e, vec))
 
     ech = ColumnEchelon()
     # image-of-d_n columns
-    for w_vec, k in work.dn_image_columns(ladder):
+    for w_vec, k in module.dn_image_columns(ladder):
         known = min(known, k)
         ech.add(_restrict(ladder, w_vec, known))
 
     slice_cols = {}
     for a in range(_SLICE_MAX + 1):
         xn_a = (0,) * (n - 1) + (a,)
-        base = scalar_action(work, element, Series.monomial(n, xn_a, trunc + 1))
+        base = scalar_action(module, element, Series.monomial(n, xn_a, trunc + 1))
         cols = []
         for mu in monomials_upto(n - 1, trunc):
             series = Series.monomial(n, tuple(mu) + (0,), trunc + 1)
-            vec, k = work.embed(ladder, scalar_action(work, base, series))
+            vec, k = module.embed(ladder, scalar_action(module, base, series))
             known = min(known, k)
             cols.append(vec)
         slice_cols[a] = cols
@@ -271,11 +264,5 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8):
             texts = tuple("m" if b == 0 else
                           (f"x{n}*m" if b == 1 else f"x{n}^{b}*m")
                           for b in range(a + 1))
-            return CoverReport(status="yes", slice_bound=a,
-                               generator_texts=texts,
-                               recurrence_order=verdict.recurrence.order,
-                               trunc=trunc, pole=ladder.pole(0))
-    return CoverReport(status="no-evidence", slice_bound=None,
-                       generator_texts=(),
-                       recurrence_order=verdict.recurrence.order,
-                       trunc=trunc, pole=ladder.pole(0))
+            return report("yes", a, texts, verdict.recurrence.order)
+    return report("no-evidence", None, (), verdict.recurrence.order)

@@ -110,3 +110,41 @@ def test_broken_invariant_is_reported_without_traceback(monkeypatch, capsys):
     assert (report["status"], report["error"]) == ("error", "InternalInvariant")
     assert report["message"].startswith("d^1 o d^0 != 0")
     assert "Traceback" not in text + capsys.readouterr().err
+
+
+def test_schedule_step_without_a_pole_is_a_typed_error(capsys):
+    # the step "4" gives no K: the localization ladder rejects it before it
+    # is deepened, where None + 1 used to escape as a TypeError
+    code, report = cli_report(["derham", "--module", "R_loc(x1)", "--vars", "1",
+                               "--schedule", "3,1;4"])
+    assert code == 1
+    assert (report["status"], report["error"], report["message"]) == (
+        "error", "ValueError", "a localization ladder needs a pole bound")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# a connection's flatness is checked once per presentation, however many
+# ladders, schedule steps, twist powers or probes an invocation builds
+CONN = ["--module", "conn(1; [[0]]; [[-1]])", "--vars", "2"]
+FLATNESS_RUNS = [
+    ["derham"] + CONN,
+    ["derham"] + CONN + ["--schedule", "3;4;5"],
+    ["cokernel"] + CONN,
+    ["regularity", "element"] + CONN + ["--f", "x2"],
+    ["regularity", "reglink"] + CONN + ["--element", "x1+x2^2", "--f", "x2+x1",
+                                        "--smax", "3", "--pmax", "1"],
+    ["regularity", "e0-cover"] + CONN + ["--f", "x2"],
+]
+
+
+@pytest.mark.parametrize("argv", FLATNESS_RUNS, ids=" ".join)
+def test_one_flatness_check_per_invocation(argv, monkeypatch):
+    import formald.modules
+
+    calls = []
+    check = formald.modules.check_integrability
+    monkeypatch.setattr(formald.modules, "check_integrability",
+                        lambda module: calls.append(module) or check(module))
+    code, report = cli_report(argv)
+    assert code in (0, 2) and report["status"] != "error"
+    assert len(calls) == 1

@@ -39,7 +39,7 @@ def test_d_squared_zero_structure():
 
 def test_localization_dzero_sends_inverse_to_derivative():
     x = Series.variable(1, 1, 30)
-    M = ModulePresentation.localization(x, 3)
+    M = ModulePresentation.localization(x)
     family = ModuleFamily(M, 4, 3)
     C = complex_from_family(family, (4, 3), M.describe())
     # level-0 basis is x^e/f^3; the element x^2/f^3 = 1/x maps to -1/x^2,
@@ -60,7 +60,7 @@ def test_dims_structure():
 
 def test_dims_localization_single_run_matches_deepening():
     x = Series.variable(1, 1, 30)
-    M = ModulePresentation.localization(x, 4)
+    M = ModulePresentation.localization(x)
     a = stable_cohomology_dims(M, 6, 4)
     b = stable_cohomology_dims(M, 8, 5)
     assert a.dims == b.dims == (1, 1)
@@ -71,7 +71,7 @@ def test_stabilized_dims_product_of_lines():
     # the one-variable answers (1,1) give (1, 2, 1)
     x1 = Series.variable(2, 1, 40)
     x2 = Series.variable(2, 2, 40)
-    M = ModulePresentation.localization(x1 * x2, 4)
+    M = ModulePresentation.localization(x1 * x2)
     report = stabilized_dims(M, [(6, 4), (8, 5)])
     assert report.dims == (1, 2, 1)
     assert all(report.stabilized)
@@ -79,7 +79,7 @@ def test_stabilized_dims_product_of_lines():
 
 def test_stabilized_dims_partial_localization():
     x1 = Series.variable(2, 1, 40)
-    M = ModulePresentation.localization(x1, 4)
+    M = ModulePresentation.localization(x1)
     report = stabilized_dims(M, [(6, 4), (8, 5)])
     assert report.dims == (1, 1, 0)
     assert all(report.stabilized)
@@ -89,7 +89,7 @@ def test_localization_from_pole_zero():
     # level 0 holds numerators over f^0, so d_axis scales f's derivative by 0
     x1 = Series.variable(2, 1, 40)
     x2 = Series.variable(2, 2, 40)
-    M = ModulePresentation.localization(x1 * x2, 0)
+    M = ModulePresentation.localization(x1 * x2)
     assert stable_cohomology_dims(M, 6, 0).dims == (1, 2, 1)
 
 
@@ -97,14 +97,14 @@ def test_smooth_hypersurface_matches_linear_model():
     # x2^2 + x1 is a coordinate away from x1: the dims must agree
     x1 = Series.variable(2, 1, 40)
     x2 = Series.variable(2, 2, 40)
-    M = ModulePresentation.localization(x2 * x2 + x1, 3)
+    M = ModulePresentation.localization(x2 * x2 + x1)
     report = stabilized_dims(M, [(6, 3), (8, 4)])
     assert report.dims == (1, 1, 0)
 
 
 def test_monotone_under_budget_growth():
     x = Series.variable(1, 1, 40)
-    M = ModulePresentation.localization(x, 3)
+    M = ModulePresentation.localization(x)
     reports = [stable_cohomology_dims(M, n, k)
                for n, k in [(5, 3), (7, 4), (9, 5)]]
     for earlier, later in zip(reports, reports[1:]):
@@ -122,14 +122,14 @@ def test_kernel_of_dn_structure():
 
 def test_kernel_of_dn_localization():
     x = Series.variable(1, 1, 30)
-    M = ModulePresentation.localization(x, 4)
+    M = ModulePresentation.localization(x)
     data = kernel_of_dn(M, 8, 4)
     assert data.dims[0] == 1                      # constants only
 
 
 def test_cokernel_of_dn():
     x = Series.variable(1, 1, 30)
-    M = ModulePresentation.localization(x, 4)
+    M = ModulePresentation.localization(x)
     data = cokernel_of_dn(M, 8, 4)
     assert data.dims[0] == 1
     assert data.basis_texts[0] == "(x1^4)/f^5"    # the class of 1/x
@@ -138,14 +138,14 @@ def test_cokernel_of_dn():
     assert cokernel_of_dn(M2, 6).dims[0] == 0
 
     x1 = Series.variable(2, 1, 40)
-    M3 = ModulePresentation.localization(x1, 4)
+    M3 = ModulePresentation.localization(x1)
     assert cokernel_of_dn(M3, 6, 4).dims[0] == 0
 
 
 def test_subquotient_family_agrees_with_its_dims():
     # the cokernel dims are counted stably, across a deepening, so no single
     # ladder has them and no family is returned; the kernel ladder has them
-    M = parse_module("R_loc(x1*x2)", 2, 40, 4)
+    M = parse_module("R_loc(x1*x2)", 2, 40)
     coker = cokernel_of_dn(M, 8, 4)
     assert coker.dims == (14, 14) and coker.family is None
     kernel = kernel_of_dn(M, 8, 4)
@@ -154,11 +154,23 @@ def test_subquotient_family_agrees_with_its_dims():
 
 def test_kernel_actions_stay_in_kernel():
     x1 = Series.variable(2, 1, 40)
-    M = ModulePresentation.localization(x1, 4)
+    M = ModulePresentation.localization(x1)
     data = kernel_of_dn(M, 6, 4)
     # induced first-variable derivative and multiplication close on the ladder
     data.family.partial_columns(1, 0)
     data.family.multiply_columns(1, 0)
+
+
+@pytest.mark.parametrize("compute", [stable_cohomology_dims, cokernel_of_dn,
+                                     kernel_of_dn, build_complex])
+def test_localization_ladder_needs_a_pole(compute):
+    # the pole order belongs to the ladder: without one, a localization is
+    # rejected before anything is deepened (no TypeError on None + 1)
+    M = parse_module("R_loc(x1)", 1, 30)
+    with pytest.raises(ValueError, match="needs a pole bound"):
+        compute(M, 6)
+    with pytest.raises(ValueError, match="pole bound must be >= 0"):
+        compute(M, 6, -1)
 
 
 def test_kernel_meets_xn_multiples_trivially():
@@ -202,7 +214,7 @@ def test_les_consistency_cases():
     cases = [
         (ModulePresentation.structure(1, 30), 8, None, (1, 0), (1,), (0,)),
         (ModulePresentation.structure(2, 30), 8, None, (1, 0, 0), (1, 0), (0, 0)),
-        (ModulePresentation.localization(x, 4), 8, 5, (1, 1), (1,), (1,)),
+        (ModulePresentation.localization(x), 8, 5, (1, 1), (1,), (1,)),
     ]
     for M, trunc, pole, dims_m, dims_k, dims_c in cases:
         report = les_consistency(M, trunc, pole)
@@ -215,7 +227,7 @@ def test_les_consistency_cases():
 def test_coordinate_invariance_of_dims():
     rng = random.Random(60)
     x1 = Series.variable(2, 1, 40)
-    base = ModulePresentation.localization(x1, 4)
+    base = ModulePresentation.localization(x1)
     expected = stabilized_dims(base, [(6, 4), (8, 5)]).dims
     for _ in range(2):
         while True:
@@ -226,7 +238,7 @@ def test_coordinate_invariance_of_dims():
             except ValueError:
                 continue
         f = apply_linear_substitution(x1, sub)
-        M = ModulePresentation.localization(f, 4)
+        M = ModulePresentation.localization(f)
         assert stabilized_dims(M, [(6, 4), (8, 5)]).dims == expected
 
 
@@ -297,6 +309,6 @@ STABLE_CASES = [
                          ids=[f"{text} n={n}" for text, n, _ in STABLE_CASES])
 def test_stable_dims_match_the_rank_only_formula(text, n, truncations):
     for trunc, pole in truncations:
-        module = parse_module(text, n, 30, pole)
+        module = parse_module(text, n, 30)
         assert (stable_cohomology_dims(module, trunc, pole).dims
                 == rank_only_stable_dims(module, trunc, pole))

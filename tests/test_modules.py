@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from formald.derham import ModuleFamily
 from formald.errors import PoleBudgetExceeded, WrongVariant
 from formald.modules import (LocElement, ModulePresentation,
                              check_integrability, loc_normalize,
@@ -42,13 +43,13 @@ def test_noncommuting_matrices_fail_integrability():
 def test_integrability_needs_connection():
     x1 = Series.variable(2, 1, 6)
     with pytest.raises(WrongVariant):
-        check_integrability(ModulePresentation.localization(x1, 2))
+        check_integrability(ModulePresentation.localization(x1))
 
 
 def test_partial_action_on_localization():
     prec = 10
     x = Series.variable(1, 1, prec)
-    M = ModulePresentation.localization(x, 4)
+    M = ModulePresentation.localization(x)
     e = LocElement(Series.one(1, prec), 1)             # 1/x
     d = partial_action(M, e, 1)
     assert d.pole_order == 2
@@ -57,7 +58,7 @@ def test_partial_action_on_localization():
     n2 = 2
     x1 = Series.variable(n2, 1, prec)
     x2 = Series.variable(n2, 2, prec)
-    M2 = ModulePresentation.localization(x1, 4)
+    M2 = ModulePresentation.localization(x1)
     e2 = LocElement(x2, 1)                             # x2/x1
     d2 = partial_action(M2, e2, 1)
     assert d2.pole_order == 2
@@ -67,7 +68,7 @@ def test_partial_action_on_localization():
 def test_partial_action_cancels_pole():
     prec = 10
     x = Series.variable(1, 1, prec)
-    M = ModulePresentation.localization(x, 2)
+    M = ModulePresentation.localization(x)
     e = LocElement(x * x, 1)                           # x^2/x
     d = partial_action(M, e, 1)
     assert d.pole_order == 0
@@ -93,12 +94,17 @@ def test_loc_normalize():
 
 
 def test_pole_budget_enforced():
+    # the budget is the ladder's pole, checked when an element is embedded
     prec = 8
     x = Series.variable(1, 1, prec)
-    M = ModulePresentation.localization(x, 1)
+    M = ModulePresentation.localization(x)
+    ladder = ModuleFamily(M, 4, 1)
     e = LocElement(Series.one(1, prec), 1)
-    with pytest.raises(PoleBudgetExceeded):
-        partial_action(M, e, 1)
+    M.embed(ladder, e)
+    d = partial_action(M, e, 1)
+    assert d.pole_order == 2
+    with pytest.raises(PoleBudgetExceeded, match="pole order 2 exceeds budget 1"):
+        M.embed(ladder, d)
 
 
 def test_mixed_partials_commute_on_localization():
@@ -107,7 +113,7 @@ def test_mixed_partials_commute_on_localization():
     n = 2
     x1 = Series.variable(n, 1, prec)
     x2 = Series.variable(n, 2, prec)
-    M = ModulePresentation.localization(x1 * x2 + x1, 8)
+    M = ModulePresentation.localization(x1 * x2 + x1)
     for _ in range(10):
         e = LocElement(random_series(rng, n, prec, degree=3), rng.randint(0, 2))
         d12 = partial_action(M, partial_action(M, e, 1), 2)
@@ -124,7 +130,7 @@ def test_leibniz_on_localization():
     rng = random.Random(52)
     prec = 12
     x = Series.variable(1, 1, prec)
-    M = ModulePresentation.localization(x, 8)
+    M = ModulePresentation.localization(x)
     for _ in range(10):
         r = random_series(rng, 1, prec, degree=3)
         e = LocElement(random_series(rng, 1, prec, degree=3), rng.randint(0, 3))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formald.derham import ModuleFamily
 from formald.errors import ParseError, UnsupportedExponent
 from formald.parser import parse_module, parse_operator, parse_series, parse_symbol
 from formald.series import Series, monomials_upto
@@ -104,12 +105,16 @@ def test_plain_series_parser_rejects_operators():
 ])
 def test_malformed_modules_raise_parse_error(text, message):
     with pytest.raises(ParseError, match=re.escape(message)):
-        parse_module(text, 2, 4, pole_bound=2)
+        parse_module(text, 2, 4)
 
 
 def test_localization_needs_a_pole_bound():
-    with pytest.raises(ParseError, match="needs a pole bound"):
-        parse_module("R_loc(x1)", 2, 4)
+    # a module carries no truncation: the pole bound is asked for when a
+    # ladder slices it, not when it is parsed
+    module = parse_module("R_loc(x1)", 2, 4)
+    with pytest.raises(ValueError, match="needs a pole bound"):
+        ModuleFamily(module, 4)
+    assert ModuleFamily(module, 4, 2).pole(1) == 3
 
 
 def repeated_product(series, k):

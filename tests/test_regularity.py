@@ -96,6 +96,12 @@ CASES = [
     ("e0-cover", LOC + ["--trunc", "5", "--element", "1", "--element-pole", "1",
                         "--f", "x1"], 0,
      {"status": "inconclusive"}),
+    # the element itself is past the budget: it is embedded, and rejected,
+    # before any iterate is computed
+    ("etau", ["--module", "R_loc(x1)", "--vars", "1", "--f", "x",
+              "--element-pole", "3", "--pole-bound", "1"], 1,
+     {"status": "error", "error": "PoleBudgetExceeded",
+      "message": "pole order 3 exceeds budget 1"}),
 ]
 
 
@@ -150,7 +156,7 @@ def twist():
 
 @pytest.fixture
 def loc():
-    return parse_module("R_loc(x1*x2)", 2, PREC, 3)
+    return parse_module("R_loc(x1*x2)", 2, PREC)
 
 
 def test_connection_recurrence_found_and_none(twist):
@@ -198,11 +204,16 @@ def test_connection_cover(twist):
     assert (yes.recurrence_order, yes.pole) == (1, None)
     unsure = reg.cover_check(twist, (_s("1"),), _s("x1"), 5)
     assert (unsure.status, unsure.slice_bound) == ("inconclusive", None)
+    # a connection ladder has no pole, whatever pole is passed
+    unsure = reg.cover_check(twist, (_s("1"),), _s("x1"), 5, 3)
+    assert (unsure.status, unsure.pole) == ("inconclusive", None)
 
 
 def test_localization_window_follows_pole_argument(loc):
     inverse = LocElement(_s("1"), 1)
-    default = reg.iterate_recurrence(loc, inverse, _s("x1*x2"), 4, 4)
+    with pytest.raises(ValueError, match="needs a pole bound"):
+        reg.iterate_recurrence(loc, inverse, _s("x1*x2"), 4, 4)
+    default = reg.iterate_recurrence(loc, inverse, _s("x1*x2"), 4, 4, 3)
     assert (default.pole, default.degree_checked) == (3, 8)
     assert series_agree(default.coefficients[0], -_s("x1"))
     narrow = reg.iterate_recurrence(loc, inverse, _s("x2"), 4, 4, 2)
@@ -213,8 +224,9 @@ def test_localization_window_follows_pole_argument(loc):
 
 def test_localization_cover_reports_window_pole(loc):
     inverse = LocElement(_s("1"), 1)
-    assert reg.cover_check(loc, inverse, _s("x2"), 5).pole == 3
-    assert reg.cover_check(loc, inverse, _s("x1"), 5).pole is None
+    assert reg.cover_check(loc, inverse, _s("x2"), 5, 3).pole == 3
+    # the inconclusive outcome reports the ladder's pole too
+    assert reg.cover_check(loc, inverse, _s("x1"), 5, 3).pole == 3
 
 
 def test_localization_pole_budget(loc):
