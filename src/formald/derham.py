@@ -23,6 +23,23 @@ budget); each presentation owns its level layout (see
   per-level growth of deg f - 1 matches exactly what the quotient rule
   adds, so no top-of-window shell escapes the differential.
 
+A complex is assembled on cells (label, form): degree i pairs level-i
+labels with i-forms.  Stable dims (:func:`stable_cohomology_dims`) keep
+only the cells x^e dx_I / f^k of multidegree W.e + W.1_I - k*D = 0 for
+the presentation's weight lattice W (f is W-homogeneous of degrees D).
+For the Euler field E of a weight, Cartan's formula L_E = d iota_E +
+iota_E d makes every other multidegree of the comparison map zero, so
+the image of H(source) in H(target) lives in the block.  That is exact
+on this ladder because of three conditions: (i) every window is a span
+of monomial cells, (ii) d and the comparison's multiplication by f
+preserve multidegree, and (iii) iota_E of a source level-i cell's image
+fits in target level i-1, whose bound exceeds source level i's by
+deg f + 1.  An m-adic ladder (truncating f) must recheck (iii).  An
+empty lattice (connections, the ring, and f such as x + x^2) gives the
+whole window in its usual order, and the kernel, cokernel and
+long-exact-sequence checks always assemble whole windows: they print
+window sizes.
+
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.
@@ -37,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
@@ -44,23 +62,43 @@ from .linalg import ColumnEchelon, Matrix, vec_add_scaled
 # -- level families --------------------------------------------------------
 
 
-class ModuleFamily:
+class _Ladder:
+    """What complex assembly reads of a ladder besides its levels: the
+    cells of each degree."""
+
+    def cells(self, t):
+        """The degree-t cells (label position, form): every level-t label
+        with every t-form, label-major."""
+        forms = _forms(self.axes, t)
+        return [(k, form) for k in range(self.dim(t)) for form in forms]
+
+
+class ModuleFamily(_Ladder):
     """The truncation ladder of a module presentation.
 
     The only holder of the truncation (N, K).  Caches the level bases;
     the geometry and the columns of every level come from the
     presentation, which validates the truncation and returns the pole0:
     K for a localization, which needs one, and None for a connection,
-    which must be flat and known to precision."""
+    which must be flat and known to precision.
 
-    def __init__(self, module, trunc, pole=None):
+    A ``block`` ladder holds only the multidegree-0 cells of the
+    presentation's weight lattice: level t's basis is the labels of its
+    degree-t cells, found per form by the presentation's bounded search.
+    With an empty lattice that is the whole window.  Only stable dims
+    build blocks; the kernel, cokernel and LES ladders print window
+    sizes, and a block has no x_axis action."""
+
+    def __init__(self, module, trunc, pole=None, block=False):
         self.module = module
         self.num_vars = module.num_vars
         self.trunc = trunc
         self.pole0 = module.validate_ladder(trunc, pole)
         self.axes = list(range(1, self.num_vars + 1))
+        self.lattice = module.weight_lattice if block else ()
         self._basis_cache = {}
         self._index_cache = {}
+        self._cells_cache = {}
 
     def bound(self, t):
         return self.module.level_bound(self, t)
@@ -70,10 +108,33 @@ class ModuleFamily:
 
     def basis(self, t):
         if t not in self._basis_cache:
-            labels = self.module.labels(self.bound(t))
-            self._basis_cache[t] = labels
-            self._index_cache[t] = {lab: i for i, lab in enumerate(labels)}
+            if self.lattice:
+                self._build_block(t)
+            else:
+                labels = self.module.labels(self.bound(t))
+                self._basis_cache[t] = labels
+                self._index_cache[t] = {lab: i for i, lab in enumerate(labels)}
         return self._basis_cache[t]
+
+    def _build_block(self, t):
+        """Level t's basis and cells: for each t-form I, the labels x^e
+        with W.e + W.1_I = (K+t)*D, one search per distinct degree."""
+        pole, bound = self.pole(t), self.bound(t)
+        found = {}
+        per_form = []
+        for form in _forms(self.axes, t):
+            degrees = tuple(pole * d - sum(w[a - 1] for a in form)
+                            for w, d in self.lattice)
+            if degrees not in found:
+                found[degrees] = self.module.weight_labels(degrees, bound)
+            per_form.append((form, found[degrees]))
+        labels = sorted({lab for _, labs in per_form for lab in labs},
+                        key=lambda lab: (sum(lab[1]), lab[1]))
+        index = {lab: i for i, lab in enumerate(labels)}
+        self._basis_cache[t] = labels
+        self._index_cache[t] = index
+        self._cells_cache[t] = sorted((index[lab], form)
+                                      for form, labs in per_form for lab in labs)
 
     def dim(self, t):
         return len(self.basis(t))
@@ -82,12 +143,32 @@ class ModuleFamily:
         self.basis(t)
         return self._index_cache[t]
 
+    def cells(self, t):
+        if t not in self._cells_cache:
+            if self.lattice:
+                self._build_block(t)
+            else:
+                self._cells_cache[t] = super().cells(t)
+        return self._cells_cache[t]
+
     def label_text(self, t, label):
         return self.module.label_text(self, t, label)
 
     def partial_columns(self, axis, t):
-        """Images of the level-t basis under d_axis, in level t+1 coordinates."""
-        return self.module.partial_columns(self, axis, t)
+        """Images of the level-t basis under d_axis, in level t+1
+        coordinates.  A block differentiates only the labels of degree-t
+        cells without dx_axis (the others' images leave the block) and
+        reads None for the rest."""
+        labels = self.basis(t)
+        if not self.lattice:
+            return self.module.partial_columns(self, axis, t, labels)
+        wanted = sorted({k for k, form in self.cells(t) if axis not in form})
+        cols = [None] * len(labels)
+        images = self.module.partial_columns(self, axis, t,
+                                             [labels[k] for k in wanted])
+        for k, col in zip(wanted, images):
+            cols[k] = col
+        return cols
 
     def partial_matrix(self, axis, t):
         return Matrix.from_cols(self.partial_columns(axis, t), self.dim(t + 1))
@@ -97,7 +178,7 @@ class ModuleFamily:
         return self.module.multiply_columns(self, axis, t)
 
 
-class KernelFamily:
+class KernelFamily(_Ladder):
     """ker(d_n) on a ladder, with the surviving d_1..d_{n-1} actions."""
 
     def __init__(self, base):
@@ -157,7 +238,7 @@ class KernelFamily:
         return cols
 
 
-class CokernelFamily:
+class CokernelFamily(_Ladder):
     """coker(d_n) on a ladder: level t is base level t+1 modulo the image."""
 
     def __init__(self, base):
@@ -219,35 +300,39 @@ def _forms(axes, degree):
     return list(itertools.combinations(axes, degree))
 
 
+def _cell_positions(cells):
+    """form -> {label position -> position of the cell (label, form)}; a
+    form with no cell is absent."""
+    positions = defaultdict(dict)
+    for pos, (key_pos, form) in enumerate(cells):
+        positions[form][key_pos] = pos
+    return positions
+
+
 def complex_from_family(family, truncation, description):
-    """Assemble spaces and differentials; d o d = 0 is verified exactly."""
+    """Assemble spaces and differentials on the ladder's cells; d o d = 0
+    is verified exactly."""
     axes = family.axes
-    n_forms = len(axes)
-    dims = [family.dim(j) * len(_forms(axes, j)) for j in range(n_forms + 1)]
+    cells = [family.cells(j) for j in range(len(axes) + 1)]
+    dims = [len(c) for c in cells]
     differentials = []
-    for j in range(n_forms):
-        forms = _forms(axes, j)
-        forms_next = _forms(axes, j + 1)
-        next_pos = {form: i for i, form in enumerate(forms_next)}
+    for j in range(len(axes)):
+        target = _cell_positions(cells[j + 1])
+        # per j-form: (axis, sign of dx_axis ^ dx_form, target cell rows)
+        steps = {form: [(axis, -1 if sum(a < axis for a in form) % 2 else 1,
+                         target.get(tuple(sorted(form + (axis,))), {}))
+                        for axis in axes if axis not in form]
+                 for form in _forms(axes, j)}
         partial_cols = {axis: family.partial_columns(axis, j) for axis in axes}
-        nf, nf_next = len(forms), len(forms_next)
-        dim_next = family.dim(j + 1)
         cols = []
-        for key_pos in range(family.dim(j)):
-            for form in forms:
-                col = {}
-                for axis in axes:
-                    if axis in form:
-                        continue
-                    before = sum(1 for a in form if a < axis)
-                    sign = -1 if before % 2 else 1
-                    target_form = tuple(sorted(form + (axis,)))
-                    fpos = next_pos[target_form]
-                    # each axis lands in its own target form: no collisions
-                    for row, val in partial_cols[axis][key_pos].items():
-                        col[row * nf_next + fpos] = sign * val
-                cols.append(col)
-        differentials.append(Matrix.from_cols(cols, dim_next * nf_next))
+        for key_pos, form in cells[j]:
+            col = {}
+            # each axis lands in its own target form: no collisions
+            for axis, sign, rows in steps[form]:
+                for row, val in partial_cols[axis][key_pos].items():
+                    col[rows[row]] = sign * val
+            cols.append(col)
+        differentials.append(Matrix.from_cols(cols, dims[j + 1]))
     for j in range(len(differentials) - 1):
         if not differentials[j + 1].compose(differentials[j]).is_zero():
             raise AssertionError(f"d^{j + 1} o d^{j} != 0 in {description}")
@@ -284,21 +369,21 @@ def cohomology_dims(complex_):
     return CohomologyReport(dims=tuple(dims), truncation=complex_.truncation)
 
 
-def _comparison_pair(module, trunc, pole):
+def _comparison_pair(module, trunc, pole, block=False):
     """(source family, target family, level column maps, deepened params).
 
     The stable dimensions are ranks of H(source) mapped into H(target)
     along an exact chain map between the ladder and its one-step
     deepening; the presentation picks the direction and the map.  The
     source ladder validates (N, K) before anything is deepened."""
-    source = ModuleFamily(module, trunc, pole)
+    source = ModuleFamily(module, trunc, pole, block)
     deepened = module.deepened(trunc, pole)
     fam_src, fam_tgt, maps = module.comparison(
-        source, ModuleFamily(module, *deepened))
+        source, ModuleFamily(module, *deepened, block))
     return fam_src, fam_tgt, maps, deepened
 
 
-def _mapped_cocycles(complex_src, level_cols, n_forms, i):
+def _mapped_cocycles(complex_src, level_cols, cells_src, cells_tgt, i):
     """Images of the degree-i cocycles of the source complex under the
     level maps, each cocycle first scaled to integers (which does not
     change the rank a column adds)."""
@@ -307,13 +392,15 @@ def _mapped_cocycles(complex_src, level_cols, n_forms, i):
         cocycles = complex_src.differentials[i].nullspace()
     else:
         cocycles = [{j: 1} for j in range(complex_src.dims[i])]
+    target = _cell_positions(cells_tgt)
     mapped = []
     for z in cocycles:
         scale = math.lcm(*(v.denominator for v in z.values()))
         vec = {}
         for idx, val in z.items():
-            key_pos, fpos = divmod(idx, n_forms)
-            col = {row * n_forms + fpos: c for row, c in level_cols[key_pos].items()}
+            key_pos, form = cells_src[idx]
+            rows = target.get(form, {})
+            col = {rows[row]: c for row, c in level_cols[key_pos].items()}
             vec_add_scaled(vec, col, val.numerator * (scale // val.denominator))
         mapped.append(vec)
     return mapped
@@ -327,18 +414,22 @@ def stable_cohomology_dims(module, trunc, pole=None):
     of pole K+2, one more than the ladder provides, at every truncation.
     Comparing along a chain map between two windows removes exactly the
     classes that die deeper in the filtered union, so these are the
-    dimensions a schedule can meaningfully compare."""
-    fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole)
+    dimensions a schedule can meaningfully compare.
+
+    Both ladders are blocks: only the multidegree-0 cells of the
+    presentation's weight lattice, which carry the whole image (see
+    :class:`formald.modules.Localization` for why that is exact)."""
+    fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole,
+                                                        block=True)
     complex_src = complex_from_family(
         fam_src, (fam_src.trunc, fam_src.pole0), module.describe())
     complex_tgt = complex_from_family(
         fam_tgt, (fam_tgt.trunc, fam_tgt.pole0), module.describe())
-    axes = fam_src.axes
-    top = len(axes)
+    top = len(fam_src.axes)
     dims = []
     for i in range(top + 1):
-        n_forms = len(_forms(axes, i))
-        mapped = _mapped_cocycles(complex_src, maps(i), n_forms, i)
+        mapped = _mapped_cocycles(complex_src, maps(i), fam_src.cells(i),
+                                  fam_tgt.cells(i), i)
         ech = ColumnEchelon(complex_tgt.differentials[i - 1].cols if i else ())
         boundary_rank = ech.rank
         for vec in mapped:

@@ -10,18 +10,21 @@ order K belong to the ladder of :mod:`formald.derham`.  It owns how it
 acts and how that ladder slices it: the validated pole0, the bound of
 every level, the basis labels (component, exponent) and their text, the
 columns of d_axis and x_axis between levels, the comparison map into a
-deepened ladder, and the level-0 coordinates of its elements, where the
-pole budget K is enforced.
+deepened ladder, the level-0 coordinates of its elements, where the
+pole budget K is enforced, and the weight lattice whose multidegree-0
+cells a stable-dims ladder keeps (empty but for a localization).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
+from .linalg import Matrix
 from .series import Series, add_product, format_poly, monomials_upto, try_divide
 
 
@@ -42,6 +45,9 @@ class ModulePresentation:
     Ladder methods take the :class:`formald.derham.ModuleFamily` they serve
     (its ``trunc``, ``pole0`` and cached level bases); basis labels are
     ``(component, exponent)`` pairs for every presentation."""
+
+    # no weights: a stable-dims ladder of a connection is its whole window
+    weight_lattice = ()
 
     @staticmethod
     def structure(num_vars, precision):
@@ -83,7 +89,20 @@ class Localization(ModulePresentation):
     A ladder with pole K holds at level t the x^e / f^(K+t) with
     |e| <= N + K*deg f + t*(deg f - 1), f's stored terms being treated as
     an exact polynomial; the deepened ladder receives it by multiplying
-    numerators by f.  An element enters a ladder only with pole <= K."""
+    numerators by f.  An element enters a ladder only with pole <= K.
+
+    The weight lattice W is every weight f's terms are homogeneous for.
+    The cell x^e dx_I / f^k has multidegree W.e + W.1_I - k*D, D = W.e0,
+    and the stable-dims ladders keep only its multidegree-0 cells, which
+    is exact on this ladder because (i) its windows are spans of monomial
+    cells, (ii) d and the comparison's multiplication by f preserve
+    multidegree, so the comparison splits by multidegree, and (iii) for
+    the Euler field E_j of a weight with c_j != 0, iota_{E_j} of a source
+    level-i cocycle's image lies in target level i-1: that level has pole
+    K+i and a bound deg f + 1 above source level i's, and iota adds 1 to
+    the degree.  Cartan's formula then makes the image d(iota_{E_j} of
+    it)/c_j, a boundary the untruncated differential reaches.  A ladder
+    that truncates f or its differentials must recheck (iii)."""
 
     rank = 1
 
@@ -95,6 +114,58 @@ class Localization(ModulePresentation):
         self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
+
+    @cached_property
+    def weight_lattice(self):
+        """Pairs (w, d): w runs over an integer basis of the weights
+        {w in Q^n : w.e is the same for every e in supp f}, found as the
+        nullspace of the differences e - e0, and d = w.e0.  The support is
+        read from f_terms, the very terms the ladder multiplies by."""
+        exps = list(self.f_terms)
+        e0 = exps[0]
+        diffs = Matrix.from_cols(
+            [{k: e[j] - e0[j] for k, e in enumerate(exps[1:]) if e[j] != e0[j]}
+             for j in range(self.num_vars)], len(exps) - 1)
+        lattice = []
+        for vec in diffs.nullspace():
+            scale = math.lcm(*(v.denominator for v in vec.values()))
+            w = [0] * self.num_vars
+            for j, v in vec.items():
+                w[j] = v.numerator * (scale // v.denominator)
+            content = math.gcd(*w)
+            w = tuple(c // content for c in w)
+            lattice.append((w, sum(a * b for a, b in zip(w, e0))))
+        return tuple(lattice)
+
+    def weight_labels(self, degrees, bound):
+        """The labels x^e with |e| <= bound and w.e = degree for every weight
+        of the lattice, in label order.  The nullspace leaves each weight a
+        coordinate no other weight touches; that one is solved for, and the
+        free coordinates run over the monomials up to the bound."""
+        weights = [w for w, _ in self.weight_lattice]
+        rows = []
+        for k, (w, degree) in enumerate(zip(weights, degrees)):
+            others = weights[:k] + weights[k + 1:]
+            p = next(j for j, c in enumerate(w)
+                     if c and not any(v[j] for v in others))
+            rows.append((w, p, degree))
+        solved = [p for _, p, _ in rows]
+        free = [j for j in range(self.num_vars) if j not in solved]
+        labels = []
+        for m in monomials_upto(len(free), bound):
+            e = [0] * self.num_vars
+            for j, a in zip(free, m):
+                e[j] = a
+            room = bound - sum(m)
+            for w, p, degree in rows:
+                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
+                if r or not 0 <= q <= room:
+                    break
+                e[p] = q
+                room -= q
+            else:
+                labels.append((sum(e), tuple(e)))
+        return [(0, e) for _, e in sorted(labels)]
 
     def describe(self):
         return f"R_loc({self.f})"
@@ -129,15 +200,16 @@ class Localization(ModulePresentation):
         mono = format_poly({label[1]: Fraction(1)}, names)
         return f"({mono})/f^{ladder.pole(t)}"
 
-    def partial_columns(self, ladder, axis, t):
-        """d(x^e/f^k) = (d(x^e) f - k x^e d(f)) / f^(k+1), in level t+1."""
+    def partial_columns(self, ladder, axis, t, labels):
+        """d(x^e/f^k) = (d(x^e) f - k x^e d(f)) / f^(k+1), in level t+1,
+        for the given level-t labels."""
         index = ladder.index(t + 1)
         bound = ladder.bound(t + 1)
         k = ladder.pole(t)
         j = axis - 1
         df_terms = _ladder_terms(self.f.partial(axis).terms)
         cols = []
-        for _, e in ladder.basis(t):
+        for _, e in labels:
             part = {}
             if e[j]:
                 add_product(part, {_lowered(e, j): e[j]}, self.f_terms, bound)
@@ -281,15 +353,15 @@ class Connection(ModulePresentation):
         mono = format_poly({e: Fraction(1)}, names)
         return mono if self.rank == 1 else f"e{comp + 1}*{mono}"
 
-    def partial_columns(self, ladder, axis, t):
-        """nabla_axis of every level-t basis element, truncated to level t+1."""
+    def partial_columns(self, ladder, axis, t, labels):
+        """nabla_axis of the given level-t labels, truncated to level t+1."""
         index = ladder.index(t + 1)
         bound = ladder.bound(t + 1)
         a = [[_ladder_terms(entry.terms) for entry in row]
              for row in self.matrices[axis - 1]]
         j = axis - 1
         cols = []
-        for comp, e in ladder.basis(t):
+        for comp, e in labels:
             mono = {e: 1}
             col = {}
             for row in range(self.rank):

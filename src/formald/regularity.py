@@ -64,7 +64,12 @@ def iterate_recurrence(module, element, f, p_max, trunc, pole=None):
     exact at the available precision; the report carries that degree.
     Each iterate is embedded as soon as it is computed, so the first one
     past the pole budget stops the search."""
-    ladder = ModuleFamily(module, trunc, pole)
+    return _recurrence(ModuleFamily(module, trunc, pole), element, f, p_max)
+
+
+def _recurrence(ladder, element, f, p_max):
+    """iterate_recurrence on a ladder the caller built."""
+    module, trunc = ladder.module, ladder.trunc
     iterates, embedded = [], []
     known = ladder.bound(0)
     for i in range(p_max + 1):
@@ -129,12 +134,17 @@ def xn_regular_element_check(module, element, f, p_max, trunc, pole=None):
     yes: f is x_n-regular and a recurrence was found; no-evidence: f is
     regular but no recurrence exists within budget; inconclusive: the
     regularity of f itself cannot be certified from its precision."""
-    module.validate_ladder(trunc, pole)
+    return _regular_element_check(ModuleFamily(module, trunc, pole),
+                                  element, f, p_max)
+
+
+def _regular_element_check(ladder, element, f, p_max):
+    """xn_regular_element_check on a ladder the caller built."""
     reg = is_xn_regular(f)
     if reg.order is None:
         return RegularElementVerdict("inconclusive", None, None,
                                      reg.certified_to_precision)
-    report = iterate_recurrence(module, element, f, p_max, trunc, pole)
+    report = _recurrence(ladder, element, f, p_max)
     status = "yes" if report.found() else "no-evidence"
     return RegularElementVerdict(status, report, reg.order,
                                  reg.certified_to_precision)
@@ -148,10 +158,11 @@ class PowerSearchReport:
 
 
 def power_search(module, element, f, s_max, p_max, trunc, pole=None):
-    """Least s such that f^s * d_n admits an iterate recurrence at budget."""
+    """Least s such that f^s * d_n admits an iterate recurrence at budget;
+    every power is searched on one ladder."""
+    ladder = ModuleFamily(module, trunc, pole)
     for s in range(s_max + 1):
-        twist = f ** s
-        report = iterate_recurrence(module, element, twist, p_max, trunc, pole)
+        report = _recurrence(ladder, element, f ** s, p_max)
         if report.found():
             return PowerSearchReport(found_s=s, s_max=s_max, recurrence=report)
     return PowerSearchReport(found_s=None, s_max=s_max, recurrence=None)
@@ -226,7 +237,7 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8):
     reports the ladder's pole (None for a connection)."""
     ladder = ModuleFamily(module, trunc, pole)
     report = partial(CoverReport, trunc=trunc, pole=ladder.pole(0))
-    verdict = xn_regular_element_check(module, element, f, p_max, trunc, pole)
+    verdict = _regular_element_check(ladder, element, f, p_max)
     if verdict.status != "yes":
         return report("inconclusive", None, (), None)
     n = ladder.num_vars

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from formald import derham
 from formald.derham import (ModuleFamily, build_complex, cohomology_dims,
                             cokernel_of_dn, complex_from_family, kernel_of_dn,
                             les_consistency, stable_cohomology_dims,
@@ -17,7 +18,7 @@ from formald.parser import parse_module
 from formald.series import (LinearSubstitution, Series,
                             apply_linear_substitution)
 
-from conftest import random_series, span_rank
+from conftest import cli_report, random_series, span_rank
 
 
 def test_structure_dzero_shape():
@@ -302,6 +303,16 @@ STABLE_CASES = [
     ("R_loc(x1^2-x2^3)", 2, [(n, k) for n in (1, 3, 5) for k in (0, 1, 2)]),
     ("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2,
      [(n, None) for n in range(1, 6)]),
+    # the stable dims run on the weight-0 block; the reference above builds
+    # the full window: a rank-3 lattice, a negative weight, two weights one
+    # of which has degree 0, a weight of a non-reduced support, a rank-1
+    # lattice of three branches, and the empty lattice
+    ("R_loc(x1*x2*x3)", 3, [(1, 0), (2, 1)]),
+    ("R_loc(x2+x1*x2^2)", 2, [(n, k) for n in (0, 2, 4) for k in (0, 1, 2)]),
+    ("R_loc(x1^2*x2+x3)", 3, [(1, 0), (1, 1), (2, 1)]),
+    ("R_loc(x1*(1+x2))", 2, [(n, k) for n in (0, 2, 4) for k in (0, 1, 2)]),
+    ("R_loc(x1*x2*(x1+x2))", 2, [(n, k) for n in (0, 2, 3) for k in (0, 1, 2)]),
+    ("R_loc(x1^2+x2^2+x2^3)", 2, [(n, k) for n in (0, 2) for k in (0, 1)]),
 ]
 
 
@@ -312,3 +323,78 @@ def test_stable_dims_match_the_rank_only_formula(text, n, truncations):
         module = parse_module(text, n, 30)
         assert (stable_cohomology_dims(module, trunc, pole).dims
                 == rank_only_stable_dims(module, trunc, pole))
+
+
+def _signed(lattice):
+    """Each weight with its first nonzero entry made positive."""
+    out = []
+    for w, d in lattice:
+        sign = 1 if next(c for c in w if c) > 0 else -1
+        out.append((tuple(sign * c for c in w), sign * d))
+    return out
+
+
+@pytest.mark.parametrize("text, n, rank, expected", [
+    ("R_loc(x1*x2)", 2, 2, None),
+    ("R_loc(x1^2-x2^3)", 2, 1, [((3, 2), 6)]),
+    ("R_loc(x1*(1+x2))", 2, 1, [((1, 0), 1)]),
+    ("R_loc(x2+x1*x2^2)", 2, 1, [((1, -1), -1)]),
+    ("R_loc(x1^2+x2^2+x2^3)", 2, 0, []),
+    ("R_loc(x+x^2)", 1, 0, []),
+    ("R_loc(exp(x)-1)", 1, 0, []),
+])
+def test_weight_lattice(text, n, rank, expected):
+    module = parse_module(text, n, 30)
+    lattice = module.weight_lattice
+    assert len(lattice) == rank
+    for w, d in lattice:
+        assert all(sum(a * b for a, b in zip(w, e)) == d for e in module.f_terms)
+    if expected is not None:
+        assert _signed(lattice) == expected
+
+
+def test_presentations_without_a_lattice():
+    assert parse_module("R", 2, 30).weight_lattice == ()
+    assert parse_module("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2,
+                        30).weight_lattice == ()
+
+
+@pytest.mark.parametrize("text, dims", [
+    # normal crossings x1..x4: binomial(4, i), by the comparison theorem
+    ("R_loc(x1*x2*x3*x4)", ("1", "4", "6", "4", "1")),
+    # A1 in four variables: the Milnor fibre is S^3 with monodromy
+    # (-1)^4 = +1, so the link complement has h^1 = h^3 = h^4 = 1
+    ("R_loc(x1^2+x2^2+x3^2+x4^2)", ("1", "1", "0", "1", "1")),
+])
+def test_derham_oracles_in_four_variables(text, dims):
+    code, report = cli_report(["derham", "--module", text, "--vars", "4",
+                               "--trunc", "4", "--pole-bound", "2"])
+    assert code == 0
+    assert tuple(report[f"h{i}"] for i in range(5)) == dims
+
+
+def test_stable_dims_assemble_only_the_weight_0_block(monkeypatch):
+    # A1 at (4, 2): the full source window is (165, 660, 858, 364) cells
+    built = []
+    assemble = derham.complex_from_family
+
+    def recorded(family, truncation, description):
+        complex_ = assemble(family, truncation, description)
+        built.append(tuple(complex_.dims))
+        return complex_
+
+    monkeypatch.setattr(derham, "complex_from_family", recorded)
+    module = parse_module("R_loc(x1^2+x2^2+x3^2)", 3, 30)
+    assert stable_cohomology_dims(module, 4, 2).dims == (1, 1, 0, 0)
+    assert built[0] == (15, 63, 84, 36)
+    window = ModuleFamily(module, 4, 2)
+    assert [len(window.cells(i)) for i in range(4)] == [165, 660, 858, 364]
+
+
+def test_an_empty_lattice_keeps_the_window_in_its_order():
+    module = parse_module("R_loc(x1^2+x2^2+x2^3)", 2, 30)
+    block = ModuleFamily(module, 3, 1, block=True)
+    window = ModuleFamily(module, 3, 1)
+    for t in range(3):
+        assert block.basis(t) == window.basis(t)
+        assert block.cells(t) == window.cells(t)

@@ -9,6 +9,7 @@ through the library functions with tuple elements.
 import pytest
 
 from formald import regularity as reg
+from formald.derham import ModuleFamily
 from formald.errors import PoleBudgetExceeded, PreconditionViolated
 from formald.modules import LocElement
 from formald.parser import parse_module, parse_series
@@ -110,6 +111,31 @@ def test_cli_verdicts(check, tail, code, expected):
     got_code, report = cli_report(["regularity", check] + tail)
     assert got_code == code
     assert {k: report[k] for k in expected if k in report} == expected
+
+
+# each probe builds one ladder: e0-cover's regularity check and every power
+# reglink tries (none succeeds here, so all four run) share it
+@pytest.mark.parametrize("check, tail, status", [
+    ("e0-cover", RING + ["--element", "1", "--f", "x2"], "yes"),
+    ("reglink", RING + ["--element", "x1+x2^2", "--f", "x2", "--pmax", "1",
+                        "--smax", "3"], "none"),
+    ("e0-cover", LOC + ["--trunc", "5", "--element", "1", "--element-pole",
+                        "1", "--f", "x2"], "yes"),
+    ("reglink", LOC + ["--trunc", "4", "--element", "x1+x2^2", "--f", "x2+x1",
+                       "--smax", "3", "--pmax", "1"], "none"),
+])
+def test_probe_builds_one_ladder(check, tail, status, monkeypatch):
+    builds = []
+    init = ModuleFamily.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleFamily, "__init__", counted)
+    _, report = cli_report(["regularity", check] + tail)
+    assert report["status"] == status
+    assert len(builds) == 1
 
 
 # curvature d_2(x2) - d_1(0) = 1: derham rejects it, and so must every probe,
