@@ -19,10 +19,15 @@ that raises a grading, through one solver, :func:`_solve_graded`: it fixes
 x one grade layer at a time, so each costs about one truncated product.
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
-on them: ``Series.__mul__`` and the steps of ``_solve_graded`` split each
-factor once into integer numerators over the lcm of its denominators
-(:func:`_split`), run ``add_product`` on the integers, and make one
-``Fraction`` per output term.
+on them.  ``Series.__mul__`` splits each factor once into integer
+numerators over the lcm of its denominators (:func:`_split`), runs
+``add_product`` on the integers and makes one ``Fraction`` per output
+term; a one-term factor c*x^m only shifts the other's terms by m and
+scales them by c.  ``_solve_graded`` keeps its pending terms in one bucket
+per grade, integer numerators over a denominator of the bucket's own, and
+its steps hand it integer images with a multiplier p/q: a ``Fraction`` is
+made once per coefficient of the solution and once per step for the
+multiplier.
 """
 
 from __future__ import annotations
@@ -303,6 +308,13 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         prec = min(self.precision, other.precision)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            mono, rest = (self, other) if len(self.terms) == 1 else (other, self)
+            ((shift, c),) = mono.terms.items()
+            room = prec - sum(shift)
+            return Series._raw(self.num_vars, prec,
+                               {tuple(map(add, shift, e)): c * v
+                                for e, v in rest.terms.items() if sum(e) <= room})
         a, da = _split(self.terms)
         b, db = _split(other.terms)
         den = da * db
@@ -548,24 +560,50 @@ def format_poly(terms, names):
 def _solve_graded(rhs, step, grade, top):
     """The x with x = rhs + step(x), as an exponent -> Fraction dict.
 
-    ``step(layer, den, out)`` adds its image of the layer ``layer``/``den``
-    (integer numerators over one denominator) into the Fraction dict
-    ``out``; it must be linear and raise ``grade`` by at least 1, and keep
-    no term of grade above ``top``.  The layers of x are fixed in
-    increasing grade: the layer of grade k is what ``rhs`` and the images
-    of the lower layers leave there, and it passes through ``step`` once,
-    so the solve costs about one product with step's multiplier.
+    Pending terms wait in one bucket per grade: integer numerators over a
+    positive integer denominator.  ``step(layer, den, add)`` gets a layer
+    as integers over ``den`` and calls ``add(image, p, q)`` to add
+    image*p/q, image an integer dict; it must be linear and raise ``grade``
+    by at least 1, and keep no term of grade above ``top``.  ``add`` merges
+    each grade's part of the image into its bucket over lcm(D, q), and
+    rescales the bucket only when that lcm changes.  The layers of x are
+    fixed in increasing grade: the layer of grade k is popped from its
+    bucket and divided by the gcd of its denominator and numerators, and
+    it passes through ``step`` once, so the solve costs about one product
+    with step's multiplier.
     """
-    pending, x = dict(rhs), {}
+    buckets = {}  # grade -> [numerators, denominator]
+
+    def add(image, p, q):
+        groups = {}
+        for e, v in image.items():
+            groups.setdefault(grade(e), {})[e] = v
+        for k, group in groups.items():
+            terms, den = bucket = buckets.setdefault(k, [{}, q])
+            common = math.lcm(den, q)
+            if common != den:
+                rescale = common // den
+                for e in terms:
+                    terms[e] *= rescale
+                bucket[1] = common
+            vec_add_scaled(terms, group, p * (common // q))
+
+    rhs, den = _split(rhs)
+    add(rhs, 1, den)
+    x = {}
     for k in range(top + 1):
-        if not pending:
+        if not buckets:
             break
-        layer = {e: c for e, c in pending.items() if grade(e) == k}
-        if layer:
-            for e in layer:
-                del pending[e]
-            x.update(layer)
-            step(*_split(layer), pending)
+        layer, den = buckets.pop(k, ({}, 1))
+        if not layer:
+            continue
+        common = math.gcd(den, *layer.values())
+        if common > 1:
+            layer = {e: v // common for e, v in layer.items()}
+            den //= common
+        for e, v in layer.items():
+            x[e] = Fraction(v, den)
+        step(layer, den, add)
     return x
 
 
@@ -582,8 +620,9 @@ def invert_unit(a):
     inv = 1 / c0
     rest, den = _split({e: c for e, c in a.terms.items() if any(e)})
 
-    def step(layer, scale, out):
-        vec_add_scaled(out, add_product({}, layer, rest, prec), -inv / (scale * den))
+    def step(layer, scale, add):
+        factor = -inv / (scale * den)
+        add(add_product({}, layer, rest, prec), factor.numerator, factor.denominator)
 
     return Series._raw(n, prec, _solve_graded({(0,) * n: inv}, step, sum, prec))
 
@@ -599,10 +638,13 @@ def exp_series(a):
     n, prec = a.num_vars, a.precision
     theta_a, den = _split({e: c * sum(e) for e, c in a.terms.items()})
 
-    def step(layer, scale, out):
-        product = add_product({}, layer, theta_a, prec)
-        vec_add_scaled(out, {e: Fraction(v, sum(e)) for e, v in product.items()},
-                       Fraction(1, scale * den))
+    def step(layer, scale, add):
+        # E_k = [theta(a)*E]_k / k: each total degree g has its own divisor
+        by_degree = {}
+        for e, v in add_product({}, layer, theta_a, prec).items():
+            by_degree.setdefault(sum(e), {})[e] = v
+        for g, image in by_degree.items():
+            add(image, 1, scale * den * g)
 
     return Series._raw(n, prec, _solve_graded({(0,) * n: Fraction(1)}, step,
                                               sum, prec))
@@ -696,14 +738,16 @@ def weierstrass_divide(g, f):
                   for k in range(d)]
     f_high, *low_coeffs, den = _split(f_high, *low_coeffs)
 
-    def step(layer, scale, out):
+    def step(layer, scale, add):
         image = add_product({}, layer, f_high, window)
         for k, coeff in enumerate(low_coeffs):
             add_product(image, _xn_quotient(layer, d - k), coeff, window - d)
-        vec_add_scaled(out, image, -inv / (scale * den))
+        factor = -inv / (scale * den)
+        add(image, factor.numerator, factor.denominator)
 
-    q = _solve_graded(vec_add_scaled({}, _xn_quotient(g.terms, d), inv), step,
-                      lambda e: (d + 1) * sum(e) - d * e[-1], (d + 1) * window)
+    rhs = {e: c * inv for e, c in _xn_quotient(g.terms, d).items()}
+    q = _solve_graded(rhs, step, lambda e: (d + 1) * sum(e) - d * e[-1],
+                      (d + 1) * window)
     q = Series._raw(f.num_vars, window, q)
     remainder = g - q * f
     if any(e[-1] >= d for e in remainder.terms):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formald.errors import (InsufficientPrecision, NotAUnit, NotRegular,
                             UnsupportedExponent)
@@ -728,8 +728,20 @@ def test_ring_laws_keep_the_least_precision(triple):
     assert (a * b).precision == (a + b).precision == min(a.precision, b.precision)
 
 
+# one-term factors, which Series.__mul__ multiplies as a shift: a monomial
+# times a series and the other way round, a monomial beyond the other
+# factor's precision (the product is zero), and a constant
+_SERIES = Series(2, 5, {(0, 0): Fraction(1, 3), (2, 0): 2, (1, 2): Fraction(-5, 6),
+                        (0, 4): Fraction(7, 2), (3, 2): 1})
+_MONOMIAL = Series(2, 4, {(1, 1): Fraction(-3, 2)})
+
+
 @KERNEL_SETTINGS
 @given(series_pairs(kernel_rationals))
+@example((_MONOMIAL, _SERIES))
+@example((_SERIES, _MONOMIAL))
+@example((Series(2, 6, {(4, 2): Fraction(2, 3)}), _SERIES))
+@example((_SERIES, Series.constant(2, Fraction(-4, 3), 6)))
 def test_series_product_matches_the_fraction_product(pair):
     a, b = pair
     assert a * b == _fraction_mul(a, b)
@@ -777,3 +789,58 @@ def test_factorial_denominators_match_the_fraction_code():
         f = Series(n, prec, {**{e: c for e, c in dense(n, prec).terms.items()
                                 if e[:-1] != axis}, axis + (2,): Fraction(1, 2)})
         assert weierstrass_divide(b, f) == _fraction_divide(b, f)
+
+
+def test_graded_solves_on_edge_cases():
+    # answers the generators never draw: no variables, precision 0, g = 0,
+    # regularity order d equal to the window, and d = 0
+    a = Series.constant(0, Fraction(2, 3), 3)
+    assert invert_unit(a) == Series.constant(0, Fraction(3, 2), 3) == _fraction_invert(a)
+    a = Series.zero(0, 3)
+    assert exp_series(a) == Series.one(0, 3) == _fraction_exp(a)
+    a = Series.constant(2, 3, 0)
+    assert invert_unit(a) == Series.constant(2, Fraction(1, 3), 0) == _fraction_invert(a)
+
+    x1, x2 = x(1, 2, 5), x(2, 2, 5)
+    g, f = Series.zero(2, 5), x2 ** 2 + x1
+    expected = (Series.zero(2, 3), [Series.zero(1, 3)] * 2)
+    assert weierstrass_divide(g, f) == expected == _fraction_divide(g, f)
+
+    x1, x2 = x(1, 2, 3), x(2, 2, 3)
+    g, f = x1 + x2 ** 3, x2 ** 3 + x1
+    expected = (Series.one(2, 0), [Series.zero(1, 0)] * 3)
+    assert weierstrass_divide(g, f) == expected == _fraction_divide(g, f)
+
+    t = x(1, 1, 4)
+    g, f = 1 + t, 2 + t
+    q = Series(1, 4, {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(-1, 8),
+                      (3,): Fraction(1, 16), (4,): Fraction(-1, 32)})
+    assert weierstrass_divide(g, f) == (q, []) == _fraction_divide(g, f)
+
+
+def test_graded_solves_accumulate_integers_only(monkeypatch):
+    """Pending terms of every graded solve are summed as integers: each
+    accumulate gets an int factor and int values, also for inputs over
+    denominators 2 and 3 with a unit constant of 3/2."""
+    import formald.series as series_module
+    kernel = series_module.vec_add_scaled
+    calls = [0]
+
+    def integer_only(target, source, factor):
+        assert type(factor) is int
+        assert all(type(v) is int for v in target.values())
+        assert all(type(v) is int for v in source.values())
+        calls[0] += 1
+        return kernel(target, source, factor)
+
+    monkeypatch.setattr(series_module, "vec_add_scaled", integer_only)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    unit = Series(2, 5, {(0, 0): 3 * half, (1, 0): half, (0, 1): -third,
+                         (1, 1): 2 * third, (0, 3): 5 * half})
+    f = Series(2, 5, {(0, 2): 3 * half, (1, 0): half, (1, 1): -third,
+                      (0, 3): 2 * third, (2, 1): half})
+    invert_unit(unit)
+    exp_series(unit - 3 * half)
+    weierstrass_divide(unit, f)
+    weierstrass_prepare(f)
+    assert calls[0]
