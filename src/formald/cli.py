@@ -307,11 +307,9 @@ def _run_regularity(args, report):
 # -- argument wiring --------------------------------------------------------
 
 
-def _common_flags(sub, pole_default=4):
+def _common_flags(sub):
     sub.add_argument("--vars", type=int, required=True, help="number of variables")
     sub.add_argument("--trunc", type=int, default=8, help="series truncation degree")
-    sub.add_argument("--pole-bound", type=int, default=pole_default,
-                     help="pole-order budget")
     sub.add_argument("--machine", action="store_true",
                      help="emit the report as JSON")
 
@@ -363,18 +361,22 @@ def build_argparser():
     p.add_argument("--schedule", default=None,
                    help='truncation schedule, e.g. "6,4;8,5"')
     _common_flags(p)
+    p.add_argument("--pole-bound", type=int, default=4, help="pole-order budget")
 
     p = verbs.add_parser("kernel", help="kernel of d_n on a module")
     p.add_argument("--module", required=True)
     _common_flags(p)
+    p.add_argument("--pole-bound", type=int, default=4, help="pole-order budget")
 
     p = verbs.add_parser("cokernel", help="cokernel of d_n on a module")
     p.add_argument("--module", required=True)
     _common_flags(p)
+    p.add_argument("--pole-bound", type=int, default=4, help="pole-order budget")
 
     p = verbs.add_parser("les", help="long-exact-sequence dimension constraints")
     p.add_argument("--module", required=True)
     _common_flags(p)
+    p.add_argument("--pole-bound", type=int, default=4, help="pole-order budget")
 
     p = verbs.add_parser("regularity", help="finite-generation verifiers")
     p.add_argument("check", choices=["etau", "element", "reglink",
@@ -387,7 +389,8 @@ def build_argparser():
     p.add_argument("--coeffs", default=None)
     p.add_argument("--pmax", type=int, default=8)
     p.add_argument("--smax", type=int, default=4)
-    _common_flags(p, pole_default=8)
+    _common_flags(p)
+    p.add_argument("--pole-bound", type=int, default=8, help="pole-order budget")
 
     return parser
 

@@ -40,6 +40,15 @@ whole window in its usual order, and the kernel, cokernel and
 long-exact-sequence checks always assemble whole windows: they print
 window sizes.
 
+Stable dims are ranks only.  With D = d_src^i, M the comparison's level
+maps and B = d_tgt^{i-1}, h^i = rank [B | M ker D] - rank B, and
+rank [[0, D], [B, M]] = rank D + rank [B | M ker D].  So one untracked
+echelon per degree takes B in rows >= off = dim C^{i+1}_src and then
+each source cell's stacked column (D x in rows < off, M x in rows >=
+off).  A forward echelon stores each vector under its least row, so the
+pivots >= off span exactly the vectors of the span that vanish in rows
+< off: there are rank [B | M ker D] of them, and no kernel is formed.
+
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.
@@ -53,11 +62,10 @@ vectors, so an exact rank costs no ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .linalg import ColumnEchelon, Matrix, vec_add_scaled
+from .linalg import ColumnEchelon, Matrix
 
 # -- level families --------------------------------------------------------
 
@@ -383,29 +391,6 @@ def _comparison_pair(module, trunc, pole, block=False):
     return fam_src, fam_tgt, maps, deepened
 
 
-def _mapped_cocycles(complex_src, level_cols, cells_src, cells_tgt, i):
-    """Images of the degree-i cocycles of the source complex under the
-    level maps, each cocycle first scaled to integers (which does not
-    change the rank a column adds)."""
-    top = len(complex_src.differentials)
-    if i < top:
-        cocycles = complex_src.differentials[i].nullspace()
-    else:
-        cocycles = [{j: 1} for j in range(complex_src.dims[i])]
-    target = _cell_positions(cells_tgt)
-    mapped = []
-    for z in cocycles:
-        scale = math.lcm(*(v.denominator for v in z.values()))
-        vec = {}
-        for idx, val in z.items():
-            key_pos, form = cells_src[idx]
-            rows = target.get(form, {})
-            col = {rows[row]: c for row, c in level_cols[key_pos].items()}
-            vec_add_scaled(vec, col, val.numerator * (scale // val.denominator))
-        mapped.append(vec)
-    return mapped
-
-
 def stable_cohomology_dims(module, trunc, pole=None):
     """Dimension of the image of H(C_{N,K}) in H of a one-step deepening.
 
@@ -418,7 +403,12 @@ def stable_cohomology_dims(module, trunc, pole=None):
 
     Both ladders are blocks: only the multidegree-0 cells of the
     presentation's weight lattice, which carry the whole image (see
-    :class:`formald.modules.Localization` for why that is exact)."""
+    :class:`formald.modules.Localization` for why that is exact).
+
+    Degree i is rank [B | M ker D] - rank B: the pivots >= off of one
+    untracked echelon on B and the stacked source columns (D x; M x),
+    less B's rank.  The module docstring says why those pivots count
+    rank [B | M ker D]."""
     fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole,
                                                         block=True)
     complex_src = complex_from_family(
@@ -428,13 +418,20 @@ def stable_cohomology_dims(module, trunc, pole=None):
     top = len(fam_src.axes)
     dims = []
     for i in range(top + 1):
-        mapped = _mapped_cocycles(complex_src, maps(i), fam_src.cells(i),
-                                  fam_tgt.cells(i), i)
-        ech = ColumnEchelon(complex_tgt.differentials[i - 1].cols if i else ())
+        off = complex_src.dims[i + 1] if i < top else 0
+        boundaries = complex_tgt.differentials[i - 1].cols if i else ()
+        ech = ColumnEchelon({row + off: c for row, c in col.items()}
+                            for col in boundaries)
         boundary_rank = ech.rank
-        for vec in mapped:
-            ech.add(vec)
-        dims.append(ech.rank - boundary_rank)
+        target = _cell_positions(fam_tgt.cells(i))
+        level_cols = maps(i)
+        for pos, (key_pos, form) in enumerate(fam_src.cells(i)):
+            rows = target.get(form, {})
+            col = {off + rows[row]: c for row, c in level_cols[key_pos].items()}
+            if i < top:
+                col.update(complex_src.differentials[i].cols[pos])
+            ech.add(col)
+        dims.append(sum(row >= off for row in ech.pivots()) - boundary_rank)
     return CohomologyReport(dims=tuple(dims), truncation=(trunc, pole),
                             deepened=deepened)
 

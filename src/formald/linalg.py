@@ -12,7 +12,7 @@ and fraction-free: every stored vector is a primitive integer vector, and
 it keeps combinations of the added columns, as integers over one
 denominator, only where they are read.  ``Fraction``s are made only in
 what ``add``, ``express`` and ``project`` return, and so in
-``Matrix.nullspace`` and ``Matrix.solve``.
+``Matrix.nullspace``.
 ``vec_add_scaled`` is the one scaled accumulate of sparse vectors;
 truncated products of exponent dicts go through
 :func:`formald.series.add_product`.
@@ -221,9 +221,6 @@ class Matrix:
     def rank(self):
         return ColumnEchelon(self.cols).rank
 
-    def nullity(self):
-        return self.ncols - self.rank()
-
     def nullspace(self):
         """Deterministic basis of the kernel (vectors over column indices)."""
         ech = ColumnEchelon(track=True)
@@ -233,8 +230,3 @@ class Matrix:
             if comb is not None:  # its labels are all below j
                 basis.append({j: Fraction(1), **{k: -v for k, v in comb.items()}})
         return basis
-
-    def solve(self, rhs):
-        """One solution of self * x = rhs (free coordinates 0), or None."""
-        return ColumnEchelon(self.cols, track=True).express(rhs)
-

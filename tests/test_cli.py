@@ -148,3 +148,23 @@ def test_one_flatness_check_per_invocation(argv, monkeypatch):
     code, report = cli_report(argv)
     assert code in (0, 2) and report["status"] != "error"
     assert len(calls) == 1
+
+
+# a verb whose handler builds no ladder takes no pole budget
+NO_LADDER = [["prep", "x2", "--vars", "1"],
+             ["divide", "x1", "x1", "--vars", "1"],
+             ["regularize", "x1", "--vars", "1"],
+             ["poisson", "x1", "z1", "--vars", "1"],
+             ["bracket-probe", "x1", "--vars", "1"],
+             ["involutive", "z1", "--vars", "1"]]
+
+
+@pytest.mark.parametrize("argv", NO_LADDER, ids=" ".join)
+def test_verbs_without_a_ladder_reject_a_pole_bound(argv, capsys):
+    from formald.cli import build_argparser, main
+
+    build_argparser().parse_args(argv)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--pole-bound", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --pole-bound 1" in capsys.readouterr().err

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from formald import derham
+from formald import derham, linalg
 from formald.derham import (ModuleFamily, build_complex, cohomology_dims,
                             cokernel_of_dn, complex_from_family, kernel_of_dn,
                             les_consistency, stable_cohomology_dims,
                             stabilized_dims)
 from formald.errors import NonIntegrable
-from formald.linalg import ColumnEchelon
+from formald.linalg import ColumnEchelon, Matrix
 from formald.modules import ModulePresentation
 from formald.parser import parse_module
 from formald.series import (LinearSubstitution, Series,
@@ -262,6 +262,16 @@ def test_twisted_connection_dims():
     assert report.dims == (1, 0, 0)
 
 
+def _full_window_pair(module, trunc, pole):
+    """Source and target full-window ladders, their complexes and level maps."""
+    deepened = module.deepened(trunc, pole)
+    fam_src, fam_tgt, maps = module.comparison(
+        ModuleFamily(module, trunc, pole), ModuleFamily(module, *deepened))
+    src = complex_from_family(fam_src, None, "source")
+    tgt = complex_from_family(fam_tgt, None, "target")
+    return src, tgt, maps, len(fam_src.axes)
+
+
 def rank_only_stable_dims(module, trunc, pole):
     """The stable dims by ranks only, one untracked echelon per degree i:
     with off = dim C^{i+1}_src, the target boundaries B are shifted to rows
@@ -270,12 +280,7 @@ def rank_only_stable_dims(module, trunc, pole):
     = rank D + rank [B | M ker D], and the pivot rows are where the
     row-prefix rank rises, the pivots >= off count the mapped cocycles plus
     the boundaries."""
-    deepened = module.deepened(trunc, pole)
-    fam_src, fam_tgt, maps = module.comparison(
-        ModuleFamily(module, trunc, pole), ModuleFamily(module, *deepened))
-    src = complex_from_family(fam_src, None, "source")
-    tgt = complex_from_family(fam_tgt, None, "target")
-    top = len(fam_src.axes)
+    src, tgt, maps, top = _full_window_pair(module, trunc, pole)
     dims = []
     for i in range(top + 1):
         n_forms = math.comb(top, i)
@@ -293,6 +298,30 @@ def rank_only_stable_dims(module, trunc, pole):
                 col.update(src.differentials[i].cols[x])
             ech.add(col)
         dims.append(sum(1 for row in ech.pivots() if row >= off) - boundary_rank)
+    return tuple(dims)
+
+
+def cocycle_stable_dims(module, trunc, pole):
+    """The stable dims through explicit cocycles, on full windows: a
+    nullspace basis of d_src^i (every cell at the top degree), each
+    cocycle mapped through the level columns, and the rank those images
+    add over the target boundaries."""
+    src, tgt, maps, top = _full_window_pair(module, trunc, pole)
+    dims = []
+    for i in range(top + 1):
+        n_forms = math.comb(top, i)
+        level_cols = maps(i)
+        cells = [divmod(x, n_forms) for x in range(src.dims[i])]
+        level_map = Matrix.from_cols(
+            [{row * n_forms + fpos: c for row, c in level_cols[key_pos].items()}
+             for key_pos, fpos in cells], tgt.dims[i])
+        cocycles = (src.differentials[i].nullspace() if i < top
+                    else [{x: 1} for x in range(src.dims[i])])
+        ech = ColumnEchelon(tgt.differentials[i - 1].cols if i else ())
+        boundary_rank = ech.rank
+        for z in cocycles:
+            ech.add(level_map.apply(z))
+        dims.append(ech.rank - boundary_rank)
     return tuple(dims)
 
 
@@ -319,10 +348,38 @@ STABLE_CASES = [
 @pytest.mark.parametrize("text, n, truncations", STABLE_CASES,
                          ids=[f"{text} n={n}" for text, n, _ in STABLE_CASES])
 def test_stable_dims_match_the_rank_only_formula(text, n, truncations):
+    # the rank-only reference shares the formula with the block; the
+    # cocycle reference maps an explicit kernel basis instead
     for trunc, pole in truncations:
         module = parse_module(text, n, 30)
-        assert (stable_cohomology_dims(module, trunc, pole).dims
-                == rank_only_stable_dims(module, trunc, pole))
+        dims = stable_cohomology_dims(module, trunc, pole).dims
+        assert dims == rank_only_stable_dims(module, trunc, pole)
+        assert dims == cocycle_stable_dims(module, trunc, pole)
+
+
+def test_stable_dims_run_no_nullspace_and_no_tracked_echelon(monkeypatch):
+    def refused(self):
+        raise AssertionError("stable dims took a nullspace")
+
+    cases = [("R", 3, 4, None),
+             ("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2, 5, None),
+             ("R_loc(x1*x2)", 2, 4, 2)]
+    modules = [parse_module(text, n, 30) for text, n, _, _ in cases]
+    # weight_lattice takes its own nullspace, with a tracked echelon
+    assert len(modules[2].weight_lattice) == 2
+    tracked = []
+    init = linalg.ColumnEchelon.__init__
+
+    def recorded(self, columns=(), track=False):
+        tracked.append(track)
+        init(self, columns, track)
+
+    monkeypatch.setattr(linalg.Matrix, "nullspace", refused)
+    monkeypatch.setattr(linalg.ColumnEchelon, "__init__", recorded)
+    dims = [stable_cohomology_dims(module, trunc, pole).dims
+            for module, (_, _, trunc, pole) in zip(modules, cases)]
+    assert dims == [(1, 0, 0, 0), (2, 0, 0), (1, 2, 1)]
+    assert tracked and not any(tracked)
 
 
 def _signed(lattice):
