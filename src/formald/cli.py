@@ -12,6 +12,7 @@ check or a Weierstrass remainder with a term of x_n-degree >= d):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -411,9 +412,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` reads: built on the first call, not at import,
+    and then kept for the process (``build_argparser`` makes fresh ones)."""
+    return build_argparser()
+
+
 def main(argv=None):
-    parser = build_argparser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     report = Report(args.verb)
     try:
         _check_args(args)

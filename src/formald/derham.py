@@ -84,11 +84,15 @@ class _Ladder:
 class ModuleFamily(_Ladder):
     """The truncation ladder of a module presentation.
 
-    The only holder of the truncation (N, K).  Caches the level bases;
-    the geometry and the columns of every level come from the
-    presentation, which validates the truncation and returns the pole0:
-    K for a localization, which needs one, and None for a connection,
-    which must be flat and known to precision.
+    The only holder of the truncation (N, K).  Caches the level bases,
+    the cells and the d_axis columns of every (axis, level), so the
+    complexes built on one ladder (the module's, and its kernel's and
+    cokernel's in the LES check) share one build of each; callers must
+    not mutate the cached columns.  The geometry and the columns of
+    every level come from the presentation, which validates the
+    truncation and returns the pole0: K for a localization, which needs
+    one, and None for a connection, which must be flat and known to
+    precision.
 
     A ``block`` ladder holds only the multidegree-0 cells of the
     presentation's weight lattice: level t's basis is the labels of its
@@ -107,6 +111,7 @@ class ModuleFamily(_Ladder):
         self._basis_cache = {}
         self._index_cache = {}
         self._cells_cache = {}
+        self._partial_cache = {}
 
     def bound(self, t):
         return self.module.level_bound(self, t)
@@ -166,7 +171,12 @@ class ModuleFamily(_Ladder):
         """Images of the level-t basis under d_axis, in level t+1
         coordinates.  A block differentiates only the labels of degree-t
         cells without dx_axis (the others' images leave the block) and
-        reads None for the rest."""
+        reads None for the rest.  Built once per (axis, t)."""
+        if (axis, t) not in self._partial_cache:
+            self._partial_cache[axis, t] = self._build_partial(axis, t)
+        return self._partial_cache[axis, t]
+
+    def _build_partial(self, axis, t):
         labels = self.basis(t)
         if not self.lattice:
             return self.module.partial_columns(self, axis, t, labels)

@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
-from .linalg import Matrix
+from .linalg import Matrix, vec_add_scaled
 from .series import Series, add_product, format_poly, monomials_upto, try_divide
 
 
@@ -201,20 +202,29 @@ class Localization(ModulePresentation):
         return f"({mono})/f^{ladder.pole(t)}"
 
     def partial_columns(self, ladder, axis, t, labels):
-        """d(x^e/f^k) = (d(x^e) f - k x^e d(f)) / f^(k+1), in level t+1,
-        for the given level-t labels."""
+        """d(x^e/f^k) = (e_j x^(e-1_j) f - k x^e d_j(f)) / f^(k+1), in level
+        t+1, for the given level-t labels.
+
+        Nothing is truncated: both products have degree <= |e| + deg f - 1
+        <= B_t + max(deg f - 1, 0) = B_(t+1), the bound of level t+1.  So
+        each column is f shifted by e - 1_j and scaled by e_j, plus d_j f
+        shifted by e and scaled by -k."""
         index = ladder.index(t + 1)
-        bound = ladder.bound(t + 1)
         k = ladder.pole(t)
         j = axis - 1
-        df_terms = _ladder_terms(self.f.partial(axis).terms)
+        f_terms = list(self.f_terms.items())
+        df_terms = list(_ladder_terms(self.f.partial(axis).terms).items())
         cols = []
         for _, e in labels:
-            part = {}
             if e[j]:
-                add_product(part, {_lowered(e, j): e[j]}, self.f_terms, bound)
-            add_product(part, {e: 1}, df_terms, bound, -k)
-            cols.append({index[(0, exps)]: c for exps, c in part.items()})
+                low, ej = _lowered(e, j), e[j]
+                col = {index[(0, tuple(map(add, low, ef)))]: ej * c
+                       for ef, c in f_terms}
+            else:
+                col = {}
+            vec_add_scaled(col, {index[(0, tuple(map(add, e, ed)))]: c
+                                 for ed, c in df_terms}, -k)
+            cols.append(col)
         return cols
 
     def deepened(self, trunc, pole):

@@ -168,3 +168,27 @@ def test_verbs_without_a_ladder_reject_a_pole_bound(argv, capsys):
         main(argv + ["--pole-bound", "1"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --pole-bound 1" in capsys.readouterr().err
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    from formald import cli
+
+    builds = []
+    build = cli.build_argparser
+    monkeypatch.setattr(cli, "build_argparser",
+                        lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    les = next(c for c in GOLDEN if c["argv"][:3] == ["les", "--module", "R_loc(x1*x2)"])
+    derham = next(c for c in GOLDEN if c["argv"][0] == "derham")
+
+    def matches_golden(case):
+        code, text = run_cli(case["argv"])
+        return (text.splitlines(), code) == (case["stdout"], case["exit"])
+
+    assert matches_golden(les) and matches_golden(derham)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["les", "--module", "R", "--vars", "two"])
+    assert exit_.value.code == 2
+    assert "argument --vars: invalid int value" in capsys.readouterr().err
+    assert matches_golden(les)
+    assert builds == [1]

@@ -13,7 +13,7 @@ from formald.derham import (ModuleFamily, build_complex, cohomology_dims,
                             stabilized_dims)
 from formald.errors import NonIntegrable
 from formald.linalg import ColumnEchelon, Matrix
-from formald.modules import ModulePresentation
+from formald.modules import Localization, ModulePresentation
 from formald.parser import parse_module
 from formald.series import (LinearSubstitution, Series,
                             apply_linear_substitution)
@@ -223,6 +223,30 @@ def test_les_consistency_cases():
         assert report.dims_kernel == dims_k
         assert report.dims_cokernel == dims_c
         assert report.consistent
+
+
+def test_les_builds_each_ladder_column_once(monkeypatch):
+    # the module, kernel and cokernel complexes read one base ladder; each
+    # d_axis column list of it is built once per (axis, t)
+    built = []
+    columns = Localization.partial_columns
+
+    def recorded(self, ladder, axis, t, labels):
+        built.append((axis, t, ladder.lattice))
+        return columns(self, ladder, axis, t, labels)
+
+    monkeypatch.setattr(Localization, "partial_columns", recorded)
+    module = parse_module("R_loc(x1*x2*x3)", 3, 30)
+    assert les_consistency(module, 3, 1).consistent
+    assert len(built) == len(set(built)) == 9
+    for block in (False, True):
+        ladder = ModuleFamily(module, 3, 1, block)
+        first = ladder.partial_columns(2, 1)
+        built.clear()
+        again = ladder.partial_columns(2, 1)
+        assert not built
+        assert again == first == ModuleFamily(module, 3, 1,
+                                              block).partial_columns(2, 1)
 
 
 def test_coordinate_invariance_of_dims():

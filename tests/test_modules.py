@@ -1,15 +1,18 @@
 """Module presentations: integrability, derivative actions, normalization."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formald.derham import ModuleFamily
 from formald.errors import PoleBudgetExceeded, WrongVariant
 from formald.modules import (LocElement, ModulePresentation,
                              check_integrability, loc_normalize,
                              partial_action, scalar_action)
-from formald.series import Series
+from formald.series import Series, add_product, monomials_upto
 
 from conftest import random_series, series_agree
 
@@ -158,3 +161,49 @@ def test_connection_action():
     out = partial_action(M, v, 1)
     assert series_agree(out[0], 2 * Series.one(n, prec))
     assert out[1].is_zero()
+
+
+# the conftest coefficient class: numerator in [-4, 4], denominator 1, 1, 2
+# or 3; f runs over polynomials of degree <= 3 in two variables
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+localized = st.dictionaries(st.sampled_from(monomials_upto(2, 3)), rationals,
+                            min_size=1, max_size=5).map(
+    lambda terms: Series(2, 6, terms)).filter(lambda f: not f.is_zero())
+
+
+def product_columns(module, ladder, axis, t, bound):
+    """The quotient rule through the truncated product: the columns of
+    d_axis on level t, every product cut at ``bound``."""
+    index = ladder.index(t + 1)
+    k = ladder.pole(t)
+    j = axis - 1
+    df_terms = module.f.partial(axis).terms
+    cols = []
+    for _, e in ladder.basis(t):
+        part = {}
+        if e[j]:
+            lowered = e[:j] + (e[j] - 1,) + e[j + 1:]
+            add_product(part, {lowered: e[j]}, module.f_terms, bound)
+        add_product(part, {e: 1}, df_terms, bound, -k)
+        cols.append({index[(0, exps)]: c for exps, c in part.items()})
+    return cols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(f=localized, trunc=st.integers(0, 2), pole=st.integers(0, 2))
+# a constant term, degree 1 (where the level bound does not grow), and a
+# unit of degree 0 (whose derivatives vanish)
+@example(f=Series(2, 6, {(0, 0): 1, (1, 1): Fraction(-2, 3)}), trunc=1, pole=2)
+@example(f=Series(2, 6, {(1, 0): 3, (0, 1): Fraction(1, 2)}), trunc=2, pole=1)
+@example(f=Series(2, 6, {(0, 0): 1, (0, 1): -4}), trunc=0, pole=2)
+@example(f=Series(2, 6, {(0, 0): Fraction(-3, 2)}), trunc=2, pole=1)
+def test_shifted_columns_match_the_truncated_product(f, trunc, pole):
+    module = ModulePresentation.localization(f)
+    ladder = ModuleFamily(module, trunc, pole)
+    for axis in (1, 2):
+        for t in (0, 1):
+            cols = ladder.partial_columns(axis, t)
+            assert cols == product_columns(module, ladder, axis, t,
+                                           ladder.bound(t + 1))
+            # no term ever reaches past level t+1: the uncut product agrees
+            assert cols == product_columns(module, ladder, axis, t, math.inf)
