@@ -5,14 +5,29 @@ Grammar: rationals ``p/q``, variables ``x1..xn``, derivative generators
 accepted when there is a single variable), ``+ - * ^``, parentheses and
 ``exp(...)``.  Canonical printing of every value reparses to an equal
 value at the same precision.
+
+The text is tokenized by one regular-expression pass.  A term's leading
+run of factors that commute is read inline into one coefficient, one
+x-exponent and one z-exponent, and no value is built per factor: numbers
+``p``, ``p/q`` and ``p/q^k``, ``x_i^k`` and ``z_i^k``, each also after a
+unary ``-``, and parentheses whose value is a rational, such as ``(-3/2)``.
+From the first other factor on (``d_i``, ``exp(...)``, a parenthesis of any
+other value, ``--``), the term continues by recursive descent, factor by
+factor in the order written.  A sum adds such monomials and its Fraction,
+Series and Symbol summands into one dict, z-exponent to x-exponent to
+coefficient, that is wrapped once; from its first operator summand on,
+summands are added pairwise, as operator coefficients may be known to
+different precisions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ParseError, UnsupportedExponent
+from .errors import InsufficientPrecision, ParseError, UnsupportedExponent
+from .linalg import vec_add_scaled
 from .modules import ModulePresentation
 from .series import Series, exp_series
 from .symbols import Symbol
@@ -24,28 +39,61 @@ _TOKEN = re.compile(r"""
   | (?P<name>[xdz]\d*)
   | (?P<exp>exp\b)
   | (?P<op>[-+*^/()])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "ws":
+            tokens.append((kind, match.group(), match.start()))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+class _Monomial(NamedTuple):
+    """A term read whole by the inline reader: coeff * x^xs * z^zs.  Its
+    rank is what it wraps to: 0 a Fraction (no x or z factor was read),
+    1 a Series, 2 a Symbol."""
+
+    rank: int
+    coeff: Fraction
+    xs: tuple
+    zs: tuple
+
+
+def _folds(token):
+    """Whether a token opens a number or an x_i / z_i factor."""
+    kind, text, _ = token
+    return kind == "num" or kind == "name" and text[0] != "d"
+
+
+def _add_terms(chain, z, terms):
+    """chain[z] += terms on z-exponent -> x-exponent -> Fraction dicts: a
+    new exponent is stored, a repeated one summed by the one scaled
+    accumulate.  chain[z] is dropped when it vanishes, as a SeriesPoly
+    drops a coefficient that vanishes."""
+    into = chain.setdefault(z, {})
+    for e, c in terms.items():
+        if e in into:
+            vec_add_scaled(into, {e: c}, 1)
+        else:
+            into[e] = c
+    if not into:
+        del chain[z]
 
 
 class _Parser:
     """Recursive descent over the token list.
 
     Values stay Fraction / Series / DiffOp / Symbol and are promoted as
-    they combine; mixing d- and z-generators is rejected."""
+    they combine; mixing d- and z-generators is rejected.  ``term`` returns
+    a term read whole by the inline reader as a ``_Monomial``, which
+    ``expr`` adds into its chain or wraps."""
 
     def __init__(self, text, num_vars, precision):
         self.text = text
@@ -53,6 +101,7 @@ class _Parser:
         self.pos = 0
         self.num_vars = num_vars
         self.precision = precision
+        self.zero = (0,) * num_vars
 
     def peek(self):
         return self.tokens[self.pos]
@@ -75,25 +124,81 @@ class _Parser:
         return value
 
     def expr(self):
-        # a chain of Fraction and Series summands is added in one pass at
-        # its end; an operator or symbol summand is added pairwise
-        plain = (Fraction, Series)
-        summands = [self.term()]
+        term = self.term()
+        kind, text, at = self.peek()
+        if text not in ("+", "-"):
+            return self._wrap(term)
+        # the summands joined so far wrap to rank 0 (Fraction), 1 (Series)
+        # or 2 (Symbol); value is the pairwise sum from the first summand the
+        # chain cannot hold on
+        chain, rank, value = {}, -1, None
         while True:
+            if value is not None:
+                value = self._add(value, self._wrap(term), at)
+            elif (joined := self._join(chain, term)) is not None:
+                rank = max(rank, joined)
+            else:
+                value = self._wrap(term)
+                if rank >= 0:
+                    value = self._add(self._chain_value(chain, rank), value, at)
             kind, text, at = self.peek()
             if text not in ("+", "-"):
-                return self._sum(summands)
+                return self._chain_value(chain, rank) if value is None else value
             self.next()
-            value = self.term()
+            term = self.term()
             if text == "-":
-                value = self._neg(value)
-            if isinstance(summands[0], plain) and isinstance(value, plain):
-                summands.append(value)
-            else:
-                summands = [self._add(self._sum(summands), value, at)]
+                term = self._neg(term)
 
     def term(self):
-        value = self.factor()
+        """factor ('*' factor)*.  The leading run of folded factors is
+        num/den * x^xs * z^zs; star is the position of the last '*' read."""
+        tokens, n = self.tokens, self.num_vars
+        num, den, rank, xs, zs = 1, 1, 0, [0] * n, [0] * n
+        star = value = None
+        while True:
+            kind, text, at = tokens[self.pos]
+            negative = text == "-" and _folds(tokens[self.pos + 1])
+            if negative:
+                self.pos += 1
+                kind, text, at = tokens[self.pos]
+            if kind == "num":
+                p, q = self._rational()
+                k = self._exponent()
+                if k is not None:
+                    p, q = p ** k, q ** k
+                num, den = num * p, den * q
+            elif kind == "name" and text[0] != "d":
+                axis = self._axis(text, at)
+                self.pos += 1
+                k = self._exponent()
+                exps, rank = (xs, max(rank, 1)) if text[0] == "x" else (zs, 2)
+                exps[axis - 1] += 1 if k is None else k
+            elif text == "(":
+                self.pos += 1
+                inner = self.expr()
+                self.expect(")")
+                value = self._raise(inner)
+                if not isinstance(value, Fraction):
+                    break
+                num, den = num * value.numerator, den * value.denominator
+                value = None
+            else:
+                break
+            if negative:
+                num = -num
+            if tokens[self.pos][1] != "*":
+                return _Monomial(rank, Fraction(num, den), tuple(xs), tuple(zs))
+            star = self.pos
+            self.pos += 1
+        # the first other factor: the run so far, if any, is wrapped once
+        if star is not None:
+            run = self._wrap(_Monomial(rank, Fraction(num, den), tuple(xs), tuple(zs)))
+            if value is None:
+                self.pos, value = star, run
+            else:
+                value = self._mul(run, value, tokens[star][2])
+        elif value is None:
+            value = self.factor()
         while True:
             kind, text, at = self.peek()
             if text != "*":
@@ -112,35 +217,21 @@ class _Parser:
         return self.power()
 
     def power(self):
-        literal = self.peek()[1].startswith("d")
+        if not self.peek()[1].startswith("d"):
+            return self._raise(self.atom())
         value = self.atom()
-        kind, text, at = self.peek()
-        if text == "^":
-            self.next()
-            kind, text, at = self.next()
-            if kind != "num":
-                raise ParseError("exponent must be a nonnegative integer", at)
-            if literal:
-                # d_i^k directly: the literal's coefficient 1 is exact
-                value = DiffOp(self.num_vars, {tuple(a * int(text) for a in key): c
-                                               for key, c in value.coeffs.items()})
-            else:
-                value = value ** int(text)
-        return value
+        k = self._exponent()
+        if k is None:
+            return value
+        # d_i^k directly: the literal's coefficient 1 is exact
+        return DiffOp(self.num_vars, {tuple(a * k for a in key): c
+                                      for key, c in value.coeffs.items()})
 
     def atom(self):
-        kind, text, at = self.next()
+        kind, text, at = self.peek()
         if kind == "num":
-            value = Fraction(int(text))
-            if self.peek()[1] == "/":
-                self.next()
-                kind2, text2, at2 = self.next()
-                if kind2 != "num":
-                    raise ParseError("denominator must be an integer", at2)
-                if int(text2) == 0:
-                    raise ParseError("zero denominator", at2)
-                value /= int(text2)
-            return value
+            return Fraction(*self._rational())
+        self.next()
         if kind == "name":
             return self._generator(text, at)
         if kind == "exp":
@@ -158,7 +249,36 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {text!r}", at)
 
-    def _generator(self, text, at):
+    def _rational(self):
+        """The integers (p, q) of a literal ``p`` or ``p/q``."""
+        kind, text, at = self.next()
+        p, q = int(text), 1
+        if self.peek()[1] == "/":
+            self.next()
+            kind, text, at = self.next()
+            if kind != "num":
+                raise ParseError("denominator must be an integer", at)
+            q = int(text)
+            if not q:
+                raise ParseError("zero denominator", at)
+        return p, q
+
+    def _exponent(self):
+        """The k of an optional ``^k``, else None."""
+        if self.peek()[1] != "^":
+            return None
+        self.next()
+        kind, text, at = self.next()
+        if kind != "num":
+            raise ParseError("exponent must be a nonnegative integer", at)
+        return int(text)
+
+    def _raise(self, value):
+        k = self._exponent()
+        return value if k is None else value ** k
+
+    def _axis(self, text, at):
+        """The checked 1-based index of a generator literal."""
         letter, digits = text[0], text[1:]
         if digits:
             axis = int(digits)
@@ -170,11 +290,61 @@ class _Parser:
         if not 1 <= axis <= self.num_vars:
             raise ParseError(f"index {axis} out of range "
                              f"for {self.num_vars} variables", at)
-        if letter == "x":
+        if letter == "x" and self.precision < 1:
+            raise InsufficientPrecision(
+                f"variable {text!r} at position {at} needs precision >= 1")
+        return axis
+
+    def _generator(self, text, at):
+        axis = self._axis(text, at)
+        if text[0] == "x":
             return Series.variable(self.num_vars, axis, self.precision)
-        if letter == "d":
+        if text[0] == "d":
             return DiffOp.partial(self.num_vars, axis, self.precision)
         return Symbol.zeta(self.num_vars, axis, self.precision)
+
+    # -- sums of monomials ---------------------------------------------
+
+    def _join(self, chain, term):
+        """Add a summand into the chain and return its rank: 0 for a
+        Fraction, 1 for a Series, 2 for a Symbol.  An operator is not
+        added, nor a symbol with a coefficient known below the parse
+        precision (such as ``(0*z1)^0``, one to precision 0), and None is
+        returned.  Every parsed Series is known to the parse precision."""
+        p, zero = self.precision, self.zero
+        if isinstance(term, Fraction):
+            term = _Monomial(0, term, zero, zero)
+        if isinstance(term, _Monomial):
+            if term.coeff and sum(term.xs) <= p:
+                _add_terms(chain, term.zs, {term.xs: term.coeff})
+            return term.rank
+        if isinstance(term, Series):
+            _add_terms(chain, zero, term.terms)
+            return 1
+        if isinstance(term, Symbol) and all(
+                s.precision == p for s in term.coeffs.values()):
+            for z, series in term.coeffs.items():
+                _add_terms(chain, z, series.terms)
+            return 2
+        return None
+
+    def _chain_value(self, chain, rank):
+        n, p, zero = self.num_vars, self.precision, self.zero
+        if rank == 0:
+            return chain[zero][zero] if chain else Fraction(0)
+        if rank == 1:
+            return Series._raw(n, p, chain.get(zero, {}))
+        return Symbol(n, {z: Series._raw(n, p, terms) for z, terms in chain.items()})
+
+    def _wrap(self, term):
+        """A folded monomial as a Fraction, Series or Symbol; any other
+        value as it is."""
+        if not isinstance(term, _Monomial):
+            return term
+        if term.rank == 0:
+            return term.coeff
+        chain = {}
+        return self._chain_value(chain, self._join(chain, term))
 
     # -- promotion arithmetic ------------------------------------------
 
@@ -185,16 +355,10 @@ class _Parser:
             return value
         raise ParseError("expected a plain series expression", at)
 
-    def _sum(self, values):
-        """The sum of one value, or of several Fraction and Series values."""
-        if len(values) == 1:
-            return values[0]
-        if all(isinstance(v, Fraction) for v in values):
-            return sum(values)
-        return Series.sum_of([Series.constant(self.num_vars, v, self.precision)
-                              if isinstance(v, Fraction) else v for v in values])
-
-    def _neg(self, value):
+    @staticmethod
+    def _neg(value):
+        if isinstance(value, _Monomial):
+            return value._replace(coeff=-value.coeff)
         return -value
 
     def _add(self, a, b, at):

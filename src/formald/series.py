@@ -333,17 +333,25 @@ class Series:
         return NotImplemented
 
     def __pow__(self, exponent):
+        """self^k to this precision.  A monomial's power is c^k x^(k e), or
+        zero beyond the precision.  Any other series is raised by repeated
+        squaring, in at most 2 log2(k) truncated products: the truncated
+        product is the product of Q[x]/m^(N+1), which is associative, so the
+        terms are those of k successive products."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series powers take nonnegative integer exponents")
         if len(self.terms) == 1:
-            # a monomial's power is c^k x^(k e), or zero beyond precision
             ((exps, coeff),) = self.terms.items()
             power = tuple(exponent * e for e in exps)
             terms = {power: coeff ** exponent} if sum(power) <= self.precision else {}
             return Series._raw(self.num_vars, self.precision, terms)
-        result = Series.one(self.num_vars, self.precision)
-        for _ in range(exponent):
-            result = result * self
+        result, square = Series.one(self.num_vars, self.precision), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __eq__(self, other):

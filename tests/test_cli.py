@@ -123,6 +123,18 @@ def test_schedule_step_without_a_pole_is_a_typed_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["poisson", "z1", "x1"], ["regularize", "x1"],
+                                  ["bracket-probe", "x1"]], ids=" ".join)
+def test_variable_at_precision_zero_is_a_typed_error(argv, capsys):
+    # the literal x1 has no room at precision 0; this was a bare ValueError
+    code, report = cli_report(argv + ["--vars", "1", "--trunc", "0"])
+    assert code == 1
+    assert (report["status"], report["error"], report["message"]) == (
+        "error", "InsufficientPrecision",
+        "variable 'x1' at position 0 needs precision >= 1")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # a connection's flatness is checked once per presentation, however many
 # ladders, schedule steps, twist powers or probes an invocation builds
 CONN = ["--module", "conn(1; [[0]]; [[-1]])", "--vars", "2"]

@@ -1,14 +1,15 @@
 """The expression grammar: canonical printing reparses, and every malformed
 input is rejected with a typed error."""
 
+import math
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formald.derham import ModuleFamily
-from formald.errors import ParseError, UnsupportedExponent
+from formald.errors import InsufficientPrecision, ParseError, UnsupportedExponent
 from formald.parser import parse_module, parse_operator, parse_series, parse_symbol
 from formald.series import Series, monomials_upto
 from formald.symbols import Symbol
@@ -60,26 +61,49 @@ def test_operator_of_order_above_precision_plus_one_reparses():
     assert parse_operator(str(value), 1, 1) == value
 
 
-@pytest.mark.parametrize("text, num_vars, message", [
-    ("x", 2, "bare 'x' needs an index"),
-    ("x3", 2, "index 3 out of range"),
-    ("d0", 2, "index 0 out of range"),
-    ("1/0", 1, "zero denominator"),
-    ("1/x", 1, "denominator must be an integer"),
-    ("d1*z1", 2, "cannot mix derivative and symbol generators"),
-    ("z1 + d2", 2, "cannot mix derivative and symbol generators"),
-    ("x1 x2", 2, "trailing input"),
-    ("(x1", 2, "expected ')'"),
-    ("x1^x2", 2, "exponent must be a nonnegative integer"),
-    ("x1^(1/2)", 2, "exponent must be a nonnegative integer"),
-    ("x1^-1", 2, "exponent must be a nonnegative integer"),
-    ("x1 % 2", 2, "unexpected character"),
-    ("exp(d1)", 2, "expected a plain series expression"),
-])
-def test_malformed_expressions_raise_parse_error(text, num_vars, message):
+MALFORMED = [
+    ("x", 2, "bare 'x' needs an index", 0),
+    ("x3", 2, "index 3 out of range", 0),
+    ("d0", 2, "index 0 out of range", 0),
+    ("1/0", 1, "zero denominator", 2),
+    ("1/x", 1, "denominator must be an integer", 2),
+    ("d1*z1", 2, "cannot mix derivative and symbol generators", 2),
+    ("z1 + d2", 2, "cannot mix derivative and symbol generators", 3),
+    ("x1 x2", 2, "trailing input", 3),
+    ("(x1", 2, "expected ')'", 3),
+    ("x1^x2", 2, "exponent must be a nonnegative integer", 3),
+    ("x1^(1/2)", 2, "exponent must be a nonnegative integer", 3),
+    ("x1^-1", 2, "exponent must be a nonnegative integer", 3),
+    ("x1 % 2", 2, "unexpected character", 3),
+    ("exp(d1)", 2, "expected a plain series expression", 0),
+    # a parenthesised coefficient and then the term reader's factors
+    ("(1/0)*x1", 2, "zero denominator", 3),
+    ("(3)*x1^-1", 2, "exponent must be a nonnegative integer", 7),
+    ("(2)*x3", 2, "index 3 out of range", 4),
+    ("(2)*x", 2, "bare 'x' needs an index", 4),
+    ("(1/2)*x1*z1*d1", 2, "cannot mix derivative and symbol generators", 11),
+    ("(2)*x1 % 3", 2, "unexpected character '%'", 7),
+    ("(-)*x1", 2, "unexpected token ')'", 2),
+]
+
+
+@pytest.mark.parametrize("text, num_vars, message, position", MALFORMED,
+                         ids=[f"{t}-{n}-{m}" for t, n, m, _ in MALFORMED])
+def test_malformed_expressions_raise_parse_error(text, num_vars, message, position):
     parse = parse_symbol if "z" in text else parse_operator
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError, match=re.escape(message)) as error:
         parse(text, num_vars, 4)
+    assert error.value.position == position
+
+
+@pytest.mark.parametrize("text, literal, position", [
+    ("2*x1", "x1", 2),           # read inline, in a term's leading run
+    ("(1 + z1)*x1", "x1", 9),    # read by the descent, after a parenthesis
+])
+def test_variable_at_precision_zero_is_insufficient_precision(text, literal, position):
+    with pytest.raises(InsufficientPrecision,
+                       match=re.escape(f"variable {literal!r} at position {position}")):
+        parse_symbol(text, 1, 0)
 
 
 def test_exp_of_a_unit_is_unsupported():
@@ -127,20 +151,30 @@ def repeated_product(series, k):
 @SETTINGS
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n), st.integers(1, 6), st.integers(0, 9),
-    st.lists(st.integers(0, 2), min_size=n, max_size=n), rationals.filter(bool))))
+    st.lists(st.integers(0, 2), min_size=n, max_size=n), rationals.filter(bool),
+    st.dictionaries(st.sampled_from(monomials_upto(n, 2)), rationals, max_size=3))))
 def test_monomial_power_matches_repeated_products(sample):
-    n, axis, p, k, exps, c = sample
-    # a power of a one-term series, beyond the precision included
+    n, axis, p, k, exps, c, others = sample
+    # a power of a one-term series, beyond the precision included, and a
+    # power by repeated squaring of a series with further terms
     if sum(exps) <= p:
         monomial = Series.monomial(n, exps, p, c)
-        power = monomial ** k
-        expected = repeated_product(monomial, k)
-        assert power == expected and repr(power) == repr(expected)
-        assert all(type(v) is Fraction for v in power.terms.values())
+        others = {e: v for e, v in others.items() if sum(e) <= p}
+        for base in (monomial, monomial + Series(n, p, others)):
+            power = base ** k
+            expected = repeated_product(base, k)
+            assert power == expected and repr(power) == repr(expected)
+            assert all(type(v) is Fraction for v in power.terms.values())
     # an x_i^k literal parses to the same series
     expected = repeated_product(Series.variable(n, axis, p), k)
     parsed = parse_series(f"x{axis}^{k}", n, p)
     assert parsed == expected and repr(parsed) == repr(expected)
+
+
+def test_power_by_squaring_matches_the_binomial_coefficients():
+    # 100000 successive products took seconds; squaring takes 2 log2(k)
+    power = parse_series("(1+x1)^100000", 1, 4)
+    assert power == Series(1, 4, {(i,): math.comb(100000, i) for i in range(5)})
 
 
 @SETTINGS
@@ -160,6 +194,73 @@ def test_sum_chain_matches_pairwise_sums(sample):
         expected = expected + term if sign == "+" else expected - term
     parsed = parse_series(text.lstrip(" +"), n, p)
     assert parsed == expected and repr(parsed) == repr(expected)
+
+
+@st.composite
+def folded_sums(draw):
+    """(text, num_vars, precision, expected): a sum of terms written with
+    the factors the term reader folds (parenthesised signed rationals, bare
+    ones p/q^k, zero included, and x_i^k, z_i^k past the precision too,
+    each bare factor maybe after a unary '-'), operator terms ending in a
+    d literal, and the value built by constructors."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cls = draw(st.sampled_from(list(PARSERS)))
+    kinds = {Series: "bpx", Symbol: "bpxz", DiffOp: "bpx"}[cls]
+    text = ""
+    expected = Series.zero(n, p) if cls is Series else cls.zero(n)
+    for _ in range(draw(st.integers(1, 6))):
+        coeff, exps, factors = Fraction(1), {"x": [0] * n, "z": [0] * n}, []
+        for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+            if kind == "p":
+                c = draw(rationals)
+                coeff *= c
+                body = f"({c})"
+            elif kind == "b":
+                # '-' binds looser than '^': -p/q^k is -(p/q)^k
+                c, k = draw(rationals), draw(st.integers(0, 3))
+                coeff *= abs(c) ** k if c >= 0 else -abs(c) ** k
+                body = f"{c}^{k}"
+            else:
+                axis, k = draw(st.integers(1, n)), draw(st.integers(0, 5))
+                exps[kind][axis - 1] += k
+                body = f"{kind}{axis}^{k}"
+            if kind != "p" and draw(st.booleans()):
+                coeff, body = -coeff, "-" + body
+            factors.append(body)
+        key = tuple(exps["z"])
+        if cls is DiffOp:
+            axis, k = draw(st.integers(1, n)), draw(st.integers(0, 3))
+            if k:
+                factors.append(f"d{axis}^{k}")
+            key = tuple(k if i == axis else 0 for i in range(1, n + 1))
+        xs = tuple(exps["x"])
+        series = Series(n, p, {xs: coeff} if sum(xs) <= p else {})
+        term = series if cls is Series else cls(n, {key: series})
+        sign = draw(st.sampled_from("+-"))
+        text += f" {sign} " + "*".join(factors)
+        expected = expected + term if sign == "+" else expected - term
+    return text.removeprefix(" + ").lstrip(), n, p, expected
+
+
+Z1, Z2 = Symbol.zeta(2, 1, 2), Symbol.zeta(2, 2, 2)
+
+
+@SETTINGS
+@given(folded_sums())
+# a coefficient that cancels comes back after the next one
+@example(("z1 - z1 + z2 + z1", 2, 2, Z1 - Z1 + Z2 + Z1))
+def test_folded_terms_match_constructed_values(sample):
+    text, n, p, expected = sample
+    parsed = PARSERS[type(expected)](text, n, p)
+    assert type(parsed) is type(expected)
+    assert parsed == expected and repr(parsed) == repr(expected)
+    # in the order the pairwise sums leave
+    if isinstance(parsed, Series):
+        assert list(parsed.terms) == list(expected.terms)
+    else:
+        assert list(parsed.coeffs) == list(expected.coeffs)
+        assert all(list(s.terms) == list(expected.coeffs[key].terms)
+                   for key, s in parsed.coeffs.items())
 
 
 @pytest.mark.parametrize("text, message, position", [
