@@ -10,8 +10,7 @@ finite-generation probes for iterated derivations.
 """
 
 from .errors import (BoundOverflow, InsufficientPrecision, NonIntegrable,
-                     NotAUnit, NotFoundWithinBudget, NotRegular,
-                     NotRegularLeadingCoefficient, ParseError,
+                     NotAUnit, NotFoundWithinBudget, NotRegular, ParseError,
                      PoleBudgetExceeded, PreconditionViolated, ToolkitError,
                      UnsupportedExponent, WrongVariant, ZeroOperator)
 from .series import (LinearSubstitution, Series, WeierstrassForm,
@@ -19,17 +18,17 @@ from .series import (LinearSubstitution, Series, WeierstrassForm,
                      find_regularizing_substitution, invert_unit,
                      is_xn_regular, try_divide, weierstrass_divide,
                      weierstrass_prepare, xn_coefficient)
-from .weyl import DiffOp, commutator, op_product, order_of
+from .weyl import DiffOp, commutator, op_product
 from .symbols import (MembershipVerdict, Symbol, bracket_chain_probe,
                       involutivity_check, membership_truncated,
                       poisson_bracket)
 from .modules import (LocElement, ModulePresentation, check_integrability,
                       loc_normalize, partial_action, scalar_action)
-from .derham import (CohomologyReport, TruncatedComplex, build_complex,
-                     cohomology_dims, cokernel_of_dn, kernel_of_dn,
-                     les_consistency, stable_cohomology_dims, stabilized_dims)
-from .malgrange import (IndicialData, cokernel_generators, finite_dims,
-                        indicial_data, solve, truncated_cokernel_rank)
+from .derham import (CohomologyReport, TruncatedComplex, cohomology_dims,
+                     cokernel_of_dn, kernel_of_dn, les_consistency,
+                     stable_cohomology_dims, stabilized_dims)
+from .malgrange import (IndicialData, finite_dims, indicial_data, solve,
+                        truncated_cokernel_rank)
 from .regularity import (cover_check, iterate_recurrence,
                          kernel_relation_homogeneity, power_search,
                          xn_regular_element_check)

@@ -65,7 +65,8 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .linalg import ColumnEchelon, Matrix
+from .linalg import ColumnEchelon, Matrix, vec_add_scaled
+from .series import _split
 
 # -- level families --------------------------------------------------------
 
@@ -197,25 +198,24 @@ class ModuleFamily(_Ladder):
 
 
 class KernelFamily(_Ladder):
-    """ker(d_n) on a ladder, with the surviving d_1..d_{n-1} actions."""
+    """ker(d_n) on a ladder, with the surviving d_1..d_{n-1} actions.
+
+    Level t's basis is ``Matrix.nullspace``'s: each vector is 1 at its
+    largest key, its lead, which no other vector holds.  So a kernel
+    element's coordinate on a vector is its entry at the lead, read off
+    with no elimination; what the combination leaves must be empty."""
 
     def __init__(self, base):
         self.base = base
         self.num_vars = base.num_vars - 1
         self.axes = list(range(1, base.num_vars))
         self._vectors_cache = {}
-        self._echelon_cache = {}
 
     def vectors(self, t):
         if t not in self._vectors_cache:
             matrix = self.base.partial_matrix(self.base.num_vars, t)
             self._vectors_cache[t] = matrix.nullspace()
         return self._vectors_cache[t]
-
-    def _echelon(self, t):
-        if t not in self._echelon_cache:
-            self._echelon_cache[t] = ColumnEchelon(self.vectors(t), track=True)
-        return self._echelon_cache[t]
 
     def basis(self, t):
         return list(range(len(self.vectors(t))))
@@ -230,30 +230,35 @@ class KernelFamily(_Ladder):
                  for i, c in sorted(vec.items())]
         return " + ".join(parts)
 
+    def _coordinates(self, t, images, action):
+        """Level-t coordinates of each image, checked to lie in the kernel.
+        The check subtracts in integers, den * vec and scale * image: in
+        Fractions it would cost more than the elimination it replaces."""
+        vectors = self.vectors(t)
+        lead_of = {max(vec): i for i, vec in enumerate(vectors)}
+        *scaled, den = _split(*vectors)
+        cols = []
+        for image in images:
+            integral, _ = _split(image)
+            residual = {row: den * v for row, v in integral.items()}
+            for row, v in integral.items():
+                if row in lead_of:
+                    vec_add_scaled(residual, scaled[lead_of[row]], -v)
+            if residual:
+                raise AssertionError(f"{action} left the kernel ladder")
+            cols.append({lead_of[row]: c for row, c in image.items() if row in lead_of})
+        return cols
+
     def partial_columns(self, axis, t):
         base_matrix = self.base.partial_matrix(axis, t)
-        target = self._echelon(t + 1)
-        cols = []
-        for vec in self.vectors(t):
-            image = base_matrix.apply(vec)
-            combo = target.express(image)
-            if combo is None:
-                raise AssertionError("derivative left the kernel ladder")
-            cols.append(combo)
-        return cols
+        return self._coordinates(
+            t + 1, (base_matrix.apply(vec) for vec in self.vectors(t)), "derivative")
 
     def multiply_columns(self, axis, t):
         raw = Matrix.from_cols(self.base.multiply_columns(axis, t),
                                self.base.dim(t))
-        target = self._echelon(t)
-        cols = []
-        for vec in self.vectors(t):
-            image = raw.apply(vec)
-            combo = target.express(image)
-            if combo is None:
-                raise AssertionError("multiplication left the kernel ladder")
-            cols.append(combo)
-        return cols
+        return self._coordinates(
+            t, (raw.apply(vec) for vec in self.vectors(t)), "multiplication")
 
 
 class CokernelFamily(_Ladder):
@@ -284,10 +289,6 @@ class CokernelFamily(_Ladder):
 
     def dim(self, t):
         return len(self.representatives(t))
-
-    def label_text(self, t, label):
-        pos = self.representatives(t)[label]
-        return self.base.label_text(t + 1, self.base.basis(t + 1)[pos])
 
     def partial_columns(self, axis, t):
         ech_target = self._image(t + 1)
@@ -357,11 +358,6 @@ def complex_from_family(family, truncation, description):
     return TruncatedComplex(num_vars=len(axes), dims=dims,
                             differentials=differentials,
                             truncation=truncation, description=description)
-
-
-def build_complex(module, trunc, pole=None):
-    family = ModuleFamily(module, trunc, pole)
-    return complex_from_family(family, (trunc, pole), module.describe())
 
 
 @dataclass

@@ -51,11 +51,6 @@ class PreconditionViolated(ToolkitError):
     """Inputs fail a stated precondition that the operation checks."""
 
 
-class NotRegularLeadingCoefficient(ToolkitError):
-    """The top coefficient of an operator is not regular in the last
-    variable."""
-
-
 class BoundOverflow(ToolkitError):
     """A truncated linear system would exceed the safety size guard."""
 

@@ -7,7 +7,9 @@ computation here is deterministic: no pivoting randomness, no floats.
 
 ``ColumnEchelon`` is formald's only elimination: every rank, kernel, solve
 and span test in the package, the inverse of a linear substitution
-included, is a sequence of its insertions.  It eliminates forward only
+included, is a sequence of its insertions, except the kernel ladder's
+coordinates, which are read off the shape of ``Matrix.nullspace``'s
+basis with no elimination.  It eliminates forward only
 and fraction-free: every stored vector is a primitive integer vector, and
 it keeps combinations of the added columns, as integers over one
 denominator, only where they are read.  ``Fraction``s are made only in
@@ -222,7 +224,11 @@ class Matrix:
         return ColumnEchelon(self.cols).rank
 
     def nullspace(self):
-        """Deterministic basis of the kernel (vectors over column indices)."""
+        """Deterministic basis of the kernel (vectors over column indices).
+
+        Each vector is 1 at its largest key, a column dependent on the
+        columns before it, and no other returned vector has that key: the
+        other keys are labels of independent columns."""
         ech = ColumnEchelon(track=True)
         basis = []
         for j, col in enumerate(self.cols):

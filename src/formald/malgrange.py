@@ -1,14 +1,13 @@
-"""One-variable operators with finite cokernel, and the multivariate
-reduction producing generators of R/Delta(R) over the smaller ring.
+"""One-variable operators with finite cokernel: Malgrange's index on k[[x]],
+the case n = 1 of van den Essen's theorem.
 
-An operator Delta = sum r_i d^i on k[[x]] is a one-variable
-:class:`formald.weyl.DiffOp`, whose coefficients r_0..r_l are read through
-:func:`dn_coefficients`.  For r_l != 0 the indicial data (the degree
-shift s, the index set I where it is attained, the indicial polynomial P,
-and the threshold t0 past which P has no integer roots) turns Delta into
-an isomorphism m^t -> m^{t-s} for t >= t0.  The snake lemma then reduces
-kernel and cokernel of Delta on the whole ring to a single finite matrix,
-which is computed exactly.
+Every function here takes a one-variable :class:`formald.weyl.DiffOp`
+Delta = sum r_i d^i and raises ``ValueError`` for more variables.  For
+r_l != 0 the indicial data (the degree shift s, the index set I where it
+is attained, the indicial polynomial P, and the threshold t0 past which P
+has no integer roots) turns Delta into an isomorphism m^t -> m^{t-s} for
+t >= t0.  The snake lemma then reduces kernel and cokernel of Delta on
+the whole ring to a single finite matrix, which is computed exactly.
 """
 
 from __future__ import annotations
@@ -17,18 +16,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InsufficientPrecision, NotRegularLeadingCoefficient,
-                     PreconditionViolated, ZeroOperator)
+from .errors import InsufficientPrecision, PreconditionViolated, ZeroOperator
 from .linalg import ColumnEchelon, Matrix, vec_add_scaled
-from .series import Series, add_product, is_xn_regular, monomials_upto
-from .weyl import DiffOp
+from .series import Series
 
 
-def _one_var_coefficients(op):
-    """(r_0..r_l) of a one-variable operator."""
+def _coefficients(op):
+    """(r_0..r_l) of a one-variable operator; missing coefficients are zero
+    at the operator's least coefficient precision."""
     if op.num_vars != 1:
         raise ValueError("coefficients must be one-variable series")
-    return dn_coefficients(op)
+    coeffs = {i: series for (i,), series in op.coeffs.items()}
+    return [coeffs.get(i, Series.zero(1, op.min_precision()))
+            for i in range(max(coeffs, default=0) + 1)]
 
 
 def _monomial_column(rs, j, out_bound):
@@ -41,7 +41,13 @@ def _monomial_column(rs, j, out_bound):
     if out_bound > have:
         raise InsufficientPrecision(
             f"need coefficients to degree {out_bound}, have {have}")
-    return {deg: c for (deg,), c in _monomial_image(rs, (j,), out_bound).items()}
+    out = {}
+    for i, r in enumerate(rs):
+        # j(j-1)...(j-i+1), zero when j < i, and then nothing is added
+        falling = math.prod(range(j - i + 1, j + 1))
+        vec_add_scaled(out, {deg + j - i: c for (deg,), c in r.terms.items()
+                             if deg + j - i <= out_bound}, falling)
+    return out
 
 
 @dataclass(frozen=True)
@@ -60,19 +66,6 @@ class IndicialData:
 
     def eval(self, t):
         return _eval_poly(self.poly, t)
-
-
-def _monomial_image(coefficients, e, trunc):
-    """Exact terms of total degree <= trunc of sum_i r_i d_n^i (x^e), for
-    the coefficients (r_0, r_1, ...) of an operator in the last derivative.
-
-    Stored coefficient terms are used as exact data."""
-    out = {}
-    for i, r in enumerate(coefficients):
-        # j(j-1)...(j-i+1), zero when j < i, and then nothing is added
-        falling = math.prod(range(e[-1] - i + 1, e[-1] + 1))
-        add_product(out, {e[:-1] + (e[-1] - i,): 1}, r.terms, trunc, falling)
-    return out
 
 
 def _eval_poly(coeffs, t):
@@ -111,7 +104,7 @@ def _integer_roots(poly):
 def indicial_data(op):
     if op.is_zero():
         raise ZeroOperator("indicial data needs a nonzero operator")
-    rs = _one_var_coefficients(op)
+    rs = _coefficients(op)
     orders = {i: r.order() for i, r in enumerate(rs) if not r.is_zero()}
     s = max(i - nu for i, nu in orders.items())
     index_set = tuple(i for i, nu in orders.items() if i - nu == s)
@@ -134,9 +127,10 @@ def solve(op, g, t):
     """The unique f in m^t with Delta(f) = g, for t >= t0 and nu(g) >= t - s.
 
     Solves coefficient by coefficient from degree t upward; every step
-    divides by P(j), which is nonzero by the threshold condition."""
+    divides by P(j), which is nonzero by the threshold condition.  Tested
+    public API; no verb calls it."""
     data = indicial_data(op)
-    rs = _one_var_coefficients(op)
+    rs = _coefficients(op)
     if t < data.t0:
         raise PreconditionViolated(f"t = {t} is below the threshold t0 = {data.t0}")
     nu_g = g.order()
@@ -178,7 +172,7 @@ def finite_dims(op):
     data = indicial_data(op)
     t = data.t0
     rows = t - data.s
-    matrix = _truncated_matrix(_one_var_coefficients(op), t, rows)
+    matrix = _truncated_matrix(_coefficients(op), t, rows)
     ech = ColumnEchelon(matrix.cols)
     rank = ech.rank
     pivots = set(ech.pivots())
@@ -203,88 +197,5 @@ def truncated_cokernel_rank(op, size):
     excluded columns, so the count is honest and stabilizes in size."""
     data = indicial_data(op)
     nrows = size - data.s
-    matrix = _truncated_matrix(_one_var_coefficients(op), size, nrows)
+    matrix = _truncated_matrix(_coefficients(op), size, nrows)
     return nrows - matrix.rank()
-
-
-# -- multivariate reduction --------------------------------------------
-
-
-@dataclass
-class GeneratorEvidence:
-    """Generators g_j with R = sum R_{n-1} g_j + Delta(R) verified up to a
-    truncation degree (never claimed beyond it)."""
-
-    generators: tuple        # Series in n variables
-    verified: bool
-    degree: int
-    failed_monomial: tuple | None
-
-
-def dn_coefficients(op):
-    """(r_0..r_l) of an operator that is polynomial in d_n; missing
-    coefficients are zero at the operator's least coefficient precision."""
-    n = op.num_vars
-    coeffs = {}
-    top = 0
-    for alpha, series in op.coeffs.items():
-        if any(a != 0 for a in alpha[:-1]):
-            raise ValueError("operator must involve only the last derivative")
-        coeffs[alpha[-1]] = series
-        top = max(top, alpha[-1])
-    return [coeffs.get(i, Series.zero(n, op.min_precision()))
-            for i in range(top + 1)]
-
-
-def cokernel_generators(op, trunc):
-    """Generators of R/Delta(R) as a module over the first n-1 variables.
-
-    Restricting every coefficient to x_1 = ... = x_{n-1} = 0 leaves a
-    one-variable operator whose cokernel representatives x_n^j lift to
-    generator candidates; the containment of every monomial of total
-    degree <= trunc in sum R_{n-1} g_j + Delta(R) is then verified as a
-    finite linear system."""
-    rs = dn_coefficients(op)
-    n = op.num_vars
-    if not rs or rs[-1].is_zero():
-        raise ZeroOperator("operator is zero to precision")
-    if not is_xn_regular(rs[-1]):
-        raise NotRegularLeadingCoefficient(
-            "top coefficient is not regular in the last variable")
-
-    restricted = [r.restrict_to_last() for r in rs]
-    dims = finite_dims(DiffOp(1, {(i,): r for i, r in enumerate(restricted)}))
-    generators = tuple(
-        Series.monomial(n, (0,) * (n - 1) + (j,), trunc)
-        for j in dims.representatives)
-
-    # verification system over monomials of degree <= trunc
-    shift = max((i - (q.order() or 0) for i, (r, q) in enumerate(zip(rs, restricted))
-                 if not r.is_zero()), default=0)
-    h_bound = trunc + max(shift, 0) + 1
-    if op.min_precision() < trunc:
-        raise InsufficientPrecision(
-            f"coefficients known to {op.min_precision()}, need >= {trunc}")
-
-    index = {e: i for i, e in enumerate(monomials_upto(n, trunc))}
-    ech = ColumnEchelon()
-    # columns from the R_{n-1}-multiples of the generators
-    for gen in generators:
-        gexp = next(iter(gen.terms))
-        for mu in monomials_upto(n - 1, trunc):
-            key = tuple(mu) + (gexp[-1],)
-            if sum(key) <= trunc:
-                ech.add({index[key]: Fraction(1)})
-    # columns Delta(x^e) truncated to degree <= trunc
-    for e in monomials_upto(n, h_bound):
-        col = {index[key]: c for key, c in _monomial_image(rs, e, trunc).items()}
-        if col:
-            ech.add(col)
-
-    failed = None
-    for e in monomials_upto(n, trunc):
-        if not ech.contains({index[e]: Fraction(1)}):
-            failed = e
-            break
-    return GeneratorEvidence(generators=generators, verified=failed is None,
-                             degree=trunc, failed_monomial=failed)

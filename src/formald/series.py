@@ -39,6 +39,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import (
+    BoundOverflow,
     InsufficientPrecision,
     NotAUnit,
     NotFoundWithinBudget,
@@ -395,6 +396,9 @@ class Series:
         return out
 
 
+_POWER_GUARD = 50000  # coefficient pairs one SeriesPoly power may multiply
+
+
 class SeriesPoly:
     """A polynomial over Q[[x_1..x_n]] in n further generators.
 
@@ -509,11 +513,20 @@ class SeriesPoly:
         return NotImplemented
 
     def __pow__(self, exponent):
+        """self^k by k successive products.  Once the coefficient pairs they
+        multiply, len(result.coeffs) * len(self.coeffs) each, would pass
+        ``_POWER_GUARD`` (50,000), it raises ``BoundOverflow``: (1+z1)^223
+        answers and (1+z1)^224 raises."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"{type(self).__name__} powers take nonnegative "
                              "integer exponents")
         result = self.from_series(Series.one(self.num_vars, self.min_precision()))
+        pairs = 0
         for _ in range(exponent):
+            pairs += len(result.coeffs) * len(self.coeffs)
+            if pairs > _POWER_GUARD:
+                raise BoundOverflow(f"{type(self).__name__} power exceeds the "
+                                    "size guard")
             result = result._product(self)
         return result
 
@@ -780,7 +793,8 @@ class WeierstrassForm:
     precision: int
 
     def reconstruct(self):
-        """unit * (x_n^d + sum tail_i x_n^i) at the stated precision."""
+        """unit * (x_n^d + sum tail_i x_n^i) at the stated precision.
+        Tested public API; no verb calls it."""
         n, prec = self.unit.num_vars, self.precision
         poly = {e + (i,): c for i, b in enumerate(self.tail)
                 for e, c in b.terms.items() if sum(e) + i <= prec}

@@ -65,7 +65,8 @@ class DiffOp(SeriesPoly):
     # -- actions ----------------------------------------------------------
 
     def apply(self, g):
-        """Apply the operator to a series; precision drops by the order."""
+        """Apply the operator to a series; precision drops by the order.
+        Tested public API; no verb calls it."""
         self._check(g)
         order = self.order
         if order is None:
@@ -76,7 +77,8 @@ class DiffOp(SeriesPoly):
         return out
 
     def principal_symbol(self):
-        """Top-order part with d_i replaced by the commuting generator z_i."""
+        """Top-order part with d_i replaced by the commuting generator z_i.
+        Tested public API; no verb calls it."""
         order = self.order
         if order is None:
             raise ZeroOperator("the zero operator has no principal symbol")
@@ -109,11 +111,4 @@ def op_product(a, b):
 def commutator(a, b):
     """[a, b] = ab - ba in normal form."""
     return op_product(a, b) - op_product(b, a)
-
-
-def order_of(op):
-    order = op.order
-    if order is None:
-        raise ZeroOperator("the zero operator has no order")
-    return order
 

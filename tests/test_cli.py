@@ -123,6 +123,14 @@ def test_schedule_step_without_a_pole_is_a_typed_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
+    code, report = cli_report(["poisson", "(1+z1)^800", "x1", "--vars", "1",
+                               "--trunc", "4"])
+    assert code == 1
+    assert (report["status"], report["error"]) == ("error", "BoundOverflow")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["poisson", "z1", "x1"], ["regularize", "x1"],
                                   ["bracket-probe", "x1"]], ids=" ".join)
 def test_variable_at_precision_zero_is_a_typed_error(argv, capsys):

@@ -48,3 +48,41 @@ def test_every_imported_name_is_used():
               for path in SOURCES if path.name != "__init__.py"
               for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))}
     assert not unused
+
+
+# names __init__.py exports that no other module needs to read, and why
+UNREAD_EXPORTS = {
+    "commutator": "the bench job commutator:n2 calls it",
+    "solve": "tested public API; no verb calls it",
+}
+
+
+def exported_names(tree):
+    return {alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def read_names(tree):
+    """Names a module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def dead_exports(init_tree, module_trees):
+    read = set().union(*map(read_names, module_trees))
+    return exported_names(init_tree) - read - set(UNREAD_EXPORTS)
+
+
+def test_every_export_is_read_by_another_module():
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in SOURCES if path != init]
+    assert not dead_exports(ast.parse(init.read_text(encoding="utf-8")), modules)
+
+
+def test_a_planted_dead_export_is_caught():
+    init = ast.parse("from .a import used, attr_used, commutator, planted\n")
+    module = ast.parse("def planted():\n    return used(x.attr_used)\n")
+    assert dead_exports(init, [module]) == {"planted"}

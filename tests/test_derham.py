@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from formald import derham, linalg
-from formald.derham import (ModuleFamily, build_complex, cohomology_dims,
+from formald.derham import (KernelFamily, ModuleFamily, cohomology_dims,
                             cokernel_of_dn, complex_from_family, kernel_of_dn,
                             les_consistency, stable_cohomology_dims,
                             stabilized_dims)
@@ -19,6 +19,12 @@ from formald.series import (LinearSubstitution, Series,
                             apply_linear_substitution)
 
 from conftest import cli_report, random_series, span_rank
+
+
+def build_complex(module, trunc, pole=None):
+    """The whole-window de Rham complex of a module's ladder."""
+    family = ModuleFamily(module, trunc, pole)
+    return complex_from_family(family, (trunc, pole), module.describe())
 
 
 def test_structure_dzero_shape():
@@ -160,6 +166,84 @@ def test_kernel_actions_stay_in_kernel():
     # induced first-variable derivative and multiplication close on the ladder
     data.family.partial_columns(1, 0)
     data.family.multiply_columns(1, 0)
+
+
+CONN2 = "conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])"
+# the golden kernel cases at their golden (N, K); the CLI's default is (8, 4)
+KERNEL_CASES = [("R", 1, 8, 4), ("R", 2, 8, 4), ("R", 3, 8, 4),
+                ("R_loc(x1*x2)", 2, 8, 4), ("R_loc(x1*x2)", 2, 6, 3),
+                (CONN2, 2, 8, 4), ("R_loc(x1^2-x2^3)", 2, 8, 4),
+                ("R_loc(x1^2+x2^2+x3^2)", 3, 4, 2), ("R_loc(x1*x2*x3)", 3, 3, 1)]
+
+
+def _outcome(compute):
+    """compute()'s value, or the message of the AssertionError it raises."""
+    try:
+        return compute()
+    except AssertionError as err:
+        return str(err)
+
+
+def _expressed(vectors, images, action):
+    """Coordinates by a tracked echelon on the level's basis vectors."""
+    echelon = ColumnEchelon(vectors, track=True)
+    cols = [echelon.express(image) for image in images]
+    if None in cols:
+        raise AssertionError(f"{action} left the kernel ladder")
+    return cols
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", KERNEL_CASES,
+                         ids=[f"{text} n={n} ({trunc},{pole})"
+                              for text, n, trunc, pole in KERNEL_CASES])
+def test_kernel_coordinates_match_a_tracked_echelon(text, n, trunc, pole):
+    # the coordinates read off the nullspace basis are the ones a tracked
+    # echelon on that basis expresses, and fail where it finds no
+    # combination (x1 on the cusp's truncated window leaves the kernel)
+    module = parse_module(text, n, trunc + 4 * pole + 12)
+    base = ModuleFamily(module, trunc, pole)
+    family = KernelFamily(base)
+    for t in range(len(family.axes)):
+        vectors = family.vectors(t)
+        for axis in family.axes:
+            matrix = base.partial_matrix(axis, t)
+            assert family.partial_columns(axis, t) == _expressed(
+                family.vectors(t + 1), [matrix.apply(vec) for vec in vectors],
+                "derivative")
+            raw = Matrix.from_cols(base.multiply_columns(axis, t), base.dim(t))
+            assert _outcome(lambda: family.multiply_columns(axis, t)) == _outcome(
+                lambda: _expressed(vectors, [raw.apply(vec) for vec in vectors],
+                                   "multiplication"))
+
+
+@pytest.mark.parametrize("action, message", [("partial_columns", "derivative"),
+                                             ("multiply_columns", "multiplication")])
+def test_an_image_outside_the_kernel_is_caught(action, message, monkeypatch):
+    base = ModuleFamily(ModulePresentation.structure(2, 30), 4)
+    family = KernelFamily(base)
+    level = 1 if action == "partial_columns" else 0
+    # a basis element of the target level that d_2 does not kill
+    outside = next(r for r, col in enumerate(base.partial_columns(2, level)) if col)
+    planted = [dict(col) for col in getattr(base, action)(1, 0)]
+    planted[max(family.vectors(0)[0])] = {outside: 1}
+    monkeypatch.setattr(base, action, lambda axis, t: planted)
+    with pytest.raises(AssertionError, match=f"{message} left the kernel ladder"):
+        getattr(family, action)(1, 0)
+
+
+def test_the_kernel_ladder_builds_one_tracked_echelon_per_level(monkeypatch):
+    tracked = []
+    init = linalg.ColumnEchelon.__init__
+
+    def recorded(self, columns=(), track=False):
+        tracked.append(track)
+        init(self, columns, track)
+
+    monkeypatch.setattr(linalg.ColumnEchelon, "__init__", recorded)
+    data = kernel_of_dn(parse_module("R_loc(x1*x2)", 2, 30), 6, 3)
+    data.family.partial_columns(1, 0)
+    # one nullspace per level, and no second echelon over its vectors
+    assert sum(tracked) == len(data.dims) == 2
 
 
 @pytest.mark.parametrize("compute", [stable_cohomology_dims, cokernel_of_dn,

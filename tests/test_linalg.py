@@ -47,6 +47,12 @@ def test_nullspace_vectors_annihilate():
         assert len(basis) == m.ncols - m.rank()
         for vec in basis:
             assert not m.apply(vec)
+        # the kernel ladder reads coordinates off this shape: each vector
+        # is 1 at its largest key, which no other vector holds
+        leads = [max(vec) for vec in basis]
+        assert all(vec[lead] == 1 for vec, lead in zip(basis, leads))
+        assert all(lead not in other for lead in leads for other in basis
+                   if max(other) != lead)
 
 
 def test_solve_consistency():

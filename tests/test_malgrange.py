@@ -1,5 +1,4 @@
-"""Indicial data, the coefficient recursion, exact kernel/cokernel dims,
-and the multivariate generator evidence."""
+"""Indicial data, the coefficient recursion, exact kernel/cokernel dims."""
 
 import random
 from fractions import Fraction
@@ -9,8 +8,8 @@ import pytest
 from formald.errors import (InsufficientPrecision, PreconditionViolated,
                             ZeroOperator)
 from formald.linalg import Matrix
-from formald.malgrange import (cokernel_generators, finite_dims,
-                               indicial_data, solve, truncated_cokernel_rank)
+from formald.malgrange import (finite_dims, indicial_data, solve,
+                               truncated_cokernel_rank)
 from formald.series import Series
 from formald.weyl import DiffOp
 
@@ -177,50 +176,6 @@ def test_cokernel_dim_matches_bruteforce():
         r20 = truncated_cokernel_rank(op, 20)
         r30 = truncated_cokernel_rank(op, 30)
         assert r20 == r30 == expected
-
-
-def test_cokernel_generators_surjective_case():
-    n, prec = 2, 24
-    d2 = DiffOp.partial(n, 2, prec)
-    evidence = cokernel_generators(d2, 6)
-    assert evidence.generators == ()
-    assert evidence.verified
-
-
-def test_cokernel_generators_multiplication():
-    n, prec = 2, 24
-    x2 = Series.variable(n, 2, prec)
-    evidence = cokernel_generators(DiffOp.from_series(x2), 6)
-    assert len(evidence.generators) == 1
-    assert evidence.generators[0].terms == {(0, 0): Fraction(1)}
-    assert evidence.verified
-
-
-def test_cokernel_generators_euler():
-    n, prec = 2, 24
-    x2 = Series.variable(n, 2, prec)
-    op = DiffOp(n, {(0, 1): x2})
-    evidence = cokernel_generators(op, 6)
-    assert len(evidence.generators) == 1
-    assert evidence.verified
-
-
-def test_cokernel_generators_three_vars():
-    n, prec = 3, 24
-    x3 = Series.variable(n, 3, prec)
-    one = Series.one(n, prec)
-    # x3*d3 + multiplication by x3^2
-    op = DiffOp(n, {(0, 0, 1): x3, (0, 0, 0): x3 * x3})
-    evidence = cokernel_generators(op, 5)
-    assert evidence.verified
-
-
-def test_cokernel_generators_regularity_required():
-    n, prec = 2, 24
-    x1 = Series.variable(n, 1, prec)
-    from formald.errors import NotRegularLeadingCoefficient
-    with pytest.raises(NotRegularLeadingCoefficient):
-        cokernel_generators(DiffOp(n, {(0, 1): x1}), 5)
 
 
 def test_coefficients_must_be_one_variable():

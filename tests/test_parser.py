@@ -3,13 +3,15 @@ input is rejected with a typed error."""
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from formald.derham import ModuleFamily
-from formald.errors import InsufficientPrecision, ParseError, UnsupportedExponent
+from formald.errors import (BoundOverflow, InsufficientPrecision, ParseError,
+                            UnsupportedExponent)
 from formald.parser import parse_module, parse_operator, parse_series, parse_symbol
 from formald.series import Series, monomials_upto
 from formald.symbols import Symbol
@@ -175,6 +177,23 @@ def test_power_by_squaring_matches_the_binomial_coefficients():
     # 100000 successive products took seconds; squaring takes 2 log2(k)
     power = parse_series("(1+x1)^100000", 1, 4)
     assert power == Series(1, 4, {(i,): math.comb(100000, i) for i in range(5)})
+
+
+def test_a_symbol_power_past_the_guard_is_a_typed_error():
+    # (1+z1)^k multiplies k(k+1) coefficient pairs in k successive products,
+    # 8.9 s at k = 800; the 50,000-pair guard stops it at k = 224
+    start = time.perf_counter()
+    with pytest.raises(BoundOverflow):
+        parse_symbol("(1+z1)^800", 1, 4)
+    assert time.perf_counter() - start < 5
+
+
+def test_a_symbol_power_under_the_guard_matches_repeated_products():
+    base = parse_symbol("1+z1", 1, 4)
+    expected = Symbol.from_series(Series.one(1, 4))
+    for _ in range(50):
+        expected = expected * base
+    assert parse_symbol("(1+z1)^50", 1, 4) == expected
 
 
 @SETTINGS
