@@ -24,7 +24,7 @@ from .errors import ToolkitError
 from .parser import parse_module, parse_operator, parse_series, parse_symbol
 from .series import (find_regularizing_substitution, weierstrass_divide,
                      weierstrass_prepare)
-from .symbols import Symbol, bracket_chain_probe, involutivity_check, poisson_bracket
+from .symbols import bracket_chain_probe, involutivity_check, poisson_bracket
 
 SCHEMA = "formald-report/1"
 
@@ -154,8 +154,7 @@ def _run_poisson(args, report):
 
 def _run_bracket_probe(args, report):
     f = parse_series(_read_text(args.expr), args.vars, args.trunc)
-    seed = Symbol.zeta(args.vars, args.vars, args.trunc)
-    result = bracket_chain_probe(f, seed, args.steps)
+    result = bracket_chain_probe(f, args.steps)
     report.add("status", result.status)
     report.add("step", result.step if result.step is not None else "-")
     report.add("certified-to-precision", result.certified_to_precision)

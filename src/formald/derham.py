@@ -65,8 +65,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .linalg import ColumnEchelon, Matrix, vec_add_scaled
-from .series import _split
+from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
 
 # -- level families --------------------------------------------------------
 
@@ -236,10 +235,10 @@ class KernelFamily(_Ladder):
         Fractions it would cost more than the elimination it replaces."""
         vectors = self.vectors(t)
         lead_of = {max(vec): i for i, vec in enumerate(vectors)}
-        *scaled, den = _split(*vectors)
+        *scaled, den = scale_to_integers(*vectors)
         cols = []
         for image in images:
-            integral, _ = _split(image)
+            integral, _ = scale_to_integers(image)
             residual = {row: den * v for row, v in integral.items()}
             for row, v in integral.items():
                 if row in lead_of:

@@ -9,15 +9,15 @@ computation here is deterministic: no pivoting randomness, no floats.
 and span test in the package, the inverse of a linear substitution
 included, is a sequence of its insertions, except the kernel ladder's
 coordinates, which are read off the shape of ``Matrix.nullspace``'s
-basis with no elimination.  It eliminates forward only
-and fraction-free: every stored vector is a primitive integer vector, and
-it keeps combinations of the added columns, as integers over one
-denominator, only where they are read.  ``Fraction``s are made only in
-what ``add``, ``express`` and ``project`` return, and so in
-``Matrix.nullspace``.
-``vec_add_scaled`` is the one scaled accumulate of sparse vectors;
-truncated products of exponent dicts go through
-:func:`formald.series.add_product`.
+basis with no elimination.  It eliminates forward only and
+fraction-free, and its one state is an integer vector per pivot: int
+rows below ``_LABELS`` are the columns' own, and label rows at or above
+it carry the combination of added columns that a vector stands for.
+``Fraction``s are made only in what ``add``, ``express`` and ``project``
+return, and so in ``Matrix.nullspace``.  ``scale_to_integers`` is the
+one Fraction -> integer scaler and ``vec_add_scaled`` the one scaled
+accumulate of sparse vectors; truncated products of exponent dicts go
+through :func:`formald.series.add_product`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,21 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+# rows from here on are labels: row _LABELS + l stands for added column l
+_LABELS = 1 << 62
+
+
+def scale_to_integers(*dicts):
+    """(ints_1, ..., ints_k, den): integer dicts with dicts[i] = ints_i/den,
+    den the lcm of every denominator; zero entries are dropped."""
+    den = 1
+    for d in dicts:
+        for c in d.values():
+            if den % c.denominator:
+                den = math.lcm(den, c.denominator)
+    return *[{e: c.numerator * (den // c.denominator) for e, c in d.items() if c}
+             for d in dicts], den
 
 
 def vec_add_scaled(target, source, factor):
@@ -44,35 +59,34 @@ def vec_add_scaled(target, source, factor):
 class ColumnEchelon:
     """A forward echelon basis of a growing family of column vectors.
 
-    A column is scaled to integers by the lcm of its denominators and
-    reduced only against the stored pivots it meets, in increasing order,
-    by w <- a*w - c*b with a = b[p]/g, c = w[p]/g and g = gcd(w[p], b[p])
-    (gcd-based fraction-free elimination).  Once the multipliers a since
-    the last such step pass 64 bits, w is divided by its content, so its
-    entries stay within 64 bits of the primitive residual's.  If anything
-    is left, it is divided by its content and stored under its pivot, the
-    least row left, with a positive pivot entry; no stored vector is
-    touched.  Supports rank queries, span membership and projection onto
-    the complement of the pivot rows (used for cokernel representatives).
-    ``track=True`` also keeps each stored vector b's combination of the
-    added columns, for ``add``'s answer on a dependent column and for
-    ``express``; a column's label is its insertion position, dependent
-    columns included.  It is an integer dict B with a positive integer
-    beta, beta*b = sum B[l]*col_l.  A reduction updates its combination
-    with the same a and c as the vector, over the lcm of the denominators
-    it meets, and divides it by the common gcd with its denominator at the
-    content step; B and beta are divided by theirs when b is stored.
-    Without tracking, ``add`` returns True for a dependent column and
-    ``express`` raises.  Residuals, pivot rows and combinations over the
-    independent labels do not depend on how the stored vectors are
-    scaled, so every answer is the one a ``Fraction`` elimination gives;
-    the ``Fraction``s are made only in what ``add``, ``express`` and
-    ``project`` return.
+    The one invariant: ``_rows`` maps each pivot to an integer vector with
+    gcd 1 whose least row is the pivot, with a positive entry there.  The
+    columns' rows are ints below ``_LABELS``; rows at or above it are
+    labels, reduced like any row but never pivots.  With ``track=True``
+    column l, the l-th added (dependent columns included), enters as
+    s*col + s*e_{_LABELS+l}, s the lcm of its denominators, so every
+    vector's label part is the combination of added columns that gives
+    its other rows.
+
+    A vector is scaled to integers and reduced only against the stored
+    pivots it meets, in increasing order, by w <- a*w - c*b with
+    a = b[p]/g, c = w[p]/g and g = gcd(w[p], b[p]) (gcd-based
+    fraction-free elimination).  Once the multipliers a since the last
+    such step pass 64 bits, w is divided by its content, so its entries
+    stay within 64 bits of the primitive residual's.  ``add`` stores what
+    is left, divided by its content, under its least row; if only labels
+    are left they are a dependence, which ``add`` returns as the
+    combination of the columns before (``True`` untracked) and does not
+    store.  ``express`` and ``project`` give their vector the next unused
+    label, whose final entry is the scale to divide by; ``contains`` and
+    ``project`` ignore label rows.  Residuals, pivot rows and combinations
+    over the independent columns do not depend on how the stored vectors
+    are scaled, so every answer is the one a ``Fraction`` elimination
+    gives.
     """
 
     def __init__(self, columns=(), track=False):
-        # pivot row -> (primitive integer vector, (B, beta) or None)
-        self._rows = {}
+        self._rows = {}  # pivot row -> integer vector
         self.track = track
         self.added = 0
         for col in columns:
@@ -85,15 +99,13 @@ class ColumnEchelon:
     def pivots(self):
         return sorted(self._rows)
 
-    def _reduce(self, vec):
-        """(w, (sigma, tau), comb): integers with tau*w = sigma*vec +
-        sum comb[l]*col_l, sigma and tau positive, and no entry of w on a
-        pivot row; comb is None untracked."""
-        sigma = math.lcm(*(v.denominator for v in vec.values()))
-        w = {k: v.numerator * (sigma // v.denominator)
-             for k, v in vec.items() if v}
-        tau = 1
-        comb = {} if self.track else None
+    def _reduce(self, vec, label=None):
+        """vec over the lcm of its denominators, that lcm on row
+        _LABELS + label if a label is given, reduced until no entry is on
+        a pivot row."""
+        w, den = scale_to_integers(vec)
+        if label is not None:
+            w[_LABELS + label] = den
         rows = self._rows
         heap = [row for row in w if row in rows]
         heapq.heapify(heap)
@@ -103,7 +115,7 @@ class ColumnEchelon:
             entry = w.get(pivot)
             if not entry:
                 continue  # cancelled, or a repeated key already reduced
-            basis_vec, basis_comb = rows[pivot]
+            basis_vec = rows[pivot]
             lead = basis_vec[pivot]
             g = math.gcd(entry, lead)
             # basis_vec lives on rows >= pivot; queue the stored pivots
@@ -116,35 +128,14 @@ class ColumnEchelon:
                 for k in w:
                     w[k] *= a
                 scale *= a
-            c = entry // g
-            vec_add_scaled(w, basis_vec, -c)
-            if comb is not None:
-                # tau*w and beta*b are integer combinations; over their
-                # common denominator lcm(tau, beta), sigma and comb take
-                # w's multiplier a times the lift common/tau
-                basis, beta = basis_comb
-                common = math.lcm(tau, beta)
-                a *= common // tau
-                if a != 1:
-                    for k in comb:
-                        comb[k] *= a
-                vec_add_scaled(comb, basis, -c * (common // beta))
-                tau = common
-            sigma *= a
-            if scale.bit_length() > 64 and w:
+            vec_add_scaled(w, basis_vec, -(entry // g))
+            if scale.bit_length() > 64:
                 content = math.gcd(*w.values())
                 if content != 1:
                     for k in w:
                         w[k] //= content
-                    tau *= content
-                    g = math.gcd(tau, sigma, *(comb or {}).values())
-                    if g != 1:
-                        tau //= g
-                        sigma //= g
-                        for k in comb or ():
-                            comb[k] //= g
                 scale = 1
-        return w, (sigma, tau), comb
+        return w
 
     def add(self, vec):
         """Insert a column.  Returns None if it is independent of the
@@ -152,43 +143,42 @@ class ColumnEchelon:
         or True."""
         label = self.added
         self.added += 1
-        w, (sigma, tau), comb = self._reduce(vec)
-        if not w:
-            # sigma*col_label + sum comb[l]*col_l = 0
-            return True if comb is None else {k: Fraction(-v, sigma)
-                                              for k, v in comb.items()}
-        pivot = min(w)
+        w = self._reduce(vec, label if self.track else None)
+        pivot = min(w) if w else _LABELS
+        if pivot >= _LABELS:
+            return _combination(w, label) if self.track else True
         content = math.gcd(*w.values())
         if w[pivot] < 0:
             content = -content
         if content != 1:
             w = {k: v // content for k, v in w.items()}
-        if comb is not None:
-            comb[label] = sigma  # the label is new
-            beta = tau * content
-            g = math.gcd(beta, *comb.values())
-            if beta < 0:
-                g = -g
-            if g != 1:
-                comb = {k: v // g for k, v in comb.items()}
-            comb = (comb, beta // g)
-        self._rows[pivot] = (w, comb)
+        self._rows[pivot] = w
         return None
 
     def express(self, vec):
         """Combination of added columns giving vec, or None if outside the span."""
         if not self.track:
             raise ValueError("express needs an echelon built with track=True")
-        w, (sigma, _), comb = self._reduce(vec)
-        return None if w else {k: Fraction(-v, sigma) for k, v in comb.items()}
+        w = self._reduce(vec, self.added)
+        return None if min(w) < _LABELS else _combination(w, self.added)
 
     def contains(self, vec):
-        return not self._reduce(vec)[0]
+        w = self._reduce(vec)
+        return not w or min(w) >= _LABELS
 
     def project(self, vec):
         """Residual of vec after reduction; it has no entry on a pivot row."""
-        w, (sigma, tau), _ = self._reduce(vec)
-        return {k: Fraction(v * tau, sigma) for k, v in w.items()}
+        w = self._reduce(vec, self.added)
+        scale = w[_LABELS + self.added]
+        return {k: Fraction(v, scale) for k, v in w.items() if k < _LABELS}
+
+
+def _combination(w, label):
+    """The dependence s*vec + sum m_l*col_l = 0 that a residual w left on
+    label rows only records, s = w[_LABELS + label], as vec's combination
+    {l: -m_l/s} of the added columns."""
+    scale = w.pop(_LABELS + label)
+    return {k - _LABELS: Fraction(-v, scale) for k, v in w.items()}
 
 
 @dataclass

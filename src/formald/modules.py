@@ -25,7 +25,7 @@ from operator import add
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
-from .linalg import Matrix, vec_add_scaled
+from .linalg import Matrix, scale_to_integers, vec_add_scaled
 from .series import Series, add_product, format_poly, monomials_upto, try_divide
 
 
@@ -129,10 +129,8 @@ class Localization(ModulePresentation):
              for j in range(self.num_vars)], len(exps) - 1)
         lattice = []
         for vec in diffs.nullspace():
-            scale = math.lcm(*(v.denominator for v in vec.values()))
-            w = [0] * self.num_vars
-            for j, v in vec.items():
-                w[j] = v.numerator * (scale // v.denominator)
+            ints, _ = scale_to_integers(vec)
+            w = [ints.get(j, 0) for j in range(self.num_vars)]
             content = math.gcd(*w)
             w = tuple(c // content for c in w)
             lattice.append((w, sum(a * b for a, b in zip(w, e0))))
@@ -295,6 +293,8 @@ class Connection(ModulePresentation):
         if num_vars == 0:
             raise ValueError("need one matrix per variable")
         rank = len(matrices[0])
+        if rank == 0:
+            raise ValueError("connection matrices must be nonempty")
         for m in matrices:
             if len(m) != rank or any(len(row) != rank for row in m):
                 raise ValueError("connection matrices must be square of equal size")

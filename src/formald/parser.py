@@ -468,6 +468,8 @@ def parse_module(text, num_vars, precision):
             rank = int(parts[0])
         except ValueError:
             raise ParseError("conn rank must be an integer", 0) from None
+        if rank < 1:
+            raise ParseError("conn rank must be >= 1", 0)
         matrices = []
         for part in parts[1:]:
             matrices.append(_parse_matrix(part, rank, num_vars, precision))

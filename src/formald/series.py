@@ -20,11 +20,12 @@ x one grade layer at a time, so each costs about one truncated product.
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
 on them.  ``Series.__mul__`` splits each factor once into integer
-numerators over the lcm of its denominators (:func:`_split`), runs
-``add_product`` on the integers and makes one ``Fraction`` per output
-term; a one-term factor c*x^m only shifts the other's terms by m and
-scales them by c.  ``_solve_graded`` keeps its pending terms in one bucket
-per grade, integer numerators over a denominator of the bucket's own, and
+numerators over the lcm of its denominators
+(:func:`formald.linalg.scale_to_integers`), runs ``add_product`` on the
+integers and makes one ``Fraction`` per output term; a one-term factor
+c*x^m only shifts the other's terms by m and scales them by c.
+``_solve_graded`` keeps its pending terms in one bucket per grade,
+integer numerators over a denominator of the bucket's own, and
 its steps hand it integer images with a multiplier p/q: a ``Fraction`` is
 made once per coefficient of the solution and once per step for the
 multiplier.
@@ -46,7 +47,7 @@ from .errors import (
     NotRegular,
     UnsupportedExponent,
 )
-from .linalg import ColumnEchelon, vec_add_scaled
+from .linalg import ColumnEchelon, scale_to_integers, vec_add_scaled
 
 
 def as_coeff(value):
@@ -105,14 +106,6 @@ def add_product(out, a, b, bound, factor=1):
             else:
                 del out[key]
     return out
-
-
-def _split(*dicts):
-    """(ints_1, ..., ints_k, den): integer dicts with dicts[i] = ints_i/den,
-    den the lcm of every denominator."""
-    den = math.lcm(*(c.denominator for d in dicts for c in d.values()))
-    return (*({e: c.numerator * (den // c.denominator) for e, c in d.items()}
-              for d in dicts), den)
 
 
 class Series:
@@ -316,8 +309,8 @@ class Series:
             return Series._raw(self.num_vars, prec,
                                {tuple(map(add, shift, e)): c * v
                                 for e, v in rest.terms.items() if sum(e) <= room})
-        a, da = _split(self.terms)
-        b, db = _split(other.terms)
+        a, da = scale_to_integers(self.terms)
+        b, db = scale_to_integers(other.terms)
         den = da * db
         return Series._raw(self.num_vars, prec,
                            {e: Fraction(v, den)
@@ -609,7 +602,7 @@ def _solve_graded(rhs, step, grade, top):
                 bucket[1] = common
             vec_add_scaled(terms, group, p * (common // q))
 
-    rhs, den = _split(rhs)
+    rhs, den = scale_to_integers(rhs)
     add(rhs, 1, den)
     x = {}
     for k in range(top + 1):
@@ -639,7 +632,7 @@ def invert_unit(a):
         raise NotAUnit("series has zero constant term")
     n, prec = a.num_vars, a.precision
     inv = 1 / c0
-    rest, den = _split({e: c for e, c in a.terms.items() if any(e)})
+    rest, den = scale_to_integers({e: c for e, c in a.terms.items() if any(e)})
 
     def step(layer, scale, add):
         factor = -inv / (scale * den)
@@ -657,7 +650,7 @@ def exp_series(a):
     if a.constant_term:
         raise UnsupportedExponent("exp needs a zero constant term")
     n, prec = a.num_vars, a.precision
-    theta_a, den = _split({e: c * sum(e) for e, c in a.terms.items()})
+    theta_a, den = scale_to_integers({e: c * sum(e) for e, c in a.terms.items()})
 
     def step(layer, scale, add):
         # E_k = [theta(a)*E]_k / k: each total degree g has its own divisor
@@ -757,7 +750,7 @@ def weierstrass_divide(g, f):
     # step's products add up as integers
     low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
                   for k in range(d)]
-    f_high, *low_coeffs, den = _split(f_high, *low_coeffs)
+    f_high, *low_coeffs, den = scale_to_integers(f_high, *low_coeffs)
 
     def step(layer, scale, add):
         image = add_product({}, layer, f_high, window)

@@ -134,6 +134,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
 
     columns = []
     labels = []
+    row_of = {}  # (x-exponent, z-exponent) -> int row, by first appearance
     for i, g in live:
         zmin = g.zeta_order()
         zmax = zeta_bound - zmin
@@ -151,7 +152,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
                         if sum(erow) > x_used:
                             continue
                         # distinct (zg, eg) pairs give distinct rows
-                        col[erow, zrow] = c
+                        col[row_of.setdefault((erow, zrow), len(row_of))] = c
                 if col:
                     columns.append(col)
                     labels.append((i, mu, zu))
@@ -164,7 +165,7 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
             continue
         for e, c in s.terms.items():
             if sum(e) <= x_used:
-                rhs[e, z] = c
+                rhs[row_of.setdefault((e, z), len(row_of))] = c
 
     combo = ColumnEchelon(columns, track=True).express(rhs)
     if combo is None:
@@ -224,8 +225,8 @@ class ChainProbeResult:
     certified_to_precision: int
 
 
-def bracket_chain_probe(f, seed, steps):
-    """Iterate g_0 = f, g_{l+1} = {seed, g_l} with seed the last-variable
+def bracket_chain_probe(f, steps):
+    """Iterate g_0 = f, g_{l+1} = {z_n, g_l} with z_n the last-variable
     symbol generator, reporting the first unit (nonzero constant term).
 
     For an f regular of order d in the last variable the unit appears at
@@ -233,10 +234,6 @@ def bracket_chain_probe(f, seed, steps):
     and exhaustion of steps or precision is reported honestly.
     """
     n = f.num_vars
-    expected = {tuple(1 if j == n - 1 else 0 for j in range(n))}
-    if set(seed.coeffs) != expected or not all(
-            s.terms == {(0,) * n: Fraction(1)} for s in seed.coeffs.values()):
-        raise ValueError("seed must be the last-variable symbol generator")
     g = Symbol.from_series(f)
     for step in range(steps + 1):
         remaining = f.precision - step

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from formald.linalg import ColumnEchelon, Matrix
+from formald.linalg import _LABELS, ColumnEchelon, Matrix, vec_add_scaled
 from formald.series import LinearSubstitution
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -332,11 +332,13 @@ def excess_bits(den, nums):
 
 
 def assert_combinations_in_lowest_terms(ech):
-    """A stored combination B/beta takes no more bits than the same
-    combination written with Fractions in lowest terms."""
-    for vec, (comb, beta) in ech._rows.values():
-        assert beta > 0 and all(type(v) is int for v in (beta, *comb.values()))
-        assert excess_bits(beta, list(comb.values())) <= 0
+    """A stored vector's combination, its label part, shares no factor with
+    the rest of it: the vector is an integer vector primitive over all its
+    entries, and carries labels only when tracked."""
+    for vec in ech._rows.values():
+        assert all(type(v) is int for v in vec.values())
+        assert math.gcd(*vec.values()) == 1
+        assert ech.track or max(vec) < _LABELS
 
 
 @SETTINGS
@@ -357,10 +359,10 @@ def test_fraction_free_echelon_matches_the_fraction_elimination(sample):
 def test_stored_vectors_are_primitive_integer_vectors(sample, data):
     columns, _ = sample
     ech = ColumnEchelon(columns, track=data.draw(st.booleans()))
-    for pivot, (vec, _) in ech._rows.items():
-        assert pivot == min(vec) and vec[pivot] > 0
-        assert all(type(v) is int for v in vec.values())
-        assert math.gcd(*vec.values()) == 1
+    for pivot, vec in ech._rows.items():
+        # the pivot is the least row, and it is not a label
+        assert pivot == min(vec) < _LABELS and vec[pivot] > 0
+    assert_combinations_in_lowest_terms(ech)
 
 
 @SETTINGS
@@ -408,9 +410,30 @@ def test_factorial_denominators_match_and_stay_near_primitive():
                 == echelon_answers(FractionEchelon, columns, probe))
         assert Matrix.from_cols(columns, n).nullspace() == fraction_nullspace(columns)
         assert_combinations_in_lowest_terms(ColumnEchelon(columns, track=True))
-        w, _, _ = ColumnEchelon(columns)._reduce(probe)
+        w = ColumnEchelon(columns)._reduce(probe)
         assert w and math.gcd(*w.values()).bit_length() <= 64
-        # the content step keeps the tracked combination of a reduction near
-        # its lowest terms too: 70 bits over them here, about 500 without
-        _, (sigma, _), comb = ColumnEchelon(columns, track=True)._reduce(probe)
-        assert excess_bits(sigma, list(comb.values())) <= 128
+        # the content step keeps the label part of a tracked reduction, the
+        # probe's scale on its own label over the combination on the others,
+        # near its lowest terms too: 70 bits over them here, about 500 without
+        label = _LABELS + len(columns)
+        w = ColumnEchelon(columns, track=True)._reduce(probe, len(columns))
+        comb = [v for k, v in w.items() if k >= _LABELS and k != label]
+        assert excess_bits(w[label], comb) <= 128
+
+
+@SETTINGS
+@given(rational_columns(), st.data())
+def test_label_rows_do_not_leak_into_answers(sample, data):
+    columns, _ = sample
+    factors = data.draw(st.lists(rational_entry(), min_size=len(columns),
+                                 max_size=len(columns)))
+    v = {}
+    for col, factor in zip(columns, factors):
+        vec_add_scaled(v, col, factor)
+    ech = ColumnEchelon(columns, track=True)
+    assert ech.contains(v) is True
+    assert ech.project(v) == {}
+    assert all(pivot < _LABELS for pivot in ech._rows)
+    rank, pivots = ech.rank, ech.pivots()
+    assert ech.add(v) is not None
+    assert (ech.rank, ech.pivots()) == (rank, pivots)

@@ -49,6 +49,11 @@ def test_integrability_needs_connection():
         check_integrability(ModulePresentation.localization(x1))
 
 
+def test_a_connection_of_rank_zero_is_rejected():
+    with pytest.raises(ValueError, match="must be nonempty"):
+        ModulePresentation.connection([[], []])
+
+
 def test_partial_action_on_localization():
     prec = 10
     x = Series.variable(1, 1, prec)

@@ -122,6 +122,8 @@ def test_plain_series_parser_rejects_operators():
 
 @pytest.mark.parametrize("text, message", [
     ("conn(a; [[0]]; [[0]])", "conn rank must be an integer"),
+    ("conn(0;[];[])", "conn rank must be >= 1"),
+    ("conn(-1;[[0]];[[0]])", "conn rank must be >= 1"),
     ("conn(1; [[0]])", "conn needs a rank and 2 matrices"),
     ("conn(2; [[0,1],[0]]; [[0,0],[0,0]])", "matrix row needs 2 entries"),
     ("conn(2; [[0,1]]; [[0,0],[0,0]])", "matrix needs 2 rows"),

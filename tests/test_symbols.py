@@ -172,7 +172,7 @@ def test_involutivity_disjoint_pair_passes():
 def test_chain_probe_linear():
     n, prec = 2, 6
     f = Series.variable(n, 2, prec)
-    outcome = bracket_chain_probe(f, Symbol.zeta(n, 2, prec), 6)
+    outcome = bracket_chain_probe(f, 6)
     assert outcome.status == "unit_reached" and outcome.step == 1
 
 
@@ -180,7 +180,7 @@ def test_chain_probe_order_two():
     n, prec = 2, 6
     x1 = Series.variable(n, 1, prec)
     x2 = Series.variable(n, 2, prec)
-    outcome = bracket_chain_probe(x2 * x2 + x1, Symbol.zeta(n, 2, prec), 6)
+    outcome = bracket_chain_probe(x2 * x2 + x1, 6)
     assert outcome.status == "unit_reached" and outcome.step == 2
 
 
@@ -188,7 +188,7 @@ def test_chain_probe_non_regular():
     n, prec = 2, 6
     x1 = Series.variable(n, 1, prec)
     x2 = Series.variable(n, 2, prec)
-    outcome = bracket_chain_probe(x1 * x2, Symbol.zeta(n, 2, prec), 6)
+    outcome = bracket_chain_probe(x1 * x2, 6)
     assert outcome.status in ("stable", "budget_exhausted")
     assert outcome.status != "unit_reached"
 
@@ -200,6 +200,6 @@ def test_chain_probe_step_equals_regularity_order():
         n = rng.choice([2, 3])
         order = rng.randint(0, 3)
         f = random_xn_regular(rng, n, 8, order)
-        outcome = bracket_chain_probe(f, Symbol.zeta(n, n, 8), 8)
+        outcome = bracket_chain_probe(f, 8)
         assert outcome.status == "unit_reached"
         assert outcome.step == is_xn_regular(f).order
