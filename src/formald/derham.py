@@ -64,6 +64,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
 
@@ -202,19 +203,30 @@ class KernelFamily(_Ladder):
     Level t's basis is ``Matrix.nullspace``'s: each vector is 1 at its
     largest key, its lead, which no other vector holds.  So a kernel
     element's coordinate on a vector is its entry at the lead, read off
-    with no elimination; what the combination leaves must be empty."""
+    with no elimination; what the combination leaves must be empty.  The
+    actions apply the base matrices to each level's integer forms, so their
+    images are integer-valued for an integral presentation."""
 
     def __init__(self, base):
         self.base = base
         self.num_vars = base.num_vars - 1
         self.axes = list(range(1, base.num_vars))
         self._vectors_cache = {}
+        self._integral_cache = {}
 
     def vectors(self, t):
         if t not in self._vectors_cache:
             matrix = self.base.partial_matrix(self.base.num_vars, t)
             self._vectors_cache[t] = matrix.nullspace()
         return self._vectors_cache[t]
+
+    def _integral(self, t):
+        """(integer vectors, den): the level-t basis vectors times den, the
+        lcm of their denominators."""
+        if t not in self._integral_cache:
+            *scaled, den = scale_to_integers(*self.vectors(t))
+            self._integral_cache[t] = scaled, den
+        return self._integral_cache[t]
 
     def basis(self, t):
         return list(range(len(self.vectors(t))))
@@ -229,15 +241,18 @@ class KernelFamily(_Ladder):
                  for i, c in sorted(vec.items())]
         return " + ".join(parts)
 
-    def _coordinates(self, t, images, action):
-        """Level-t coordinates of each image, checked to lie in the kernel.
-        The check subtracts in integers, den * vec and scale * image: in
-        Fractions it would cost more than the elimination it replaces."""
-        vectors = self.vectors(t)
-        lead_of = {max(vec): i for i, vec in enumerate(vectors)}
-        *scaled, den = scale_to_integers(*vectors)
+    def _coordinates(self, t, matrix, source, action):
+        """Level-t coordinates of the matrix's image of each level-``source``
+        basis vector, checked to lie in the kernel.  The images are of the
+        integer forms, so each read coordinate is divided by their one
+        denominator.  The check subtracts in integers, den * vec and scale *
+        image: in Fractions it would cost more than the elimination it
+        replaces."""
+        lead_of = {max(vec): i for i, vec in enumerate(self.vectors(t))}
+        scaled, den = self._integral(t)
+        sources, source_den = self._integral(source)
         cols = []
-        for image in images:
+        for image in map(matrix.apply, sources):
             integral, _ = scale_to_integers(image)
             residual = {row: den * v for row, v in integral.items()}
             for row, v in integral.items():
@@ -245,19 +260,18 @@ class KernelFamily(_Ladder):
                     vec_add_scaled(residual, scaled[lead_of[row]], -v)
             if residual:
                 raise AssertionError(f"{action} left the kernel ladder")
-            cols.append({lead_of[row]: c for row, c in image.items() if row in lead_of})
+            cols.append({lead_of[row]: Fraction(c, source_den)
+                         for row, c in image.items() if row in lead_of})
         return cols
 
     def partial_columns(self, axis, t):
-        base_matrix = self.base.partial_matrix(axis, t)
-        return self._coordinates(
-            t + 1, (base_matrix.apply(vec) for vec in self.vectors(t)), "derivative")
+        return self._coordinates(t + 1, self.base.partial_matrix(axis, t), t,
+                                 "derivative")
 
     def multiply_columns(self, axis, t):
         raw = Matrix.from_cols(self.base.multiply_columns(axis, t),
                                self.base.dim(t))
-        return self._coordinates(
-            t, (raw.apply(vec) for vec in self.vectors(t)), "multiplication")
+        return self._coordinates(t, raw, t, "multiplication")
 
 
 class CokernelFamily(_Ladder):

@@ -17,7 +17,7 @@ it carry the combination of added columns that a vector stands for.
 return, and so in ``Matrix.nullspace``.  ``scale_to_integers`` is the
 one Fraction -> integer scaler and ``vec_add_scaled`` the one scaled
 accumulate of sparse vectors; truncated products of exponent dicts go
-through :func:`formald.series.add_product`.
+through :func:`formald.series.product_by`.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from operator import add
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
 from .linalg import Matrix, scale_to_integers, vec_add_scaled
-from .series import Series, add_product, format_poly, monomials_upto, try_divide
+from .series import Series, format_poly, monomials_upto, product_by, try_divide
 
 
 def _lowered(e, j):
@@ -115,6 +115,13 @@ class Localization(ModulePresentation):
         self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
+        self._times_f_cache = {}
+
+    def _times_f(self, bound):
+        """The product by f cut at ``bound``, prepared once per bound."""
+        if bound not in self._times_f_cache:
+            self._times_f_cache[bound] = product_by(self.f_terms, bound)
+        return self._times_f_cache[bound]
 
     @cached_property
     def weight_lattice(self):
@@ -236,8 +243,9 @@ class Localization(ModulePresentation):
         def maps(t):
             index_b = fam_b.index(t)
             power = {(0,) * self.num_vars: 1}
+            times_f = self._times_f(fam_b.bound(t))
             for _ in range(fam_b.pole(t) - fam_a.pole(t)):
-                power = add_product({}, power, self.f_terms, fam_b.bound(t))
+                power = times_f({}, power)
             cols = []
             for _, e in fam_a.basis(t):
                 cols.append({index_b[(0, tuple(i + j for i, j in zip(e, ef)))]: c
@@ -257,8 +265,9 @@ class Localization(ModulePresentation):
         bound = ladder.bound(0)
         terms = {e: c for e, c in element.numerator.terms.items()
                  if sum(e) <= bound}
+        times_f = self._times_f(bound)
         for _ in range(steps):
-            terms = add_product({}, terms, self.f_terms, bound)
+            terms = times_f({}, terms)
         known = min(element.numerator.precision + steps * self.f_ord, bound)
         index = ladder.index(0)
         return {index[(0, e)]: c for e, c in terms.items()}, known
@@ -364,21 +373,26 @@ class Connection(ModulePresentation):
         return mono if self.rank == 1 else f"e{comp + 1}*{mono}"
 
     def partial_columns(self, ladder, axis, t, labels):
-        """nabla_axis of the given level-t labels, truncated to level t+1."""
+        """nabla_axis of the given level-t labels, truncated to level t+1:
+        e_j at x^(e-1_j) in the label's own component, plus each matrix
+        term of its column shifted by e where that stays within the bound.
+        No two of these terms meet, since the first has degree |e| - 1 and
+        the shifts of one entry are distinct and of degree >= |e|."""
         index = ladder.index(t + 1)
         bound = ladder.bound(t + 1)
-        a = [[_ladder_terms(entry.terms) for entry in row]
-             for row in self.matrices[axis - 1]]
+        a = [[[(ea, sum(ea), c) for ea, c in _ladder_terms(entry.terms).items()]
+              for entry in row] for row in self.matrices[axis - 1]]
         j = axis - 1
         cols = []
         for comp, e in labels:
-            mono = {e: 1}
+            room = bound - sum(e)
             col = {}
             for row in range(self.rank):
-                part = {_lowered(e, j): e[j]} if row == comp and e[j] else {}
-                add_product(part, a[row][comp], mono, bound)
-                for exps, c in part.items():
-                    col[index[(row, exps)]] = c
+                if row == comp and e[j]:
+                    col[index[(row, _lowered(e, j))]] = e[j]
+                for ea, da, c in a[row][comp]:
+                    if da <= room:
+                        col[index[(row, tuple(map(add, e, ea)))]] = c
             cols.append(col)
         return cols
 

@@ -12,11 +12,16 @@ Conventions used throughout the package:
 * the distinguished variable for regularity questions is always the last.
 
 Every truncated product of exponent dicts goes through one kernel,
-:func:`add_product`; scaled sparse accumulation goes through
-:func:`formald.linalg.vec_add_scaled`.  Unit inversion, the exponential
-and Weierstrass division each solve x = rhs + step(x) for a linear step
-that raises a grading, through one solver, :func:`_solve_graded`: it fixes
-x one grade layer at a time, so each costs about one truncated product.
+:func:`product_by`: it reads its fixed factor once, packing each exponent
+into one int (Kronecker's substitution, base bound + 1) and sorting the
+terms by degree, and returns a ``mul`` that adds factor*a*b for any a on
+int keys.  :func:`add_product` is one such call.  Scaled sparse
+accumulation goes through :func:`formald.linalg.vec_add_scaled`.  Unit
+inversion, the exponential and Weierstrass division each solve
+x = rhs + step(x) for a linear step that raises a grading, through one
+solver, :func:`_solve_graded`: it fixes x one grade layer at a time, so
+each costs about one truncated product, and each prepares its
+multipliers once per solve, before the first step.
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
 on them.  ``Series.__mul__`` splits each factor once into integer
@@ -37,7 +42,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
+from operator import mul as times
 
 from .errors import (
     BoundOverflow,
@@ -85,27 +91,75 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def add_product(out, a, b, bound, factor=1):
-    """out += factor * a * b on exponent -> Fraction dicts, keeping only the
-    terms of total degree <= bound and dropping cancellations."""
-    if not factor:
-        return out
-    b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
-    for ea, ca in a.items():
-        room = bound - sum(ea)
-        if room < 0:
-            continue
-        ca = ca * factor
-        for eb, db, cb in b_terms:
-            if db > room:
+def product_by(b, bound):
+    """The truncated product by a fixed factor b, which is read once:
+    ``mul(out, a, factor=1)`` adds factor*a*b to the exponent dict ``out``,
+    keeping the terms of total degree <= bound (an int) and dropping
+    cancellations.
+
+    Inside, an exponent e is packed into one int, sum e_i*(bound+1)^i
+    (Kronecker's substitution).  Only pairs of total degree <= bound are
+    multiplied, so no entry of a pair's sum reaches the base: the packed
+    sum is the packed key of the exponent sum, with no carry.  b's terms
+    are sorted by degree, so the pair loop stops at the first one past a
+    term's room.  The products add up on int keys; an exponent tuple is
+    rebuilt only for a nonzero output term, once per key over every call,
+    and merged into ``out``."""
+    terms = sorted(((sum(e), e, c) for e, c in b.items() if sum(e) <= bound),
+                   key=itemgetter(0))
+    if not terms:
+        return lambda out, a, factor=1: out
+    num_vars = len(terms[0][1])
+    base = bound + 1
+    powers = [base ** i for i in range(num_vars)]
+    terms = [(d, sum(map(times, e, powers)), c) for d, e, c in terms]
+
+    unpacked = {}  # packed key -> exponent tuple, over every call
+
+    def unpack(key):
+        exps, rest = [], key
+        for _ in range(num_vars):
+            rest, e = divmod(rest, base)
+            exps.append(e)
+        unpacked[key] = exps = tuple(exps)
+        return exps
+
+    def mul(out, a, factor=1):
+        if not factor:
+            return out
+        acc = {}
+        for ea, ca in a.items():
+            room = bound - sum(ea)
+            if room < 0:
                 continue
-            key = tuple(map(add, ea, eb))
-            new = out.get(key, 0) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+            ka = sum(map(times, ea, powers))
+            ca *= factor
+            for db, kb, cb in terms:
+                if db > room:
+                    break
+                key = ka + kb
+                acc[key] = acc.get(key, 0) + ca * cb
+        for key, v in acc.items():
+            if v:
+                e = unpacked[key] if key in unpacked else unpack(key)
+                new = out[e] + v if e in out else v
+                if new:
+                    out[e] = new
+                else:
+                    del out[e]
+        return out
+
+    return mul
+
+
+def add_product(out, a, b, bound, factor=1):
+    """out += factor * a * b on exponent dicts, keeping only the terms of
+    total degree <= bound (an int or ``math.inf``) and dropping
+    cancellations: one :func:`product_by` call."""
+    if not (a and b and factor):
+        return out
+    bound = min(bound, max(map(sum, a)) + max(map(sum, b)))
+    return product_by(b, bound)(out, a, factor)
 
 
 class Series:
@@ -633,10 +687,11 @@ def invert_unit(a):
     n, prec = a.num_vars, a.precision
     inv = 1 / c0
     rest, den = scale_to_integers({e: c for e, c in a.terms.items() if any(e)})
+    times_rest = product_by(rest, prec)
 
     def step(layer, scale, add):
         factor = -inv / (scale * den)
-        add(add_product({}, layer, rest, prec), factor.numerator, factor.denominator)
+        add(times_rest({}, layer), factor.numerator, factor.denominator)
 
     return Series._raw(n, prec, _solve_graded({(0,) * n: inv}, step, sum, prec))
 
@@ -651,11 +706,12 @@ def exp_series(a):
         raise UnsupportedExponent("exp needs a zero constant term")
     n, prec = a.num_vars, a.precision
     theta_a, den = scale_to_integers({e: c * sum(e) for e, c in a.terms.items()})
+    times_theta_a = product_by(theta_a, prec)
 
     def step(layer, scale, add):
         # E_k = [theta(a)*E]_k / k: each total degree g has its own divisor
         by_degree = {}
-        for e, v in add_product({}, layer, theta_a, prec).items():
+        for e, v in times_theta_a({}, layer).items():
             by_degree.setdefault(sum(e), {})[e] = v
         for g, image in by_degree.items():
             add(image, 1, scale * den * g)
@@ -747,15 +803,17 @@ def weierstrass_divide(g, f):
     # T(q*f_low) is the sum over k < d of T_{d-k}(q)*c_k, with c_k the
     # x_n^k-coefficient of f and T_j the x_n^j-quotient: only pairs that T
     # keeps are multiplied.  The multipliers share one denominator, so a
-    # step's products add up as integers
+    # step's products add up as integers; each is prepared once per solve
     low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
                   for k in range(d)]
     f_high, *low_coeffs, den = scale_to_integers(f_high, *low_coeffs)
+    times_high = product_by(f_high, window)
+    times_low = [product_by(coeff, window - d) for coeff in low_coeffs]
 
     def step(layer, scale, add):
-        image = add_product({}, layer, f_high, window)
-        for k, coeff in enumerate(low_coeffs):
-            add_product(image, _xn_quotient(layer, d - k), coeff, window - d)
+        image = times_high({}, layer)
+        for k, times_coeff in enumerate(times_low):
+            times_coeff(image, _xn_quotient(layer, d - k))
         factor = -inv / (scale * den)
         add(image, factor.numerator, factor.denominator)
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+from operator import add, ge, sub
 
-from .errors import ZeroOperator
-from .series import Series, SeriesPoly
+from .errors import InsufficientPrecision, ZeroOperator
+from .linalg import scale_to_integers
+from .series import Series, SeriesPoly, product_by
 from .symbols import Symbol
 
 
@@ -90,22 +93,48 @@ def op_product(a, b):
     """Normal-form product: all coefficients moved to the left.
 
     Uses d^alpha o (g .) = sum_{gamma <= alpha} C(alpha, gamma)
-    d^{alpha-gamma}(g) d^gamma, applied termwise.
+    d^{alpha-gamma}(g) d^gamma, applied termwise, on integers: a's and b's
+    coefficients are scaled to integers over one denominator each.  A first
+    pass fixes each output key's precision, the least over its summands of
+    min(prec c_a, prec c_b - |alpha - gamma|), a summand that vanishes
+    included; a second adds C(alpha, gamma)*c_a*d^(alpha-gamma)(c_b) into
+    the key's integer dict, cut at that precision, through one prepared
+    :func:`formald.series.product_by` per (alpha, precision).  A
+    ``Fraction`` is made once per output term.
     """
     a._check(b)
     n = a.num_vars
-    out = {}
-    for alpha, ca in a.coeffs.items():
-        for beta, cb in b.coeffs.items():
-            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
-                binom = 1
-                for ai, gi in zip(alpha, gamma):
-                    binom *= math.comb(ai, gi)
-                moved = tuple(ai - gi for ai, gi in zip(alpha, gamma))
-                coeff = ca * cb.partial_multi(moved) * binom
-                key = tuple(gi + bi for gi, bi in zip(gamma, beta))
-                DiffOp._accumulate(out, key, coeff)
-    return DiffOp(n, out)
+    a_items, b_items = list(a.coeffs.items()), list(b.coeffs.items())
+    *a_ints, a_den = scale_to_integers(*(s.terms for _, s in a_items))
+    *b_ints, b_den = scale_to_integers(*(s.terms for _, s in b_items))
+    summands = []  # (index in a, index in b, alpha - gamma, binomial, key)
+    precision = {}
+    for i, (alpha, ca) in enumerate(a_items):
+        for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+            moved = tuple(map(sub, alpha, gamma))
+            binom = math.prod(map(math.comb, alpha, gamma))
+            for m, (beta, cb) in enumerate(b_items):
+                if sum(moved) > cb.precision:
+                    raise InsufficientPrecision("cannot differentiate at precision 0")
+                key = tuple(map(add, gamma, beta))
+                prec = min(ca.precision, cb.precision - sum(moved))
+                precision[key] = min(precision.get(key, prec), prec)
+                summands.append((i, m, moved, binom, key))
+    out = {key: {} for key in precision}
+    prepared, partials = {}, {}
+    for i, m, moved, binom, key in summands:
+        bound = precision[key]
+        if (i, bound) not in prepared:
+            prepared[i, bound] = product_by(a_ints[i], bound)
+        if (m, moved) not in partials:
+            partials[m, moved] = {
+                tuple(map(sub, e, moved)): c * math.prod(map(math.perm, e, moved))
+                for e, c in b_ints[m].items() if all(map(ge, e, moved))}
+        prepared[i, bound](out[key], partials[m, moved], binom)
+    den = a_den * b_den
+    return DiffOp(n, {key: Series._raw(n, precision[key],
+                                       {e: Fraction(v, den) for e, v in ints.items()})
+                      for key, ints in out.items()})
 
 
 def commutator(a, b):

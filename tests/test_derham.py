@@ -169,11 +169,14 @@ def test_kernel_actions_stay_in_kernel():
 
 
 CONN2 = "conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])"
-# the golden kernel cases at their golden (N, K); the CLI's default is (8, 4)
+# the golden kernel cases at their golden (N, K), the CLI's default being
+# (8, 4), and two whose nullspace vectors have denominators (9 and 27, 4
+# and 8 on levels 0 and 1)
 KERNEL_CASES = [("R", 1, 8, 4), ("R", 2, 8, 4), ("R", 3, 8, 4),
                 ("R_loc(x1*x2)", 2, 8, 4), ("R_loc(x1*x2)", 2, 6, 3),
                 (CONN2, 2, 8, 4), ("R_loc(x1^2-x2^3)", 2, 8, 4),
-                ("R_loc(x1^2+x2^2+x3^2)", 3, 4, 2), ("R_loc(x1*x2*x3)", 3, 3, 1)]
+                ("R_loc(x1^2+x2^2+x3^2)", 3, 4, 2), ("R_loc(x1*x2*x3)", 3, 3, 1),
+                ("R_loc(2*x1+3*x2^2)", 2, 4, 2), ("R_loc(x1*(1+2*x2))", 2, 4, 2)]
 
 
 def _outcome(compute):

@@ -1,9 +1,10 @@
 """formald has one truncated product and one scaled accumulate: every
 update of a sparse dict entry by a sum, written ``d.get(k, default) +/- ...``
-or ``d[k] +/- ... if k in d else ...``, lives in ``series.add_product``,
-``linalg.vec_add_scaled``, ``Series.sum_of`` (which keeps its own loop, as
-a unit-factor accumulate would cost a multiplication per term) or
-``SeriesPoly._accumulate`` (whose values are series, not numbers)."""
+or ``d[k] +/- ... if k in d else ...``, lives in the prepared ``mul`` of
+``series.product_by``, ``linalg.vec_add_scaled``, ``Series.sum_of`` (which
+keeps its own loop, as a unit-factor accumulate would cost a multiplication
+per term) or ``SeriesPoly._accumulate`` (whose values are series, not
+numbers)."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import formald
 
 SOURCES = sorted(Path(formald.__file__).resolve().parent.glob("*.py"))
-KERNELS = {"vec_add_scaled", "add_product", "Series.sum_of",
+KERNELS = {"vec_add_scaled", "product_by.mul", "Series.sum_of",
            "SeriesPoly._accumulate"}
 
 

@@ -14,9 +14,9 @@ from formald.errors import (InsufficientPrecision, NotAUnit, NotRegular,
 from formald.series import (LinearSubstitution, Series, add_product,
                             apply_linear_substitution, exp_series,
                             find_regularizing_substitution, invert_unit,
-                            is_xn_regular, monomials_upto, try_divide,
-                            weierstrass_divide, weierstrass_prepare,
-                            xn_coefficient)
+                            is_xn_regular, monomials_upto, product_by,
+                            try_divide, weierstrass_divide,
+                            weierstrass_prepare, xn_coefficient)
 
 from conftest import random_series, random_xn_regular, series_agree
 
@@ -421,6 +421,43 @@ def test_add_product_matches_sympy(case):
 
 
 @st.composite
+def reused_product_cases(draw):
+    n = draw(st.integers(1, 3))
+    factors = draw(st.lists(_poly_dicts(n, 6), min_size=1, max_size=3))
+    return (n, draw(_poly_dicts(n, 6)), factors,
+            [draw(_poly_dicts(n, 8)) for _ in factors],
+            draw(st.one_of(st.integers(-1, 8), st.just(math.inf))),
+            draw(st.sampled_from([1, -1, 0, Fraction(-3, 2), Fraction(2, 5)])),
+            draw(st.booleans()))
+
+
+@KERNEL_SETTINGS
+@given(reused_product_cases())
+# a bound of 0, and every product term cancelling into out
+@example((2, {(0, 0): 2, (1, 0): 1}, [{(0, 0): 3}], [{(5, 0): 1}], 0, 1, True))
+def test_a_prepared_product_is_reusable(case):
+    # one product_by(b, bound) serves every a: each result equals one
+    # add_product call per a and the sympy product, cut at the bound, with
+    # keys of out that the product cancels dropped; an infinite bound is
+    # prepared at the largest degree a product can reach
+    n, b, factors, outs, bound, factor, cancel = case
+    finite = bound if bound != math.inf else max(
+        (sum(e) for terms in factors + [b] for e in terms), default=0) * 2
+    prepared = product_by(b, finite)
+    for a, out in zip(factors, outs):
+        product = {e: factor * c for e, c in _sympy_product(n, a, b).items()
+                   if sum(e) <= bound and factor}
+        if cancel:
+            out = {**out, **{e: -c for e, c in list(product.items())[::2]}}
+        expected = dict(out)
+        for e, c in product.items():
+            expected[e] = expected.get(e, 0) + c
+        expected = {e: c for e, c in expected.items() if c}
+        assert prepared(dict(out), a, factor) == expected
+        assert add_product(dict(out), a, b, bound, factor) == expected
+
+
+@st.composite
 def series_pairs(draw, coeffs=nonzero_rationals, size=2):
     n = draw(st.integers(1, 3))
     precisions = [draw(st.integers(0, 6)) for _ in range(size)]
@@ -578,24 +615,30 @@ def test_weierstrass_form_reconstructs(f):
 
 
 def _pairs(a, b, bound):
-    """Term pairs of a*b that add_product multiplies under the bound."""
+    """Term pairs of a*b that a product cut at the bound multiplies."""
     degrees = [sum(e) for e in b]
     return sum(1 for ea in a for db in degrees if sum(ea) + db <= bound)
 
 
 @pytest.fixture
 def product_pairs(monkeypatch):
-    """Counts the term pairs every add_product call multiplies."""
+    """Counts the term pairs every prepared product multiplies: each
+    product_by multiplier, and so each add_product call."""
     import formald.series as series_module
-    kernel = series_module.add_product
+    kernel = series_module.product_by
     count = [0]
 
-    def counted(out, a, b, bound, factor=1):
-        if factor:
-            count[0] += _pairs(a, b, bound)
-        return kernel(out, a, b, bound, factor)
+    def counted(b, bound):
+        mul = kernel(b, bound)
 
-    monkeypatch.setattr(series_module, "add_product", counted)
+        def counted_mul(out, a, factor=1):
+            if factor:
+                count[0] += _pairs(a, b, bound)
+            return mul(out, a, factor)
+
+        return counted_mul
+
+    monkeypatch.setattr(series_module, "product_by", counted)
     return count
 
 
@@ -604,18 +647,18 @@ def test_graded_solves_cost_about_one_product(product_pairs):
     n, prec = 2, 12
     a = random_series(rng, n, prec, density=0.9, unit=True)
     b = invert_unit(a)
-    assert product_pairs[0] <= _pairs(a.terms, b.terms, prec)
+    assert 0 < product_pairs[0] <= _pairs(a.terms, b.terms, prec)
 
     product_pairs[0] = 0
     a = random_series(rng, n, prec, density=0.9, zero_constant=True)
     e = exp_series(a)
-    assert product_pairs[0] <= _pairs(a.terms, e.terms, prec)
+    assert 0 < product_pairs[0] <= _pairs(a.terms, e.terms, prec)
 
     product_pairs[0] = 0
     f = random_xn_regular(rng, n, prec, 3)
     g = random_series(rng, n, prec, density=0.9)
     q, _ = weierstrass_divide(g, f)
-    assert product_pairs[0] <= 3 * _pairs(q.terms, f.terms, prec)
+    assert 0 < product_pairs[0] <= 3 * _pairs(q.terms, f.terms, prec)
 
 
 # -- the integer kernels against the Fraction code they replaced -------------

@@ -1,12 +1,15 @@
 """Normal-form operator arithmetic, principal symbols."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from formald.series import Series
+from formald.errors import InsufficientPrecision
+from formald.series import Series, monomials_upto
 from formald.symbols import Symbol
 from formald.weyl import DiffOp, commutator, op_product
 
@@ -16,7 +19,6 @@ from test_containers import samples
 
 def random_op(rng, num_vars, precision, max_order=2, density=0.5):
     coeffs = {}
-    from formald.series import monomials_upto
     for alpha in monomials_upto(num_vars, max_order):
         if rng.random() < density:
             s = random_series(rng, num_vars, precision, degree=2)
@@ -173,6 +175,72 @@ def test_product_keeps_precision_of_vanishing_summands():
     assert series_agree(left.coeffs[(0, 0)],
                         Series(2, p, {(0, 0): 1, (0, 1): 1}))
     assert coeffs_agree(left, right)
+
+
+def _series_sum_product(a, b):
+    """The normal-form product as one Series product per (alpha, beta,
+    gamma), summed as series: the formulation op_product replaced, kept
+    as its oracle."""
+    out = {}
+    for alpha, ca in a.coeffs.items():
+        for beta, cb in b.coeffs.items():
+            for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+                binom = math.prod(map(math.comb, alpha, gamma))
+                moved = tuple(ai - gi for ai, gi in zip(alpha, gamma))
+                coeff = ca * cb.partial_multi(moved) * binom
+                key = tuple(gi + bi for gi, bi in zip(gamma, beta))
+                DiffOp._accumulate(out, key, coeff)
+    return DiffOp(a.num_vars, out)
+
+
+def _raised(compute):
+    """compute()'s value, or the type and message of the
+    InsufficientPrecision it raises."""
+    try:
+        return compute()
+    except InsufficientPrecision as err:
+        return type(err), str(err)
+
+
+@st.composite
+def mixed_precision_ops(draw, n):
+    """An operator of order <= 2 whose coefficients have precisions of
+    their own, 0 to 4, so that differentiating one can exhaust it."""
+    keys = st.sampled_from(monomials_upto(n, 2))
+    coeffs = {}
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        prec = draw(st.integers(0, 4))
+        terms = draw(st.dictionaries(st.sampled_from(monomials_upto(n, prec)),
+                                     st.builds(Fraction, st.integers(-4, 4),
+                                               st.sampled_from([1, 2, 3, 6])),
+                                     max_size=4))
+        coeffs[key] = Series(n, prec, terms)
+    return DiffOp(n, coeffs)
+
+
+@st.composite
+def mixed_precision_pairs(draw):
+    n = draw(st.integers(1, 2))
+    return draw(mixed_precision_ops(n)), draw(mixed_precision_ops(n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mixed_precision_pairs())
+# key d1: x2 d1 (known to 3) plus d1 of x2 (zero, known only to 1)
+@example((DiffOp.partial(2, 1, 8),
+          DiffOp(2, {(0, 0): Series(2, 3, {(0, 1): 1}),
+                     (1, 0): Series(2, 2, {(0, 1): 1})})))
+# d1^2 on a coefficient known to 1 cannot be formed
+@example((DiffOp(1, {(2,): Series.one(1, 3)}),
+          DiffOp.from_series(Series(1, 1, {(1,): 1}))))
+def test_op_product_matches_the_series_sum_formulation(pair):
+    # coefficients, each key's precision (the least over its summands, a
+    # vanishing one included) and the InsufficientPrecision raise
+    a, b = pair
+    assert _raised(lambda: op_product(a, b)) == _raised(
+        lambda: _series_sum_product(a, b))
+    assert _raised(lambda: commutator(a, b)) == _raised(
+        lambda: _series_sum_product(a, b) - _series_sum_product(b, a))
 
 
 def test_normal_form_faithful_on_actions():
