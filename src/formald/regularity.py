@@ -108,12 +108,13 @@ def _recurrence(ladder, element, f, p_max):
                 break
         if solution is None:
             continue
-        coefficients = [Series.zero(ladder.num_vars, trunc) for _ in range(p)]
+        # the labels (i, mu) are distinct, so each coefficient is built once
+        terms = [{} for _ in range(p)]
         for pos, value in sorted(solution.items()):
             i, mu = labels[pos]
-            coefficients[i] = coefficients[i] + Series.monomial(
-                ladder.num_vars, mu, trunc) * value
-        return RecurrenceReport(order=p, coefficients=tuple(coefficients),
+            terms[i][mu] = value
+        coefficients = tuple(Series(ladder.num_vars, trunc, t) for t in terms)
+        return RecurrenceReport(order=p, coefficients=coefficients,
                                 p_max=p_max, trunc=trunc, pole=ladder.pole(0),
                                 degree_checked=degree_known)
     return RecurrenceReport(order=None, coefficients=None, p_max=p_max,

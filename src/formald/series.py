@@ -15,20 +15,21 @@ Every truncated product of exponent dicts goes through one kernel,
 :func:`product_by`: it reads its fixed factor once, packing each exponent
 into one int (Kronecker's substitution, base bound + 1) and sorting the
 terms by degree, and returns a ``mul`` that adds factor*a*b for any a on
-int keys.  :func:`add_product` is one such call.  Scaled sparse
-accumulation goes through :func:`formald.linalg.vec_add_scaled`.  Unit
-inversion, the exponential and Weierstrass division each solve
-x = rhs + step(x) for a linear step that raises a grading, through one
-solver, :func:`_solve_graded`: it fixes x one grade layer at a time, so
-each costs about one truncated product, and each prepares its
-multipliers once per solve, before the first step.
+int keys; ``SeriesPoly._product``, the one product of operators and
+symbols, runs it per coefficient pair.  Scaled sparse accumulation goes
+through :func:`formald.linalg.vec_add_scaled`.  Unit inversion, the
+exponential and Weierstrass division each solve x = rhs + step(x) for a
+linear step that raises a grading, through one solver,
+:func:`_solve_graded`: it fixes x one grade layer at a time, so each costs
+about one truncated product, and each prepares its multipliers once per
+solve, before the first step.
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
-on them.  ``Series.__mul__`` splits each factor once into integer
-numerators over the lcm of its denominators
-(:func:`formald.linalg.scale_to_integers`), runs ``add_product`` on the
-integers and makes one ``Fraction`` per output term; a one-term factor
-c*x^m only shifts the other's terms by m and scales them by c.
+on them.  ``Series.__mul__`` and ``SeriesPoly._product`` split each factor
+once into integer numerators over the lcm of its denominators
+(:func:`formald.linalg.scale_to_integers`), run ``product_by`` on the
+integers and make one ``Fraction`` per output term; a one-term series
+factor c*x^m only shifts the other's terms by m and scales them by c.
 ``_solve_graded`` keeps its pending terms in one bucket per grade,
 integer numerators over a denominator of the bucket's own, and
 its steps hand it integer images with a multiplier p/q: a ``Fraction`` is
@@ -42,8 +43,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add, ge, itemgetter
 from operator import mul as times
+from operator import sub as minus
 
 from .errors import (
     BoundOverflow,
@@ -150,16 +152,6 @@ def product_by(b, bound):
         return out
 
     return mul
-
-
-def add_product(out, a, b, bound, factor=1):
-    """out += factor * a * b on exponent dicts, keeping only the terms of
-    total degree <= bound (an int or ``math.inf``) and dropping
-    cancellations: one :func:`product_by` call."""
-    if not (a and b and factor):
-        return out
-    bound = min(bound, max(map(sum, a)) + max(map(sum, b)))
-    return product_by(b, bound)(out, a, factor)
 
 
 class Series:
@@ -289,7 +281,6 @@ class Series:
 
     def restrict_to_last(self):
         """f(0, ..., 0, x_n) as a one-variable series."""
-        n = self.num_vars
         terms = {}
         for e, c in self.terms.items():
             if all(v == 0 for v in e[:-1]):
@@ -368,7 +359,7 @@ class Series:
         den = da * db
         return Series._raw(self.num_vars, prec,
                            {e: Fraction(v, den)
-                            for e, v in add_product({}, a, b, prec).items()})
+                            for e, v in product_by(b, prec)({}, a).items()})
 
     __rmul__ = __mul__
 
@@ -451,11 +442,12 @@ class SeriesPoly:
 
     ``coeffs`` maps a generator exponent tuple to its nonzero series
     coefficient.  Operators (generators d_i) and symbols (generators z_i)
-    are both free modules on these monomials and differ only in their
-    product, so the module structure lives here: validation, promotion of
-    int, Fraction and Series values, addition, scaling and powers.  A
-    subclass supplies ``_product`` and its printing.  Values of different
-    subclasses never combine or compare equal.
+    differ only in how a generator monomial passes a coefficient, so all
+    else lives here: validation, promotion of int, Fraction and Series
+    values, addition, scaling, the product and powers.  A subclass supplies
+    its printing and that rule, ``_moves(alpha)``, yielding the (gamma,
+    alpha - gamma, multiplier) of g^alpha*c = sum multiplier*d^(alpha-gamma)(c)*g^gamma.
+    Values of different subclasses never combine or compare equal.
     """
 
     __slots__ = ("num_vars", "coeffs")
@@ -558,6 +550,50 @@ class SeriesPoly:
         if isinstance(other, Series):
             return self.from_series(other)._product(self)
         return NotImplemented
+
+    def _product(self, other):
+        """The normal-form product: other's coefficients moved left of
+        self's generator monomials by ``_moves``, on integers over one
+        denominator per side.  A first pass fixes each output key's
+        precision, the least over its summands of min(prec c_a,
+        prec c_b - |alpha - gamma|), a vanishing one included, and raises
+        ``InsufficientPrecision`` for a derivative c_b does not know.  A
+        second adds multiplier*c_a*d^(alpha-gamma)(c_b) into the key's
+        integer dict, cut at that precision, through one prepared
+        :func:`product_by` per (alpha, precision); a summand with no move
+        reads c_b as it is.  A ``Fraction`` is made once per output term.
+        """
+        self._check(other)
+        n = self.num_vars
+        a_items, b_items = list(self.coeffs.items()), list(other.coeffs.items())
+        *a_ints, a_den = scale_to_integers(*(s.terms for _, s in a_items))
+        *b_ints, b_den = scale_to_integers(*(s.terms for _, s in b_items))
+        summands = []  # (index in a, index in b, alpha - gamma, multiplier, key)
+        precision = {}
+        for i, (alpha, ca) in enumerate(a_items):
+            for gamma, moved, multiplier in self._moves(alpha):
+                for m, (beta, cb) in enumerate(b_items):
+                    if sum(moved) > cb.precision:
+                        raise InsufficientPrecision("cannot differentiate at precision 0")
+                    key = tuple(map(add, gamma, beta))
+                    prec = min(ca.precision, cb.precision - sum(moved))
+                    precision[key] = min(precision.get(key, prec), prec)
+                    summands.append((i, m, moved, multiplier, key))
+        out = {key: {} for key in precision}
+        prepared, partials = {}, {}
+        for i, m, moved, multiplier, key in summands:
+            bound = precision[key]
+            if (i, bound) not in prepared:
+                prepared[i, bound] = product_by(a_ints[i], bound)
+            if (m, moved) not in partials:
+                partials[m, moved] = b_ints[m] if not any(moved) else {
+                    tuple(map(minus, e, moved)): c * math.prod(map(math.perm, e, moved))
+                    for e, c in b_ints[m].items() if all(map(ge, e, moved))}
+            prepared[i, bound](out[key], partials[m, moved], multiplier)
+        den = a_den * b_den
+        return type(self)(n, {key: Series._raw(n, precision[key],
+                                               {e: Fraction(v, den) for e, v in ints.items()})
+                              for key, ints in out.items()})
 
     def __pow__(self, exponent):
         """self^k by k successive products.  Once the coefficient pairs they
@@ -942,26 +978,26 @@ class LinearSubstitution:
 
 
 def apply_linear_substitution(f, sub):
-    """Exact substitution f(L x); precision is preserved."""
+    """Exact substitution f(L x); precision is preserved.  Each power
+    (L x)_i^k is formed once, a term is multiplied only by the powers it
+    has, and the terms are added in one sum."""
     if f.num_vars != sub.num_vars:
         raise ValueError("mismatched variable counts")
     n, prec = f.num_vars, f.precision
-    images = []
-    for i in range(n):
-        terms = {}
-        for j, c in enumerate(sub.rows[i]):
-            if c:
-                exps = tuple(1 if k == j else 0 for k in range(n))
-                terms[exps] = c
-        images.append(Series._raw(n, prec, terms))
-    result = Series.zero(n, prec)
+    powers = []  # powers[i][k] = (L x)_i^k, grown as the terms need them
+    for row in sub.rows:
+        image = {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(row) if c}
+        powers.append([Series.one(n, prec), Series._raw(n, prec, image)])
+    summands = [Series.zero(n, prec)]
     for exps, coeff in f.sorted_terms():
         term = Series.constant(n, coeff, prec)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * images[i]
-        result = result + term
-    return result
+        for power, e in zip(powers, exps):
+            if e:
+                while len(power) <= e:
+                    power.append(power[-1] * power[1])
+                term = term * power[e]
+        summands.append(term)
+    return Series.sum_of(summands)
 
 
 _SHEAR_BOUND = 4  # largest max|c_i| of the tried shears x_i -> x_i + c_i*x_n

@@ -5,8 +5,9 @@ of the derivatives under the order filtration) with truncated series
 coefficients.  The module provides the Poisson bracket in closed form,
 truncated ideal-membership tests with three-valued verdicts, involutivity
 probing, and the repeated-bracket chain probe.  ``Symbol`` shares its
-coefficient container with ``weyl.DiffOp`` (``series.SeriesPoly``) and
-adds only its product, printing and calculus.
+coefficient container and its product with ``weyl.DiffOp``
+(``series.SeriesPoly``), and adds only printing and calculus: its
+generators commute with the coefficients.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ class Symbol(SeriesPoly):
         c = self.coeffs.get((0,) * self.num_vars)
         return c.constant_term if c is not None else Fraction(0)
 
-    def _product(self, other):
-        self._check(other)
-        out = {}
-        for za, sa in self.coeffs.items():
-            for zb, sb in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(za, zb))
-                self._accumulate(out, key, sa * sb)
-        return Symbol(self.num_vars, out)
+    @staticmethod
+    def _moves(alpha):
+        # the z_i commute with the coefficients
+        return ((alpha, (0,) * len(alpha), 1),)
 
     def x_partial(self, axis):
         return Symbol(self.num_vars,
@@ -170,11 +167,13 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
     combo = ColumnEchelon(columns, track=True).express(rhs)
     if combo is None:
         return MembershipVerdict(NOT_MEMBER, None, x_bound, zeta_bound, x_used)
-    multipliers = [Symbol.zero(n) for _ in gens]
+    # the labels (i, mu, zu) are distinct, so each multiplier is built once
+    terms = [{} for _ in gens]
     for j, value in sorted(combo.items()):
         i, mu, zu = labels[j]
-        term = Symbol(n, {zu: Series.monomial(n, mu, x_used, value)})
-        multipliers[i] = multipliers[i] + term
+        terms[i].setdefault(zu, {})[mu] = value
+    multipliers = [Symbol(n, {zu: Series(n, x_used, t) for zu, t in by_zeta.items()})
+                   for by_zeta in terms]
     return MembershipVerdict(MEMBER, multipliers, x_bound, zeta_bound, x_used)
 
 

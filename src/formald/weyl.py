@@ -3,20 +3,19 @@
 Operators live in Q[[x_1..x_n]]<d_1..d_n> with all series coefficients on
 the left of the derivative monomials.  Products reduce through the
 commutation rule [d_i, f] = d_i(f); the order filtration and principal
-symbols sit on top.  ``DiffOp`` shares its coefficient container with ``symbols.Symbol``
-(``series.SeriesPoly``) and adds only its product, printing and actions.
+symbols sit on top.  ``DiffOp`` shares its coefficient container and its
+product with ``symbols.Symbol`` (``series.SeriesPoly``) and supplies only
+its commutation rule (Leibniz's, as ``_moves``), printing and actions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from operator import add, ge, sub
+from operator import sub
 
-from .errors import InsufficientPrecision, ZeroOperator
-from .linalg import scale_to_integers
-from .series import Series, SeriesPoly, product_by
+from .errors import ZeroOperator
+from .series import Series, SeriesPoly
 from .symbols import Symbol
 
 
@@ -37,8 +36,13 @@ class DiffOp(SeriesPoly):
             return None
         return max(sum(a) for a in self.coeffs)
 
-    def _product(self, other):
-        return op_product(self, other)
+    @staticmethod
+    def _moves(alpha):
+        """d^alpha o (g .) = sum_{gamma <= alpha} C(alpha, gamma)
+        d^{alpha-gamma}(g) d^gamma: Leibniz's rule."""
+        for gamma in itertools.product(*(range(k + 1) for k in alpha)):
+            yield (gamma, tuple(map(sub, alpha, gamma)),
+                   math.prod(map(math.comb, alpha, gamma)))
 
     def __str__(self):
         if not self.coeffs:
@@ -71,13 +75,9 @@ class DiffOp(SeriesPoly):
         """Apply the operator to a series; precision drops by the order.
         Tested public API; no verb calls it."""
         self._check(g)
-        order = self.order
-        if order is None:
-            return Series.zero(g.num_vars, g.precision)
-        out = Series.zero(g.num_vars, max(g.precision - order, 0))
-        for alpha, series in self.coeffs.items():
-            out = out + series * g.partial_multi(alpha)
-        return out
+        floor = Series.zero(g.num_vars, max(g.precision - (self.order or 0), 0))
+        return Series.sum_of([floor] + [series * g.partial_multi(alpha)
+                                        for alpha, series in self.coeffs.items()])
 
     def principal_symbol(self):
         """Top-order part with d_i replaced by the commuting generator z_i.
@@ -90,51 +90,9 @@ class DiffOp(SeriesPoly):
 
 
 def op_product(a, b):
-    """Normal-form product: all coefficients moved to the left.
-
-    Uses d^alpha o (g .) = sum_{gamma <= alpha} C(alpha, gamma)
-    d^{alpha-gamma}(g) d^gamma, applied termwise, on integers: a's and b's
-    coefficients are scaled to integers over one denominator each.  A first
-    pass fixes each output key's precision, the least over its summands of
-    min(prec c_a, prec c_b - |alpha - gamma|), a summand that vanishes
-    included; a second adds C(alpha, gamma)*c_a*d^(alpha-gamma)(c_b) into
-    the key's integer dict, cut at that precision, through one prepared
-    :func:`formald.series.product_by` per (alpha, precision).  A
-    ``Fraction`` is made once per output term.
-    """
-    a._check(b)
-    n = a.num_vars
-    a_items, b_items = list(a.coeffs.items()), list(b.coeffs.items())
-    *a_ints, a_den = scale_to_integers(*(s.terms for _, s in a_items))
-    *b_ints, b_den = scale_to_integers(*(s.terms for _, s in b_items))
-    summands = []  # (index in a, index in b, alpha - gamma, binomial, key)
-    precision = {}
-    for i, (alpha, ca) in enumerate(a_items):
-        for gamma in itertools.product(*(range(k + 1) for k in alpha)):
-            moved = tuple(map(sub, alpha, gamma))
-            binom = math.prod(map(math.comb, alpha, gamma))
-            for m, (beta, cb) in enumerate(b_items):
-                if sum(moved) > cb.precision:
-                    raise InsufficientPrecision("cannot differentiate at precision 0")
-                key = tuple(map(add, gamma, beta))
-                prec = min(ca.precision, cb.precision - sum(moved))
-                precision[key] = min(precision.get(key, prec), prec)
-                summands.append((i, m, moved, binom, key))
-    out = {key: {} for key in precision}
-    prepared, partials = {}, {}
-    for i, m, moved, binom, key in summands:
-        bound = precision[key]
-        if (i, bound) not in prepared:
-            prepared[i, bound] = product_by(a_ints[i], bound)
-        if (m, moved) not in partials:
-            partials[m, moved] = {
-                tuple(map(sub, e, moved)): c * math.prod(map(math.perm, e, moved))
-                for e, c in b_ints[m].items() if all(map(ge, e, moved))}
-        prepared[i, bound](out[key], partials[m, moved], binom)
-    den = a_den * b_den
-    return DiffOp(n, {key: Series._raw(n, precision[key],
-                                       {e: Fraction(v, den) for e, v in ints.items()})
-                      for key, ints in out.items()})
+    """Normal-form product, all coefficients moved to the left: the
+    container's one product, ``SeriesPoly._product``, with Leibniz's rule."""
+    return a._product(b)
 
 
 def commutator(a, b):

@@ -1,10 +1,12 @@
 """Truncated de Rham complexes: exact differentials, dimensions, ladders."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formald import derham, linalg
 from formald.derham import (KernelFamily, ModuleFamily, cohomology_dims,
@@ -539,6 +541,79 @@ def test_derham_oracles_in_four_variables(text, dims):
                                "--trunc", "4", "--pole-bound", "2"])
     assert code == 0
     assert tuple(report[f"h{i}"] for i in range(5)) == dims
+
+
+def milnor_orlik_dims(exponents):
+    """h^i of R_f for the Brieskorn-Pham sum f = sum +-x_i^a_i, in closed
+    form (Milnor-Orlik): c counts the e with 0 <= e_i <= a_i - 2 and
+    sum (e_i + 1)/a_i an integer, and the answer is (1, 1) for n = 1,
+    (1, 1 + c, c) for n = 2 and (1, 1, 0, ..., 0, c, c) for n >= 3."""
+    n = len(exponents)
+    c = sum(1 for e in itertools.product(*(range(a - 1) for a in exponents))
+            if sum(Fraction(k + 1, a) for k, a in zip(e, exponents)).denominator == 1)
+    if n == 1:
+        return (1, 1)
+    if n == 2:
+        return (1, 1 + c, c)
+    return (1, 1) + (0,) * (n - 3) + (c, c)
+
+
+@st.composite
+def brieskorn_pham(draw):
+    n = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.integers(2, 6), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    text = "".join(f"{sign}x{i}^{a}" for i, (sign, a) in
+                   enumerate(zip(signs, exponents), start=1))
+    return text.removeprefix("+"), tuple(exponents)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(brieskorn_pham())
+# the cusp, x1^3+x2^6, x1^4+x2^4, A1, x1^3+x2^3+x3^3 (c = 2: the link is
+# not a rational homology sphere), E8, x1^2+x2^3+x3^6 and x1^2+x2^4+x3^4
+@example(("x1^2-x2^3", (2, 3)))
+@example(("x1^3+x2^6", (3, 6)))
+@example(("x1^4+x2^4", (4, 4)))
+@example(("x1^2+x2^2+x3^2", (2, 2, 2)))
+@example(("x1^3+x2^3+x3^3", (3, 3, 3)))
+@example(("x1^2+x2^3+x3^5", (2, 3, 5)))
+@example(("x1^2+x2^3+x3^6", (2, 3, 6)))
+@example(("x1^2+x2^4+x3^4", (2, 4, 4)))
+def test_brieskorn_pham_sums_match_milnor_orlik(case):
+    text, exponents = case
+    module = parse_module(f"R_loc({text})", len(exponents), 30)
+    assert stable_cohomology_dims(module, 4, 2).dims == milnor_orlik_dims(exponents)
+
+
+def _wrong_euler(text, n, trunc, pole, chi):
+    return pytest.param(text, n, trunc, pole, marks=pytest.mark.xfail(
+        strict=True, reason=f"chi = {chi}: the deg-f ladder is not the formal "
+                            "localization (ROADMAP item 1)"))
+
+
+# the cohomology corpus at its (N, K); None keeps the CLI defaults
+@pytest.mark.parametrize("text, n, trunc, pole", [
+    ("R_loc(x1)", 1, None, None),
+    ("R_loc(x1*x2)", 2, 8, 4),
+    ("R_loc(x1*x2*x3)", 3, 4, 2),
+    ("R_loc(x1^2-x2^2)", 2, None, None),
+    ("R_loc(x1^2-x2^3)", 2, None, None),
+    ("R_loc(x1^2+x2^2+x3^2)", 3, 4, 2),
+    _wrong_euler("R_loc(x+x^2)", 1, None, None, -1),
+    _wrong_euler("R_loc(x1^2+x2^2+x2^3)", 2, 4, 2, 1),
+    _wrong_euler("R_loc(exp(x)-1)", 1, 3, 1, -18),
+])
+def test_euler_characteristic_of_a_localization_vanishes(text, n, trunc, pole):
+    # f(0) = 0: the complement of V(f) in a small ball fibres over the
+    # circle (Milnor), so sum (-1)^i h^i = 0; f is parsed at the CLI's
+    # precision
+    argv = ["derham", "--module", text, "--vars", str(n)]
+    if trunc is not None:
+        argv += ["--trunc", str(trunc), "--pole-bound", str(pole)]
+    code, report = cli_report(argv)
+    assert code == 0
+    assert sum((-1) ** i * int(report[f"h{i}"]) for i in range(n + 1)) == 0
 
 
 def test_stable_dims_assemble_only_the_weight_0_block(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from formald.errors import (InsufficientPrecision, NotAUnit, NotRegular,
                             UnsupportedExponent)
-from formald.series import (LinearSubstitution, Series, add_product,
+from formald.series import (LinearSubstitution, Series,
                             apply_linear_substitution, exp_series,
                             find_regularizing_substitution, invert_unit,
                             is_xn_regular, monomials_upto, product_by,
@@ -408,14 +408,14 @@ def product_cases(draw):
 
 @KERNEL_SETTINGS
 @given(product_cases())
-def test_add_product_matches_sympy(case):
+def test_product_by_matches_sympy(case):
     n, a, b, out, bound, factor = case
     expected = dict(out)
     for e, c in _sympy_product(n, a, b).items():
         if sum(e) <= bound:
             expected[e] = expected.get(e, 0) + factor * c
     expected = {e: c for e, c in expected.items() if c}
-    result = add_product(dict(out), a, b, bound, factor)
+    result = product_by(b, bound)(dict(out), a, factor)
     assert result == expected
     assert all(result.values())
 
@@ -426,7 +426,7 @@ def reused_product_cases(draw):
     factors = draw(st.lists(_poly_dicts(n, 6), min_size=1, max_size=3))
     return (n, draw(_poly_dicts(n, 6)), factors,
             [draw(_poly_dicts(n, 8)) for _ in factors],
-            draw(st.one_of(st.integers(-1, 8), st.just(math.inf))),
+            draw(st.integers(-1, 8)),
             draw(st.sampled_from([1, -1, 0, Fraction(-3, 2), Fraction(2, 5)])),
             draw(st.booleans()))
 
@@ -436,14 +436,11 @@ def reused_product_cases(draw):
 # a bound of 0, and every product term cancelling into out
 @example((2, {(0, 0): 2, (1, 0): 1}, [{(0, 0): 3}], [{(5, 0): 1}], 0, 1, True))
 def test_a_prepared_product_is_reusable(case):
-    # one product_by(b, bound) serves every a: each result equals one
-    # add_product call per a and the sympy product, cut at the bound, with
-    # keys of out that the product cancels dropped; an infinite bound is
-    # prepared at the largest degree a product can reach
+    # one product_by(b, bound) serves every a: each result equals a product
+    # prepared for that a alone and the sympy product, cut at the bound,
+    # with keys of out that the product cancels dropped
     n, b, factors, outs, bound, factor, cancel = case
-    finite = bound if bound != math.inf else max(
-        (sum(e) for terms in factors + [b] for e in terms), default=0) * 2
-    prepared = product_by(b, finite)
+    prepared = product_by(b, bound)
     for a, out in zip(factors, outs):
         product = {e: factor * c for e, c in _sympy_product(n, a, b).items()
                    if sum(e) <= bound and factor}
@@ -454,7 +451,7 @@ def test_a_prepared_product_is_reusable(case):
             expected[e] = expected.get(e, 0) + c
         expected = {e: c for e, c in expected.items() if c}
         assert prepared(dict(out), a, factor) == expected
-        assert add_product(dict(out), a, b, bound, factor) == expected
+        assert product_by(b, bound)(dict(out), a, factor) == expected
 
 
 @st.composite
@@ -474,6 +471,37 @@ def test_series_product_matches_sympy_at_smaller_precision(pair):
     assert product.terms == {e: c for e, c in
                              _sympy_product(a.num_vars, a.terms, b.terms).items()
                              if sum(e) <= prec}
+
+
+@st.composite
+def substitution_cases(draw):
+    """An invertible integer 3x3 substitution and a series in 3 variables."""
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                         min_size=3, max_size=3).filter(
+        lambda rows: sympy.Matrix(rows).det() != 0))
+    prec = draw(st.integers(0, 6))
+    return rows, Series(3, prec, draw(_poly_dicts(3, prec)))
+
+
+@KERNEL_SETTINGS
+@given(substitution_cases())
+def test_linear_substitution_matches_sympy(case):
+    # f(L x) expanded by sympy and cut at f's precision
+    rows, f = case
+    gens = sympy.symbols("x1:4")
+    images = [sympy.Poly(sum(c * g for c, g in zip(row, gens)), *gens, domain=sympy.QQ)
+              for row in rows]
+    expected = sympy.Poly(0, *gens, domain=sympy.QQ)
+    for exps, c in f.terms.items():
+        term = sympy.Poly(sympy.Rational(c.numerator, c.denominator), *gens,
+                          domain=sympy.QQ)
+        for image, e in zip(images, exps):
+            term *= image ** e
+        expected += term
+    got = apply_linear_substitution(f, LinearSubstitution(rows))
+    assert got.precision == f.precision
+    assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expected.terms()
+                         if c and sum(e) <= f.precision}
 
 
 # -- graded solves against the power-sum and fixed-point references ----------
@@ -623,7 +651,7 @@ def _pairs(a, b, bound):
 @pytest.fixture
 def product_pairs(monkeypatch):
     """Counts the term pairs every prepared product multiplies: each
-    product_by multiplier, and so each add_product call."""
+    product_by multiplier."""
     import formald.series as series_module
     kernel = series_module.product_by
     count = [0]

@@ -3,14 +3,16 @@
 import random
 from fractions import Fraction
 
-from formald.series import Series
+from hypothesis import example, given, settings, strategies as st
+
+from formald.series import Series, monomials_upto
 from formald.symbols import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Symbol,
                              bracket_chain_probe, involutivity_check,
                              membership_truncated, poisson_bracket)
 from formald.weyl import DiffOp, commutator
 
 from conftest import random_series, random_xn_regular, coeffs_agree
-from test_weyl import random_op
+from test_weyl import _raised, random_op
 
 
 def test_bracket_zeta_x():
@@ -41,7 +43,6 @@ def test_bracket_quadratic_example():
 
 
 def random_symbol(rng, num_vars, precision, max_zeta=2):
-    from formald.series import monomials_upto
     coeffs = {}
     for z in monomials_upto(num_vars, max_zeta):
         if rng.random() < 0.5:
@@ -99,6 +100,65 @@ def test_bracket_matches_commutator_symbol():
         lhs = poisson_bracket(a.principal_symbol(), b.principal_symbol())
         assert coeffs_agree(lhs, c.principal_symbol())
         checked += 1
+
+
+def _series_pair_product(a, b):
+    """The symbol product as one Series product per coefficient pair,
+    summed as series: the formulation the container's product replaced,
+    kept as its oracle."""
+    out = {}
+    for za, sa in a.coeffs.items():
+        for zb, sb in b.coeffs.items():
+            key = tuple(i + j for i, j in zip(za, zb))
+            Symbol._accumulate(out, key, sa * sb)
+    return Symbol(a.num_vars, out)
+
+
+def _series_pair_bracket(a, b):
+    """poisson_bracket with every product taken by the oracle above."""
+    out = Symbol.zero(a.num_vars)
+    for i in range(1, a.num_vars + 1):
+        out = out + _series_pair_product(a.zeta_partial(i), b.x_partial(i))
+        out = out - _series_pair_product(a.x_partial(i), b.zeta_partial(i))
+    return out
+
+
+@st.composite
+def mixed_precision_symbols(draw, n):
+    """A symbol of z-degree <= 2 whose coefficients have precisions of
+    their own, 0 to 4."""
+    keys = st.sampled_from(monomials_upto(n, 2))
+    coeffs = {}
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        prec = draw(st.integers(0, 4))
+        terms = draw(st.dictionaries(st.sampled_from(monomials_upto(n, prec)),
+                                     st.builds(Fraction, st.integers(-4, 4),
+                                               st.sampled_from([1, 2, 3, 6])),
+                                     max_size=4))
+        coeffs[key] = Series(n, prec, terms)
+    return Symbol(n, coeffs)
+
+
+@st.composite
+def mixed_precision_symbol_pairs(draw):
+    n = draw(st.integers(1, 2))
+    return draw(mixed_precision_symbols(n)), draw(mixed_precision_symbols(n))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(mixed_precision_symbol_pairs())
+# (z1 + x1)(x1 - z1) = x1^2 - z1^2: the summands on z1 cancel, and the key
+# goes; x1^2 is known to 2 and z1^2 to 3
+@example((Symbol(1, {(1,): Series.one(1, 3), (0,): Series(1, 2, {(1,): 1})}),
+          Symbol(1, {(0,): Series(1, 4, {(1,): 1}), (1,): Series(1, 3, {(0,): -1})})))
+def test_symbol_product_matches_the_series_pair_formulation(pair):
+    # coefficients and each key's precision (the least over its summands, a
+    # vanishing one included), of products and of brackets
+    a, b = pair
+    assert a * b == _series_pair_product(a, b)
+    assert b * a == _series_pair_product(b, a)
+    assert _raised(lambda: poisson_bracket(a, b)) == _raised(
+        lambda: _series_pair_bracket(a, b))
 
 
 def test_membership_generator():
