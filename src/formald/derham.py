@@ -31,12 +31,16 @@ For the Euler field E of a weight, Cartan's formula L_E = d iota_E +
 iota_E d makes every other multidegree of the comparison map zero, so
 the image of H(source) in H(target) lives in the block.  That is exact
 on this ladder because of three conditions: (i) every window is a span
-of monomial cells, (ii) d and the comparison's multiplication by f
-preserve multidegree, and (iii) iota_E of a source level-i cell's image
-fits in target level i-1, whose bound exceeds source level i's by
-deg f + 1.  An m-adic ladder (truncating f) must recheck (iii).  An
-empty lattice (connections, the ring, and f such as x + x^2) gives the
-whole window in its usual order, and the kernel, cokernel and
+of monomial cells, (ii) d and the comparison map (multiplication by f,
+or a connection's truncation) preserve multidegree, and (iii) iota_E of
+a source level-i cell's image fits in target level i-1, whose bound
+exceeds source level i's by deg f + 1 for a localization; a connection
+level's bound N - t rises by one for each degree down, and iota adds
+one to |e|.  The ring and R^r given by zero matrices are the case D = 0
+with the coordinate weights: their block is the r cells of level 0 with
+e = 0 and no form.  An m-adic ladder (truncating f) must recheck (iii).
+An empty lattice (non-zero connections, and f such as x + x^2) gives
+the whole window in its usual order, and the kernel, cokernel and
 long-exact-sequence checks always assemble whole windows: they print
 window sizes.
 
@@ -132,8 +136,9 @@ class ModuleFamily(_Ladder):
 
     def _build_block(self, t):
         """Level t's basis and cells: for each t-form I, the labels x^e
-        with W.e + W.1_I = (K+t)*D, one search per distinct degree."""
-        pole, bound = self.pole(t), self.bound(t)
+        with W.e + W.1_I = (K+t)*D, one search per distinct degree.  A
+        connection's pole None reads as 0 (its degrees D are 0)."""
+        pole, bound = self.pole(t) or 0, self.bound(t)
         found = {}
         per_form = []
         for form in _forms(self.axes, t):
@@ -143,7 +148,7 @@ class ModuleFamily(_Ladder):
                 found[degrees] = self.module.weight_labels(degrees, bound)
             per_form.append((form, found[degrees]))
         labels = sorted({lab for _, labs in per_form for lab in labs},
-                        key=lambda lab: (sum(lab[1]), lab[1]))
+                        key=lambda lab: (sum(lab[1]), lab[1], lab[0]))
         index = {lab: i for i, lab in enumerate(labels)}
         self._basis_cache[t] = labels
         self._index_cache[t] = index
@@ -422,7 +427,8 @@ def stable_cohomology_dims(module, trunc, pole=None):
 
     Both ladders are blocks: only the multidegree-0 cells of the
     presentation's weight lattice, which carry the whole image (see
-    :class:`formald.modules.Localization` for why that is exact).
+    :class:`formald.modules.Localization` and
+    :class:`formald.modules.Connection` for why that is exact).
 
     Degree i is rank [B | M ker D] - rank B: the pivots >= off of one
     untracked echelon on B and the stacked source columns (D x; M x),

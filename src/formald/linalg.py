@@ -13,10 +13,13 @@ basis with no elimination.  It eliminates forward only and
 fraction-free, and its one state is an integer vector per pivot: int
 rows below ``_LABELS`` are the columns' own, and label rows at or above
 it carry the combination of added columns that a vector stands for.
-``Fraction``s are made only in what ``add``, ``express`` and ``project``
-return, and so in ``Matrix.nullspace``.  ``scale_to_integers`` is the
-one Fraction -> integer scaler and ``vec_add_scaled`` the one scaled
-accumulate of sparse vectors; truncated products of exponent dicts go
+Each pivot step of a reduction is one pass over the stored vector, which
+adds it in and queues the stored pivots it brings, and a column with no
+``Fraction`` entry enters unscaled.  ``Fraction``s are made only in what
+``add``, ``express`` and ``project`` return, and so in
+``Matrix.nullspace``.  ``scale_to_integers`` is the one Fraction ->
+integer scaler and ``vec_add_scaled`` the one scaled accumulate of sparse
+vectors outside the echelon; truncated products of exponent dicts go
 through :func:`formald.series.product_by`.
 """
 
@@ -68,21 +71,22 @@ class ColumnEchelon:
     vector's label part is the combination of added columns that gives
     its other rows.
 
-    A vector is scaled to integers and reduced only against the stored
-    pivots it meets, in increasing order, by w <- a*w - c*b with
-    a = b[p]/g, c = w[p]/g and g = gcd(w[p], b[p]) (gcd-based
-    fraction-free elimination).  Once the multipliers a since the last
-    such step pass 64 bits, w is divided by its content, so its entries
-    stay within 64 bits of the primitive residual's.  ``add`` stores what
-    is left, divided by its content, under its least row; if only labels
-    are left they are a dependence, which ``add`` returns as the
-    combination of the columns before (``True`` untracked) and does not
-    store.  ``express`` and ``project`` give their vector the next unused
-    label, whose final entry is the scale to divide by; ``contains`` and
-    ``project`` ignore label rows.  Residuals, pivot rows and combinations
-    over the independent columns do not depend on how the stored vectors
-    are scaled, so every answer is the one a ``Fraction`` elimination
-    gives.
+    A vector is scaled to integers (a column of ints is copied as it is)
+    and reduced only against the stored pivots it meets, in increasing
+    order, by w <- a*w - c*b with a = b[p]/g, c = w[p]/g and
+    g = gcd(w[p], b[p]) (gcd-based fraction-free elimination), each step
+    one pass over b that also queues the stored pivots b brings.  Once
+    the multipliers a since the last such step pass 64 bits, w is divided
+    by its content, so its entries stay within 64 bits of the primitive
+    residual's.  ``add`` stores what is left, divided by its content,
+    under its least row; if only labels are left they are a dependence,
+    which ``add`` returns as the combination of the columns before
+    (``True`` untracked) and does not store.  ``express`` and ``project``
+    give their vector the next unused label, whose final entry is the
+    scale to divide by; ``contains`` and ``project`` ignore label rows.
+    Residuals, pivot rows and combinations over the independent columns
+    do not depend on how the stored vectors are scaled, so every answer
+    is the one a ``Fraction`` elimination gives.
     """
 
     def __init__(self, columns=(), track=False):
@@ -100,35 +104,49 @@ class ColumnEchelon:
         return sorted(self._rows)
 
     def _reduce(self, vec, label=None):
-        """vec over the lcm of its denominators, that lcm on row
-        _LABELS + label if a label is given, reduced until no entry is on
-        a pivot row."""
-        w, den = scale_to_integers(vec)
+        """vec over the lcm of its denominators (1 for a column with no
+        Fraction, copied as it is), that lcm on row _LABELS + label if a
+        label is given, reduced until no entry is on a pivot row."""
+        # an integer column enters unscaled; the scaler also drops zeros
+        if Fraction in map(type, vec.values()) or 0 in vec.values():
+            w, den = scale_to_integers(vec)
+        else:
+            w, den = dict(vec), 1
         if label is not None:
             w[_LABELS + label] = den
         rows = self._rows
         heap = [row for row in w if row in rows]
         heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
         scale = 1  # product of the multipliers since w was last made primitive
         while heap:
-            pivot = heapq.heappop(heap)
+            pivot = pop(heap)
             entry = w.get(pivot)
             if not entry:
                 continue  # cancelled, or a repeated key already reduced
             basis_vec = rows[pivot]
             lead = basis_vec[pivot]
             g = math.gcd(entry, lead)
-            # basis_vec lives on rows >= pivot; queue the stored pivots
-            # among them that w does not hold yet
-            for row in basis_vec:
-                if row not in w and row in rows:
-                    heapq.heappush(heap, row)
             a = lead // g
             if a != 1:
                 for k in w:
                     w[k] *= a
                 scale *= a
-            vec_add_scaled(w, basis_vec, -(entry // g))
+            # w -= c*basis_vec in one pass; basis_vec lives on rows >=
+            # pivot, and a stored pivot among them that w did not hold
+            # is queued
+            c = entry // g
+            for row, v in basis_vec.items():
+                if row in w:
+                    new = w[row] - c * v
+                    if new:
+                        w[row] = new
+                    else:
+                        del w[row]
+                else:
+                    w[row] = -c * v
+                    if row in rows:
+                        push(heap, row)
             if scale.bit_length() > 64:
                 content = math.gcd(*w.values())
                 if content != 1:

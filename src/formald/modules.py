@@ -12,7 +12,7 @@ every level, the basis labels (component, exponent) and their text, the
 columns of d_axis and x_axis between levels, the comparison map into a
 deepened ladder, the level-0 coordinates of its elements, where the
 pole budget K is enforced, and the weight lattice whose multidegree-0
-cells a stable-dims ladder keeps (empty but for a localization).
+cells a stable-dims ladder keeps (empty for a non-zero connection).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class ModulePresentation:
     (its ``trunc``, ``pole0`` and cached level bases); basis labels are
     ``(component, exponent)`` pairs for every presentation."""
 
-    # no weights: a stable-dims ladder of a connection is its whole window
+    # no weights: a stable-dims ladder of a non-zero connection is its
+    # whole window
     weight_lattice = ()
 
     @staticmethod
@@ -70,6 +71,39 @@ class ModulePresentation:
 
     def labels(self, bound):
         return [(comp, e) for e in monomials_upto(self.num_vars, bound)
+                for comp in range(self.rank)]
+
+    def weight_labels(self, degrees, bound):
+        """The labels (comp, x^e), every component with every x^e of |e| <=
+        bound and w.e = degree for every weight of the lattice, in label
+        order.  Each weight has a coordinate no other weight touches (the
+        nullspace of a localization leaves one, and the coordinate weights
+        are their own); that one is solved for, and the free coordinates run
+        over the monomials up to the bound."""
+        weights = [w for w, _ in self.weight_lattice]
+        rows = []
+        for k, (w, degree) in enumerate(zip(weights, degrees)):
+            others = weights[:k] + weights[k + 1:]
+            p = next(j for j, c in enumerate(w)
+                     if c and not any(v[j] for v in others))
+            rows.append((w, p, degree))
+        solved = [p for _, p, _ in rows]
+        free = [j for j in range(self.num_vars) if j not in solved]
+        labels = []
+        for m in monomials_upto(len(free), bound):
+            e = [0] * self.num_vars
+            for j, a in zip(free, m):
+                e[j] = a
+            room = bound - sum(m)
+            for w, p, degree in rows:
+                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
+                if r or not 0 <= q <= room:
+                    break
+                e[p] = q
+                room -= q
+            else:
+                labels.append((sum(e), tuple(e)))
+        return [(comp, e) for _, e in sorted(labels)
                 for comp in range(self.rank)]
 
     def multiply_columns(self, ladder, axis, t):
@@ -142,36 +176,6 @@ class Localization(ModulePresentation):
             w = tuple(c // content for c in w)
             lattice.append((w, sum(a * b for a, b in zip(w, e0))))
         return tuple(lattice)
-
-    def weight_labels(self, degrees, bound):
-        """The labels x^e with |e| <= bound and w.e = degree for every weight
-        of the lattice, in label order.  The nullspace leaves each weight a
-        coordinate no other weight touches; that one is solved for, and the
-        free coordinates run over the monomials up to the bound."""
-        weights = [w for w, _ in self.weight_lattice]
-        rows = []
-        for k, (w, degree) in enumerate(zip(weights, degrees)):
-            others = weights[:k] + weights[k + 1:]
-            p = next(j for j, c in enumerate(w)
-                     if c and not any(v[j] for v in others))
-            rows.append((w, p, degree))
-        solved = [p for _, p, _ in rows]
-        free = [j for j in range(self.num_vars) if j not in solved]
-        labels = []
-        for m in monomials_upto(len(free), bound):
-            e = [0] * self.num_vars
-            for j, a in zip(free, m):
-                e[j] = a
-            room = bound - sum(m)
-            for w, p, degree in rows:
-                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
-                if r or not 0 <= q <= room:
-                    break
-                e[p] = q
-                room -= q
-            else:
-                labels.append((sum(e), tuple(e)))
-        return [(0, e) for _, e in sorted(labels)]
 
     def describe(self):
         return f"R_loc({self.f})"
@@ -294,7 +298,19 @@ class Connection(ModulePresentation):
     Ladder level t holds component tags times monomials of degree <= N - t,
     with maps truncated to the target bound (this is what keeps d o d = 0
     exact when flatness only holds to precision); the deepened ladder maps
-    back onto it by truncation."""
+    back onto it by truncation.
+
+    With every matrix zero (R and R^r) the weight lattice is the n
+    coordinate weights, each of degree 0: the cell x^e dx_I has
+    multidegree e + 1_I, and the stable-dims ladders keep only the cells
+    of multidegree 0, the r cells of level 0 with e = 0 and no form.  That
+    is exact on this ladder because (i) its windows are spans of monomial
+    cells, (ii) d and the comparison's truncation preserve multidegree,
+    and (iii) for the Euler field x_j d_j, iota of a target level-i
+    cocycle lies in target level i-1: a level's bound N - t rises by one
+    for each degree down, and iota adds one to |e|.  Cartan's formula then
+    makes a cocycle of multidegree m with m_j != 0 the boundary
+    d(iota of it)/m_j (the formal Poincare lemma)."""
 
     def __init__(self, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
@@ -322,6 +338,17 @@ class Connection(ModulePresentation):
         if self.rank == 1 and all(entry.is_zero() for entry in self._entries()):
             return "R"
         return f"conn(rank {self.rank})"
+
+    @cached_property
+    def weight_lattice(self):
+        """The n coordinate weights, each of degree 0, when every matrix
+        entry is zero; otherwise none, and the stable dims run on the whole
+        window."""
+        if any(not entry.is_zero() for entry in self._entries()):
+            return ()
+        n = self.num_vars
+        return tuple((tuple(int(i == j) for i in range(n)), 0)
+                     for j in range(n))
 
     def element(self, series, pole=0):
         """A single series is an element of a rank-1 connection only."""

@@ -10,14 +10,14 @@ The text is tokenized by one regular-expression pass.  A term's leading
 run of factors that commute is read inline into one coefficient, one
 x-exponent and one z-exponent, and no value is built per factor: numbers
 ``p``, ``p/q`` and ``p/q^k``, ``x_i^k`` and ``z_i^k``, each also after a
-unary ``-``, and parentheses whose value is a rational, such as ``(-3/2)``.
-From the first other factor on (``d_i``, ``exp(...)``, a parenthesis of any
-other value, ``--``), the term continues by recursive descent, factor by
-factor in the order written.  A sum adds such monomials and its Fraction,
-Series and Symbol summands into one dict, z-exponent to x-exponent to
-coefficient, that is wrapped once; from its first operator summand on,
-summands are added pairwise, as operator coefficients may be known to
-different precisions.
+unary ``+`` or ``-``, and parentheses whose value is a rational, such as
+``(-3/2)``.  From the first other factor on (``d_i``, ``exp(...)``, a
+parenthesis of any other value, ``--``), the term continues by recursive
+descent, factor by factor in the order written.  A sum adds such monomials
+and its Fraction, Series and Symbol summands into one dict, z-exponent to
+x-exponent to coefficient, that is wrapped once; from its first operator
+summand on, summands are added pairwise, as operator coefficients may be
+known to different precisions.
 """
 
 from __future__ import annotations
@@ -157,8 +157,9 @@ class _Parser:
         star = value = None
         while True:
             kind, text, at = tokens[self.pos]
-            negative = text == "-" and _folds(tokens[self.pos + 1])
-            if negative:
+            negative = False
+            if text in ("+", "-") and _folds(tokens[self.pos + 1]):
+                negative = text == "-"
                 self.pos += 1
                 kind, text, at = tokens[self.pos]
             if kind == "num":
@@ -214,6 +215,9 @@ class _Parser:
         if text == "-":
             self.next()
             return self._neg(self.factor())
+        if text == "+":
+            self.next()
+            return self.factor()
         return self.power()
 
     def power(self):

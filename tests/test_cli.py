@@ -131,6 +131,13 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_leading_unary_plus_answers():
+    code, report = cli_report(["poisson", "+z1", "x1", "--vars", "1",
+                               "--trunc", "4"])
+    assert code == 0
+    assert (report["status"], report["bracket"]) == ("ok", "1")
+
+
 @pytest.mark.parametrize("argv", [["poisson", "z1", "x1"], ["regularize", "x1"],
                                   ["bracket-probe", "x1"]], ids=" ".join)
 def test_variable_at_precision_zero_is_a_typed_error(argv, capsys):

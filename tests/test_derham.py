@@ -524,9 +524,28 @@ def test_weight_lattice(text, n, rank, expected):
 
 
 def test_presentations_without_a_lattice():
-    assert parse_module("R", 2, 30).weight_lattice == ()
+    # the ring's lattice is the coordinate weights, each of degree 0; a
+    # non-zero connection has none
+    assert parse_module("R", 2, 30).weight_lattice == (((1, 0), 0),
+                                                       ((0, 1), 0))
     assert parse_module("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2,
                         30).weight_lattice == ()
+
+
+@pytest.mark.parametrize("text, n, rank", [
+    ("R", 1, 1), ("R", 2, 1), ("R", 3, 1), ("R", 4, 1),
+    ("conn(2; [[0,0],[0,0]]; [[0,0],[0,0]])", 2, 2),
+])
+def test_zero_connections_run_on_their_weight_block(text, n, rank):
+    # the formal Poincare lemma: h = (r, 0, ..., 0), read off r cells of
+    # level 0 with e = 0 and no form
+    module = parse_module(text, n, 30)
+    assert stable_cohomology_dims(module, 4).dims == (rank,) + (0,) * n
+    for trunc in (4, 5):
+        family = ModuleFamily(module, trunc, block=True)
+        assert family.cells(0) == [(k, ()) for k in range(rank)]
+        assert family.basis(0) == [(comp, (0,) * n) for comp in range(rank)]
+        assert all(family.cells(t) == [] for t in range(1, n + 1))
 
 
 @pytest.mark.parametrize("text, dims", [
@@ -565,7 +584,7 @@ def brieskorn_pham(draw):
     signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
     text = "".join(f"{sign}x{i}^{a}" for i, (sign, a) in
                    enumerate(zip(signs, exponents), start=1))
-    return text.removeprefix("+"), tuple(exponents)
+    return text, tuple(exponents)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -8,11 +8,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from formald.linalg import _LABELS, ColumnEchelon, Matrix, vec_add_scaled
+from formald.linalg import (_LABELS, ColumnEchelon, Matrix, scale_to_integers,
+                            vec_add_scaled)
 from formald.series import LinearSubstitution
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -437,3 +438,54 @@ def test_label_rows_do_not_leak_into_answers(sample, data):
     rank, pivots = ech.rank, ech.pivots()
     assert ech.add(v) is not None
     assert (ech.rank, ech.pivots()) == (rank, pivots)
+
+
+@st.composite
+def scaled_int_columns(draw):
+    """(integer columns, one nonzero rational scale per column); a third of
+    the scales are 1, so those columns enter as Fraction(c, 1) entries."""
+    columns = [{i: v for i, v in enumerate(col) if v}
+               for col in zip(*draw(int_matrices(max_rows=6, max_cols=7)))]
+    scale = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                      st.integers(1, 6))
+    scales = draw(st.lists(st.one_of(st.just(Fraction(1)), scale),
+                           min_size=len(columns), max_size=len(columns)))
+    return columns, scales
+
+
+def primitive(vec):
+    """vec times the rational that makes it a gcd-1 integer vector with a
+    positive entry on its least row."""
+    ints, _ = scale_to_integers(vec)
+    content = math.gcd(*ints.values())
+    return {k: v // (content if ints[min(ints)] > 0 else -content)
+            for k, v in ints.items()}
+
+
+@SETTINGS
+@given(scaled_int_columns())
+# the third column's reduction by the first cancels row 1, already queued
+# for the second pivot, so that key is skipped when it is popped (in the
+# second example after the multiplier a = 2)
+@example(([{0: 1, 1: 1}, {1: 1}, {0: 1, 1: 1, 2: 1}],
+          [Fraction(1), Fraction(-2, 3), Fraction(5)]))
+@example(([{0: 2, 1: 4, 2: 1}, {1: 1}, {0: 1, 1: 2, 2: 5}],
+          [Fraction(1), Fraction(1), Fraction(3, 2)]))
+def test_integer_columns_enter_as_their_fraction_copies_do(sample):
+    # the same columns as ints and as rescaled Fractions: a stored vector
+    # of the rescaled copy, its label l times column l's scale, is the
+    # integer echelon's stored vector made primitive
+    columns, scales = sample
+    fractions = [{k: Fraction(v) * q for k, v in col.items()}
+                 for col, q in zip(columns, scales)]
+    for track in (False, True):
+        ints, rescaled = (ColumnEchelon(columns, track=track),
+                          ColumnEchelon(fractions, track=track))
+        assert ints.pivots() == rescaled.pivots()
+        assert_combinations_in_lowest_terms(ints)
+        for pivot, vec in rescaled._rows.items():
+            relabeled = {k: v * scales[k - _LABELS] if k >= _LABELS else v
+                         for k, v in vec.items()}
+            assert primitive(relabeled) == ints._rows[pivot]
+            if all(q == 1 for q in scales):
+                assert vec == ints._rows[pivot]

@@ -86,6 +86,7 @@ MALFORMED = [
     ("(1/2)*x1*z1*d1", 2, "cannot mix derivative and symbol generators", 11),
     ("(2)*x1 % 3", 2, "unexpected character '%'", 7),
     ("(-)*x1", 2, "unexpected token ')'", 2),
+    ("(+)*x1", 2, "unexpected token ')'", 2),
 ]
 
 
@@ -111,6 +112,21 @@ def test_variable_at_precision_zero_is_insufficient_precision(text, literal, pos
 def test_exp_of_a_unit_is_unsupported():
     with pytest.raises(UnsupportedExponent):
         parse_series("exp(1 + x)", 1, 4)
+
+
+@pytest.mark.parametrize("signed, plain", [
+    ("+x1^2", "x1^2"),
+    ("+3/2*x2 - x1", "3/2*x2 - x1"),
+    ("+(1 + x1)*x2", "(1 + x1)*x2"),
+    ("x1*+x2 + +1", "x1*x2 + 1"),
+    ("+-x1", "-x1"),
+    ("-+x1", "-x1"),
+])
+def test_a_unary_plus_reads_as_written_without_it(signed, plain):
+    for parse in PARSERS.values():
+        assert repr(parse(signed, 2, 4)) == repr(parse(plain, 2, 4))
+    assert parse_operator("+d1*x1", 2, 4) == parse_operator("d1*x1", 2, 4)
+    assert parse_symbol("+z1^2", 2, 4) == parse_symbol("z1^2", 2, 4)
 
 
 def test_plain_series_parser_rejects_operators():
@@ -213,7 +229,7 @@ def test_sum_chain_matches_pairwise_sums(sample):
         term = (Series.monomial(n, exps, p, c) if sum(exps) <= p
                 else Series.zero(n, p))
         expected = expected + term if sign == "+" else expected - term
-    parsed = parse_series(text.lstrip(" +"), n, p)
+    parsed = parse_series(text, n, p)
     assert parsed == expected and repr(parsed) == repr(expected)
 
 
@@ -260,7 +276,7 @@ def folded_sums(draw):
         sign = draw(st.sampled_from("+-"))
         text += f" {sign} " + "*".join(factors)
         expected = expected + term if sign == "+" else expected - term
-    return text.removeprefix(" + ").lstrip(), n, p, expected
+    return text, n, p, expected
 
 
 Z1, Z2 = Symbol.zeta(2, 1, 2), Symbol.zeta(2, 2, 2)
