@@ -426,6 +426,7 @@ def main(argv=None):
         code = _HANDLERS[args.verb](args, report)
     except (ToolkitError, ValueError, OSError, AssertionError) as err:
         internal = isinstance(err, AssertionError)
+        report = Report(args.verb)  # nothing of the failed run is kept
         report.add("status", "error")
         report.add("error", "InternalInvariant" if internal else type(err).__name__)
         report.add("message", str(err))

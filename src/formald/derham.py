@@ -9,8 +9,10 @@ stabilized when two consecutive runs agree; the report never upgrades
 truncation evidence to a proof.
 
 The ladder alone holds the truncation (N = series bound, K = pole
-budget); each presentation owns its level layout (see
-:mod:`formald.modules`):
+budget) and the geometry that reads only the lattice, the rank and the
+pole: the basis labels (component, exponent) and their text, the weight
+blocks and the x_axis columns.  Each presentation supplies its module
+maps, among them the bound of every level (see :mod:`formald.modules`):
 
 * connection of rank r, the ring R being rank 1 with zero matrices:
   component tags times degree <= N - t monomials, with maps truncated to
@@ -71,6 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
+from .series import format_poly, monomials_upto
 
 # -- level families --------------------------------------------------------
 
@@ -93,15 +96,16 @@ class ModuleFamily(_Ladder):
     the cells and the d_axis columns of every (axis, level), so the
     complexes built on one ladder (the module's, and its kernel's and
     cokernel's in the LES check) share one build of each; callers must
-    not mutate the cached columns.  The geometry and the columns of
-    every level come from the presentation, which validates the
-    truncation and returns the pole0: K for a localization, which needs
-    one, and None for a connection, which must be flat and known to
-    precision.
+    not mutate the cached columns.  It lays out every level's labels
+    (each component with each monomial up to the level's bound, which the
+    presentation gives), their text and the x_axis columns; the d_axis
+    columns come from the presentation, which validates the truncation
+    and returns the pole0: K for a localization, which needs one, and
+    None for a connection, which must be flat and known to precision.
 
     A ``block`` ladder holds only the multidegree-0 cells of the
     presentation's weight lattice: level t's basis is the labels of its
-    degree-t cells, found per form by the presentation's bounded search.
+    degree-t cells, found per form by a bounded search on the lattice.
     With an empty lattice that is the whole window.  Only stable dims
     build blocks; the kernel, cokernel and LES ladders print window
     sizes, and a block has no x_axis action."""
@@ -129,7 +133,9 @@ class ModuleFamily(_Ladder):
             if self.lattice:
                 self._build_block(t)
             else:
-                labels = self.module.labels(self.bound(t))
+                labels = [(comp, e)
+                          for e in monomials_upto(self.num_vars, self.bound(t))
+                          for comp in range(self.module.rank)]
                 self._basis_cache[t] = labels
                 self._index_cache[t] = {lab: i for i, lab in enumerate(labels)}
         return self._basis_cache[t]
@@ -145,7 +151,7 @@ class ModuleFamily(_Ladder):
             degrees = tuple(pole * d - sum(w[a - 1] for a in form)
                             for w, d in self.lattice)
             if degrees not in found:
-                found[degrees] = self.module.weight_labels(degrees, bound)
+                found[degrees] = self._weight_labels(degrees, bound)
             per_form.append((form, found[degrees]))
         labels = sorted({lab for _, labs in per_form for lab in labs},
                         key=lambda lab: (sum(lab[1]), lab[1], lab[0]))
@@ -154,6 +160,39 @@ class ModuleFamily(_Ladder):
         self._index_cache[t] = index
         self._cells_cache[t] = sorted((index[lab], form)
                                       for form, labs in per_form for lab in labs)
+
+    def _weight_labels(self, degrees, bound):
+        """The labels (comp, x^e), every component with every x^e of |e| <=
+        bound and w.e = degree for every weight of the lattice, in label
+        order.  Each weight has a coordinate no other weight touches (the
+        nullspace of a localization leaves one, and the coordinate weights
+        are their own); that one is solved for, and the free coordinates run
+        over the monomials up to the bound."""
+        weights = [w for w, _ in self.lattice]
+        rows = []
+        for k, (w, degree) in enumerate(zip(weights, degrees)):
+            others = weights[:k] + weights[k + 1:]
+            p = next(j for j, c in enumerate(w)
+                     if c and not any(v[j] for v in others))
+            rows.append((w, p, degree))
+        solved = [p for _, p, _ in rows]
+        free = [j for j in range(self.num_vars) if j not in solved]
+        labels = []
+        for m in monomials_upto(len(free), bound):
+            e = [0] * self.num_vars
+            for j, a in zip(free, m):
+                e[j] = a
+            room = bound - sum(m)
+            for w, p, degree in rows:
+                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
+                if r or not 0 <= q <= room:
+                    break
+                e[p] = q
+                room -= q
+            else:
+                labels.append((sum(e), tuple(e)))
+        return [(comp, e) for _, e in sorted(labels)
+                for comp in range(self.module.rank)]
 
     def dim(self, t):
         return len(self.basis(t))
@@ -171,7 +210,13 @@ class ModuleFamily(_Ladder):
         return self._cells_cache[t]
 
     def label_text(self, t, label):
-        return self.module.label_text(self, t, label)
+        """(x^e)/f^k with a pole; else x^e, tagged e{c}* above rank 1."""
+        comp, e = label
+        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
+        mono = format_poly({e: Fraction(1)}, names)
+        if self.pole0 is not None:
+            return f"({mono})/f^{self.pole(t)}"
+        return mono if self.module.rank == 1 else f"e{comp + 1}*{mono}"
 
     def partial_columns(self, axis, t):
         """Images of the level-t basis under d_axis, in level t+1
@@ -199,7 +244,9 @@ class ModuleFamily(_Ladder):
 
     def multiply_columns(self, axis, t):
         """Images of the level-t basis under x_axis, truncated to level t."""
-        return self.module.multiply_columns(self, axis, t)
+        index, bound, j = self.index(t), self.bound(t), axis - 1
+        keys = ((comp, e[:j] + (e[j] + 1,) + e[j + 1:]) for comp, e in self.basis(t))
+        return [{index[key]: 1} if sum(key[1]) <= bound else {} for key in keys]
 
 
 class KernelFamily(_Ladder):

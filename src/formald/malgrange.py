@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, PreconditionViolated, ZeroOperator
-from .linalg import ColumnEchelon, Matrix, vec_add_scaled
+from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
 from .series import Series
 
 
@@ -89,16 +89,27 @@ def _falling_factorial_poly(i):
 
 
 def _integer_roots(poly):
-    """All integer roots, by testing up to the Cauchy bound."""
+    """All integer roots: 0 if t divides P, and +-d for the divisors d of
+    the integer-scaled trailing coefficient a0 of P / t^m that P vanishes
+    at (rational root theorem).  Each d <= sqrt|a0| pairs with a0/d, and no
+    root passes the Cauchy bound, so trial division stops at the smaller."""
     coeffs = list(poly)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
-    lead = abs(coeffs[-1])
-    bound = 1 + max(abs(c) for c in coeffs[:-1]) / lead
-    limit = math.floor(bound)
-    return [t for t in range(-limit, limit + 1) if _eval_poly(coeffs, t) == 0]
+    m = next((i for i, c in enumerate(coeffs) if c), 0)
+    roots = [0] if m else []
+    coeffs = coeffs[m:]
+    if len(coeffs) > 1:
+        ints, _ = scale_to_integers(dict(enumerate(coeffs)))
+        a0 = abs(ints[0])
+        limit = math.floor(1 + max(map(abs, coeffs[:-1])) / abs(coeffs[-1]))
+        divisors = set()
+        for d in range(1, min(math.isqrt(a0), limit) + 1):
+            if a0 % d == 0:
+                divisors.update((d, a0 // d))
+        roots += [t for d in divisors for t in (-d, d)
+                  if _eval_poly(coeffs, t) == 0]
+    return sorted(roots)
 
 
 def indicial_data(op):

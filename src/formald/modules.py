@@ -5,28 +5,29 @@ connection given by one matrix per variable.  The ring R itself is the
 rank-1 connection with zero matrices.  Elements are LocElement fractions
 or tuples of series (one per component).
 
-A presentation carries no truncation: the series bound N and the pole
-order K belong to the ladder of :mod:`formald.derham`.  It owns how it
-acts and how that ladder slices it: the validated pole0, the bound of
-every level, the basis labels (component, exponent) and their text, the
-columns of d_axis and x_axis between levels, the comparison map into a
-deepened ladder, the level-0 coordinates of its elements, where the
-pole budget K is enforced, and the weight lattice whose multidegree-0
-cells a stable-dims ladder keeps (empty for a non-zero connection).
+A presentation carries no truncation and no ladder geometry: N, K, the
+basis labels (component, exponent) and their text, the weight blocks and
+the x_axis columns belong to the ladder of :mod:`formald.derham`, as they
+read only the lattice, the rank and the pole.  A presentation supplies
+its module maps: the validated pole0, every level's bound, the d_axis
+columns, the comparison into a deepened ladder, the level-0 coordinates
+of its elements (enforcing the pole budget K), the d_n image the cover
+probe spans and the weight lattice (empty for a non-zero connection); and
+the element action (``element``, ``partial``, ``scale``) the regularity
+probes iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
 from .linalg import Matrix, scale_to_integers, vec_add_scaled
-from .series import Series, format_poly, monomials_upto, product_by, try_divide
+from .series import Series, monomials_upto, product_by, try_divide
 
 
 def _lowered(e, j):
@@ -44,8 +45,8 @@ class ModulePresentation:
     """A localization or a connection; the constructors pick the class.
 
     Ladder methods take the :class:`formald.derham.ModuleFamily` they serve
-    (its ``trunc``, ``pole0`` and cached level bases); basis labels are
-    ``(component, exponent)`` pairs for every presentation."""
+    (its ``trunc``, ``pole0`` and cached level bases and indices), which
+    lays out the ``(component, exponent)`` labels of every level."""
 
     # no weights: a stable-dims ladder of a non-zero connection is its
     # whole window
@@ -68,54 +69,6 @@ class ModulePresentation:
 
     def __repr__(self):
         return f"ModulePresentation<{self.describe()}, n={self.num_vars}>"
-
-    def labels(self, bound):
-        return [(comp, e) for e in monomials_upto(self.num_vars, bound)
-                for comp in range(self.rank)]
-
-    def weight_labels(self, degrees, bound):
-        """The labels (comp, x^e), every component with every x^e of |e| <=
-        bound and w.e = degree for every weight of the lattice, in label
-        order.  Each weight has a coordinate no other weight touches (the
-        nullspace of a localization leaves one, and the coordinate weights
-        are their own); that one is solved for, and the free coordinates run
-        over the monomials up to the bound."""
-        weights = [w for w, _ in self.weight_lattice]
-        rows = []
-        for k, (w, degree) in enumerate(zip(weights, degrees)):
-            others = weights[:k] + weights[k + 1:]
-            p = next(j for j, c in enumerate(w)
-                     if c and not any(v[j] for v in others))
-            rows.append((w, p, degree))
-        solved = [p for _, p, _ in rows]
-        free = [j for j in range(self.num_vars) if j not in solved]
-        labels = []
-        for m in monomials_upto(len(free), bound):
-            e = [0] * self.num_vars
-            for j, a in zip(free, m):
-                e[j] = a
-            room = bound - sum(m)
-            for w, p, degree in rows:
-                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
-                if r or not 0 <= q <= room:
-                    break
-                e[p] = q
-                room -= q
-            else:
-                labels.append((sum(e), tuple(e)))
-        return [(comp, e) for _, e in sorted(labels)
-                for comp in range(self.rank)]
-
-    def multiply_columns(self, ladder, axis, t):
-        """Images of the level-t basis under x_axis, truncated to level t."""
-        index = ladder.index(t)
-        bound = ladder.bound(t)
-        j = axis - 1
-        cols = []
-        for comp, e in ladder.basis(t):
-            key = e[:j] + (e[j] + 1,) + e[j + 1:]
-            cols.append({index[(comp, key)]: 1} if sum(key) <= bound else {})
-        return cols
 
 
 class Localization(ModulePresentation):
@@ -149,13 +102,16 @@ class Localization(ModulePresentation):
         self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
-        self._times_f_cache = {}
+        self._powers = {}
 
-    def _times_f(self, bound):
-        """The product by f cut at ``bound``, prepared once per bound."""
-        if bound not in self._times_f_cache:
-            self._times_f_cache[bound] = product_by(self.f_terms, bound)
-        return self._times_f_cache[bound]
+    def _power(self, k, bound):
+        """(f^k cut at ``bound``, the product by it cut there), prepared
+        once per (k, bound) for both the comparison and ``embed``."""
+        if (k, bound) not in self._powers:
+            terms = (self._power(k - 1, bound)[1]({}, self.f_terms) if k
+                     else {(0,) * self.num_vars: 1})
+            self._powers[k, bound] = terms, product_by(terms, bound)
+        return self._powers[k, bound]
 
     @cached_property
     def weight_lattice(self):
@@ -184,9 +140,12 @@ class Localization(ModulePresentation):
         return LocElement(series, pole)
 
     def partial(self, element, axis):
-        numerator, pole = loc_partial_raw(element.numerator, self.f,
-                                          element.pole_order, axis)
-        return loc_normalize(LocElement(numerator, pole), self.f)
+        """d(g/f^k) = (d(g) f - k g d(f)) / f^(k+1) for k >= 1, normalized."""
+        g, k = element.numerator, element.pole_order
+        if k == 0:
+            return LocElement(g.partial(axis), 0)
+        numerator = g.partial(axis) * self.f - g * self.f.partial(axis) * k
+        return loc_normalize(LocElement(numerator, k + 1), self.f)
 
     def scale(self, element, series):
         return LocElement(series * element.numerator, element.pole_order)
@@ -205,34 +164,36 @@ class Localization(ModulePresentation):
         return (ladder.trunc + ladder.pole0 * self.f_deg
                 + t * max(self.f_deg - 1, 0))
 
-    def label_text(self, ladder, t, label):
-        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
-        mono = format_poly({label[1]: Fraction(1)}, names)
-        return f"({mono})/f^{ladder.pole(t)}"
-
     def partial_columns(self, ladder, axis, t, labels):
-        """d(x^e/f^k) = (e_j x^(e-1_j) f - k x^e d_j(f)) / f^(k+1), in level
-        t+1, for the given level-t labels.
+        """d(x^e/f^k) in level t+1, for the given level-t labels.
 
-        Nothing is truncated: both products have degree <= |e| + deg f - 1
-        <= B_t + max(deg f - 1, 0) = B_(t+1), the bound of level t+1.  So
-        each column is f shifted by e - 1_j and scaled by e_j, plus d_j f
-        shifted by e and scaled by -k."""
-        index = ladder.index(t + 1)
-        k = ladder.pole(t)
+        Nothing is truncated: both products of the quotient rule have degree
+        <= |e| + deg f - 1 <= B_t + max(deg f - 1, 0) = B_(t+1), the bound
+        of level t+1."""
+        return self._quotient_columns(ladder.index(t + 1), ladder.bound(t + 1),
+                                      axis, ladder.pole(t),
+                                      [e for _, e in labels])
+
+    def _quotient_columns(self, index, bound, axis, k, exps):
+        """The numerators of d_axis(x^e/f^k) = (e_j x^(e-1_j) f - k x^e
+        d_j(f)) / f^(k+1) for each x^e, in the coordinates ``index`` gives,
+        cut at total degree ``bound``: f shifted by e - 1_j and scaled by
+        e_j, plus d_j f shifted by e and scaled by -k."""
         j = axis - 1
-        f_terms = list(self.f_terms.items())
-        df_terms = list(_ladder_terms(self.f.partial(axis).terms).items())
+        f_terms = [(ef, sum(ef), c) for ef, c in self.f_terms.items()]
+        df_terms = [(_lowered(ef, j), d - 1, c * ef[j])
+                    for ef, d, c in f_terms if ef[j]]
         cols = []
-        for _, e in labels:
+        for e in exps:
+            room = bound - sum(e)
             if e[j]:
                 low, ej = _lowered(e, j), e[j]
                 col = {index[(0, tuple(map(add, low, ef)))]: ej * c
-                       for ef, c in f_terms}
+                       for ef, d, c in f_terms if d <= room + 1}
             else:
                 col = {}
             vec_add_scaled(col, {index[(0, tuple(map(add, e, ed)))]: c
-                                 for ed, c in df_terms}, -k)
+                                 for ed, d, c in df_terms if d <= room}, -k)
             cols.append(col)
         return cols
 
@@ -246,10 +207,7 @@ class Localization(ModulePresentation):
 
         def maps(t):
             index_b = fam_b.index(t)
-            power = {(0,) * self.num_vars: 1}
-            times_f = self._times_f(fam_b.bound(t))
-            for _ in range(fam_b.pole(t) - fam_a.pole(t)):
-                power = times_f({}, power)
+            power, _ = self._power(fam_b.pole(t) - fam_a.pole(t), fam_b.bound(t))
             cols = []
             for _, e in fam_a.basis(t):
                 cols.append({index_b[(0, tuple(i + j for i, j in zip(e, ef)))]: c
@@ -267,29 +225,23 @@ class Localization(ModulePresentation):
                 f"pole order {element.pole_order} exceeds budget {pole}")
         steps = pole - element.pole_order
         bound = ladder.bound(0)
-        terms = {e: c for e, c in element.numerator.terms.items()
-                 if sum(e) <= bound}
-        times_f = self._times_f(bound)
-        for _ in range(steps):
-            terms = times_f({}, terms)
+        terms = self._power(steps, bound)[1]({}, element.numerator.terms)
         known = min(element.numerator.precision + steps * self.f_ord, bound)
         index = ladder.index(0)
         return {index[(0, e)]: c for e, c in terms.items()}, known
 
     def dn_image_columns(self, ladder):
-        """Level-0 coordinates spanning d_n(w / f^(K-1)) for numerators w up
-        to the degree whose image can reach the window."""
-        n = self.num_vars
-        k = ladder.pole(0) - 1
-        if k < 0:
-            return []
-        w_bound = ladder.trunc + k * self.f_deg + self.f_deg
-        cols = []
-        for e in monomials_upto(n, w_bound):
-            numerator = Series.monomial(n, e, w_bound + self.f_deg + 1)
-            new, new_pole = loc_partial_raw(numerator, self.f, k, n)
-            cols.append(self.embed(ladder, LocElement(new, new_pole)))
-        return cols
+        """Level-0 coordinates spanning d_n(x^e / f^(K-1)) for |e| <= N +
+        K*deg f, cut at the window, and the degree they are known to: the
+        window at K = 1, else one below f's precision too (the d_n f term).
+        Level -1's bound N + (K-1)*deg f + 1 would drop the numerators whose
+        image the window truncates.  K = 0 has none."""
+        pole, bound = ladder.pole(0), ladder.bound(0)
+        if pole == 0:
+            return [], bound
+        cols = self._quotient_columns(ladder.index(0), bound, self.num_vars,
+                                      pole - 1, monomials_upto(self.num_vars, bound))
+        return cols, bound if pole == 1 else min(bound, self.f.precision - 1)
 
 
 class Connection(ModulePresentation):
@@ -351,11 +303,15 @@ class Connection(ModulePresentation):
                      for j in range(n))
 
     def element(self, series, pole=0):
-        """A single series is an element of a rank-1 connection only."""
+        """A single series is an element of a rank-1 connection only, and
+        a connection has no pole to put it over."""
         if self.rank != 1:
             raise WrongVariant(
                 f"an element of a rank-{self.rank} connection needs "
                 f"{self.rank} components, not one series")
+        if pole:
+            raise WrongVariant(
+                f"a connection element takes no pole, got pole order {pole}")
         return (series,)
 
     def partial(self, element, axis):
@@ -392,12 +348,6 @@ class Connection(ModulePresentation):
 
     def level_bound(self, ladder, t):
         return ladder.trunc - t
-
-    def label_text(self, ladder, t, label):
-        comp, e = label
-        names = [f"x{i}" for i in range(1, self.num_vars + 1)]
-        mono = format_poly({e: Fraction(1)}, names)
-        return mono if self.rank == 1 else f"e{comp + 1}*{mono}"
 
     def partial_columns(self, ladder, axis, t, labels):
         """nabla_axis of the given level-t labels, truncated to level t+1:
@@ -453,18 +403,14 @@ class Connection(ModulePresentation):
         return vec, known
 
     def dn_image_columns(self, ladder):
-        """Level-0 coordinates spanning nabla_n of every monomial multiple of
-        every component tag up to one degree above the window."""
-        n = self.num_vars
-        trunc = ladder.trunc
-        zero = Series.zero(n, trunc + 1)
-        cols = []
-        for comp in range(self.rank):
-            for e in monomials_upto(n, trunc + 1):
-                series = Series.monomial(n, e, trunc + 1)
-                w = tuple(series if c == comp else zero for c in range(self.rank))
-                cols.append(self.embed(ladder, partial_action(self, w, n)))
-        return cols
+        """Level-0 coordinates spanning nabla_n of every component tag times
+        every monomial up to one degree above the window: the ladder's own
+        nabla_n from level -1 into level 0, known to N and to the least
+        precision of A_n's entries."""
+        known = min([ladder.bound(0)] + [entry.precision
+                                         for row in self.matrices[-1]
+                                         for entry in row])
+        return ladder.partial_columns(self.num_vars, -1), known
 
 
 @dataclass(frozen=True)
@@ -514,15 +460,6 @@ def check_integrability(module):
                         witness = (i, j, row, col, entry)
     return IntegrabilityReport(integrable=witness is None, witness=witness,
                                precision=precision if precision is not None else 0)
-
-
-def loc_partial_raw(numerator, f, pole_order, axis):
-    """Quotient rule without normalization:
-    d(g/f^k) = (d(g) f - k g d(f)) / f^{k+1} for k >= 1."""
-    if pole_order == 0:
-        return numerator.partial(axis), 0
-    new = numerator.partial(axis) * f - numerator * f.partial(axis) * pole_order
-    return new, pole_order + 1
 
 
 def loc_normalize(element, f):

@@ -253,8 +253,9 @@ def cover_check(module, element, f, trunc, pole=None, p_max=8):
 
     ech = ColumnEchelon()
     # image-of-d_n columns
-    for w_vec, k in module.dn_image_columns(ladder):
-        known = min(known, k)
+    image, k = module.dn_image_columns(ladder)
+    known = min(known, k)
+    for w_vec in image:
         ech.add(_restrict(ladder, w_vec, known))
 
     slice_cols = {}

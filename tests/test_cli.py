@@ -14,7 +14,9 @@ from conftest import cli_report, run_cli
 # and x1*x2*x3 (N=3, K=1), and derham on R_loc(exp(x)-1) (N=3, K=1); prep,
 # divide (n=3, precision 10), regularize, poisson, bracket-probe,
 # involutive and malgrange reports on the series-calculus inputs of
-# bench/workloads.py at seed 1; every line is pinned byte for byte
+# bench/workloads.py at seed 1; regularity e0-cover on R, R_loc(x1*x2) and
+# conn(1; [[0]]; [[-1]]), etau on the cusp and kernel-relation on that
+# connection; every line is pinned byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
@@ -129,6 +131,34 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
     assert code == 1
     assert (report["status"], report["error"]) == ("error", "BoundOverflow")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_an_error_report_keeps_nothing_of_the_failed_run():
+    # malgrange has its indicial data and dims before the oracle runs out of
+    # precision; none of those lines reaches the error report
+    argv = ["malgrange", "x^50*d", "--trunc", "10", "--oracle"]
+    code, text = run_cli(argv)
+    assert code == 1
+    assert text.splitlines() == [
+        "schema: formald-report/1", "verb: malgrange", "status: error",
+        "error: InsufficientPrecision",
+        "message: need coefficients to degree 68, have 50"]
+    code, text = run_cli(argv + ["--machine"])
+    assert sorted(json.loads(text)) == ["error", "message", "schema", "status",
+                                        "verb"]
+
+
+# indicial roots -10^7 and 3*10^6: only the divisors of the trailing
+# coefficient are tried, so neither scans up to the Cauchy bound
+@pytest.mark.parametrize("expr, code, expected", [
+    ("x*d+10000000", 0, {"status": "ok", "indicial-poly": "10000000,1",
+                         "t0": "0", "coker-dim": "0", "kernel-dim": "0"}),
+    ("x*d-3000000", 1, {"status": "error", "error": "InsufficientPrecision"}),
+])
+def test_malgrange_with_a_large_integer_root_answers(expr, code, expected):
+    got_code, report = cli_report(["malgrange", expr, "--trunc", "3"])
+    assert got_code == code
+    assert {k: report[k] for k in expected} == expected
 
 
 def test_a_leading_unary_plus_answers():

@@ -8,8 +8,8 @@ import pytest
 from formald.errors import (InsufficientPrecision, PreconditionViolated,
                             ZeroOperator)
 from formald.linalg import Matrix
-from formald.malgrange import (finite_dims, indicial_data, solve,
-                               truncated_cokernel_rank)
+from formald.malgrange import (_eval_poly, _integer_roots, finite_dims,
+                               indicial_data, solve, truncated_cokernel_rank)
 from formald.series import Series
 from formald.weyl import DiffOp
 
@@ -188,3 +188,19 @@ def test_images_stay_within_the_coefficient_precision():
     with pytest.raises(InsufficientPrecision):
         truncated_cokernel_rank(DiffOp.partial(1, 1, 10), 20)
     assert truncated_cokernel_rank(DiffOp.partial(1, 1, 30), 20) == 0
+
+
+def test_integer_roots_are_those_a_scan_finds():
+    # the rational root theorem's candidates against every integer up to
+    # the Cauchy bound, on products of (t - r) with small rational factors
+    rng = random.Random(29)
+    for _ in range(200):
+        poly = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 3]))]
+        for _ in range(rng.randint(0, 4)):
+            r = Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3]))
+            poly = [a - r * b for a, b in zip([Fraction(0)] + poly,
+                                              poly + [Fraction(0)])]
+        limit = 1 + max(map(abs, poly[:-1]), default=0) / abs(poly[-1])
+        scan = [t for t in range(-int(limit), int(limit) + 1)
+                if len(poly) > 1 and _eval_poly(poly, t) == 0]
+        assert _integer_roots(poly) == scan

@@ -217,3 +217,71 @@ def test_shifted_columns_match_the_truncated_product(f, trunc, pole):
                                            ladder.bound(t + 1))
             # no term ever reaches past level t+1: the uncut product agrees
             assert cols == product_columns(module, ladder, axis, t)
+
+
+# d_n images the cover probe spans: the ring, rank-1 and rank-2
+# connections with nonzero flat matrices, and rational, transcendental and
+# unit f, each parsed at precision 12 and at 6 (below most windows at K >= 2,
+# where the d_n f term is known to one degree less)
+DN_MODULES = ["R", "conn(1; [[x2]]; [[x1+1]])",
+              "conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])",
+              "conn(2; [[0,0],[0,0]]; [[x2,1],[0,1+x2^2]])",
+              "R_loc(x1*x2)", "R_loc(x1^2-x2^3)", "R_loc(exp(x1)-1+x2)",
+              "R_loc(1+x1+x2^2)", "R_loc(1/2*x1^2+1/3*x2^3)"]
+
+
+def reference_dn_image(module, ladder):
+    """d_n of each numerator the probe spans, built with Series arithmetic,
+    as (level-0 coordinates up to the precision, that precision).  A
+    connection differentiates every component tag times every x^e with
+    |e| <= N + 1, tags inner; a localization every x^e / f^(K-1) with |e|
+    <= N + K*deg f, by the quotient rule over f^K, treating f's stored
+    terms as an exact polynomial as its ladder does."""
+    n, trunc, index = module.num_vars, ladder.trunc, ladder.index(0)
+    if ladder.pole0 is None:
+        rows = range(module.rank)
+        a_n = module.matrices[n - 1]
+        images = []
+        for e in monomials_upto(n, trunc + 1):
+            for comp in rows:
+                w = [Series.monomial(n, e, trunc + 1) if c == comp
+                     else Series.zero(n, trunc + 1) for c in rows]
+                images.append([sum((a_n[row][c] * w[c] for c in rows),
+                                   w[row].partial(n)) for row in rows])
+        bound = trunc
+    else:
+        k, f = ladder.pole0, module.f
+        if k == 0:
+            return [], ladder.bound(0)
+        bound = trunc + k * f.degree()
+        high = bound + f.degree() + 2
+        exact_f = Series(n, high, f.terms)
+        images = []
+        for e in monomials_upto(n, bound):
+            x_e = Series.monomial(n, e, high)
+            image = x_e.partial(n) * exact_f
+            if k > 1:
+                image = image - x_e * f.partial(n) * (k - 1)
+            images.append([image])
+    known = min([bound] + [s.precision for image in images for s in image])
+    return [{index[(row, e)]: c for row, s in enumerate(image)
+             for e, c in s.terms.items() if sum(e) <= known}
+            for image in images], known
+
+
+@pytest.mark.parametrize("text", DN_MODULES)
+@pytest.mark.parametrize("precision", [12, 6])
+def test_dn_image_columns_match_the_series_quotient_rule(text, precision):
+    from formald.parser import parse_module
+
+    module = parse_module(text, 2, precision)
+    local = text.startswith("R_loc")
+    for trunc in (1, 3, 7):
+        for pole in (0, 1, 2, 3) if local else (None,):
+            ladder = ModuleFamily(module, trunc, pole)
+            cols, known = module.dn_image_columns(ladder)
+            expected, expected_known = reference_dn_image(module, ladder)
+            assert known == expected_known
+            labels = ladder.basis(0)
+            assert [{i: c for i, c in col.items() if sum(labels[i][1]) <= known}
+                    for col in cols] == expected

@@ -97,6 +97,11 @@ CASES = [
     ("e0-cover", LOC + ["--trunc", "5", "--element", "1", "--element-pole", "1",
                         "--f", "x1"], 0,
      {"status": "inconclusive"}),
+    # a connection has no pole to put an element over
+    ("etau", ["--module", "R", "--vars", "2", "--element", "1",
+              "--element-pole", "1", "--f", "x2", "--trunc", "4"], 1,
+     {"status": "error", "error": "WrongVariant",
+      "message": "a connection element takes no pole, got pole order 1"}),
     # the element itself is past the budget: it is embedded, and rejected,
     # before any iterate is computed
     ("etau", ["--module", "R_loc(x1)", "--vars", "1", "--f", "x",
