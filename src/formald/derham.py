@@ -11,8 +11,10 @@ truncation evidence to a proof.
 The ladder alone holds the truncation (N = series bound, K = pole
 budget) and the geometry that reads only the lattice, the rank and the
 pole: the basis labels (component, exponent) and their text, the weight
-blocks and the x_axis columns.  Each presentation supplies its module
-maps, among them the bound of every level (see :mod:`formald.modules`):
+blocks and every column that shifts a term dict, from the form (F, T)
+of nabla_j each presentation gives (:meth:`ModuleFamily.shift_columns`).
+Each presentation also gives the bound of every level (see
+:mod:`formald.modules`):
 
 * connection of rank r, the ring R being rank 1 with zero matrices:
   component tags times degree <= N - t monomials, with maps truncated to
@@ -71,6 +73,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
 from .series import format_poly, monomials_upto
@@ -98,10 +101,11 @@ class ModuleFamily(_Ladder):
     cokernel's in the LES check) share one build of each; callers must
     not mutate the cached columns.  It lays out every level's labels
     (each component with each monomial up to the level's bound, which the
-    presentation gives), their text and the x_axis columns; the d_axis
-    columns come from the presentation, which validates the truncation
-    and returns the pole0: K for a localization, which needs one, and
-    None for a connection, which must be flat and known to precision.
+    presentation gives), their text and every shift column, from the
+    presentation's form of nabla_axis; the presentation validates the
+    truncation and returns the pole0: K for a localization, which needs
+    one, and None for a connection, which must be flat and known to
+    precision.
 
     A ``block`` ladder holds only the multidegree-0 cells of the
     presentation's weight lattice: level t's basis is the labels of its
@@ -224,19 +228,45 @@ class ModuleFamily(_Ladder):
         cells without dx_axis (the others' images leave the block) and
         reads None for the rest.  Built once per (axis, t)."""
         if (axis, t) not in self._partial_cache:
-            self._partial_cache[axis, t] = self._build_partial(axis, t)
+            labels = self.basis(t)
+            wanted = (sorted({k for k, dx in self.cells(t) if axis not in dx})
+                      if self.lattice else range(len(labels)))
+            images = self.shift_columns(t + 1, [labels[k] for k in wanted],
+                                        self.module.ladder_form(axis, self.pole(t)),
+                                        axis)
+            cols = dict(zip(wanted, images))
+            self._partial_cache[axis, t] = [cols.get(k) for k in range(len(labels))]
         return self._partial_cache[axis, t]
 
-    def _build_partial(self, axis, t):
-        labels = self.basis(t)
-        if not self.lattice:
-            return self.module.partial_columns(self, axis, t, labels)
-        wanted = sorted({k for k, form in self.cells(t) if axis not in form})
-        cols = [None] * len(labels)
-        images = self.module.partial_columns(self, axis, t,
-                                             [labels[k] for k in wanted])
-        for k, col in zip(wanted, images):
-            cols[k] = col
+    def shift_columns(self, t, labels, form, axis=None):
+        """Level-t coordinates of each label (c, x^e) under a form (F, T):
+        e_j*F shifted by e - 1_j into component c (j = axis - 1; none if F
+        is None), plus each T[row][c] shifted by e into component ``row``,
+        cut at level t's bound.  Both parts accumulate in one dict, which
+        drops what cancels; an empty T entry adds nothing."""
+        index, bound = self.index(t), self.bound(t)
+        f, a = form
+        f_terms = [(e, sum(e), c) for e, c in f.items()] if f else []
+        # per component c: the terms of every T[row][c], as (row, shift,
+        # degree, coefficient); no two land on one key
+        t_terms = [[(row, e, sum(e), c) for row, entries in enumerate(a)
+                    for e, c in entries[comp].items()] for comp in range(len(a))]
+        j = axis - 1 if f_terms else None
+        cols = []
+        for comp, e in labels:
+            room = bound - sum(e)
+            if f_terms and e[j]:
+                ej = e[j]
+                low = e[:j] + (ej - 1,) + e[j + 1:]
+                col = {index[(comp, tuple(map(add, low, ef)) if d else low)]: ej * c
+                       for ef, d, c in f_terms if d <= room + 1}
+            else:
+                col = {}
+            if t_terms[comp]:
+                part = {index[(row, tuple(map(add, e, ea)) if d else e)]: c
+                        for row, ea, d, c in t_terms[comp] if d <= room}
+                col = vec_add_scaled(col, part, 1) if col else part
+            cols.append(col)
         return cols
 
     def partial_matrix(self, axis, t):

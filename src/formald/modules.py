@@ -8,13 +8,15 @@ or tuples of series (one per component).
 A presentation carries no truncation and no ladder geometry: N, K, the
 basis labels (component, exponent) and their text, the weight blocks and
 the x_axis columns belong to the ladder of :mod:`formald.derham`, as they
-read only the lattice, the rank and the pole.  A presentation supplies
-its module maps: the validated pole0, every level's bound, the d_axis
-columns, the comparison into a deepened ladder, the level-0 coordinates
-of its elements (enforcing the pole budget K), the d_n image the cover
-probe spans and the weight lattice (empty for a non-zero connection); and
-the element action (``element``, ``partial``, ``scale``) the regularity
-probes iterate.
+read only the lattice, the rank and the pole.  A presentation gives the
+form (F, T) of nabla_j, from which the ladder builds every shift column:
+e_j*F shifted by e - 1_j plus T shifted by e (F = 1, T = A_j for a
+connection; F = f, T = -k*d_j f at pole k for a localization).  It also
+supplies the validated pole0, every level's bound, the comparison into a
+deepened ladder, the level-0 coordinates of its elements (enforcing the
+pole budget K), the d_n image the cover probe spans and the weight
+lattice (empty for a non-zero connection); and the element action
+(``element``, ``partial``, ``scale``) the regularity probes iterate.
 """
 
 from __future__ import annotations
@@ -22,16 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
-from .linalg import Matrix, scale_to_integers, vec_add_scaled
+from .linalg import Matrix, scale_to_integers
 from .series import Series, monomials_upto, product_by, try_divide
 
 
-def _lowered(e, j):
-    return e[:j] + (e[j] - 1,) + e[j + 1:]
+def _ring_form(n):
+    """The ring's (F, T) on n variables: d_j alone, F = 1 and T = 0."""
+    return {(0,) * n: 1}, [[{}]]
 
 
 def _ladder_terms(terms):
@@ -102,6 +104,10 @@ class Localization(ModulePresentation):
         self.f_terms = _ladder_terms(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
+        # the ladder copy of each d_j f, read off f_terms
+        self.df_terms = [_ladder_terms({e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                                        for e, c in self.f_terms.items() if e[j]})
+                         for j in range(self.num_vars)]
         self._powers = {}
 
     def _power(self, k, bound):
@@ -164,38 +170,14 @@ class Localization(ModulePresentation):
         return (ladder.trunc + ladder.pole0 * self.f_deg
                 + t * max(self.f_deg - 1, 0))
 
-    def partial_columns(self, ladder, axis, t, labels):
-        """d(x^e/f^k) in level t+1, for the given level-t labels.
+    def ladder_form(self, axis, pole):
+        """d_axis(x^e/f^k) = (e_j x^(e-1_j) f - k x^e d_j f) / f^(k+1): F = f
+        and T = [[-k d_j f]], adding nothing at k = 0.
 
-        Nothing is truncated: both products of the quotient rule have degree
-        <= |e| + deg f - 1 <= B_t + max(deg f - 1, 0) = B_(t+1), the bound
-        of level t+1."""
-        return self._quotient_columns(ladder.index(t + 1), ladder.bound(t + 1),
-                                      axis, ladder.pole(t),
-                                      [e for _, e in labels])
-
-    def _quotient_columns(self, index, bound, axis, k, exps):
-        """The numerators of d_axis(x^e/f^k) = (e_j x^(e-1_j) f - k x^e
-        d_j(f)) / f^(k+1) for each x^e, in the coordinates ``index`` gives,
-        cut at total degree ``bound``: f shifted by e - 1_j and scaled by
-        e_j, plus d_j f shifted by e and scaled by -k."""
-        j = axis - 1
-        f_terms = [(ef, sum(ef), c) for ef, c in self.f_terms.items()]
-        df_terms = [(_lowered(ef, j), d - 1, c * ef[j])
-                    for ef, d, c in f_terms if ef[j]]
-        cols = []
-        for e in exps:
-            room = bound - sum(e)
-            if e[j]:
-                low, ej = _lowered(e, j), e[j]
-                col = {index[(0, tuple(map(add, low, ef)))]: ej * c
-                       for ef, d, c in f_terms if d <= room + 1}
-            else:
-                col = {}
-            vec_add_scaled(col, {index[(0, tuple(map(add, e, ed)))]: c
-                                 for ed, d, c in df_terms if d <= room}, -k)
-            cols.append(col)
-        return cols
+        On a ladder nothing is cut: both terms have degree <= |e| + deg f - 1
+        <= B_t + max(deg f - 1, 0) = B_(t+1), the bound of level t+1."""
+        df = self.df_terms[axis - 1]
+        return self.f_terms, [[{e: -pole * c for e, c in df.items()} if pole else {}]]
 
     def deepened(self, trunc, pole):
         return trunc + max(self.f_deg, 1), pole + 1
@@ -206,13 +188,8 @@ class Localization(ModulePresentation):
         either ladder truncates."""
 
         def maps(t):
-            index_b = fam_b.index(t)
             power, _ = self._power(fam_b.pole(t) - fam_a.pole(t), fam_b.bound(t))
-            cols = []
-            for _, e in fam_a.basis(t):
-                cols.append({index_b[(0, tuple(i + j for i, j in zip(e, ef)))]: c
-                             for ef, c in power.items()})
-            return cols
+            return fam_b.shift_columns(t, fam_a.basis(t), (None, [[power]]))
 
         return fam_a, fam_b, maps
 
@@ -235,13 +212,13 @@ class Localization(ModulePresentation):
         K*deg f, cut at the window, and the degree they are known to: the
         window at K = 1, else one below f's precision too (the d_n f term).
         Level -1's bound N + (K-1)*deg f + 1 would drop the numerators whose
-        image the window truncates.  K = 0 has none."""
-        pole, bound = ladder.pole(0), ladder.bound(0)
-        if pole == 0:
-            return [], bound
-        cols = self._quotient_columns(ladder.index(0), bound, self.num_vars,
-                                      pole - 1, monomials_upto(self.num_vars, bound))
-        return cols, bound if pole == 1 else min(bound, self.f.precision - 1)
+        image the window truncates.  At K = 0 level 0 is the ring's window,
+        and so is the image: d_n x^e for |e| <= N + 1, known to the window."""
+        pole, bound, n = ladder.pole(0), ladder.bound(0), self.num_vars
+        form = self.ladder_form(n, pole - 1) if pole else _ring_form(n)
+        known = bound if pole <= 1 else min(bound, self.f.precision - 1)
+        exps = monomials_upto(n, bound if pole else bound + 1)
+        return ladder.shift_columns(0, [(0, e) for e in exps], form, n), known
 
 
 class Connection(ModulePresentation):
@@ -282,6 +259,9 @@ class Connection(ModulePresentation):
         self.num_vars = num_vars
         self.rank = rank
         self.matrices = matrices
+        one, _ = _ring_form(num_vars)
+        self._forms = [(one, [[_ladder_terms(entry.terms) for entry in row]
+                              for row in m]) for m in matrices]
 
     def _entries(self):
         return [entry for m in self.matrices for row in m for entry in row]
@@ -349,29 +329,10 @@ class Connection(ModulePresentation):
     def level_bound(self, ladder, t):
         return ladder.trunc - t
 
-    def partial_columns(self, ladder, axis, t, labels):
-        """nabla_axis of the given level-t labels, truncated to level t+1:
-        e_j at x^(e-1_j) in the label's own component, plus each matrix
-        term of its column shifted by e where that stays within the bound.
-        No two of these terms meet, since the first has degree |e| - 1 and
-        the shifts of one entry are distinct and of degree >= |e|."""
-        index = ladder.index(t + 1)
-        bound = ladder.bound(t + 1)
-        a = [[[(ea, sum(ea), c) for ea, c in _ladder_terms(entry.terms).items()]
-              for entry in row] for row in self.matrices[axis - 1]]
-        j = axis - 1
-        cols = []
-        for comp, e in labels:
-            room = bound - sum(e)
-            col = {}
-            for row in range(self.rank):
-                if row == comp and e[j]:
-                    col[index[(row, _lowered(e, j))]] = e[j]
-                for ea, da, c in a[row][comp]:
-                    if da <= room:
-                        col[index[(row, tuple(map(add, e, ea)))]] = c
-            cols.append(col)
-        return cols
+    def ladder_form(self, axis, pole):
+        """nabla_axis = d_axis + A_axis: F = 1 and T = A_axis.  A ladder cuts
+        each term at the target bound."""
+        return self._forms[axis - 1]
 
     def deepened(self, trunc, pole):
         return trunc + 1, pole

@@ -23,6 +23,7 @@ known to different precisions.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,11 +45,21 @@ _TOKEN = re.compile(r"""
 
 
 def _tokenize(text):
+    """The token list.  A literal (a number, an exponent or a generator's
+    index) longer than ``sys.get_int_max_str_digits()`` is a ParseError at
+    its position, as Python would refuse to read it; a limit of 0 (or an
+    interpreter with none) is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     tokens = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if limit and kind in ("num", "name"):
+            digits = len(match.group()) - (kind == "name")
+            if digits > limit:
+                raise ParseError(f"literal of {digits} digits exceeds the "
+                                 f"{limit}-digit limit", match.start())
         if kind != "ws":
             tokens.append((kind, match.group(), match.start()))
     tokens.append(("end", "", len(text)))

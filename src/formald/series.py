@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, ge, itemgetter
@@ -632,6 +633,8 @@ def format_poly(terms, names):
     """Canonical graded-lex rendering of an exponent->Fraction mapping.
 
     The output reparses under the expression grammar: ``1/2*x1^2 - x2``.
+    A coefficient past ``sys.get_int_max_str_digits()`` digits raises
+    BoundOverflow, as Python will not convert it.
     """
     if not terms:
         return "0"
@@ -645,12 +648,16 @@ def format_poly(terms, names):
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
         mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
+        if mono and mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            try:
+                text = str(mag)
+            except ValueError:
+                raise BoundOverflow(
+                    f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                    "digits to print") from None
+            body = f"{text}*{mono}" if mono else text
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:

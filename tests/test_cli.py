@@ -133,6 +133,25 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# Python converts no int past sys.get_int_max_str_digits() (4300 by
+# default) to or from text: a literal that long is a parse error at its
+# position, and a coefficient that long cannot be printed
+@pytest.mark.parametrize("expr, error, message", [
+    ("2^100000*x1", "BoundOverflow",
+     "a coefficient has more than 4300 digits to print"),
+    ("7" * 5000 + "*x1", "ParseError",
+     "literal of 5000 digits exceeds the 4300-digit limit (at position 0)"),
+], ids=["power", "literal"])
+def test_an_integer_past_the_digit_limit_is_a_typed_error(expr, error, message,
+                                                          capsys):
+    code, report = cli_report(["prep", expr, "--vars", "1", "--trunc", "3"])
+    assert code == 1
+    assert (report["status"], report["error"], report["message"]) == (
+        "error", error, message)
+    assert "set_int_max_str_digits" not in report["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_an_error_report_keeps_nothing_of_the_failed_run():
     # malgrange has its indicial data and dims before the oracle runs out of
     # precision; none of those lines reaches the error report

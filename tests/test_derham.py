@@ -15,7 +15,7 @@ from formald.derham import (KernelFamily, ModuleFamily, cohomology_dims,
                             stabilized_dims)
 from formald.errors import NonIntegrable
 from formald.linalg import ColumnEchelon, Matrix
-from formald.modules import Localization, ModulePresentation
+from formald.modules import ModulePresentation
 from formald.parser import parse_module
 from formald.series import (LinearSubstitution, Series,
                             apply_linear_substitution)
@@ -318,13 +318,13 @@ def test_les_builds_each_ladder_column_once(monkeypatch):
     # the module, kernel and cokernel complexes read one base ladder; each
     # d_axis column list of it is built once per (axis, t)
     built = []
-    columns = Localization.partial_columns
+    columns = ModuleFamily.shift_columns
 
-    def recorded(self, ladder, axis, t, labels):
-        built.append((axis, t, ladder.lattice))
-        return columns(self, ladder, axis, t, labels)
+    def recorded(self, t, labels, form, axis=None):
+        built.append((axis, t - 1, self.lattice))
+        return columns(self, t, labels, form, axis)
 
-    monkeypatch.setattr(Localization, "partial_columns", recorded)
+    monkeypatch.setattr(ModuleFamily, "shift_columns", recorded)
     module = parse_module("R_loc(x1*x2*x3)", 3, 30)
     assert les_consistency(module, 3, 1).consistent
     assert len(built) == len(set(built)) == 9

@@ -219,6 +219,39 @@ def test_shifted_columns_match_the_truncated_product(f, trunc, pole):
             assert cols == product_columns(module, ladder, axis, t)
 
 
+# flat connections with nonzero matrices: rank 1, and rank 2 with an
+# off-diagonal entry in A_2 and with constant ones
+CONNECTIONS = ["conn(1; [[x2]]; [[x1+1]])",
+               "conn(2; [[0,0],[0,0]]; [[x2,1],[0,1+x2^2]])",
+               "conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])"]
+
+
+@pytest.mark.parametrize("text", CONNECTIONS)
+@pytest.mark.parametrize("trunc", [1, 3, 5])
+def test_connection_columns_are_nabla_cut_at_the_target_bound(text, trunc):
+    # every level-t label, as a tuple of Series, under nabla_axis = d_axis +
+    # A_axis with Series arithmetic, cut at level t+1's bound
+    from formald.parser import parse_module
+
+    module = parse_module(text, 2, 12)
+    ladder = ModuleFamily(module, trunc)
+    n, rows = module.num_vars, range(module.rank)
+    for axis in range(1, n + 1):
+        a = module.matrices[axis - 1]
+        for t in range(-1, n):
+            bound, index = ladder.bound(t + 1), ladder.index(t + 1)
+            expected = []
+            for comp, e in ladder.basis(t):
+                w = [Series.monomial(n, e, trunc + 2) if c == comp
+                     else Series.zero(n, trunc + 2) for c in rows]
+                image = [sum((a[row][c] * w[c] for c in rows), w[row].partial(axis))
+                         for row in rows]
+                assert all(s.precision > bound for s in image)
+                expected.append({index[(row, x)]: c for row, s in enumerate(image)
+                                 for x, c in s.terms.items() if sum(x) <= bound})
+            assert ladder.partial_columns(axis, t) == expected
+
+
 # d_n images the cover probe spans: the ring, rank-1 and rank-2
 # connections with nonzero flat matrices, and rational, transcendental and
 # unit f, each parsed at precision 12 and at 6 (below most windows at K >= 2,
@@ -234,9 +267,10 @@ def reference_dn_image(module, ladder):
     """d_n of each numerator the probe spans, built with Series arithmetic,
     as (level-0 coordinates up to the precision, that precision).  A
     connection differentiates every component tag times every x^e with
-    |e| <= N + 1, tags inner; a localization every x^e / f^(K-1) with |e|
-    <= N + K*deg f, by the quotient rule over f^K, treating f's stored
-    terms as an exact polynomial as its ladder does."""
+    |e| <= N + 1, tags inner, and so does a localization at K = 0; at K >=
+    1 a localization every x^e / f^(K-1) with |e| <= N + K*deg f, by the
+    quotient rule over f^K, treating f's stored terms as an exact
+    polynomial as its ladder does."""
     n, trunc, index = module.num_vars, ladder.trunc, ladder.index(0)
     if ladder.pole0 is None:
         rows = range(module.rank)
@@ -249,10 +283,13 @@ def reference_dn_image(module, ladder):
                 images.append([sum((a_n[row][c] * w[c] for c in rows),
                                    w[row].partial(n)) for row in rows])
         bound = trunc
+    elif ladder.pole0 == 0:
+        # level 0 is the ring's window: the ring's image, x^e with |e| <= N + 1
+        images = [[Series.monomial(n, e, trunc + 1).partial(n)]
+                  for e in monomials_upto(n, trunc + 1)]
+        bound = trunc
     else:
         k, f = ladder.pole0, module.f
-        if k == 0:
-            return [], ladder.bound(0)
         bound = trunc + k * f.degree()
         high = bound + f.degree() + 2
         exact_f = Series(n, high, f.terms)

@@ -3,6 +3,7 @@ input is rejected with a typed error."""
 
 import math
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -298,6 +299,25 @@ def test_folded_terms_match_constructed_values(sample):
         assert list(parsed.coeffs) == list(expected.coeffs)
         assert all(list(s.terms) == list(expected.coeffs[key].terms)
                    for key, s in parsed.coeffs.items())
+
+
+@pytest.mark.parametrize("head, tail", [
+    ("x1 + ", ""), ("x1 - 1/", "*x2"), ("x2^", ""), ("3*x", "")],
+    ids=["number", "denominator", "exponent", "index"])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(head, tail):
+    # a literal of more digits than Python converts: a number, a
+    # denominator, an exponent or a generator's index; limit 0 is none
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4999)
+        with pytest.raises(ParseError, match="literal of 5000 digits") as error:
+            parse_series(head + "1" * 5000 + tail, 2, 4)
+        assert error.value.position == len(head) - (head[-1] == "x")
+        sys.set_int_max_str_digits(0)
+        assert parse_series("1" * 5000 + "*x1", 2, 4).terms == {
+            (1, 0): int("1" * 5000)}
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("text, message, position", [

@@ -108,6 +108,13 @@ CASES = [
               "--element-pole", "3", "--pole-bound", "1"], 1,
      {"status": "error", "error": "PoleBudgetExceeded",
       "message": "pole order 3 exceeds budget 1"}),
+    # at pole budget 0 level 0 is the ring's window, and d_n(R) spans in it
+    # what it spans for the ring: both print R's report (slice-bound 0)
+    *(("e0-cover", ["--module", "R_loc(x1*x2)", "--vars", "2", "--f", "x2",
+                    "--trunc", "5", "--pole-bound", "0", "--element", element], 0,
+       {"status": "yes", "slice-bound": "0", "generators": "m", "p": "1",
+        "pmax": "8", "trunc": "5", "pole-bound": "0"})
+      for element in ("1", "x2")),
 ]
 
 
