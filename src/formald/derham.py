@@ -61,10 +61,17 @@ The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.
 
-Matrix entries are ``int | Fraction``: a presentation with integral
-coefficients yields integer-valued differentials and comparison maps,
-and :class:`formald.linalg.ColumnEchelon` stores primitive integer
-vectors, so an exact rank costs no ``Fraction`` arithmetic.
+Every ladder column is an ``int`` column, for any presentation: a
+localization's ladder localizes at c*f, c the lcm of the denominators of
+f's coefficients (R_f = R_(c*f)), and a connection's ladder scales nabla
+by L, the lcm of the denominators of its matrix entries.  Either rescales
+each level's basis by one nonzero constant, (c*f)^-(K+t) against f^-(K+t)
+or L^-t, so every map of the complex is a constant times the unscaled
+one: ranks, pivots, spans and the nullspace vectors (1 at their lead) are
+those of f and A.  The texts ``(x^e)/f^k`` read f as c*f.  So the
+differentials, the d o d compose and the comparison maps run on ints, and
+:class:`formald.linalg.ColumnEchelon` stores them as primitive integer
+vectors unscaled: an exact rank costs no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -214,7 +221,8 @@ class ModuleFamily(_Ladder):
         return self._cells_cache[t]
 
     def label_text(self, t, label):
-        """(x^e)/f^k with a pole; else x^e, tagged e{c}* above rank 1."""
+        """(x^e)/f^k with a pole, f read as the ladder's c*f; else x^e,
+        tagged e{c}* above rank 1."""
         comp, e = label
         names = [f"x{i}" for i in range(1, self.num_vars + 1)]
         mono = format_poly({e: Fraction(1)}, names)
@@ -286,8 +294,8 @@ class KernelFamily(_Ladder):
     largest key, its lead, which no other vector holds.  So a kernel
     element's coordinate on a vector is its entry at the lead, read off
     with no elimination; what the combination leaves must be empty.  The
-    actions apply the base matrices to each level's integer forms, so their
-    images are integer-valued for an integral presentation."""
+    actions apply the base matrices, which hold ints, to each level's
+    integer forms, so their images are integer-valued."""
 
     def __init__(self, base):
         self.base = base

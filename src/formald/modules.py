@@ -10,8 +10,13 @@ basis labels (component, exponent) and their text, the weight blocks and
 the x_axis columns belong to the ladder of :mod:`formald.derham`, as they
 read only the lattice, the rank and the pole.  A presentation gives the
 form (F, T) of nabla_j, from which the ladder builds every shift column:
-e_j*F shifted by e - 1_j plus T shifted by e (F = 1, T = A_j for a
-connection; F = f, T = -k*d_j f at pole k for a localization).  It also
+e_j*F shifted by e - 1_j plus T shifted by e.  Both forms hold ints, for
+rational data too: a connection gives F = L, T = L*A_j, nabla scaled by
+L, the lcm of the denominators of its matrix entries; a localization
+gives F = c*f, T = -k*d_j(c*f) at pole k, as its ladder localizes at c*f,
+c the lcm of the denominators of f's coefficients (R_f = R_(c*f)).  Each
+rescales every level's basis by one nonzero constant, so no rank, span or
+nullspace vector changes, and every ladder column is an int.  It also
 supplies the validated pole0, every level's bound, the comparison into a
 deepened ladder, the level-0 coordinates of its elements (enforcing the
 pole budget K), the d_n image the cover probe spans and the weight
@@ -34,13 +39,6 @@ from .series import Series, monomials_upto, product_by, try_divide
 def _ring_form(n):
     """The ring's (F, T) on n variables: d_j alone, F = 1 and T = 0."""
     return {(0,) * n: 1}, [[{}]]
-
-
-def _ladder_terms(terms):
-    """A ladder copy of a term dict: integral coefficients become ints, so
-    the ladder columns are integer-valued; rational ones stay Fraction."""
-    return {e: c.numerator if c.denominator == 1 else c
-            for e, c in terms.items()}
 
 
 class ModulePresentation:
@@ -76,10 +74,13 @@ class ModulePresentation:
 class Localization(ModulePresentation):
     """R_f with elements numerator / f^k, for every k >= 0.
 
-    A ladder with pole K holds at level t the x^e / f^(K+t) with
-    |e| <= N + K*deg f + t*(deg f - 1), f's stored terms being treated as
-    an exact polynomial; the deepened ladder receives it by multiplying
-    numerators by f.  An element enters a ladder only with pole <= K.
+    The ladder localizes at c*f, c the lcm of the denominators of f's
+    coefficients: R_f = R_(c*f), and c*f's terms are ints, so every column
+    it builds is.  A ladder with pole K holds at level t the x^e /
+    (c*f)^(K+t) with |e| <= N + K*deg f + t*(deg f - 1), f's stored terms
+    being treated as an exact polynomial; the deepened ladder receives it
+    by multiplying numerators by c*f.  An element g/f^k enters a ladder
+    only with k <= K, as c^k*g*(c*f)^(K-k) over (c*f)^K.
 
     The weight lattice W is every weight f's terms are homogeneous for.
     The cell x^e dx_I / f^k has multidegree W.e + W.1_I - k*D, D = W.e0,
@@ -101,18 +102,19 @@ class Localization(ModulePresentation):
             raise ValueError("cannot localize at a series that is zero to precision")
         self.num_vars = f.num_vars
         self.f = f
-        self.f_terms = _ladder_terms(f.terms)
+        # the ladder localizes at c*f, c the lcm of f's denominators
+        self.f_terms, self.f_den = scale_to_integers(f.terms)
         self.f_deg = f.degree()
         self.f_ord = f.order()
-        # the ladder copy of each d_j f, read off f_terms
-        self.df_terms = [_ladder_terms({e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
-                                        for e, c in self.f_terms.items() if e[j]})
+        # the ladder copy of each d_j (c*f), read off f_terms
+        self.df_terms = [{e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                          for e, c in self.f_terms.items() if e[j]}
                          for j in range(self.num_vars)]
         self._powers = {}
 
     def _power(self, k, bound):
-        """(f^k cut at ``bound``, the product by it cut there), prepared
-        once per (k, bound) for both the comparison and ``embed``."""
+        """((c*f)^k cut at ``bound``, the product by it cut there),
+        prepared once per (k, bound) for both the comparison and ``embed``."""
         if (k, bound) not in self._powers:
             terms = (self._power(k - 1, bound)[1]({}, self.f_terms) if k
                      else {(0,) * self.num_vars: 1})
@@ -171,8 +173,8 @@ class Localization(ModulePresentation):
                 + t * max(self.f_deg - 1, 0))
 
     def ladder_form(self, axis, pole):
-        """d_axis(x^e/f^k) = (e_j x^(e-1_j) f - k x^e d_j f) / f^(k+1): F = f
-        and T = [[-k d_j f]], adding nothing at k = 0.
+        """d_axis(x^e/g^k) = (e_j x^(e-1_j) g - k x^e d_j g) / g^(k+1) for
+        g = c*f: F = g and T = [[-k d_j g]], in ints, adding nothing at k = 0.
 
         On a ladder nothing is cut: both terms have degree <= |e| + deg f - 1
         <= B_t + max(deg f - 1, 0) = B_(t+1), the bound of level t+1."""
@@ -183,9 +185,9 @@ class Localization(ModulePresentation):
         return trunc + max(self.f_deg, 1), pole + 1
 
     def comparison(self, fam_a, fam_b):
-        """Embed the ladder into its deepening by multiplying numerators by f
-        once per extra pole: an exact chain map, since no differential in
-        either ladder truncates."""
+        """Embed the ladder into its deepening by multiplying numerators by
+        c*f once per extra pole: an exact chain map, since no differential
+        in either ladder truncates."""
 
         def maps(t):
             power, _ = self._power(fam_b.pole(t) - fam_a.pole(t), fam_b.bound(t))
@@ -194,21 +196,23 @@ class Localization(ModulePresentation):
         return fam_a, fam_b, maps
 
     def embed(self, ladder, element):
-        """Level-0 coordinates of numerator * f^(K - k) over f^K, plus the
-        degree the data is exact to; k above the budget K is an error."""
+        """Level-0 coordinates of numerator / f^k, that is of c^k *
+        numerator * (c*f)^(K - k) over (c*f)^K, plus the degree the data is
+        exact to; k above the budget K is an error."""
         pole = ladder.pole(0)
         if element.pole_order > pole:
             raise PoleBudgetExceeded(
                 f"pole order {element.pole_order} exceeds budget {pole}")
         steps = pole - element.pole_order
         bound = ladder.bound(0)
-        terms = self._power(steps, bound)[1]({}, element.numerator.terms)
+        terms = self._power(steps, bound)[1]({}, element.numerator.terms,
+                                              self.f_den ** element.pole_order)
         known = min(element.numerator.precision + steps * self.f_ord, bound)
         index = ladder.index(0)
         return {index[(0, e)]: c for e, c in terms.items()}, known
 
     def dn_image_columns(self, ladder):
-        """Level-0 coordinates spanning d_n(x^e / f^(K-1)) for |e| <= N +
+        """Level-0 coordinates spanning d_n(x^e / (c*f)^(K-1)) for |e| <= N +
         K*deg f, cut at the window, and the degree they are known to: the
         window at K = 1, else one below f's precision too (the d_n f term).
         Level -1's bound N + (K-1)*deg f + 1 would drop the numerators whose
@@ -227,7 +231,11 @@ class Connection(ModulePresentation):
     Ladder level t holds component tags times monomials of degree <= N - t,
     with maps truncated to the target bound (this is what keeps d o d = 0
     exact when flatness only holds to precision); the deepened ladder maps
-    back onto it by truncation.
+    back onto it by truncation.  The ladder scales nabla by L, the lcm of
+    the denominators of every matrix entry: level t's basis is L^-t times
+    the unscaled one, so its nabla_j is F = L, T = L*A_j in ints, and the
+    comparison (between equal levels) and ``embed`` (level 0) are as
+    unscaled.
 
     With every matrix zero (R and R^r) the weight lattice is the n
     coordinate weights, each of degree 0: the cell x^e dx_I has
@@ -259,9 +267,11 @@ class Connection(ModulePresentation):
         self.num_vars = num_vars
         self.rank = rank
         self.matrices = matrices
-        one, _ = _ring_form(num_vars)
-        self._forms = [(one, [[_ladder_terms(entry.terms) for entry in row]
-                              for row in m]) for m in matrices]
+        *scaled, den = scale_to_integers(*(entry.terms for entry in self._entries()))
+        scaled = iter(scaled)
+        one = {(0,) * num_vars: den}
+        self._forms = [(one, [[next(scaled) for _ in row] for row in m])
+                       for m in matrices]
 
     def _entries(self):
         return [entry for m in self.matrices for row in m for entry in row]
@@ -330,8 +340,8 @@ class Connection(ModulePresentation):
         return ladder.trunc - t
 
     def ladder_form(self, axis, pole):
-        """nabla_axis = d_axis + A_axis: F = 1 and T = A_axis.  A ladder cuts
-        each term at the target bound."""
+        """nabla_axis = d_axis + A_axis, scaled by L: F = L and T = L*A_axis,
+        in ints.  A ladder cuts each term at the target bound."""
         return self._forms[axis - 1]
 
     def deepened(self, trunc, pole):

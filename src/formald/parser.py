@@ -22,12 +22,14 @@ known to different precisions.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InsufficientPrecision, ParseError, UnsupportedExponent
+from .errors import (BoundOverflow, InsufficientPrecision, ParseError,
+                     UnsupportedExponent)
 from .linalg import vec_add_scaled
 from .modules import ModulePresentation
 from .series import Series, exp_series
@@ -44,12 +46,29 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
+def _digit_limit():
+    """``sys.get_int_max_str_digits()``; 0 (no limit) on an interpreter
+    without one."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_power(p, q, k):
+    """Raise BoundOverflow, before (p/q)^k is computed, when p^k or q^k
+    would have more digits than the digit limit: Python would not print
+    it, and the power alone can run for minutes (3^20000000).  b^k has
+    floor(k*log10|b|) + 1 digits; k is compared against limit/log10|b|, as
+    an int k of thousands of digits has no float.  A limit of 0 is none."""
+    limit = _digit_limit()
+    if limit and any(abs(b) > 1 and k >= limit / math.log10(abs(b)) for b in (p, q)):
+        raise BoundOverflow(f"a coefficient has more than {limit} digits to print")
+
+
 def _tokenize(text):
     """The token list.  A literal (a number, an exponent or a generator's
     index) longer than ``sys.get_int_max_str_digits()`` is a ParseError at
     its position, as Python would refuse to read it; a limit of 0 (or an
     interpreter with none) is no limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     tokens = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
@@ -177,6 +196,7 @@ class _Parser:
                 p, q = self._rational()
                 k = self._exponent()
                 if k is not None:
+                    _check_power(p, q, k)
                     p, q = p ** k, q ** k
                 num, den = num * p, den * q
             elif kind == "name" and text[0] != "d":
@@ -290,7 +310,11 @@ class _Parser:
 
     def _raise(self, value):
         k = self._exponent()
-        return value if k is None else value ** k
+        if k is None:
+            return value
+        if isinstance(value, Fraction):
+            _check_power(value.numerator, value.denominator, k)
+        return value ** k
 
     def _axis(self, text, at):
         """The checked 1-based index of a generator literal."""

@@ -12,9 +12,11 @@ data can support the underlying statements but never refute them.
 Elements are compared in the level-0 coordinates of the truncation ladder
 (:class:`formald.derham.ModuleFamily`) each probe builds from its
 ``trunc`` and ``pole``: a localization needs the pole, sits over the
-common denominator f^pole (f's stored terms treated as an exact
-polynomial) and rejects an element past it; a connection has no pole and
-is compared component by component.
+common denominator (c*f)^pole (c the lcm of f's denominators, f's stored
+terms treated as an exact polynomial) and rejects an element past it; a
+connection has no pole and is compared component by component.  Every
+element carries the same factor c^pole, so relations and spans are
+those over f^pole.
 """
 
 from __future__ import annotations

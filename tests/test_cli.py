@@ -2,6 +2,7 @@
 mapping."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,11 @@ from conftest import cli_report, run_cli
 # involutive and malgrange reports on the series-calculus inputs of
 # bench/workloads.py at seed 1; regularity e0-cover on R, R_loc(x1*x2) and
 # conn(1; [[0]]; [[-1]]), etau on the cusp and kernel-relation on that
-# connection; every line is pinned byte for byte
+# connection; rational data, whose ladders localize at c*f or scale nabla
+# by its denominators: etau on R_loc(1/2*x1*x2) (the lift of an element of
+# pole 1), kernel on R_loc(1/2*x1^2-1/3*x2^3) (N=6, K=2), and derham and
+# kernel (N=5) on conn(1; [[1/2*x2]]; [[1/2*x1]]); every line is pinned
+# byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
@@ -135,16 +140,25 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
 
 # Python converts no int past sys.get_int_max_str_digits() (4300 by
 # default) to or from text: a literal that long is a parse error at its
-# position, and a coefficient that long cannot be printed
+# position, and a coefficient that long cannot be printed.  A literal power
+# is bounded (k*log10|p|) before it is computed, in the inline fold and in
+# a parenthesised rational raised to k: 3^20000000 alone, 9.5 million
+# digits, takes about a minute to compute
 @pytest.mark.parametrize("expr, error, message", [
     ("2^100000*x1", "BoundOverflow",
      "a coefficient has more than 4300 digits to print"),
     ("7" * 5000 + "*x1", "ParseError",
      "literal of 5000 digits exceeds the 4300-digit limit (at position 0)"),
-], ids=["power", "literal"])
+    ("3^20000000*x1", "BoundOverflow",
+     "a coefficient has more than 4300 digits to print"),
+    ("exp(x1)*(1/3)^20000000", "BoundOverflow",
+     "a coefficient has more than 4300 digits to print"),
+], ids=["power", "literal", "folded power", "raised power"])
 def test_an_integer_past_the_digit_limit_is_a_typed_error(expr, error, message,
                                                           capsys):
+    start = time.perf_counter()
     code, report = cli_report(["prep", expr, "--vars", "1", "--trunc", "3"])
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert (report["status"], report["error"], report["message"]) == (
         "error", error, message)

@@ -1,12 +1,14 @@
 """Module presentations: integrability, derivative actions, normalization."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from formald.derham import ModuleFamily
+from formald.derham import (ModuleFamily, kernel_of_dn,
+                            stable_cohomology_dims)
 from formald.errors import PoleBudgetExceeded, WrongVariant
 from formald.modules import (LocElement, ModulePresentation,
                              check_integrability, loc_normalize,
@@ -175,14 +177,22 @@ localized = st.dictionaries(st.sampled_from(monomials_upto(2, 3)), rationals,
     lambda terms: Series(2, 6, terms)).filter(lambda f: not f.is_zero())
 
 
+def ladder_f(f):
+    """c*f, c the lcm of the denominators of f's coefficients: the series a
+    localization ladder localizes at (R_f = R_(c*f)), with its level-t
+    basis x^e / (c*f)^(K+t)."""
+    return f * math.lcm(*(c.denominator for c in f.terms.values()))
+
+
 def product_columns(module, ladder, axis, t, bound=None):
-    """The quotient rule through the truncated product: the columns of
-    d_axis on level t, every product cut at ``bound``, or uncut (cut at
-    deg a + deg b) when it is None."""
+    """The quotient rule through the truncated product, over c*f: the
+    columns of d_axis on level t, every product cut at ``bound``, or uncut
+    (cut at deg a + deg b) when it is None."""
     index = ladder.index(t + 1)
     k = ladder.pole(t)
     j = axis - 1
-    df_terms = module.f.partial(axis).terms
+    f = ladder_f(module.f)
+    f_terms, df_terms = f.terms, f.partial(axis).terms
 
     def add_times(out, a, b, factor=1):
         cut = bound if bound is not None else max(map(sum, a)) + max(map(sum, b), default=0)
@@ -193,7 +203,7 @@ def product_columns(module, ladder, axis, t, bound=None):
         part = {}
         if e[j]:
             lowered = e[:j] + (e[j] - 1,) + e[j + 1:]
-            add_times(part, {lowered: e[j]}, module.f_terms)
+            add_times(part, {lowered: e[j]}, f_terms)
         add_times(part, {e: 1}, df_terms, -k)
         cols.append({index[(0, exps)]: c for exps, c in part.items()})
     return cols
@@ -217,6 +227,65 @@ def test_shifted_columns_match_the_truncated_product(f, trunc, pole):
                                            ladder.bound(t + 1))
             # no term ever reaches past level t+1: the uncut product agrees
             assert cols == product_columns(module, ladder, axis, t)
+
+
+def flat_connection(g, constants, rank):
+    """A flat connection with rational matrices: A_j = d_j g * I plus
+    constants[j] times the nilpotent e_1 e_2^T at rank 2.  The A_j are
+    spans of I and one nilpotent, so they commute, and d_i A_j = d_j A_i."""
+    n = g.num_vars
+    zero = Series.zero(n, g.precision - 1)
+    return ModulePresentation.connection(
+        [[[g.partial(j + 1) if row == col else
+           zero + a if (row, col) == (0, 1) else zero
+           for col in range(rank)] for row in range(rank)]
+         for j, a in enumerate(constants)])
+
+
+def ladder_values(module, trunc, pole):
+    """Every coefficient a ladder of the module builds: each axis's
+    columns on levels -1..2 of the window and 0..2 of the weight block
+    (which has no cells below degree 0), the comparison columns into the
+    deepened ladder, and the d_n image."""
+    window = ModuleFamily(module, trunc, pole)
+    block = ModuleFamily(module, trunc, pole, block=True)
+    for ladder, low in ((window, -1), (block, 0)):
+        for axis in range(1, module.num_vars + 1):
+            for t in range(low, 3):
+                for col in ladder.partial_columns(axis, t):
+                    yield from (col or {}).values()
+    deep = ModuleFamily(module, *module.deepened(trunc, pole))
+    _, _, maps = module.comparison(window, deep)
+    for t in range(module.num_vars + 1):
+        for col in maps(t):
+            yield from col.values()
+    for col in module.dn_image_columns(window)[0]:
+        yield from col.values()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(f=localized, g=localized, constants=st.lists(rationals, min_size=2, max_size=2),
+       rank=st.integers(1, 2), q=rationals.filter(bool), trunc=st.integers(1, 3),
+       pole=st.integers(1, 2))
+@example(f=Series(2, 6, {(2, 0): Fraction(1, 2), (0, 3): Fraction(-1, 3)}),
+         g=Series(2, 6, {(1, 1): Fraction(1, 2)}), constants=[Fraction(1, 2), 0],
+         rank=2, q=Fraction(-2, 3), trunc=2, pole=1)
+def test_rational_data_builds_integer_ladders(f, g, constants, rank, q, trunc, pole):
+    # the ladder localizes at c*f and scales nabla by the lcm of A's
+    # denominators, so no column holds a Fraction
+    conn = flat_connection(g, constants, rank)
+    for module, ladder_pole in ((ModulePresentation.localization(f), pole),
+                                (conn, None)):
+        values = list(ladder_values(module, trunc, ladder_pole))
+        assert all(type(v) is int for v in values)
+    # R_f = R_(q*f): the same dims and the same kernel texts, whatever
+    # constant the ladder's c*f differs by
+    scaled = ModulePresentation.localization(f * q)
+    local = ModulePresentation.localization(f)
+    assert (stable_cohomology_dims(scaled, trunc, pole).dims
+            == stable_cohomology_dims(local, trunc, pole).dims)
+    assert (kernel_of_dn(scaled, trunc, pole).basis_texts
+            == kernel_of_dn(local, trunc, pole).basis_texts)
 
 
 # flat connections with nonzero matrices: rank 1, and rank 2 with an
@@ -268,8 +337,8 @@ def reference_dn_image(module, ladder):
     as (level-0 coordinates up to the precision, that precision).  A
     connection differentiates every component tag times every x^e with
     |e| <= N + 1, tags inner, and so does a localization at K = 0; at K >=
-    1 a localization every x^e / f^(K-1) with |e| <= N + K*deg f, by the
-    quotient rule over f^K, treating f's stored terms as an exact
+    1 a localization every x^e / (c*f)^(K-1) with |e| <= N + K*deg f, by
+    the quotient rule over (c*f)^K, treating f's stored terms as an exact
     polynomial as its ladder does."""
     n, trunc, index = module.num_vars, ladder.trunc, ladder.index(0)
     if ladder.pole0 is None:
@@ -289,7 +358,7 @@ def reference_dn_image(module, ladder):
                   for e in monomials_upto(n, trunc + 1)]
         bound = trunc
     else:
-        k, f = ladder.pole0, module.f
+        k, f = ladder.pole0, ladder_f(module.f)
         bound = trunc + k * f.degree()
         high = bound + f.degree() + 2
         exact_f = Series(n, high, f.terms)

@@ -320,6 +320,24 @@ def test_a_literal_past_the_digit_limit_is_a_parse_error(head, tail):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("text, base", [
+    ("x1*7^{k}", 7), ("x1*1/7^{k}", Fraction(1, 7)), ("(-7)^{k}*x1", -7),
+    ("exp(x1)*(2/7)^{k}", Fraction(2, 7))])
+def test_a_literal_power_is_bounded_by_the_digit_limit(text, base):
+    # 7^5088 has 4300 digits and 7^5089 has 4301: the first is read, the
+    # second is rejected before it is computed; limit 0 is none
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse_series(text.format(k=5088), 1, 4).terms[(1,)] == base ** 5088
+        with pytest.raises(BoundOverflow, match="more than 4300 digits"):
+            parse_series(text.format(k=5089), 1, 4)
+        sys.set_int_max_str_digits(0)
+        assert parse_series(text.format(k=5089), 1, 4).terms
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("text, message, position", [
     ("x1 + 1/2 + z1 + d2", "cannot mix derivative and symbol generators", 14),
     ("1 - x1 + d1 - z2 + x2", "cannot mix derivative and symbol generators", 12),
