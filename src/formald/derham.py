@@ -13,8 +13,10 @@ budget) and the geometry that reads only the lattice, the rank and the
 pole: the basis labels (component, exponent) and their text, the weight
 blocks and every column that shifts a term dict, from the form (F, T)
 of nabla_j each presentation gives (:meth:`ModuleFamily.shift_columns`).
-Each presentation also gives the bound of every level (see
-:mod:`formald.modules`):
+A whole-window ladder lays its labels out once, in one window order: a
+level's basis is the prefix of degree <= its bound, and a shift column
+adds packed int keys (:class:`ModuleFamily`).  Each presentation also
+gives the bound of every level (see :mod:`formald.modules`):
 
 * connection of rank r, the ring R being rank 1 with zero matrices:
   component tags times degree <= N - t monomials, with maps truncated to
@@ -77,13 +79,15 @@ vectors unscaled: an exact rank costs no ``Fraction`` arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import mul
 
 from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
-from .series import format_poly, monomials_upto
+from .series import format_poly, monomials_of_degree, monomials_upto
 
 # -- level families --------------------------------------------------------
 
@@ -114,22 +118,42 @@ class ModuleFamily(_Ladder):
     one, and None for a connection, which must be flat and known to
     precision.
 
+    A whole-window ladder lays its labels out once, in one window order:
+    every monomial in graded-lex order, components inner.  Level t's
+    basis is the prefix of degree <= bound(t) (:meth:`width` labels), and
+    every level reads one index of the window.  The window grows at its
+    end when a level needs more, so every position handed out stays.  A
+    label (c, x^e) also has a packed key c + rank * sum e_i*base^i, base
+    one more than the largest bound of levels -1..n+1 (a level past them
+    packs the keys again), and a shift column adds packed keys: every
+    coordinate of a target is at most its level's bound, so no sum
+    carries.
+
     A ``block`` ladder holds only the multidegree-0 cells of the
     presentation's weight lattice: level t's basis is the labels of its
-    degree-t cells, found per form by a bounded search on the lattice.
-    With an empty lattice that is the whole window.  Only stable dims
-    build blocks; the kernel, cokernel and LES ladders print window
-    sizes, and a block has no x_axis action."""
+    degree-t cells, found per form by a bounded search on the lattice,
+    with its own index and packed index (base bound(t) + 1).  With an
+    empty lattice that is the whole window.  Only stable dims build
+    blocks; the kernel, cokernel and LES ladders print window sizes, and
+    a block has no x_axis action."""
 
     def __init__(self, module, trunc, pole=None, block=False):
         self.module = module
         self.num_vars = module.num_vars
+        self.rank = module.rank
         self.trunc = trunc
         self.pole0 = module.validate_ladder(trunc, pole)
         self.axes = list(range(1, self.num_vars + 1))
         self.lattice = module.weight_lattice if block else ()
-        self._basis_cache = {}
-        self._index_cache = {}
+        # the whole window: its labels, its index, its bound, and the
+        # packing (strides rank*base^i, packed key -> position)
+        self._labels = []
+        self._index = {}
+        self._top = -1
+        self._base = 0
+        self._packing = None
+        self._layouts = {}
+        self._block_packings = {}
         self._cells_cache = {}
         self._partial_cache = {}
 
@@ -139,20 +163,64 @@ class ModuleFamily(_Ladder):
     def pole(self, t):
         return None if self.pole0 is None else self.pole0 + t
 
-    def basis(self, t):
-        if t not in self._basis_cache:
+    def width(self, bound):
+        """How many window labels have degree <= bound: the size of a
+        whole-window level of that bound, rank * C(n + bound, n)."""
+        return self.rank * math.comb(self.num_vars + bound, bound) if bound >= 0 else 0
+
+    def _pack(self, labels, base):
+        """(strides, packed key -> position) of labels at a base above
+        every coordinate."""
+        strides = [self.rank * base ** i for i in range(self.num_vars)]
+        return strides, {sum(map(mul, e, strides)) + c: k
+                         for k, (c, e) in enumerate(labels)}
+
+    def _grow(self, bound):
+        """Extend the window to degree ``bound``, appending the labels of
+        each new degree; the keys are packed again once a bound reaches the
+        base."""
+        if self._packing is None or bound >= self._base:
+            self._base = max(bound, self.bound(-1), self.bound(self.num_vars + 1), 0) + 1
+            self._packing = self._pack(self._labels, self._base)
+        if bound <= self._top:
+            return
+        labels, index, rank = self._labels, self._index, self.rank
+        strides, packed = self._packing
+        for degree in range(self._top + 1, bound + 1):
+            for e in monomials_of_degree(self.num_vars, degree):
+                key = sum(map(mul, e, strides))
+                for c in range(rank):
+                    index[c, e] = packed[key + c] = len(labels)
+                    labels.append((c, e))
+        self._top = bound
+
+    def _layout(self, t):
+        """(basis, index) of level t, built once; a whole-window level's
+        index is the window's."""
+        if t not in self._layouts:
             if self.lattice:
                 self._build_block(t)
             else:
-                labels = [(comp, e)
-                          for e in monomials_upto(self.num_vars, self.bound(t))
-                          for comp in range(self.module.rank)]
-                self._basis_cache[t] = labels
-                self._index_cache[t] = {lab: i for i, lab in enumerate(labels)}
-        return self._basis_cache[t]
+                bound = self.bound(t)
+                self._grow(bound)
+                self._layouts[t] = self._labels[:self.width(bound)], self._index
+        return self._layouts[t]
+
+    def _packed(self, t):
+        """(strides, packed key -> position), for every label of level t: a
+        whole window's, or a block level's own, packed when first asked."""
+        if not self.lattice:
+            self._grow(self.bound(t))
+            return self._packing
+        if t not in self._block_packings:
+            self._block_packings[t] = self._pack(self.basis(t), max(self.bound(t), 0) + 1)
+        return self._block_packings[t]
+
+    def basis(self, t):
+        return self._layout(t)[0]
 
     def _build_block(self, t):
-        """Level t's basis and cells: for each t-form I, the labels x^e
+        """Level t's layout and cells: for each t-form I, the labels x^e
         with W.e + W.1_I = (K+t)*D, one search per distinct degree.  A
         connection's pole None reads as 0 (its degrees D are 0)."""
         pole, bound = self.pole(t) or 0, self.bound(t)
@@ -167,8 +235,7 @@ class ModuleFamily(_Ladder):
         labels = sorted({lab for _, labs in per_form for lab in labs},
                         key=lambda lab: (sum(lab[1]), lab[1], lab[0]))
         index = {lab: i for i, lab in enumerate(labels)}
-        self._basis_cache[t] = labels
-        self._index_cache[t] = index
+        self._layouts[t] = labels, index
         self._cells_cache[t] = sorted((index[lab], form)
                                       for form, labs in per_form for lab in labs)
 
@@ -203,14 +270,16 @@ class ModuleFamily(_Ladder):
             else:
                 labels.append((sum(e), tuple(e)))
         return [(comp, e) for _, e in sorted(labels)
-                for comp in range(self.module.rank)]
+                for comp in range(self.rank)]
 
     def dim(self, t):
         return len(self.basis(t))
 
     def index(self, t):
-        self.basis(t)
-        return self._index_cache[t]
+        """Label -> position, for every label of level t; a whole-window
+        level's is the window's, which also holds the labels past its
+        bound."""
+        return self._layout(t)[1]
 
     def cells(self, t):
         if t not in self._cells_cache:
@@ -228,7 +297,7 @@ class ModuleFamily(_Ladder):
         mono = format_poly({e: Fraction(1)}, names)
         if self.pole0 is not None:
             return f"({mono})/f^{self.pole(t)}"
-        return mono if self.module.rank == 1 else f"e{comp + 1}*{mono}"
+        return mono if self.rank == 1 else f"e{comp + 1}*{mono}"
 
     def partial_columns(self, axis, t):
         """Images of the level-t basis under d_axis, in level t+1
@@ -250,31 +319,54 @@ class ModuleFamily(_Ladder):
         """Level-t coordinates of each label (c, x^e) under a form (F, T):
         e_j*F shifted by e - 1_j into component c (j = axis - 1; none if F
         is None), plus each T[row][c] shifted by e into component ``row``,
-        cut at level t's bound.  Both parts accumulate in one dict, which
-        drops what cancels; an empty T entry adds nothing."""
-        index, bound = self.index(t), self.bound(t)
+        cut at level t's bound.  What cancels is dropped; an empty T entry
+        adds nothing.
+
+        Both parts are read once per call as shifts of the label: per
+        component c, (row, s) -> (p, q), the label gets p*e_j + q at
+        x^(e+s) in component row, p from F and q from T.  A shift's key
+        offset is packed once, and the shifts are sorted by degree, so the
+        ones that fit below the bound are a prefix: a term of a column
+        costs one multiply-add, one int addition and one lookup."""
+        if not labels:
+            return []
+        bound = self.bound(t)
+        strides, packed = self._packed(t)
         f, a = form
-        f_terms = [(e, sum(e), c) for e, c in f.items()] if f else []
-        # per component c: the terms of every T[row][c], as (row, shift,
-        # degree, coefficient); no two land on one key
-        t_terms = [[(row, e, sum(e), c) for row, entries in enumerate(a)
-                    for e, c in entries[comp].items()] for comp in range(len(a))]
-        j = axis - 1 if f_terms else None
+        j = axis - 1 if f else None
+        tables = {}
+        for comp in {c for c, _ in labels}:
+            shifts = {}
+            for e, c in (f or {}).items():
+                shifts[comp, e[:j] + (e[j] - 1,) + e[j + 1:]] = [c, 0]
+            for row, entries in enumerate(a):
+                for e, c in entries[comp].items():
+                    shifts.setdefault((row, e), [0, 0])[1] += c
+            # (degree, key offset, p, q) by degree: the shifts that fit a
+            # room are a prefix
+            terms = sorted((sum(s), sum(map(mul, s, strides)) + row - comp, p, q)
+                           for (row, s), (p, q) in shifts.items())
+            t_terms = [(d, off, q) for d, off, _, q in terms if q]
+            tables[comp] = (terms, [term[0] for term in terms],
+                            t_terms, [term[0] for term in t_terms])
         cols = []
         for comp, e in labels:
+            terms, degrees, t_terms, t_degrees = tables[comp]
+            ej = e[j] if f else 0
+            if not (ej or t_terms):
+                cols.append({})
+                continue
             room = bound - sum(e)
-            if f_terms and e[j]:
-                ej = e[j]
-                low = e[:j] + (ej - 1,) + e[j + 1:]
-                col = {index[(comp, tuple(map(add, low, ef)) if d else low)]: ej * c
-                       for ef, d, c in f_terms if d <= room + 1}
+            key = sum(map(mul, e, strides)) + comp
+            if ej:
+                if room < degrees[-1]:
+                    terms = terms[:bisect_right(degrees, room)]
+                cols.append({packed[key + off]: v for _, off, p, q in terms
+                             if (v := p * ej + q)})
             else:
-                col = {}
-            if t_terms[comp]:
-                part = {index[(row, tuple(map(add, e, ea)) if d else e)]: c
-                        for row, ea, d, c in t_terms[comp] if d <= room}
-                col = vec_add_scaled(col, part, 1) if col else part
-            cols.append(col)
+                if room < t_degrees[-1]:
+                    t_terms = t_terms[:bisect_right(t_degrees, room)]
+                cols.append({packed[key + off]: q for _, off, q in t_terms})
         return cols
 
     def partial_matrix(self, axis, t):
@@ -282,9 +374,11 @@ class ModuleFamily(_Ladder):
 
     def multiply_columns(self, axis, t):
         """Images of the level-t basis under x_axis, truncated to level t."""
-        index, bound, j = self.index(t), self.bound(t), axis - 1
-        keys = ((comp, e[:j] + (e[j] + 1,) + e[j + 1:]) for comp, e in self.basis(t))
-        return [{index[key]: 1} if sum(key[1]) <= bound else {} for key in keys]
+        bound = self.bound(t)
+        strides, packed = self._packed(t)
+        step = strides[axis - 1]
+        return [{packed[sum(map(mul, e, strides)) + c + step]: 1}
+                if sum(e) < bound else {} for c, e in self.basis(t)]
 
 
 class KernelFamily(_Ladder):

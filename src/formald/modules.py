@@ -46,7 +46,8 @@ class ModulePresentation:
 
     Ladder methods take the :class:`formald.derham.ModuleFamily` they serve
     (its ``trunc``, ``pole0`` and cached level bases and indices), which
-    lays out the ``(component, exponent)`` labels of every level."""
+    lays out the ``(component, exponent)`` labels of every level in one
+    window order."""
 
     # no weights: a stable-dims ladder of a non-zero connection is its
     # whole window
@@ -349,13 +350,14 @@ class Connection(ModulePresentation):
 
     def comparison(self, fam_a, fam_b):
         """Project the deepened ladder onto this one: truncation is a chain
-        map even though the differentials themselves truncate."""
+        map even though the differentials themselves truncate.  Both
+        ladders list a level's labels in one order, the deepened one's
+        bound one higher, so this level's labels are its prefix: the
+        projection keeps the first dim positions."""
 
         def maps(t):
-            index_a = fam_a.index(t)
-            bound_a = fam_a.bound(t)
-            return [{index_a[label]: 1} if sum(label[1]) <= bound_a else {}
-                    for label in fam_b.basis(t)]
+            dim_a = fam_a.dim(t)
+            return [{i: 1} if i < dim_a else {} for i in range(fam_b.dim(t))]
 
         return fam_b, fam_a, maps
 

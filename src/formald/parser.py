@@ -314,6 +314,10 @@ class _Parser:
             return value
         if isinstance(value, Fraction):
             _check_power(value.numerator, value.denominator, k)
+        elif isinstance(value, Series):
+            # the power's constant term is exactly c0^k
+            c0 = Fraction(value.constant_term)
+            _check_power(c0.numerator, c0.denominator, k)
         return value ** k
 
     def _axis(self, text, at):

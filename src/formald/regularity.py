@@ -34,8 +34,9 @@ _SLICE_MAX = 6  # cover_check's largest a in the slice m, x_n m, ..., x_n^a m
 
 
 def _restrict(ladder, vec, degree):
-    labels = ladder.basis(0)
-    return {i: c for i, c in vec.items() if sum(labels[i][1]) <= degree}
+    """The coordinates of degree <= degree: a prefix of the window."""
+    width = ladder.width(degree)
+    return {i: c for i, c in vec.items() if i < width}
 
 
 def _tau_apply(module, f, element):

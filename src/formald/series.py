@@ -76,16 +76,18 @@ def monomials_upto(num_vars, max_degree):
         return [()]
     out = []
     for deg in range(max_degree + 1):
-        out.extend(_homogeneous(num_vars, deg))
+        out.extend(monomials_of_degree(num_vars, deg))
     return out
 
 
-def _homogeneous(num_vars, deg):
+def monomials_of_degree(num_vars, deg):
+    """The exponent vectors of total degree deg (num_vars >= 1), in the
+    order :func:`monomials_upto` lists them."""
     if num_vars == 1:
         return [(deg,)]
     out = []
     for first in range(deg + 1):
-        for rest in _homogeneous(num_vars - 1, deg - first):
+        for rest in monomials_of_degree(num_vars - 1, deg - first):
             out.append((first,) + rest)
     return out
 

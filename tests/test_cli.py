@@ -20,8 +20,9 @@ from conftest import cli_report, run_cli
 # connection; rational data, whose ladders localize at c*f or scale nabla
 # by its denominators: etau on R_loc(1/2*x1*x2) (the lift of an element of
 # pole 1), kernel on R_loc(1/2*x1^2-1/3*x2^3) (N=6, K=2), and derham and
-# kernel (N=5) on conn(1; [[1/2*x2]]; [[1/2*x1]]); every line is pinned
-# byte for byte
+# kernel (N=5) on conn(1; [[1/2*x2]]; [[1/2*x1]]); les and cokernel on
+# R_loc(x1*x2*x3*x4) (N=2, K=1), whose ladder keys pack four exponents;
+# every line is pinned byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
@@ -143,7 +144,9 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
 # position, and a coefficient that long cannot be printed.  A literal power
 # is bounded (k*log10|p|) before it is computed, in the inline fold and in
 # a parenthesised rational raised to k: 3^20000000 alone, 9.5 million
-# digits, takes about a minute to compute
+# digits, takes about a minute to compute.  A parenthesised series raised
+# to k is bounded by its constant term c0, as the power's is exactly c0^k:
+# (2+x1)^2000000 ran 41 s before its print failed
 @pytest.mark.parametrize("expr, error, message", [
     ("2^100000*x1", "BoundOverflow",
      "a coefficient has more than 4300 digits to print"),
@@ -153,7 +156,9 @@ def test_a_power_past_the_size_guard_is_a_typed_error(capsys):
      "a coefficient has more than 4300 digits to print"),
     ("exp(x1)*(1/3)^20000000", "BoundOverflow",
      "a coefficient has more than 4300 digits to print"),
-], ids=["power", "literal", "folded power", "raised power"])
+    ("(2+x1)^2000000", "BoundOverflow",
+     "a coefficient has more than 4300 digits to print"),
+], ids=["power", "literal", "folded power", "raised power", "series power"])
 def test_an_integer_past_the_digit_limit_is_a_typed_error(expr, error, message,
                                                           capsys):
     start = time.perf_counter()

@@ -17,7 +17,7 @@ from formald.errors import NonIntegrable
 from formald.linalg import ColumnEchelon, Matrix
 from formald.modules import ModulePresentation
 from formald.parser import parse_module
-from formald.series import (LinearSubstitution, Series,
+from formald.series import (LinearSubstitution, Series, monomials_upto,
                             apply_linear_substitution)
 
 from conftest import cli_report, random_series, span_rank
@@ -660,3 +660,97 @@ def test_an_empty_lattice_keeps_the_window_in_its_order():
     for t in range(3):
         assert block.basis(t) == window.basis(t)
         assert block.cells(t) == window.cells(t)
+
+
+# -- one window order and packed keys ---------------------------------------
+
+WINDOW_MODULES = {
+    1: ["R", "R_loc(x{n})", "R_loc(x1^2-x{n}^3)", "conn(1; {a})"],
+    2: ["conn(2; {a})"],
+}
+
+
+def window_module(text, n, rank):
+    """A module of the given rank on n variables: text's {n} is n and its
+    {a} one flat matrix list (x1*I at axis 1, zero elsewhere)."""
+    one = "[[x1]]" if rank == 1 else "[[x1,0],[0,x1]]"
+    zero = "[[0]]" if rank == 1 else "[[0,0],[0,0]]"
+    matrices = "; ".join([one] + [zero] * (n - 1))
+    return parse_module(text.format(n=n, a=matrices), n, 12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([(text, rank) for rank, texts in WINDOW_MODULES.items()
+                                 for text in texts]),
+    st.integers(0, 3), st.integers(0, 2), st.permutations(range(-1, n + 2)))))
+def test_every_window_level_is_a_prefix_of_one_label_order(case):
+    # whatever order the levels are asked in, level t's basis is every
+    # component with every monomial up to its bound, components inner, and
+    # the index gives each label its position
+    n, (text, rank), trunc, pole, order = case
+    module = window_module(text, n, rank)
+    family = ModuleFamily(module, trunc, pole if text.startswith("R_loc") else None)
+    for t in order:
+        labels = [(c, e) for e in monomials_upto(n, family.bound(t))
+                  for c in range(rank)]
+        assert family.basis(t) == labels
+        assert family.dim(t) == len(labels) == family.width(family.bound(t))
+        index = family.index(t)
+        assert all(index[label] == k for k, label in enumerate(labels))
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", [
+    ("R_loc(x1^2-x2^3)", 2, 2, 1), ("R_loc(x1*x2*x3)", 3, 1, 1),
+    ("conn(2; [[x1,1],[0,x1]]; [[0,0],[0,0]])", 2, 3, None), ("R", 3, 3, None)])
+def test_growing_the_window_keeps_every_column(text, n, trunc, pole):
+    # levels 0, then n, then -1 grow a localization's window twice (and a
+    # connection's once); a level past n+1 or below -1 packs the keys
+    # again.  A fresh ladder asked in the reverse order, and one asked
+    # only for the levels its columns read, build the same columns
+    module = parse_module(text, n, 12)
+    grown, fresh, plain = (ModuleFamily(module, trunc, pole) for _ in range(3))
+    order = [0, n, -1, n + 2, -3]
+    for t in order:
+        grown.basis(t)
+    for t in reversed(order):
+        fresh.basis(t)
+    for axis in range(1, n + 1):
+        for t in range(-1, n + 1):
+            columns = plain.partial_columns(axis, t)
+            assert grown.partial_columns(axis, t) == columns
+            assert fresh.partial_columns(axis, t) == columns
+            products = plain.multiply_columns(axis, t)
+            assert grown.multiply_columns(axis, t) == products
+            assert fresh.multiply_columns(axis, t) == products
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", [
+    ("R", 1, 4, None), ("R", 3, 3, None), ("R_loc(x1*x2)", 2, 2, 1),
+    ("conn(2; [[x1,1],[0,x1]]; [[0,0],[0,0]])", 2, 3, None)])
+def test_a_term_at_the_top_of_the_window_carries_into_no_other_coordinate(
+        text, n, trunc, pole):
+    # x_i^B at the window's top bound B has coordinate B = base - 1 in a
+    # packed key: a shift onto it, and x_i times x_i^(B-1), land on its
+    # own position in every component
+    module = parse_module(text, n, 12)
+    family = ModuleFamily(module, trunc, pole)
+    top = max(range(-1, n + 2), key=family.bound)
+    bound = family.bound(top)
+    index = family.index(top)
+    zero = (0,) * n
+    for axis in range(1, n + 1):
+        below = tuple(bound - 1 if i == axis - 1 else 0 for i in range(n))
+        at = tuple(bound if i == axis - 1 else 0 for i in range(n))
+        step = tuple(int(i == axis - 1) for i in range(n))
+        for comp in range(module.rank):
+            shifted = family.shift_columns(
+                top, [(comp, below), (comp, zero)],
+                (None, [[{step: 1} if row == col else {}
+                          for col in range(module.rank)]
+                         for row in range(module.rank)]))
+            assert shifted[0] == {index[comp, at]: 1}
+            assert shifted[1] == {index[comp, step]: 1}
+            columns = family.multiply_columns(axis, top)
+            assert columns[index[comp, below]] == {index[comp, at]: 1}
+            assert columns[index[comp, at]] == {}

@@ -167,6 +167,27 @@ def test_pivot_rows_are_where_the_row_prefix_rank_rises(rows):
         assert (r in pivots) == rises
 
 
+@st.composite
+def sparse_int_columns(draw, max_rows=12, max_cols=10):
+    """Columns of at most four nonzero small ints on up to max_rows rows."""
+    nrows = draw(st.integers(1, max_rows))
+    entry = st.integers(-3, 3).filter(bool)
+    return draw(st.lists(st.dictionaries(st.integers(0, nrows - 1), entry,
+                                         max_size=4), max_size=max_cols))
+
+
+@SETTINGS
+@given(sparse_int_columns(), st.data())
+def test_pivots_and_rank_do_not_depend_on_the_column_order(columns, data):
+    # the pivots are the least rows the span's vectors reach, a property of
+    # the span alone: the given order, the reversed one and a shuffled one
+    # give one pivot list and one rank
+    shuffled = data.draw(st.permutations(columns))
+    echelons = [ColumnEchelon(order) for order in (columns, columns[::-1], shuffled)]
+    assert len({tuple(ech.pivots()) for ech in echelons}) == 1
+    assert len({ech.rank for ech in echelons}) == 1
+
+
 @SETTINGS
 @given(int_matrices(), st.data())
 def test_projection_is_off_the_pivots_and_differs_by_the_span(rows, data):

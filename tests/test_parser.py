@@ -338,6 +338,38 @@ def test_a_literal_power_is_bounded_by_the_digit_limit(text, base):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("text, c0", [
+    ("(7+x1)^{k}", 7), ("(1/7+x1)^{k}", Fraction(1, 7)),
+    ("(x1^2-7)^{k}", -7), ("(2/7+x1+x1^3)^{k}", Fraction(2, 7))])
+def test_a_series_power_is_bounded_by_its_constant_term(text, c0):
+    # the constant term of a series power is exactly c0^k: 7^5088 is read,
+    # and 7^5089 is rejected before the power runs; limit 0 is none
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse_series(text.format(k=5088), 1, 4).constant_term == c0 ** 5088
+        start = time.perf_counter()
+        with pytest.raises(BoundOverflow, match="more than 4300 digits"):
+            parse_series(text.format(k=5089 * 1000), 1, 4)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(BoundOverflow, match="more than 4300 digits"):
+            parse_series(text.format(k=5089), 1, 4)
+        sys.set_int_max_str_digits(0)
+        assert parse_series(text.format(k=5089), 1, 4).constant_term == c0 ** 5089
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_a_series_power_with_a_small_constant_term_still_answers():
+    # c0 = 1 or 0 puts no bound on k: the power's coefficients below the
+    # precision stay binomials, and (x1+x2)^k is zero past the precision
+    power = parse_series("(1+x1)^20000000", 1, 3)
+    assert power == Series(1, 3, {(i,): math.comb(20000000, i) for i in range(4)})
+    assert parse_series("(x1+x2)^20000000", 2, 3).is_zero()
+    assert parse_series("(x1-1)^20000001", 1, 2) == Series(
+        1, 2, {(0,): -1, (1,): 20000001, (2,): -math.comb(20000001, 2)})
+
+
 @pytest.mark.parametrize("text, message, position", [
     ("x1 + 1/2 + z1 + d2", "cannot mix derivative and symbol generators", 14),
     ("1 - x1 + d1 - z2 + x2", "cannot mix derivative and symbol generators", 12),
