@@ -44,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge, itemgetter
+from operator import add, ge
 from operator import mul as times
 from operator import sub as minus
 
@@ -96,32 +96,36 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def product_by(b, bound):
-    """The truncated product by a fixed factor b, which is read once:
-    ``mul(out, a, factor=1)`` adds factor*a*b to the exponent dict ``out``,
-    keeping the terms of total degree <= bound (an int) and dropping
-    cancellations.
+def packed_products(acc, terms, shifts, factor=1):
+    """The one truncated pair loop: for each (ka, ca, room) of ``terms`` and
+    each (cost, kb, cb) of ``shifts`` with cost <= room, adds factor*ca*cb
+    to ``acc[ka + kb]``.  Keys are exponents packed into ints (see
+    :func:`_packing`), so a pair's key is one int addition; ``shifts`` is
+    sorted by cost, so the loop leaves a term at the first shift past its
+    room.  Entries that cancel stay in ``acc`` as zeros."""
+    for ka, ca, room in terms:
+        ca *= factor
+        for cost, kb, cb in shifts:
+            if cost > room:
+                break
+            key = ka + kb
+            acc[key] = acc.get(key, 0) + ca * cb
+    return acc
 
-    Inside, an exponent e is packed into one int, sum e_i*(bound+1)^i
-    (Kronecker's substitution).  Only pairs of total degree <= bound are
-    multiplied, so no entry of a pair's sum reaches the base: the packed
-    sum is the packed key of the exponent sum, with no carry.  b's terms
-    are sorted by degree, so the pair loop stops at the first one past a
-    term's room.  The products add up on int keys; an exponent tuple is
-    rebuilt only for a nonzero output term, once per key over every call,
-    and merged into ``out``."""
-    terms = sorted(((sum(e), e, c) for e, c in b.items() if sum(e) <= bound),
-                   key=itemgetter(0))
-    if not terms:
-        return lambda out, a, factor=1: out
-    num_vars = len(terms[0][1])
+
+def _packing(num_vars, bound):
+    """Kronecker's substitution below total degree bound + 1: the powers
+    that pack an exponent e into the int sum e_i*(bound+1)^i, and
+    ``unpack``, which rebuilds the tuple of a packed key once per key.  The
+    packed sum of two exponents whose sum has total degree <= bound is the
+    packed key of that sum, with no carry."""
     base = bound + 1
     powers = [base ** i for i in range(num_vars)]
-    terms = [(d, sum(map(times, e, powers)), c) for d, e, c in terms]
-
-    unpacked = {}  # packed key -> exponent tuple, over every call
+    unpacked = {}
 
     def unpack(key):
+        if key in unpacked:
+            return unpacked[key]
         exps, rest = [], key
         for _ in range(num_vars):
             rest, e = divmod(rest, base)
@@ -129,30 +133,35 @@ def product_by(b, bound):
         unpacked[key] = exps = tuple(exps)
         return exps
 
+    return powers, unpack
+
+
+def _shifts(b, powers, bound):
+    """b's terms of total degree <= bound as :func:`packed_products` shifts,
+    with their degrees as costs."""
+    return sorted((sum(e), sum(map(times, e, powers)), c)
+                  for e, c in b.items() if sum(e) <= bound)
+
+
+def _packed_terms(a, powers, bound):
+    """a's terms as :func:`packed_products` terms, with room bound - |e|."""
+    return [(sum(map(times, e, powers)), c, bound - sum(e)) for e, c in a.items()]
+
+
+def product_by(b, bound):
+    """The truncated product by a fixed factor b, which is read once:
+    ``mul(out, a, factor=1)`` adds factor*a*b to the exponent dict ``out``,
+    keeping the terms of total degree <= bound (an int) and dropping
+    cancellations.  Inside, the pairs run through :func:`packed_products`
+    on packed keys, and a key is unpacked only for a nonzero output term."""
+    if bound < 0 or not b:
+        return lambda out, a, factor=1: out
+    powers, unpack = _packing(len(next(iter(b))), bound)
+    shifts = _shifts(b, powers, bound)
+
     def mul(out, a, factor=1):
-        if not factor:
-            return out
-        acc = {}
-        for ea, ca in a.items():
-            room = bound - sum(ea)
-            if room < 0:
-                continue
-            ka = sum(map(times, ea, powers))
-            ca *= factor
-            for db, kb, cb in terms:
-                if db > room:
-                    break
-                key = ka + kb
-                acc[key] = acc.get(key, 0) + ca * cb
-        for key, v in acc.items():
-            if v:
-                e = unpacked[key] if key in unpacked else unpack(key)
-                new = out[e] + v if e in out else v
-                if new:
-                    out[e] = new
-                else:
-                    del out[e]
-        return out
+        acc = packed_products({}, _packed_terms(a, powers, bound), shifts, factor)
+        return vec_add_scaled(out, {unpack(key): v for key, v in acc.items() if v}, 1)
 
     return mul
 
@@ -444,29 +453,38 @@ class SeriesPoly:
     """A polynomial over Q[[x_1..x_n]] in n further generators.
 
     ``coeffs`` maps a generator exponent tuple to its nonzero series
-    coefficient.  Operators (generators d_i) and symbols (generators z_i)
-    differ only in how a generator monomial passes a coefficient, so all
-    else lives here: validation, promotion of int, Fraction and Series
-    values, addition, scaling, the product and powers.  A subclass supplies
-    its printing and that rule, ``_moves(alpha)``, yielding the (gamma,
-    alpha - gamma, multiplier) of g^alpha*c = sum multiplier*d^(alpha-gamma)(c)*g^gamma.
+    coefficient.  A coefficient that vanishes to precision q, given as a
+    zero series or left by a sum or a product that cancels there, is not
+    stored: ``floors`` maps its key to q.  A floor never prints, but it
+    enters sums, products and ``min_precision`` as the zero series it
+    stands for, so a dropped key does not read as an exact zero; it takes
+    no part in equality.
+    Operators (generators d_i) and symbols (generators z_i) differ only in
+    how a generator monomial passes a coefficient, so all else lives here:
+    validation, promotion of int, Fraction and Series values, addition,
+    scaling, the product and powers.  A subclass supplies its printing and
+    that rule, ``_moves(alpha)``, yielding the (gamma, alpha - gamma,
+    multiplier) of g^alpha*c = sum multiplier*d^(alpha-gamma)(c)*g^gamma.
     Values of different subclasses never combine or compare equal.
     """
 
-    __slots__ = ("num_vars", "coeffs")
+    __slots__ = ("num_vars", "coeffs", "floors")
 
     def __init__(self, num_vars, coeffs=None):
-        clean = {}
+        clean, floors = {}, {}
         for key, series in (coeffs or {}).items():
             key = tuple(int(k) for k in key)
             if len(key) != num_vars or any(k < 0 for k in key):
                 raise ValueError(f"bad {type(self).__name__} exponent {key}")
             if series.num_vars != num_vars:
                 raise ValueError("coefficient has wrong variable count")
-            if not series.is_zero():
+            if series.is_zero():
+                floors[key] = series.precision
+            else:
                 clean[key] = series
         self.num_vars = num_vars
         self.coeffs = clean
+        self.floors = floors
 
     @classmethod
     def from_series(cls, series):
@@ -491,9 +509,15 @@ class SeriesPoly:
         return sorted(self.coeffs.items(), key=lambda kv: _grlex_key(kv[0]))
 
     def min_precision(self):
-        if not self.coeffs:
-            return 0
-        return min(s.precision for s in self.coeffs.values())
+        return min([s.precision for s in self.coeffs.values()] + list(self.floors.values()),
+                   default=0)
+
+    def entries(self):
+        """The coefficients, then each floor as the zero series it stands for."""
+        return {**self.coeffs, **self._floor_series()}
+
+    def _floor_series(self):
+        return {key: Series.zero(self.num_vars, q) for key, q in self.floors.items()}
 
     # -- module structure -----------------------------------------------
 
@@ -516,14 +540,14 @@ class SeriesPoly:
             return NotImplemented
         self._check(other)
         coeffs = dict(self.coeffs)
-        for key, series in other.coeffs.items():
+        for key, series in [*other.entries().items(), *self._floor_series().items()]:
             self._accumulate(coeffs, key, series)
         return type(self)(self.num_vars, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.num_vars, {k: -s for k, s in self.coeffs.items()})
+        return type(self)(self.num_vars, {k: -s for k, s in self.entries().items()})
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -541,7 +565,7 @@ class SeriesPoly:
         if isinstance(other, (int, Fraction)):
             c = as_coeff(other)
             return type(self)(self.num_vars,
-                              {k: s * c for k, s in self.coeffs.items()})
+                              {k: s * c for k, s in self.entries().items()})
         other = self._promote(other)
         if other is None:
             return NotImplemented
@@ -568,7 +592,7 @@ class SeriesPoly:
         """
         self._check(other)
         n = self.num_vars
-        a_items, b_items = list(self.coeffs.items()), list(other.coeffs.items())
+        a_items, b_items = list(self.entries().items()), list(other.entries().items())
         *a_ints, a_den = scale_to_integers(*(s.terms for _, s in a_items))
         *b_ints, b_den = scale_to_integers(*(s.terms for _, s in b_items))
         summands = []  # (index in a, index in b, alpha - gamma, multiplier, key)
@@ -582,21 +606,28 @@ class SeriesPoly:
                     prec = min(ca.precision, cb.precision - sum(moved))
                     precision[key] = min(precision.get(key, prec), prec)
                     summands.append((i, m, moved, multiplier, key))
-        out = {key: {} for key in precision}
-        prepared, partials = {}, {}
+        acc = {key: {} for key in precision}
+        packings, shifts, partials = {}, {}, {}
         for i, m, moved, multiplier, key in summands:
             bound = precision[key]
-            if (i, bound) not in prepared:
-                prepared[i, bound] = product_by(a_ints[i], bound)
-            if (m, moved) not in partials:
-                partials[m, moved] = b_ints[m] if not any(moved) else {
+            if bound not in packings:
+                packings[bound] = _packing(n, bound)
+            powers = packings[bound][0]
+            if (i, bound) not in shifts:
+                shifts[i, bound] = _shifts(a_ints[i], powers, bound)
+            if (m, moved, bound) not in partials:
+                partial = b_ints[m] if not any(moved) else {
                     tuple(map(minus, e, moved)): c * math.prod(map(math.perm, e, moved))
                     for e, c in b_ints[m].items() if all(map(ge, e, moved))}
-            prepared[i, bound](out[key], partials[m, moved], multiplier)
+                partials[m, moved, bound] = _packed_terms(partial, powers, bound)
+            packed_products(acc[key], partials[m, moved, bound], shifts[i, bound], multiplier)
         den = a_den * b_den
-        return type(self)(n, {key: Series._raw(n, precision[key],
-                                               {e: Fraction(v, den) for e, v in ints.items()})
-                              for key, ints in out.items()})
+        coeffs = {}
+        for key, ints in acc.items():
+            unpack = packings[precision[key]][1]
+            coeffs[key] = Series._raw(n, precision[key], {unpack(k): Fraction(v, den)
+                                                          for k, v in ints.items() if v})
+        return type(self)(n, coeffs)
 
     def __pow__(self, exponent):
         """self^k by k successive products.  Once the coefficient pairs they
@@ -627,7 +658,7 @@ class SeriesPoly:
     def _accumulate(coeffs, key, series):
         """coeffs[key] += series.  A summand that vanishes to precision is
         kept, since it still bounds the precision of the sum; the
-        constructor drops the sums that vanish to precision."""
+        constructor keeps the precision of a sum that vanishes as a floor."""
         coeffs[key] = coeffs[key] + series if key in coeffs else series
 
 
@@ -670,53 +701,71 @@ def format_poly(terms, names):
 # -- units, exponentials, coefficient extraction -----------------------
 
 
-def _solve_graded(rhs, step, grade, top):
-    """The x with x = rhs + step(x), as an exponent -> Fraction dict.
+def _solve_graded(rhs, shifts, factor, bound, weight=1, divide_by_grade=False):
+    """The x with x = rhs + factor*S(x), as an exponent -> Fraction dict.
 
-    Pending terms wait in one bucket per grade: integer numerators over a
-    positive integer denominator.  ``step(layer, den, add)`` gets a layer
-    as integers over ``den`` and calls ``add(image, p, q)`` to add
-    image*p/q, image an integer dict; it must be linear and raise ``grade``
-    by at least 1, and keep no term of grade above ``top``.  ``add`` merges
-    each grade's part of the image into its bucket over lcm(D, q), and
-    rescales the bucket only when that lcm changes.  The layers of x are
-    fixed in increasing grade: the layer of grade k is popped from its
-    bucket and divided by the gcd of its denominator and numerators, and
-    it passes through ``step`` once, so the solve costs about one product
-    with step's multiplier.
+    S is the truncated product by the shifts: each (cost, s, c), c an int,
+    adds c*x^(e+s) for each term x^e of x with e + s >= 0 and |e| + cost <=
+    bound; only the last entry of s may be negative.  The grade of x^e is
+    weight*|e| - (weight-1)*e_n, and each shift must raise it by at least
+    1, so x is fixed one grade layer at a time, up to weight*bound.  With
+    ``divide_by_grade``, the layer of grade t >= 1 is divided by t.
+
+    Pending terms wait in one dict on packed keys (:func:`_packing`): at
+    grade t they are integers over C*q^t, q the denominator of ``factor``
+    and C the lcm of rhs's denominators, times (weight*bound)! with
+    ``divide_by_grade`` (exact, as t!*E_t is integral over the shifts'
+    denominator for E = exp).  A shift that raises the grade by delta
+    carries factor's numerator and q^(delta-1), so a layer passes once
+    through :func:`packed_products`, straight into the pending dict: no
+    image is regrouped by grade and no denominator is merged.  Shifts that
+    need e_n >= k (s_n = -k) are kept on a list per k, and a term takes the
+    list of its e_n.  A layer is popped by enumerating its monomials, and
+    its keys are unpacked only as it is written to x.
     """
-    buckets = {}  # grade -> [numerators, denominator]
+    if not rhs or not len(next(iter(rhs))):
+        return dict(rhs)
+    num_vars = len(next(iter(rhs)))
+    powers, _ = _packing(num_vars, bound)
+    p, q = factor.numerator, factor.denominator
+    top = weight * bound
 
-    def add(image, p, q):
-        groups = {}
-        for e, v in image.items():
-            groups.setdefault(grade(e), {})[e] = v
-        for k, group in groups.items():
-            terms, den = bucket = buckets.setdefault(k, [{}, q])
-            common = math.lcm(den, q)
-            if common != den:
-                rescale = common // den
-                for e in terms:
-                    terms[e] *= rescale
-                bucket[1] = common
-            vec_add_scaled(terms, group, p * (common // q))
+    def grade(e):
+        return weight * sum(e) - (weight - 1) * e[-1]
+
+    shifts = sorted((cost, sum(map(times, s, powers)), c * p * q ** (grade(s) - 1), -s[-1])
+                    for cost, s, c in shifts)
+    needs = max([0] + [need for *_, need in shifts])
+    by_need = [[(cost, kb, cb) for cost, kb, cb, need in shifts if need <= k]
+               for k in range(needs + 1)]
+    heads = [[] for _ in range(bound + 1)]  # the x_1..x_{n-1} parts, by degree
+    for head in monomials_upto(num_vars - 1, bound):
+        heads[sum(head)].append((sum(map(times, head, powers)), head))
 
     rhs, den = scale_to_integers(rhs)
-    add(rhs, 1, den)
+    scale = math.factorial(top) if divide_by_grade else 1
+    pending = {sum(map(times, e, powers)): v * scale * q ** grade(e) for e, v in rhs.items()}
+    scale *= den  # C*q^t at grade t
     x = {}
-    for k in range(top + 1):
-        if not buckets:
+    for t in range(top + 1):
+        if not pending:
             break
-        layer, den = buckets.pop(k, ({}, 1))
-        if not layer:
-            continue
-        common = math.gcd(den, *layer.values())
-        if common > 1:
-            layer = {e: v // common for e, v in layer.items()}
-            den //= common
-        for e, v in layer.items():
-            x[e] = Fraction(v, den)
-        step(layer, den, add)
+        layer = {}  # need -> packed terms
+        # x^e has e_n = t - weight*|head| and |e| <= bound
+        low = -((bound - t) // (weight - 1)) if t > bound else 0
+        for a in range(low, t // weight + 1):
+            e_n = t - weight * a
+            for key, head in heads[a]:
+                key += e_n * powers[-1]
+                v = pending.pop(key, 0)
+                if v:
+                    if divide_by_grade and t:
+                        v //= t
+                    x[head + (e_n,)] = Fraction(v, scale)
+                    layer.setdefault(min(e_n, needs), []).append((key, v, bound - a - e_n))
+        for k, terms in layer.items():
+            packed_products(pending, terms, by_need[k])
+        scale *= q
     return x
 
 
@@ -732,13 +781,8 @@ def invert_unit(a):
     n, prec = a.num_vars, a.precision
     inv = 1 / c0
     rest, den = scale_to_integers({e: c for e, c in a.terms.items() if any(e)})
-    times_rest = product_by(rest, prec)
-
-    def step(layer, scale, add):
-        factor = -inv / (scale * den)
-        add(times_rest({}, layer), factor.numerator, factor.denominator)
-
-    return Series._raw(n, prec, _solve_graded({(0,) * n: inv}, step, sum, prec))
+    return Series._raw(n, prec, _solve_graded(
+        {(0,) * n: inv}, [(sum(e), e, c) for e, c in rest.items()], -inv / den, prec))
 
 
 def exp_series(a):
@@ -751,18 +795,9 @@ def exp_series(a):
         raise UnsupportedExponent("exp needs a zero constant term")
     n, prec = a.num_vars, a.precision
     theta_a, den = scale_to_integers({e: c * sum(e) for e, c in a.terms.items()})
-    times_theta_a = product_by(theta_a, prec)
-
-    def step(layer, scale, add):
-        # E_k = [theta(a)*E]_k / k: each total degree g has its own divisor
-        by_degree = {}
-        for e, v in times_theta_a({}, layer).items():
-            by_degree.setdefault(sum(e), {})[e] = v
-        for g, image in by_degree.items():
-            add(image, 1, scale * den * g)
-
-    return Series._raw(n, prec, _solve_graded({(0,) * n: Fraction(1)}, step,
-                                              sum, prec))
+    return Series._raw(n, prec, _solve_graded(
+        {(0,) * n: Fraction(1)}, [(sum(e), e, c) for e, c in theta_a.items()],
+        Fraction(1, den), prec, divide_by_grade=True))
 
 
 def xn_coefficient(f, j):
@@ -811,11 +846,6 @@ def is_xn_regular(f):
 # -- Weierstrass division and preparation ------------------------------
 
 
-def _xn_quotient(terms, d):
-    """The x_n^d-quotient: terms with x_n-exponent >= d, divided by x_n^d."""
-    return {e[:-1] + (e[-1] - d,): c for e, c in terms.items() if e[-1] >= d}
-
-
 def weierstrass_divide(g, f):
     """Divide g by an x_n-regular f: g = q*f + sum_{i<d} r_i*x_n^i.
 
@@ -843,28 +873,16 @@ def weierstrass_divide(g, f):
             f"precision {window} is below the regularity order {d}")
     g = g.truncate(window)
     f = f.truncate(window)
-    f_high = _xn_quotient(f.terms, d)
-    inv = 1 / f_high.pop((0,) * f.num_vars)
-    # T(q*f_low) is the sum over k < d of T_{d-k}(q)*c_k, with c_k the
-    # x_n^k-coefficient of f and T_j the x_n^j-quotient: only pairs that T
-    # keeps are multiplied.  The multipliers share one denominator, so a
-    # step's products add up as integers; each is prepared once per solve
-    low_coeffs = [{e[:-1] + (0,): c for e, c in f.terms.items() if e[-1] == k}
-                  for k in range(d)]
-    f_high, *low_coeffs, den = scale_to_integers(f_high, *low_coeffs)
-    times_high = product_by(f_high, window)
-    times_low = [product_by(coeff, window - d) for coeff in low_coeffs]
-
-    def step(layer, scale, add):
-        image = times_high({}, layer)
-        for k, times_coeff in enumerate(times_low):
-            times_coeff(image, _xn_quotient(layer, d - k))
-        factor = -inv / (scale * den)
-        add(image, factor.numerator, factor.denominator)
-
-    rhs = {e: c * inv for e, c in _xn_quotient(g.terms, d).items()}
-    q = _solve_graded(rhs, step, lambda e: (d + 1) * sum(e) - d * e[-1],
-                      (d + 1) * window)
+    # x_n^d*q*f_high + q*f_low = q*f - c*x_n^d*q: each term x^e of f but
+    # the lead shifts q by e - d*e_n, an f_high term within degree window,
+    # a low term (e_n < d) within window before T lowers it by d
+    lead = (0,) * (f.num_vars - 1) + (d,)
+    inv = 1 / f.terms[lead]
+    rest, den = scale_to_integers({e: c for e, c in f.terms.items() if e != lead})
+    shifts = [(sum(e) - d if e[-1] >= d else sum(e), e[:-1] + (e[-1] - d,), c)
+              for e, c in rest.items()]
+    rhs = {e[:-1] + (e[-1] - d,): c * inv for e, c in g.terms.items() if e[-1] >= d}
+    q = _solve_graded(rhs, shifts, -inv / den, window, weight=d + 1)
     q = Series._raw(f.num_vars, window, q)
     remainder = g - q * f
     if any(e[-1] >= d for e in remainder.terms):

@@ -1,7 +1,8 @@
 """formald has one truncated product and one scaled accumulate: every
 update of a sparse dict entry by a sum, written ``d.get(k, default) +/- ...``
-or ``d[k] +/- ... if k in d else ...``, lives in the prepared ``mul`` of
-``series.product_by``, ``linalg.vec_add_scaled``, ``Series.sum_of`` (which
+or ``d[k] +/- ... if k in d else ...``, lives in the pair loop on packed
+keys ``series.packed_products`` (under ``product_by``, ``SeriesPoly._product``
+and the graded solves), ``linalg.vec_add_scaled``, ``Series.sum_of`` (which
 keeps its own loop, as a unit-factor accumulate would cost a multiplication
 per term) or ``SeriesPoly._accumulate`` (whose values are series, not
 numbers)."""
@@ -12,7 +13,7 @@ from pathlib import Path
 import formald
 
 SOURCES = sorted(Path(formald.__file__).resolve().parent.glob("*.py"))
-KERNELS = {"vec_add_scaled", "product_by.mul", "Series.sum_of",
+KERNELS = {"vec_add_scaled", "packed_products", "Series.sum_of",
            "SeriesPoly._accumulate"}
 
 

@@ -650,23 +650,17 @@ def _pairs(a, b, bound):
 
 @pytest.fixture
 def product_pairs(monkeypatch):
-    """Counts the term pairs every prepared product multiplies: each
-    product_by multiplier."""
+    """Counts the term pairs every truncated product multiplies: each call
+    of the one pair loop, series.packed_products."""
     import formald.series as series_module
-    kernel = series_module.product_by
+    kernel = series_module.packed_products
     count = [0]
 
-    def counted(b, bound):
-        mul = kernel(b, bound)
+    def counted(acc, terms, shifts, factor=1):
+        count[0] += sum(1 for _, _, room in terms for cost, _, _ in shifts if cost <= room)
+        return kernel(acc, terms, shifts, factor)
 
-        def counted_mul(out, a, factor=1):
-            if factor:
-                count[0] += _pairs(a, b, bound)
-            return mul(out, a, factor)
-
-        return counted_mul
-
-    monkeypatch.setattr(series_module, "product_by", counted)
+    monkeypatch.setattr(series_module, "packed_products", counted)
     return count
 
 
@@ -891,20 +885,22 @@ def test_graded_solves_on_edge_cases():
 
 def test_graded_solves_accumulate_integers_only(monkeypatch):
     """Pending terms of every graded solve are summed as integers: each
-    accumulate gets an int factor and int values, also for inputs over
-    denominators 2 and 3 with a unit constant of 3/2."""
+    pass through the pair loop gets an int factor, int coefficients and an
+    int-valued target, also for inputs over denominators 2 and 3 with a
+    unit constant of 3/2."""
     import formald.series as series_module
-    kernel = series_module.vec_add_scaled
+    kernel = series_module.packed_products
     calls = [0]
 
-    def integer_only(target, source, factor):
+    def integer_only(acc, terms, shifts, factor=1):
         assert type(factor) is int
-        assert all(type(v) is int for v in target.values())
-        assert all(type(v) is int for v in source.values())
+        assert all(type(v) is int for v in acc.values())
+        assert all(type(c) is int for _, c, _ in terms)
+        assert all(type(c) is int for _, _, c in shifts)
         calls[0] += 1
-        return kernel(target, source, factor)
+        return kernel(acc, terms, shifts, factor)
 
-    monkeypatch.setattr(series_module, "vec_add_scaled", integer_only)
+    monkeypatch.setattr(series_module, "packed_products", integer_only)
     half, third = Fraction(1, 2), Fraction(1, 3)
     unit = Series(2, 5, {(0, 0): 3 * half, (1, 0): half, (0, 1): -third,
                          (1, 1): 2 * third, (0, 3): 5 * half})

@@ -107,8 +107,8 @@ def _series_pair_product(a, b):
     summed as series: the formulation the container's product replaced,
     kept as its oracle."""
     out = {}
-    for za, sa in a.coeffs.items():
-        for zb, sb in b.coeffs.items():
+    for za, sa in a.entries().items():
+        for zb, sb in b.entries().items():
             key = tuple(i + j for i, j in zip(za, zb))
             Symbol._accumulate(out, key, sa * sb)
     return Symbol(a.num_vars, out)

@@ -5,7 +5,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from formald.errors import InsufficientPrecision
@@ -138,27 +137,36 @@ def test_product_associativity(data):
     right = op_product(a, op_product(b, c))
     for key in left.coeffs.keys() & right.coeffs.keys():
         assert series_agree(left.coeffs[key], right.coeffs[key])
-    # a key on one side only was dropped from the other as zero to a
-    # precision that is not kept (see the xfail below); each side
-    # differentiates a coefficient at most twice, so that precision is at
-    # least p - 2
+    # a key on one side only vanished on the other, to a precision its
+    # floor keeps; each side differentiates a coefficient at most twice, so
+    # that precision is at least p - 2
     for key in left.coeffs.keys() ^ right.coeffs.keys():
         coeff = left.coeffs.get(key, right.coeffs.get(key))
         assert coeff.truncate(min(coeff.precision, s.precision - 2)).is_zero()
 
 
-@pytest.mark.xfail(strict=True, reason="a coefficient that vanishes to "
-                   "precision is dropped and then reads as an exact zero")
 def test_product_associativity_keeps_vanishing_precision():
-    # a(bc) has x2^2 * 1 known to precision 1, which vanishes there and is
-    # dropped; (ab)c has x2^2 known to precision 2
+    # a(bc) has x2^2 * 1 known to precision 1, which vanishes there; (ab)c
+    # has x2^2 and d2(1), zero known to 1, on the same key; both keep the
+    # key as a floor at precision 1, not as an exact zero
     p = 2
     x2 = Series.variable(2, 2, p)
     a = DiffOp.from_series(x2 * x2)
     b = DiffOp(2, {(0, 0): Series.one(2, p), (0, 1): x2})
     c = DiffOp.from_series(Series.one(2, p))
-    assert coeffs_agree(op_product(op_product(a, b), c),
-                        op_product(a, op_product(b, c)))
+    left = op_product(op_product(a, b), c)
+    right = op_product(a, op_product(b, c))
+    assert coeffs_agree(left, right)
+    assert left.floors == right.floors == {(0, 0): 1, (0, 1): 2}
+
+
+def test_a_sum_keeps_the_precision_of_a_cancelled_key():
+    # d - d leaves d1 as zero known to 8, so the scalar 1 is known to 8
+    d = DiffOp.partial(1, 1, 8)
+    one = (d - d) + 1
+    assert one == DiffOp.from_series(Series.one(1, 8))
+    assert one.coeffs[(0,)].precision == 8
+    assert one.floors == {(1,): 8}
 
 
 def test_product_keeps_precision_of_vanishing_summands():
@@ -182,8 +190,8 @@ def _series_sum_product(a, b):
     gamma), summed as series: the formulation op_product replaced, kept
     as its oracle."""
     out = {}
-    for alpha, ca in a.coeffs.items():
-        for beta, cb in b.coeffs.items():
+    for alpha, ca in a.entries().items():
+        for beta, cb in b.entries().items():
             for gamma in itertools.product(*(range(k + 1) for k in alpha)):
                 binom = math.prod(map(math.comb, alpha, gamma))
                 moved = tuple(ai - gi for ai, gi in zip(alpha, gamma))
