@@ -20,7 +20,7 @@ adds it in and queues the stored pivots it brings, and a column with no
 ``Matrix.nullspace``.  ``scale_to_integers`` is the one Fraction ->
 integer scaler and ``vec_add_scaled`` the one scaled accumulate of sparse
 vectors outside the echelon; truncated products of exponent dicts go
-through :func:`formald.series.product_by`.
+through :func:`formald.series.packed_products`.
 """
 
 from __future__ import annotations

@@ -11,30 +11,34 @@ Conventions used throughout the package:
 * axes are 1-based, matching the printed names ``x1..xn``;
 * the distinguished variable for regularity questions is always the last.
 
-Every truncated product of exponent dicts goes through one kernel,
-:func:`product_by`: it reads its fixed factor once, packing each exponent
-into one int (Kronecker's substitution, base bound + 1) and sorting the
-terms by degree, and returns a ``mul`` that adds factor*a*b for any a on
-int keys; ``SeriesPoly._product``, the one product of operators and
-symbols, runs it per coefficient pair.  Scaled sparse accumulation goes
-through :func:`formald.linalg.vec_add_scaled`.  Unit inversion, the
-exponential and Weierstrass division each solve x = rhs + step(x) for a
-linear step that raises a grading, through one solver,
-:func:`_solve_graded`: it fixes x one grade layer at a time, so each costs
-about one truncated product, and each prepares its multipliers once per
-solve, before the first step.
+Every truncated product of exponent dicts runs through one pair loop,
+:func:`packed_products`, on exponents packed into ints (Kronecker's
+substitution, base bound + 1, :class:`_Packing`): a pair's key is one int
+addition, and a key is unpacked once per output term.  :func:`product_by`
+reads a fixed factor once and returns a ``mul`` for any other;
+``SeriesPoly._product``, the one product of operators and symbols, packs
+each coefficient once per precision and sums each output key on packed
+ints.  Scaled sparse accumulation goes through
+:func:`formald.linalg.vec_add_scaled`.  Unit inversion, the exponential and
+Weierstrass division each solve x = rhs + factor*S(x), S a truncated
+product by fixed shifts that raises a linear grading, through one solver,
+:func:`_solve_graded`: it fixes x one grade layer at a time, and each layer
+passes once through the pair loop, straight into the pending terms.  On
+the ``series-calculus`` division inputs (n = 2, N = 16 and n = 3, N = 10,
+order 3) a solve multiplies 0.7 to 1.1 times the term pairs of the check
+product q*f and takes 1.0 to 1.5 times its time (2-core x86 container,
+CPython 3.11).
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
 on them.  ``Series.__mul__`` and ``SeriesPoly._product`` split each factor
 once into integer numerators over the lcm of its denominators
-(:func:`formald.linalg.scale_to_integers`), run ``product_by`` on the
-integers and make one ``Fraction`` per output term; a one-term series
-factor c*x^m only shifts the other's terms by m and scales them by c.
-``_solve_graded`` keeps its pending terms in one bucket per grade,
-integer numerators over a denominator of the bucket's own, and
-its steps hand it integer images with a multiplier p/q: a ``Fraction`` is
-made once per coefficient of the solution and once per step for the
-multiplier.
+(:func:`formald.linalg.scale_to_integers`), run the pair loop on the
+integers and make one ``Fraction`` per output term; a one-term factor
+c*x^m only shifts the other's terms by m and scales them by c.
+``_solve_graded`` keeps its pending terms of grade t as integers over
+C*q^t, q the denominator of the step's multiplier: each shift carries the
+powers of q its grade step needs, so no denominator is ever merged, and a
+``Fraction`` is made once per coefficient of the solution.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, ge
+from operator import add, ge, itemgetter
 from operator import mul as times
 from operator import sub as minus
 
@@ -100,7 +104,7 @@ def packed_products(acc, terms, shifts, factor=1):
     """The one truncated pair loop: for each (ka, ca, room) of ``terms`` and
     each (cost, kb, cb) of ``shifts`` with cost <= room, adds factor*ca*cb
     to ``acc[ka + kb]``.  Keys are exponents packed into ints (see
-    :func:`_packing`), so a pair's key is one int addition; ``shifts`` is
+    :class:`_Packing`), so a pair's key is one int addition; ``shifts`` is
     sorted by cost, so the loop leaves a term at the first shift past its
     room.  Entries that cancel stay in ``acc`` as zeros."""
     for ka, ca, room in terms:
@@ -113,39 +117,41 @@ def packed_products(acc, terms, shifts, factor=1):
     return acc
 
 
-def _packing(num_vars, bound):
-    """Kronecker's substitution below total degree bound + 1: the powers
-    that pack an exponent e into the int sum e_i*(bound+1)^i, and
-    ``unpack``, which rebuilds the tuple of a packed key once per key.  The
+class _Packing(dict):
+    """Kronecker's substitution below total degree bound + 1: ``powers``
+    pack an exponent e into the int sum e_i*(bound+1)^i, and looking up a
+    packed key gives back its exponent tuple, rebuilt once per key.  The
     packed sum of two exponents whose sum has total degree <= bound is the
     packed key of that sum, with no carry."""
-    base = bound + 1
-    powers = [base ** i for i in range(num_vars)]
-    unpacked = {}
 
-    def unpack(key):
-        if key in unpacked:
-            return unpacked[key]
+    __slots__ = ("base", "powers")
+
+    def __init__(self, num_vars, bound):
+        super().__init__()
+        self.base = bound + 1
+        self.powers = [self.base ** i for i in range(num_vars)]
+
+    def __missing__(self, key):
         exps, rest = [], key
-        for _ in range(num_vars):
-            rest, e = divmod(rest, base)
+        for _ in self.powers:
+            rest, e = divmod(rest, self.base)
             exps.append(e)
-        unpacked[key] = exps = tuple(exps)
+        self[key] = exps = tuple(exps)
         return exps
-
-    return powers, unpack
 
 
 def _shifts(b, powers, bound):
     """b's terms of total degree <= bound as :func:`packed_products` shifts,
     with their degrees as costs."""
-    return sorted((sum(e), sum(map(times, e, powers)), c)
-                  for e, c in b.items() if sum(e) <= bound)
+    return sorted(((sum(e), sum(map(times, e, powers)), c)
+                   for e, c in b.items() if sum(e) <= bound), key=itemgetter(0))
 
 
 def _packed_terms(a, powers, bound):
-    """a's terms as :func:`packed_products` terms, with room bound - |e|."""
-    return [(sum(map(times, e, powers)), c, bound - sum(e)) for e, c in a.items()]
+    """a's terms of total degree <= bound as :func:`packed_products` terms,
+    with room bound - |e|."""
+    return [(sum(map(times, e, powers)), c, room)
+            for e, c in a.items() if (room := bound - sum(e)) >= 0]
 
 
 def product_by(b, bound):
@@ -156,12 +162,17 @@ def product_by(b, bound):
     on packed keys, and a key is unpacked only for a nonzero output term."""
     if bound < 0 or not b:
         return lambda out, a, factor=1: out
-    powers, unpack = _packing(len(next(iter(b))), bound)
+    packing = _Packing(len(next(iter(b))), bound)
+    powers = packing.powers
     shifts = _shifts(b, powers, bound)
 
     def mul(out, a, factor=1):
         acc = packed_products({}, _packed_terms(a, powers, bound), shifts, factor)
-        return vec_add_scaled(out, {unpack(key): v for key, v in acc.items() if v}, 1)
+        product = {packing[key]: v for key, v in acc.items() if v}
+        if out:
+            return vec_add_scaled(out, product, 1)
+        out.update(product)
+        return out
 
     return mul
 
@@ -514,10 +525,8 @@ class SeriesPoly:
 
     def entries(self):
         """The coefficients, then each floor as the zero series it stands for."""
-        return {**self.coeffs, **self._floor_series()}
-
-    def _floor_series(self):
-        return {key: Series.zero(self.num_vars, q) for key, q in self.floors.items()}
+        return {**self.coeffs, **{key: Series.zero(self.num_vars, q)
+                                  for key, q in self.floors.items()}}
 
     # -- module structure -----------------------------------------------
 
@@ -540,8 +549,12 @@ class SeriesPoly:
             return NotImplemented
         self._check(other)
         coeffs = dict(self.coeffs)
-        for key, series in [*other.entries().items(), *self._floor_series().items()]:
+        for key, series in other.coeffs.items():
             self._accumulate(coeffs, key, series)
+        # a floor adds nothing but cuts the key's precision
+        for key, q in [*other.floors.items(), *self.floors.items()]:
+            series = coeffs.get(key, Series.zero(self.num_vars, q))
+            coeffs[key] = series.truncate(min(q, series.precision))
         return type(self)(self.num_vars, coeffs)
 
     __radd__ = __add__
@@ -583,15 +596,26 @@ class SeriesPoly:
         self's generator monomials by ``_moves``, on integers over one
         denominator per side.  A first pass fixes each output key's
         precision, the least over its summands of min(prec c_a,
-        prec c_b - |alpha - gamma|), a vanishing one included, and raises
-        ``InsufficientPrecision`` for a derivative c_b does not know.  A
+        prec c_b - |alpha - gamma|), a vanishing one and a floor, as its
+        zero series, included, and raises ``InsufficientPrecision`` for a
+        derivative c_b does not know.  A
         second adds multiplier*c_a*d^(alpha-gamma)(c_b) into the key's
-        integer dict, cut at that precision, through one prepared
-        :func:`product_by` per (alpha, precision); a summand with no move
-        reads c_b as it is.  A ``Fraction`` is made once per output term.
+        integer dict, cut at that precision, through
+        :func:`packed_products` on keys packed once per precision: c_a's
+        terms are the shifts, prepared once per (alpha, precision), and
+        each d^(alpha-gamma)(c_b) is packed once per precision; a summand
+        with no move reads c_b as it is.  Keys are unpacked, and a
+        ``Fraction`` made, once per output term.  A one-term self c*x^m
+        with no generator only shifts and scales other's coefficients, as
+        ``Series.__mul__`` does.
         """
         self._check(other)
         n = self.num_vars
+        zero = (0,) * n
+        if (not self.floors and len(self.coeffs) == 1 and zero in self.coeffs
+                and len(self.coeffs[zero].terms) == 1):
+            c = self.coeffs[zero]
+            return type(self)(n, {beta: c * cb for beta, cb in other.entries().items()})
         a_items, b_items = list(self.entries().items()), list(other.entries().items())
         *a_ints, a_den = scale_to_integers(*(s.terms for _, s in a_items))
         *b_ints, b_den = scale_to_integers(*(s.terms for _, s in b_items))
@@ -605,14 +629,14 @@ class SeriesPoly:
                     key = tuple(map(add, gamma, beta))
                     prec = min(ca.precision, cb.precision - sum(moved))
                     precision[key] = min(precision.get(key, prec), prec)
-                    summands.append((i, m, moved, multiplier, key))
+                    if ca.terms and cb.terms:
+                        summands.append((i, m, moved, multiplier, key))
         acc = {key: {} for key in precision}
-        packings, shifts, partials = {}, {}, {}
+        packings = {bound: _Packing(n, bound) for bound in set(precision.values())}
+        shifts, partials = {}, {}
         for i, m, moved, multiplier, key in summands:
             bound = precision[key]
-            if bound not in packings:
-                packings[bound] = _packing(n, bound)
-            powers = packings[bound][0]
+            powers = packings[bound].powers
             if (i, bound) not in shifts:
                 shifts[i, bound] = _shifts(a_ints[i], powers, bound)
             if (m, moved, bound) not in partials:
@@ -624,8 +648,8 @@ class SeriesPoly:
         den = a_den * b_den
         coeffs = {}
         for key, ints in acc.items():
-            unpack = packings[precision[key]][1]
-            coeffs[key] = Series._raw(n, precision[key], {unpack(k): Fraction(v, den)
+            unpack = packings[precision[key]]
+            coeffs[key] = Series._raw(n, precision[key], {unpack[k]: Fraction(v, den)
                                                           for k, v in ints.items() if v})
         return type(self)(n, coeffs)
 
@@ -711,30 +735,32 @@ def _solve_graded(rhs, shifts, factor, bound, weight=1, divide_by_grade=False):
     1, so x is fixed one grade layer at a time, up to weight*bound.  With
     ``divide_by_grade``, the layer of grade t >= 1 is divided by t.
 
-    Pending terms wait in one dict on packed keys (:func:`_packing`): at
+    Pending terms wait in one dict on packed keys (:class:`_Packing`): at
     grade t they are integers over C*q^t, q the denominator of ``factor``
     and C the lcm of rhs's denominators, times (weight*bound)! with
-    ``divide_by_grade`` (exact, as t!*E_t is integral over the shifts'
-    denominator for E = exp).  A shift that raises the grade by delta
-    carries factor's numerator and q^(delta-1), so a layer passes once
-    through :func:`packed_products`, straight into the pending dict: no
-    image is regrouped by grade and no denominator is merged.  Shifts that
-    need e_n >= k (s_n = -k) are kept on a list per k, and a term takes the
-    list of its e_n.  A layer is popped by enumerating its monomials, and
-    its keys are unpacked only as it is written to x.
+    ``divide_by_grade``, whose division by t must then be exact (for
+    E = exp(a), den^t*t!*E_t is an integer, den that of a).  A shift that
+    raises the grade by delta carries factor's numerator and q^(delta-1),
+    so each layer passes once through :func:`packed_products`, straight
+    into the pending dict: no image is regrouped by grade and no
+    denominator is merged.  Shifts that need e_n >= k (s_n = -k) are kept
+    on one list per k, and a term takes the list of its e_n, so no pair
+    leaves the monomials (its packed key would be negative).  A layer is
+    popped by enumerating its monomials, and its keys are unpacked only as
+    it is written to x.  The step's cost: see the module docstring.
     """
     if not rhs or not len(next(iter(rhs))):
         return dict(rhs)
     num_vars = len(next(iter(rhs)))
-    powers, _ = _packing(num_vars, bound)
+    powers = _Packing(num_vars, bound).powers
     p, q = factor.numerator, factor.denominator
     top = weight * bound
 
     def grade(e):
         return weight * sum(e) - (weight - 1) * e[-1]
 
-    shifts = sorted((cost, sum(map(times, s, powers)), c * p * q ** (grade(s) - 1), -s[-1])
-                    for cost, s, c in shifts)
+    shifts = sorted(((cost, sum(map(times, s, powers)), c * p * q ** (grade(s) - 1), -s[-1])
+                     for cost, s, c in shifts), key=itemgetter(0))
     needs = max([0] + [need for *_, need in shifts])
     by_need = [[(cost, kb, cb) for cost, kb, cb, need in shifts if need <= k]
                for k in range(needs + 1)]
@@ -873,9 +899,11 @@ def weierstrass_divide(g, f):
             f"precision {window} is below the regularity order {d}")
     g = g.truncate(window)
     f = f.truncate(window)
-    # x_n^d*q*f_high + q*f_low = q*f - c*x_n^d*q: each term x^e of f but
-    # the lead shifts q by e - d*e_n, an f_high term within degree window,
-    # a low term (e_n < d) within window before T lowers it by d
+    # (f_high - c)*q + T(q*f_low) is the one product T(q*(f - c*x_n^d)):
+    # each term x^e of f but the lead shifts q by e - d*e_n.  A pair with
+    # an f_high term (e_n >= d) is kept within total degree window, one
+    # with an f_low term within window before T lowers it by d, so the
+    # truncated system is the one above
     lead = (0,) * (f.num_vars - 1) + (d,)
     inv = 1 / f.terms[lead]
     rest, den = scale_to_integers({e: c for e, c in f.terms.items() if e != lead})

@@ -812,20 +812,48 @@ def test_series_product_matches_the_fraction_product(pair):
     assert a * b == _fraction_mul(a, b)
 
 
+# edge cases of the packed solve: n = 1, a term of degree exactly N in one
+# variable (its exponent is the pack base minus one, so any carry would
+# show), and a constant -3/2 over denominators, so that the multiplier is
+# not +-1
 @GRADED_SETTINGS
 @given(graded_series(unit=True, coeffs=kernel_rationals))
+@example(Series(1, 7, {(0,): Fraction(-3, 2), (1,): Fraction(1, 3), (7,): 2}))
+@example(Series(2, 5, {(0, 0): Fraction(-3, 2), (5, 0): Fraction(1, 2), (0, 1): Fraction(2, 3),
+                       (0, 5): -1}))
 def test_invert_unit_matches_the_fraction_solve(a):
     assert invert_unit(a) == _fraction_invert(a)
 
 
 @GRADED_SETTINGS
 @given(graded_series(coeffs=kernel_rationals))
+@example(Series(1, 7, {(1,): Fraction(1, 2), (7,): Fraction(-1, 3)}))
+@example(Series(3, 4, {(1, 0, 0): 1, (0, 0, 4): Fraction(2, 3), (0, 1, 1): Fraction(-3, 2)}))
 def test_exp_series_matches_the_fraction_solve(a):
     assert exp_series(a) == _fraction_exp(a)
 
 
 @GRADED_SETTINGS
 @given(division_cases(kernel_rationals))
+# n = 1
+@example((Series(1, 6, {(0,): 1, (4,): 3, (6,): Fraction(1, 3)}),
+          Series(1, 6, {(2,): 1, (3,): Fraction(1, 2), (5,): -2})))
+# d = 0: f a unit, no low shifts
+@example((Series(2, 5, {(1, 1): 1, (0, 4): Fraction(-2, 3)}),
+          Series(2, 5, {(0, 0): 2, (1, 0): Fraction(1, 3), (0, 2): -1, (2, 3): Fraction(1, 2)})))
+# window = d
+@example((Series(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2), (0, 3): 5}),
+          Series(2, 3, {(0, 3): 1, (1, 0): 2, (1, 1): -1})))
+# x2^2 in q meets the low shift x1*x2 / x2^3 at e_n = d - k exactly
+@example((Series(2, 8, {(0, 5): 1, (1, 4): 1}),
+          Series(2, 8, {(0, 3): 1, (1, 1): 1, (2, 0): 1})))
+# terms of degree exactly N in one variable: the pack base, no carry
+@example((Series(2, 5, {(5, 0): 1, (0, 5): 1}),
+          Series(2, 5, {(0, 2): 1, (5, 0): Fraction(1, 2), (1, 1): 1})))
+# f_high(0) = -3/2 with denominators in f, so the multiplier is not +-1
+@example((Series(2, 6, {(0, 0): Fraction(1, 5), (0, 3): 1, (2, 2): Fraction(-2, 3)}),
+          Series(2, 6, {(0, 2): Fraction(-3, 2), (1, 0): Fraction(1, 3), (1, 3): Fraction(2, 5),
+                        (0, 4): Fraction(1, 6)})))
 def test_weierstrass_divide_matches_the_fraction_solve(case):
     g, f = case
     assert weierstrass_divide(g, f) == _fraction_divide(g, f)

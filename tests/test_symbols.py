@@ -151,12 +151,17 @@ def mixed_precision_symbol_pairs(draw):
 # goes; x1^2 is known to 2 and z1^2 to 3
 @example((Symbol(1, {(1,): Series.one(1, 3), (0,): Series(1, 2, {(1,): 1})}),
           Symbol(1, {(0,): Series(1, 4, {(1,): 1}), (1,): Series(1, 3, {(0,): -1})})))
+# a one-term coefficient with no generator shifts and scales the other
+# side, a floor (z2: zero known to 1) included
+@example((Symbol.from_series(Series(2, 4, {(0, 1): Fraction(2, 3)})),
+          Symbol(2, {(0, 1): Series.zero(2, 1), (1, 0): Series(2, 3, {(1, 0): 1, (0, 3): -2}),
+                     (0, 0): Series(2, 2, {(0, 0): Fraction(1, 2), (1, 1): 3})})))
 def test_symbol_product_matches_the_series_pair_formulation(pair):
     # coefficients and each key's precision (the least over its summands, a
     # vanishing one included), of products and of brackets
     a, b = pair
-    assert a * b == _series_pair_product(a, b)
-    assert b * a == _series_pair_product(b, a)
+    assert _raised(lambda: a * b) == _raised(lambda: _series_pair_product(a, b))
+    assert _raised(lambda: b * a) == _raised(lambda: _series_pair_product(b, a))
     assert _raised(lambda: poisson_bracket(a, b)) == _raised(
         lambda: _series_pair_bracket(a, b))
 

@@ -202,12 +202,13 @@ def _series_sum_product(a, b):
 
 
 def _raised(compute):
-    """compute()'s value, or the type and message of the
+    """compute()'s value with its floors, or the type and message of the
     InsufficientPrecision it raises."""
     try:
-        return compute()
+        value = compute()
     except InsufficientPrecision as err:
         return type(err), str(err)
+    return value, value.floors
 
 
 @st.composite
@@ -241,6 +242,11 @@ def mixed_precision_pairs(draw):
 # d1^2 on a coefficient known to 1 cannot be formed
 @example((DiffOp(1, {(2,): Series.one(1, 3)}),
           DiffOp.from_series(Series(1, 1, {(1,): 1}))))
+# a one-term coefficient with no generator shifts and scales the other
+# side, a floor (d1: zero known to 1) included
+@example((DiffOp.from_series(Series(2, 4, {(1, 0): Fraction(-3, 2)})),
+          DiffOp(2, {(1, 0): Series.zero(2, 1), (0, 1): Series(2, 3, {(0, 1): 1, (2, 1): 2}),
+                     (0, 0): Series(2, 2, {(0, 0): Fraction(1, 3), (1, 1): 1})})))
 def test_op_product_matches_the_series_sum_formulation(pair):
     # coefficients, each key's precision (the least over its summands, a
     # vanishing one included) and the InsufficientPrecision raise
