@@ -749,9 +749,9 @@ def _solve_graded(rhs, shifts, factor, bound, weight=1, divide_by_grade=False):
     popped by enumerating its monomials, and its keys are unpacked only as
     it is written to x.  The step's cost: see the module docstring.
     """
-    if not rhs or not len(next(iter(rhs))):
+    num_vars = len(next(iter(rhs), ()))
+    if not num_vars:
         return dict(rhs)
-    num_vars = len(next(iter(rhs)))
     powers = _Packing(num_vars, bound).powers
     p, q = factor.numerator, factor.denominator
     top = weight * bound
