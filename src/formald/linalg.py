@@ -94,7 +94,7 @@ class ColumnEchelon:
         self.track = track
         self.added = 0
         for col in columns:
-            self.add(col)
+            self.add(col, combine=False)
 
     @property
     def rank(self):
@@ -155,16 +155,16 @@ class ColumnEchelon:
                 scale = 1
         return w
 
-    def add(self, vec):
+    def add(self, vec, combine=True):
         """Insert a column.  Returns None if it is independent of the
-        columns before it; otherwise its combination of them (tracked)
-        or True."""
+        columns before it; otherwise its combination of them (tracked and
+        ``combine``) or True."""
         label = self.added
         self.added += 1
         w = self._reduce(vec, label if self.track else None)
         pivot = min(w) if w else _LABELS
         if pivot >= _LABELS:
-            return _combination(w, label) if self.track else True
+            return _combination(w, label) if self.track and combine else True
         content = math.gcd(*w.values())
         if w[pivot] < 0:
             content = -content

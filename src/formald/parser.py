@@ -6,18 +6,25 @@ accepted when there is a single variable), ``+ - * ^``, parentheses and
 ``exp(...)``.  Canonical printing of every value reparses to an equal
 value at the same precision.
 
-The text is tokenized by one regular-expression pass.  A term's leading
-run of factors that commute is read inline into one coefficient, one
-x-exponent and one z-exponent, and no value is built per factor: numbers
-``p``, ``p/q`` and ``p/q^k``, ``x_i^k`` and ``z_i^k``, each also after a
-unary ``+`` or ``-``, and parentheses whose value is a rational, such as
-``(-3/2)``.  From the first other factor on (``d_i``, ``exp(...)``, a
-parenthesis of any other value, ``--``), the term continues by recursive
-descent, factor by factor in the order written.  A sum adds such monomials
-and its Fraction, Series and Symbol summands into one dict, z-exponent to
-x-exponent to coefficient, that is wrapped once; from its first operator
-summand on, summands are added pairwise, as operator coefficients may be
-known to different precisions.
+The text is tokenized by one regular-expression pass, one match per
+token with the whitespace before it (``_TOKEN``); a token's position is
+the start of its group.  A term's leading run of factors that commute is
+read inline into one integer numerator and denominator, one x-exponent and
+one z-exponent, and no value is built per factor: numbers ``p``, ``p/q``
+and ``p/q^k``, ``x_i^k`` and ``z_i^k``, each also after a unary ``+`` or
+``-``, and the parenthesised literal ``([+-]p[/q])``, q nonzero, with an
+optional ``^k``, which is folded from its tokens as the number is.  Any
+other parenthesis whose value is a rational, such as ``((3))`` or
+``(1/2 + 1/3)``, is read by recursive descent and folded after.  From the
+first other factor on (``d_i``, ``exp(...)``, a parenthesis of any other
+value, ``--``), the term continues by recursive descent, factor by factor
+in the order written.  A term read inline makes one ``Fraction``.  A sum
+adds such monomials and its Fraction, Series and Symbol summands into one
+dict, z-exponent to x-exponent to coefficient, that is wrapped once; a
+key whose sum vanishes, or that only a zero summand reached, stays as a
+floor, as in a sum of values.  From its first operator summand on,
+summands are added pairwise, as operator coefficients may be known to
+different precisions.
 """
 
 from __future__ import annotations
@@ -30,20 +37,22 @@ from typing import NamedTuple
 
 from .errors import (BoundOverflow, InsufficientPrecision, ParseError,
                      UnsupportedExponent)
-from .linalg import vec_add_scaled
 from .modules import ModulePresentation
 from .series import Series, exp_series
 from .symbols import Symbol
 from .weyl import DiffOp, op_product
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+)
+# one match per token, the whitespace before it included, and a token's
+# position is the start of its group; trailing whitespace is read with the
+# end, so no match ever backtracks out of a run of whitespace
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>\d+)
   | (?P<name>[xdz]\d*)
   | (?P<exp>exp\b)
   | (?P<op>[-+*^/()])
+  | (?P<end>\Z)
   | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+)""", re.VERBOSE | re.DOTALL)
 
 
 def _digit_limit():
@@ -69,20 +78,22 @@ def _tokenize(text):
     its position, as Python would refuse to read it; a limit of 0 (or an
     interpreter with none) is no limit."""
     limit = _digit_limit()
+    # no literal is longer than the text
+    limit = limit if limit and len(text) > limit else 0
     tokens = []
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
+        token = (kind, match[kind], match.start(kind))
         if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+            raise ParseError(f"unexpected character {token[1]!r}", token[2])
         if limit and kind in ("num", "name"):
-            digits = len(match.group()) - (kind == "name")
+            digits = len(token[1]) - (kind == "name")
             if digits > limit:
                 raise ParseError(f"literal of {digits} digits exceeds the "
-                                 f"{limit}-digit limit", match.start())
-        if kind != "ws":
-            tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+                                 f"{limit}-digit limit", token[2])
+        tokens.append(token)
+        if kind == "end":
+            return tokens
 
 
 class _Monomial(NamedTuple):
@@ -103,18 +114,24 @@ def _folds(token):
 
 
 def _add_terms(chain, z, terms):
-    """chain[z] += terms on z-exponent -> x-exponent -> Fraction dicts: a
-    new exponent is stored, a repeated one summed by the one scaled
-    accumulate.  chain[z] is dropped when it vanishes, as a SeriesPoly
-    drops a coefficient that vanishes."""
-    into = chain.setdefault(z, {})
-    for e, c in terms.items():
-        if e in into:
-            vec_add_scaled(into, {e: c}, 1)
-        else:
-            into[e] = c
+    """chain[z] += terms, given as (x-exponent, Fraction) pairs, on
+    z-exponent -> x-exponent -> Fraction dicts: a new exponent is stored, a
+    repeated one summed, and dropped if the sum vanishes.  chain[z] is kept
+    when it is empty: it stands for a coefficient that vanishes to the parse
+    precision, which a SeriesPoly keeps as a floor.  An empty chain[z] is
+    moved last when terms are added to it, as a SeriesPoly sum puts a key
+    that was a floor after the coefficients it has."""
+    into = chain.get(z)
     if not into:
-        del chain[z]
+        chain.pop(z, None)
+        chain[z] = into = {}
+    for e, c in terms:
+        if e in into:
+            c += into[e]
+            if not c:
+                del into[e]
+                continue
+        into[e] = c
 
 
 class _Parser:
@@ -192,8 +209,13 @@ class _Parser:
                 negative = text == "-"
                 self.pos += 1
                 kind, text, at = tokens[self.pos]
-            if kind == "num":
-                p, q = self._rational()
+            if kind == "num" or text == "(" and (literal := self._literal()):
+                if kind == "num":
+                    p, q = self._rational()
+                else:
+                    # in lowest terms, as the descent's Fraction is powered
+                    g = math.gcd(*literal)
+                    p, q = literal[0] // g, literal[1] // g
                 k = self._exponent()
                 if k is not None:
                     _check_power(p, q, k)
@@ -298,6 +320,28 @@ class _Parser:
                 raise ParseError("zero denominator", at)
         return p, q
 
+    def _literal(self):
+        """The integers (p, q) of a parenthesised literal ``([+-]p[/q])``,
+        q nonzero, at the current token, which is consumed; else None, and
+        nothing is."""
+        tokens, at = self.tokens, self.pos + 1
+        sign = tokens[at][1]
+        if sign in ("+", "-"):
+            at += 1
+        kind, text, _ = tokens[at]
+        if kind != "num":
+            return None
+        p, q = int(text), 1
+        if tokens[at + 1][1] == "/":
+            kind, text, _ = tokens[at + 2]
+            if kind != "num" or not (q := int(text)):
+                return None
+            at += 2
+        if tokens[at + 1][1] != ")":
+            return None
+        self.pos = at + 2
+        return (-p if sign == "-" else p), q
+
     def _exponent(self):
         """The k of an optional ``^k``, else None."""
         if self.peek()[1] != "^":
@@ -350,31 +394,36 @@ class _Parser:
 
     def _join(self, chain, term):
         """Add a summand into the chain and return its rank: 0 for a
-        Fraction, 1 for a Series, 2 for a Symbol.  An operator is not
-        added, nor a symbol with a coefficient known below the parse
-        precision (such as ``(0*z1)^0``, one to precision 0), and None is
-        returned.  Every parsed Series is known to the parse precision."""
+        Fraction, 1 for a Series, 2 for a Symbol.  A symbol's floors are
+        added as the zero series they stand for.  An operator is not
+        added, nor a symbol with a coefficient or a floor known below the
+        parse precision, and None is returned.  Every parsed Series is
+        known to the parse precision."""
         p, zero = self.precision, self.zero
         if isinstance(term, Fraction):
             term = _Monomial(0, term, zero, zero)
         if isinstance(term, _Monomial):
-            if term.coeff and sum(term.xs) <= p:
-                _add_terms(chain, term.zs, {term.xs: term.coeff})
+            kept = term.coeff and sum(term.xs) <= p
+            _add_terms(chain, term.zs, ((term.xs, term.coeff),) if kept else ())
             return term.rank
         if isinstance(term, Series):
-            _add_terms(chain, zero, term.terms)
+            _add_terms(chain, zero, term.terms.items())
             return 1
-        if isinstance(term, Symbol) and all(
-                s.precision == p for s in term.coeffs.values()):
-            for z, series in term.coeffs.items():
-                _add_terms(chain, z, series.terms)
-            return 2
+        if isinstance(term, Symbol):
+            entries = term.entries()
+            if all(s.precision == p for s in entries.values()):
+                for z, series in entries.items():
+                    _add_terms(chain, z, series.terms.items())
+                return 2
         return None
 
     def _chain_value(self, chain, rank):
+        """The chain as a Fraction, a Series or a Symbol, whose empty
+        entries are floors at the parse precision."""
         n, p, zero = self.num_vars, self.precision, self.zero
         if rank == 0:
-            return chain[zero][zero] if chain else Fraction(0)
+            # a stored coefficient is nonzero
+            return chain.get(zero, {}).get(zero) or Fraction(0)
         if rank == 1:
             return Series._raw(n, p, chain.get(zero, {}))
         return Symbol(n, {z: Series._raw(n, p, terms) for z, terms in chain.items()})

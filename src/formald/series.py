@@ -15,30 +15,35 @@ Every truncated product of exponent dicts runs through one pair loop,
 :func:`packed_products`, on exponents packed into ints (Kronecker's
 substitution, base bound + 1, :class:`_Packing`): a pair's key is one int
 addition, and a key is unpacked once per output term.  :func:`product_by`
-reads a fixed factor once and returns a ``mul`` for any other;
-``SeriesPoly._product``, the one product of operators and symbols, packs
-each coefficient once per precision and sums each output key on packed
-ints.  Scaled sparse accumulation goes through
-:func:`formald.linalg.vec_add_scaled`.  Unit inversion, the exponential and
-Weierstrass division each solve x = rhs + factor*S(x), S a truncated
-product by fixed shifts that raises a linear grading, through one solver,
-:func:`_solve_graded`: it fixes x one grade layer at a time, and each layer
-passes once through the pair loop, straight into the pending terms.  On
-the ``series-calculus`` division inputs (n = 2, N = 16 and n = 3, N = 10,
-order 3) a solve multiplies 0.7 to 1.1 times the term pairs of the check
-product q*f and takes 1.0 to 1.5 times its time (2-core x86 container,
-CPython 3.11).
+reads a fixed factor once and returns a ``mul`` for any other, which adds
+each output term straight into the caller's dict; ``SeriesPoly._product``,
+the one product of operators and symbols, packs each coefficient once per
+precision and sums each output key on packed ints.  Unit inversion, the
+exponential and Weierstrass division each solve x = rhs + factor*S(x), S a
+truncated product by fixed shifts that raises a linear grading, through
+one solver, :func:`_solve_graded`: it fixes x one grade layer at a time,
+and each layer passes once through the pair loop, straight into the
+pending terms.  On the ``series-calculus`` division inputs (n = 2, N = 16
+and n = 3, N = 10, order 3) a solve multiplies 0.7 to 1.1 times the term
+pairs of the check product q*f; it takes 0.9 to 1.4 ms, and the rest of
+the division, mostly the check on integers, 0.8 to 1.7 ms (best of 30,
+seeds 1-3, 2-core x86 container, CPython 3.11).
 
 Coefficients are stored and returned as ``Fraction``, but no product runs
-on them.  ``Series.__mul__`` and ``SeriesPoly._product`` split each factor
-once into integer numerators over the lcm of its denominators
+on them, and a ``Fraction`` is made once per coefficient a caller keeps.
+``Series.__mul__`` and ``SeriesPoly._product`` split each factor once into
+integer numerators over the lcm of its denominators
 (:func:`formald.linalg.scale_to_integers`), run the pair loop on the
 integers and make one ``Fraction`` per output term; a one-term factor
 c*x^m only shifts the other's terms by m and scales them by c.
 ``_solve_graded`` keeps its pending terms of grade t as integers over
 C*q^t, q the denominator of the step's multiplier: each shift carries the
 powers of q its grade step needs, so no denominator is ever merged, and a
-``Fraction`` is made once per coefficient of the solution.
+``Fraction`` is made once per coefficient of the solution.  Weierstrass
+division checks den*(g - q*f) on integers and makes a ``Fraction`` only
+for a remainder term it reports; :func:`format_poly` prints a coefficient
+from its numerator and denominator, and the parser makes one ``Fraction``
+per term it reads (``formald.parser``).
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .errors import (
     NotRegular,
     UnsupportedExponent,
 )
-from .linalg import ColumnEchelon, scale_to_integers, vec_add_scaled
+from .linalg import ColumnEchelon, scale_to_integers
 
 
 def as_coeff(value):
@@ -168,10 +173,15 @@ def product_by(b, bound):
 
     def mul(out, a, factor=1):
         acc = packed_products({}, _packed_terms(a, powers, bound), shifts, factor)
-        product = {packing[key]: v for key, v in acc.items() if v}
-        if out:
-            return vec_add_scaled(out, product, 1)
-        out.update(product)
+        for key, v in acc.items():
+            if v:
+                e = packing[key]
+                if e in out:
+                    v += out[e]
+                    if not v:
+                        del out[e]
+                        continue
+                out[e] = v
         return out
 
     return mul
@@ -690,8 +700,9 @@ def format_poly(terms, names):
     """Canonical graded-lex rendering of an exponent->Fraction mapping.
 
     The output reparses under the expression grammar: ``1/2*x1^2 - x2``.
-    A coefficient past ``sys.get_int_max_str_digits()`` digits raises
-    BoundOverflow, as Python will not convert it.
+    A coefficient is printed from its numerator and denominator ints, and
+    one past ``sys.get_int_max_str_digits()`` digits raises BoundOverflow,
+    as Python will not convert it.
     """
     if not terms:
         return "0"
@@ -704,21 +715,24 @@ def format_poly(terms, names):
             elif e > 1:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
-        mag = abs(coeff)
-        if mono and mag == 1:
+        num, den = coeff.numerator, coeff.denominator
+        positive = num > 0
+        if not positive:
+            num = -num
+        if mono and num == den == 1:
             body = mono
         else:
             try:
-                text = str(mag)
+                text = f"{num}/{den}" if den != 1 else f"{num}"
             except ValueError:
                 raise BoundOverflow(
                     f"a coefficient has more than {sys.get_int_max_str_digits()} "
                     "digits to print") from None
             body = f"{text}*{mono}" if mono else text
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if positive else f"-{body}")
         else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"+ {body}" if positive else f"- {body}")
     return " ".join(parts)
 
 
@@ -884,7 +898,11 @@ def weierstrass_divide(g, f):
     in weight up to (d+1)*N.
 
     Returns (q, [r_0..r_{d-1}]) with the r_i in n-1 variables; outputs are
-    reported at the conservative precision N - d.
+    reported at the conservative precision N - d.  The remainder is formed
+    as den*(g - q*f) on integers, den the product of the lcms of g's, q's
+    and f's denominators, through :func:`product_by`; a term of x_n-degree
+    >= d is an ``AssertionError``, and a ``Fraction`` is made only for a
+    term of r_i of degree <= N - d.
     """
     if g.num_vars != f.num_vars:
         raise ValueError("mismatched variable counts")
@@ -904,21 +922,29 @@ def weierstrass_divide(g, f):
     # an f_high term (e_n >= d) is kept within total degree window, one
     # with an f_low term within window before T lowers it by d, so the
     # truncated system is the one above
-    lead = (0,) * (f.num_vars - 1) + (d,)
+    n = f.num_vars
+    lead = (0,) * (n - 1) + (d,)
     inv = 1 / f.terms[lead]
-    rest, den = scale_to_integers({e: c for e, c in f.terms.items() if e != lead})
+    f_ints, f_den = scale_to_integers(f.terms)
     shifts = [(sum(e) - d if e[-1] >= d else sum(e), e[:-1] + (e[-1] - d,), c)
-              for e, c in rest.items()]
+              for e, c in f_ints.items() if e != lead]
     rhs = {e[:-1] + (e[-1] - d,): c * inv for e, c in g.terms.items() if e[-1] >= d}
-    q = _solve_graded(rhs, shifts, -inv / den, window, weight=d + 1)
-    q = Series._raw(f.num_vars, window, q)
-    remainder = g - q * f
-    if any(e[-1] >= d for e in remainder.terms):
+    q = _solve_graded(rhs, shifts, -inv / f_den, window, weight=d + 1)
+    # the remainder check on integers: den*(g - q*f), den = g_den*q_den*f_den
+    g_ints, g_den = scale_to_integers(g.terms)
+    q_ints, q_den = scale_to_integers(q)
+    remainder = product_by(f_ints, window)(
+        {e: c * q_den * f_den for e, c in g_ints.items()}, q_ints, -g_den)
+    if any(e[-1] >= d for e in remainder):
         raise AssertionError("Weierstrass remainder has a term of x_n-degree >= d")
     out_prec = window - d
-    q_out = q.truncate(out_prec)
-    r_out = [xn_coefficient(remainder, i).truncate(out_prec) for i in range(d)]
-    return q_out, r_out
+    den = g_den * q_den * f_den
+    r_out = [{} for _ in range(d)]
+    for e, v in remainder.items():
+        if sum(e) - e[-1] <= out_prec:
+            r_out[e[-1]][e[:-1]] = Fraction(v, den)
+    return (Series._raw(n, out_prec, {e: c for e, c in q.items() if sum(e) <= out_prec}),
+            [Series._raw(n - 1, out_prec, r) for r in r_out])
 
 
 @dataclass(frozen=True)

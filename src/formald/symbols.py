@@ -52,15 +52,16 @@ class Symbol(SeriesPoly):
         return ((alpha, (0,) * len(alpha), 1),)
 
     def x_partial(self, axis):
+        # a floor at q is a zero known to q - 1 after the derivative
         return Symbol(self.num_vars,
-                      {z: s.partial(axis) for z, s in self.coeffs.items()})
+                      {z: s.partial(axis) for z, s in self.entries().items()})
 
     def zeta_partial(self, axis):
         # z -> z - e_j is injective, so no two terms meet
         j = axis - 1
         return Symbol(self.num_vars,
                       {z[:j] + (z[j] - 1,) + z[j + 1:]: s * z[j]
-                       for z, s in self.coeffs.items() if z[j]})
+                       for z, s in self.entries().items() if z[j]})
 
     def __str__(self):
         if not self.coeffs:

@@ -85,7 +85,7 @@ class DiffOp(SeriesPoly):
         order = self.order
         if order is None:
             raise ZeroOperator("the zero operator has no principal symbol")
-        top = {a: s for a, s in self.coeffs.items() if sum(a) == order}
+        top = {a: s for a, s in self.entries().items() if sum(a) == order}
         return Symbol(self.num_vars, top)
 
 

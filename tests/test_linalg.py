@@ -138,6 +138,22 @@ def test_dependent_column_combination_uses_insertion_positions(rows):
             assert m.apply(comb) == col
 
 
+def test_the_constructor_inserts_through_add_and_builds_no_combination(monkeypatch):
+    # a dependent column's combination is built only for a caller of add
+    import formald.linalg as linalg
+    combination, add = linalg._combination, ColumnEchelon.add
+    built, added = [], []
+    monkeypatch.setattr(linalg, "_combination",
+                        lambda w, label: built.append(label) or combination(w, label))
+    monkeypatch.setattr(ColumnEchelon, "add",
+                        lambda self, vec, **kw: added.append(vec) or add(self, vec, **kw))
+    columns = [{0: 1}, {0: 2}, {1: Fraction(1, 2)}, {0: 1, 1: 1}]
+    ech = ColumnEchelon(columns, track=True)
+    assert added == columns and ech.rank == 2 and not built
+    assert ech.add({0: 3, 1: 1}) == {0: 3, 2: 2} and built == [4]
+    assert ech.express({1: 1}) == {2: 2}
+
+
 @SETTINGS
 @given(int_matrices(), st.data())
 def test_express_fails_exactly_when_rank_rises(rows, data):

@@ -88,6 +88,15 @@ MALFORMED = [
     ("(2)*x1 % 3", 2, "unexpected character '%'", 7),
     ("(-)*x1", 2, "unexpected token ')'", 2),
     ("(+)*x1", 2, "unexpected token ')'", 2),
+    # near misses of the inline literal ([+-]p[/q]), read by the descent
+    ("(3/0)*x1", 2, "zero denominator", 3),
+    ("(-3/2*x1", 2, "expected ')', found ''", 8),
+    ("(- )", 2, "unexpected token ')'", 3),
+    ("(3/x1)*x1", 2, "denominator must be an integer", 3),
+    ("(3/2/5)*x1", 2, "expected ')', found '/'", 4),
+    # and errors after one
+    ("(-3/2)^2^2", 2, "trailing input '^'", 8),
+    ("(-3/2)^x1", 2, "exponent must be a nonnegative integer", 7),
 ]
 
 
@@ -98,6 +107,68 @@ def test_malformed_expressions_raise_parse_error(text, num_vars, message, positi
     with pytest.raises(ParseError, match=re.escape(message)) as error:
         parse(text, num_vars, 4)
     assert error.value.position == position
+
+
+@st.composite
+def literal_factors(draw):
+    """A parenthesised literal as the term reader folds it, ``(-p/q)^k``,
+    q = 0 included, or a near miss, and the same text in a second pair of
+    parentheses, which the recursive descent reads."""
+    sign = draw(st.sampled_from(["", "-", "+", " - "]))
+    p = draw(st.integers(0, 10 ** 12))
+    q = draw(st.sampled_from(["", "/1", "/0", "/6", f"/{draw(st.integers(1, 10 ** 9))}"]))
+    k = draw(st.sampled_from(["", "^0", "^1", "^3", "^x1"]))
+    return f"({sign}{p}{q}){k}", f"(({sign}{p}{q})){k}"
+
+
+@SETTINGS
+@given(literal_factors(), st.sampled_from(["*x1", " + x2", "*(2/3)", "*d1", ""]))
+def test_an_inline_literal_reads_as_the_descent(literal, rest):
+    # the value, or the error and its message; the descent's extra
+    # parentheses move a position inside them by one, and one after them
+    # by two
+    inline, nested = literal
+    inner_close = inline.index(")") + 1
+
+    def read(text):
+        try:
+            return repr(parse_operator(text, 2, 4))
+        except ParseError as error:
+            return error.args[0].rsplit(" (at position", 1)[0], error.position
+    value, reference = read(inline + rest), read(nested + rest)
+    if isinstance(reference, tuple):
+        at = reference[1]
+        assert value == (reference[0], at - (1 if at <= inner_close else 2))
+    else:
+        assert value == reference
+
+
+@pytest.mark.parametrize("text, value", [
+    ("((3))^2*x1", "9*x1"),
+    ("(6/4)^2*x1 + (-3/2)^3 + (+5/10)", "-23/8 + 9/4*x1"),
+    ("(-0)*x1 + (0/7)", "0"),
+    ("(  -  3 /  2 )*x2", "-3/2*x2"),
+])
+def test_parenthesised_literals(text, value):
+    assert str(parse_series(text, 2, 4)) == value
+
+
+# ±1, ±1/q, integers and p/q of many digits, as coefficients
+printed_coeffs = st.one_of(
+    st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 3)]),
+    st.integers(-10 ** 6, 10 ** 6).filter(bool),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40).filter(bool),
+              st.integers(1, 10 ** 30)))
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 6).flatmap(lambda p: st.tuples(st.just(p), st.dictionaries(
+        st.sampled_from(monomials_upto(n, p)), printed_coeffs, max_size=8))))))
+def test_printed_series_reparse_to_themselves(sample):
+    n, (p, terms) = sample
+    series = Series(n, p, terms)
+    assert parse_series(str(series), n, p) == series
 
 
 @pytest.mark.parametrize("text, literal, position", [
@@ -287,6 +358,8 @@ Z1, Z2 = Symbol.zeta(2, 1, 2), Symbol.zeta(2, 2, 2)
 @given(folded_sums())
 # a coefficient that cancels comes back after the next one
 @example(("z1 - z1 + z2 + z1", 2, 2, Z1 - Z1 + Z2 + Z1))
+# one that stays cancelled, kept as a floor
+@example(("z1 - z1 + x1", 2, 2, Z1 - Z1 + Series.variable(2, 1, 2)))
 def test_folded_terms_match_constructed_values(sample):
     text, n, p, expected = sample
     parsed = PARSERS[type(expected)](text, n, p)
@@ -299,6 +372,10 @@ def test_folded_terms_match_constructed_values(sample):
         assert list(parsed.coeffs) == list(expected.coeffs)
         assert all(list(s.terms) == list(expected.coeffs[key].terms)
                    for key, s in parsed.coeffs.items())
+        # a symbol keeps the precision of each coefficient that vanishes
+        # (an operator term's d literal still drops it: ROADMAP item 4b)
+        if isinstance(parsed, Symbol):
+            assert parsed.floors == expected.floors
 
 
 @pytest.mark.parametrize("head, tail", [
@@ -322,7 +399,7 @@ def test_a_literal_past_the_digit_limit_is_a_parse_error(head, tail):
 
 @pytest.mark.parametrize("text, base", [
     ("x1*7^{k}", 7), ("x1*1/7^{k}", Fraction(1, 7)), ("(-7)^{k}*x1", -7),
-    ("exp(x1)*(2/7)^{k}", Fraction(2, 7))])
+    ("exp(x1)*(2/7)^{k}", Fraction(2, 7)), ("(-14/2)^{k}*x1", -7)])
 def test_a_literal_power_is_bounded_by_the_digit_limit(text, base):
     # 7^5088 has 4300 digits and 7^5089 has 4301: the first is read, the
     # second is rejected before it is computed; limit 0 is none

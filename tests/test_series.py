@@ -859,6 +859,22 @@ def test_weierstrass_divide_matches_the_fraction_solve(case):
     assert weierstrass_divide(g, f) == _fraction_divide(g, f)
 
 
+def test_a_wrong_quotient_fails_the_remainder_check(monkeypatch):
+    # q + 1 leaves -f in the remainder, whose x2^2 term has x_n-degree d
+    import formald.series as series_module
+    solve = series_module._solve_graded
+
+    def planted(*args, **kwargs):
+        q = solve(*args, **kwargs)
+        return {**q, (0, 0): q.get((0, 0), 0) + 1}
+
+    g, f = x(1, 2, 6) ** 3 + x(2, 2, 6), x(2, 2, 6) ** 2 + x(1, 2, 6) * Fraction(1, 3)
+    assert weierstrass_divide(g, f) == _fraction_divide(g, f)
+    monkeypatch.setattr(series_module, "_solve_graded", planted)
+    with pytest.raises(AssertionError, match="x_n-degree >= d"):
+        weierstrass_divide(g, f)
+
+
 def test_factorial_denominators_match_the_fraction_code():
     # every coefficient c/(|e|+j)! is dense and exp-like, so each layer of a
     # solve brings a new denominator

@@ -169,6 +169,20 @@ def test_a_sum_keeps_the_precision_of_a_cancelled_key():
     assert one.floors == {(1,): 8}
 
 
+def test_partials_and_principal_symbols_keep_floors():
+    # z - z is zero known to 5 on z1: after d/dx1 it is zero known to 4,
+    # after d/dz1 zero known to 5 on the constant key
+    z = Symbol.zeta(2, 1, 5)
+    dx = (z - z).x_partial(1)
+    assert dx.floors == {(1, 0): 4} and dx.min_precision() == 4
+    dz = (z - z).zeta_partial(1)
+    assert dz.floors == {(0, 0): 5} and dz.min_precision() == 5
+    # d1 - d1 + d2: the top order keeps the floor on d1
+    d1, d2 = DiffOp.partial(2, 1, 5), DiffOp.partial(2, 2, 5)
+    top = (d1 - d1 + d2).principal_symbol()
+    assert top == Symbol.zeta(2, 2, 5) and top.floors == {(1, 0): 5}
+
+
 def test_product_keeps_precision_of_vanishing_summands():
     # in a(bc) the constant coefficient is 1 + d1(1), where d1(1) is zero
     # known only to precision 0; the true coefficient is 1 + x2 + x1*x2
