@@ -59,6 +59,21 @@ off).  A forward echelon stores each vector under its least row, so the
 pivots >= off span exactly the vectors of the span that vanish in rows
 < off: there are rank [B | M ker D] of them, and no kernel is formed.
 
+The pivot set of a forward echelon depends only on the span, so the
+echelon skips the columns that add nothing to it ("clearing"; Chen and
+Kerber, *Persistent homology computation with a twist*, 2011).  The
+pivot rows P of an echelon of a differential d^{i-1} are cells of C^i;
+the cells off P and im d^{i-1} span C^i, and d^i kills im d^{i-1}, so
+d^i has the same column span on the cells off P.  Degree i's echelon so
+takes B only at the cells of C^{i-1}_tgt off the pivots of d_tgt^{i-2},
+which are degree i-1's pivots right after its B, less that degree's off,
+and the stacked columns only at the cells of C^i_src off the pivots of
+d_src^{i-1}, which are degree i-1's pivots < off: for x = d y the stacked
+column is (0; M d y) = (0; d_tgt M y), in the span of B.  Both rest on
+two premises: d o d = 0, which :func:`complex_from_family` checks on
+every complex, and the comparison maps M forming a chain map,
+M d_src = d_tgt M.  :func:`cohomology_dims` clears in the same way.
+
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.
@@ -156,6 +171,7 @@ class ModuleFamily(_Ladder):
         self._block_packings = {}
         self._cells_cache = {}
         self._partial_cache = {}
+        self._free = None  # (top bound, rows, free count, monomials)
 
     def bound(self, t):
         return self.module.level_bound(self, t)
@@ -245,24 +261,14 @@ class ModuleFamily(_Ladder):
         order.  Each weight has a coordinate no other weight touches (the
         nullspace of a localization leaves one, and the coordinate weights
         are their own); that one is solved for, and the free coordinates run
-        over the monomials up to the bound."""
-        weights = [w for w, _ in self.lattice]
-        rows = []
-        for k, (w, degree) in enumerate(zip(weights, degrees)):
-            others = weights[:k] + weights[k + 1:]
-            p = next(j for j, c in enumerate(w)
-                     if c and not any(v[j] for v in others))
-            rows.append((w, p, degree))
-        solved = [p for _, p, _ in rows]
-        free = [j for j in range(self.num_vars) if j not in solved]
+        over the monomials up to the bound (:meth:`_free_monomials`)."""
+        rows, monomials = self._free_monomials(bound)
         labels = []
-        for m in monomials_upto(len(free), bound):
-            e = [0] * self.num_vars
-            for j, a in zip(free, m):
-                e[j] = a
-            room = bound - sum(m)
-            for w, p, degree in rows:
-                q, r = divmod(degree - sum(w[j] * e[j] for j in free), w[p])
+        for size, e0, dots in monomials:
+            e = list(e0)
+            room = bound - size
+            for (w, p), degree, dot in zip(rows, degrees, dots):
+                q, r = divmod(degree - dot, w[p])
                 if r or not 0 <= q <= room:
                     break
                 e[p] = q
@@ -271,6 +277,35 @@ class ModuleFamily(_Ladder):
                 labels.append((sum(e), tuple(e)))
         return [(comp, e) for _, e in sorted(labels)
                 for comp in range(self.rank)]
+
+    def _free_monomials(self, bound):
+        """(rows, monomials): each weight w with the coordinate p solved for
+        it, and the free coordinates' monomials m of degree <= bound, each
+        as (|m|, m as an exponent with 0 at every solved coordinate, w.m per
+        weight).  The monomials are listed once per ladder, in graded-lex
+        order up to the largest level bound, and a level takes a prefix."""
+        if self._free is None or bound > self._free[0]:
+            weights = [w for w, _ in self.lattice]
+            rows = []
+            for k, w in enumerate(weights):
+                others = weights[:k] + weights[k + 1:]
+                rows.append((w, next(j for j, c in enumerate(w)
+                                     if c and not any(v[j] for v in others))))
+            solved = {p for _, p in rows}
+            free = [j for j in range(self.num_vars) if j not in solved]
+            top = max(bound, *(self.bound(t) for t in range(self.num_vars + 1)))
+            monomials = []
+            for m in monomials_upto(len(free), top):
+                e = [0] * self.num_vars
+                for j, a in zip(free, m):
+                    e[j] = a
+                monomials.append((sum(m), tuple(e),
+                                  tuple(sum(w[j] * e[j] for j in free)
+                                        for w, _ in rows)))
+            self._free = top, rows, len(free), monomials
+        _, rows, num_free, monomials = self._free
+        count = math.comb(num_free + bound, bound) if bound >= 0 else 0
+        return rows, monomials[:count]
 
     def dim(self, t):
         return len(self.basis(t))
@@ -569,9 +604,23 @@ class CohomologyReport:
 
 
 def cohomology_dims(complex_):
-    """dims[i] = nullity(d^i) - rank(d^{i-1}), by exact rank computation."""
-    ranks = [m.rank() for m in complex_.differentials]
-    n = len(complex_.differentials)
+    """dims[i] = nullity(d^i) - rank(d^{i-1}), by exact rank computation.
+
+    d^i's echelon takes only the cells off the pivots of d^{i-1}'s
+    echelon.  Those pivot rows P are cells of C^i; the cells off P and the
+    image of d^{i-1} span C^i, and d^i kills that image (d o d = 0, checked
+    in :func:`complex_from_family`), so the skipped columns lie in the span
+    of the others and every rank is the full one.  The last differential's
+    pivots feed nothing, so it is read through ``Matrix.rank``."""
+    differentials = complex_.differentials
+    n = len(differentials)
+    ranks, skip = [], frozenset()
+    for i, d in enumerate(differentials):
+        if i + 1 < n:
+            skip = frozenset(d.pivots(skip))
+            ranks.append(len(skip))
+        else:
+            ranks.append(d.rank(skip))
     dims = []
     for i in range(n + 1):
         nullity = complex_.dims[i] - (ranks[i] if i < n else 0)
@@ -612,7 +661,11 @@ def stable_cohomology_dims(module, trunc, pole=None):
     Degree i is rank [B | M ker D] - rank B: the pivots >= off of one
     untracked echelon on B and the stacked source columns (D x; M x),
     less B's rank.  The module docstring says why those pivots count
-    rank [B | M ker D]."""
+    rank [B | M ker D].  The echelon skips B's columns on the pivots of
+    d_tgt^{i-2} and the source cells on the pivots of d_src^{i-1}, which
+    leaves its span and so every pivot unchanged: that rests on d o d = 0,
+    checked in :func:`complex_from_family`, and on M being a chain map,
+    M d_src = d_tgt M (the module docstring has the argument)."""
     fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole,
                                                         block=True)
     complex_src = complex_from_family(
@@ -621,23 +674,41 @@ def stable_cohomology_dims(module, trunc, pole=None):
         fam_tgt, (fam_tgt.trunc, fam_tgt.pole0), module.describe())
     top = len(fam_src.axes)
     dims = []
+    # cells of C^{i-1}_tgt at the pivots of d_tgt^{i-2}, and of C^i_src at
+    # the pivots of d_src^{i-1}
+    skip_tgt = skip_src = frozenset()
     for i in range(top + 1):
         off = complex_src.dims[i + 1] if i < top else 0
         boundaries = complex_tgt.differentials[i - 1].cols if i else ()
         ech = ColumnEchelon({row + off: c for row, c in col.items()}
-                            for col in boundaries)
+                            for j, col in enumerate(boundaries)
+                            if j not in skip_tgt)
         boundary_rank = ech.rank
-        target = _cell_positions(fam_tgt.cells(i))
-        level_cols = maps(i)
-        for pos, (key_pos, form) in enumerate(fam_src.cells(i)):
-            rows = target.get(form, {})
-            col = {off + rows[row]: c for row, c in level_cols[key_pos].items()}
-            if i < top:
-                col.update(complex_src.differentials[i].cols[pos])
-            ech.add(col)
-        dims.append(sum(row >= off for row in ech.pivots()) - boundary_rank)
+        skip_tgt = frozenset(row - off for row in ech.pivots())
+        images = _comparison_columns(fam_src, fam_tgt, maps, i, off)
+        for pos, col in enumerate(images):
+            if pos not in skip_src:
+                if i < top:
+                    col.update(complex_src.differentials[i].cols[pos])
+                ech.add(col)
+        pivots = ech.pivots()
+        skip_src = frozenset(row for row in pivots if row < off)
+        dims.append(len(pivots) - len(skip_src) - boundary_rank)
     return CohomologyReport(dims=tuple(dims), truncation=(trunc, pole),
                             deepened=deepened)
+
+
+def _comparison_columns(fam_src, fam_tgt, maps, i, off):
+    """The comparison map M_i on degree-i cells: each source cell's image
+    on the target's cells (its label's level map, on the same form), with
+    every row shifted by ``off``."""
+    target = _cell_positions(fam_tgt.cells(i))
+    level_cols = maps(i)
+    cols = []
+    for key_pos, form in fam_src.cells(i):
+        rows = target.get(form, {})
+        cols.append({off + rows[row]: c for row, c in level_cols[key_pos].items()})
+    return cols
 
 
 def stabilized_dims(module, schedule):

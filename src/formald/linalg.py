@@ -228,8 +228,15 @@ class Matrix:
     def is_zero(self):
         return all(not c for c in self.cols)
 
-    def rank(self):
-        return ColumnEchelon(self.cols).rank
+    def pivots(self, skip=frozenset()):
+        """Pivot rows, increasing, of one untracked echelon of the columns
+        whose indices are not in ``skip``."""
+        return ColumnEchelon(col for j, col in enumerate(self.cols)
+                             if j not in skip).pivots()
+
+    def rank(self, skip=frozenset()):
+        """Rank of the columns whose indices are not in ``skip``."""
+        return len(self.pivots(skip))
 
     def nullspace(self):
         """Deterministic basis of the kernel (vectors over column indices).

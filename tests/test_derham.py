@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from formald import derham, linalg
-from formald.derham import (KernelFamily, ModuleFamily, cohomology_dims,
-                            cokernel_of_dn, complex_from_family, kernel_of_dn,
+from formald.derham import (CokernelFamily, KernelFamily, ModuleFamily,
+                            cohomology_dims, cokernel_of_dn,
+                            complex_from_family, kernel_of_dn,
                             les_consistency, stable_cohomology_dims,
                             stabilized_dims)
 from formald.errors import NonIntegrable
@@ -448,13 +449,15 @@ STABLE_CASES = [
     # the stable dims run on the weight-0 block; the reference above builds
     # the full window: a rank-3 lattice, a negative weight, two weights one
     # of which has degree 0, a weight of a non-reduced support, a rank-1
-    # lattice of three branches, and the empty lattice
+    # lattice of three branches, and the empty lattice in two and three
+    # variables
     ("R_loc(x1*x2*x3)", 3, [(1, 0), (2, 1)]),
     ("R_loc(x2+x1*x2^2)", 2, [(n, k) for n in (0, 2, 4) for k in (0, 1, 2)]),
     ("R_loc(x1^2*x2+x3)", 3, [(1, 0), (1, 1), (2, 1)]),
     ("R_loc(x1*(1+x2))", 2, [(n, k) for n in (0, 2, 4) for k in (0, 1, 2)]),
     ("R_loc(x1*x2*(x1+x2))", 2, [(n, k) for n in (0, 2, 3) for k in (0, 1, 2)]),
     ("R_loc(x1^2+x2^2+x2^3)", 2, [(n, k) for n in (0, 2) for k in (0, 1)]),
+    ("R_loc(x1^2+x2^2+x3^2+x1^3)", 3, [(0, 0), (1, 0), (1, 1), (2, 1)]),
 ]
 
 
@@ -493,6 +496,119 @@ def test_stable_dims_run_no_nullspace_and_no_tracked_echelon(monkeypatch):
             for module, (_, _, trunc, pole) in zip(modules, cases)]
     assert dims == [(1, 0, 0, 0), (2, 0, 0), (1, 2, 1)]
     assert tracked and not any(tracked)
+
+
+# -- clearing: each echelon skips the cells on the last pivots -------------
+
+# (module, n, N, K): the five ladder-verb modules, and three at n = 1,
+# where the kernel and cokernel complexes have zero axes
+LES_CASES = [
+    ("R", 3, 8, None),
+    ("R_loc(x1*x2)", 2, 8, 4),
+    ("R_loc(x1*x2*x3)", 3, 3, 1),
+    ("R_loc(x1^2-x2^3)", 2, 8, 4),
+    ("R_loc(x1^2+x2^2+x3^2)", 3, 4, 2),
+    ("R", 1, 6, None),
+    ("R_loc(x1)", 1, 6, 3),
+    ("R_loc(x1^2+x1^3)", 1, 4, 2),
+]
+
+
+def les_complexes(text, n, trunc, pole):
+    """The module, kernel and cokernel complexes les_consistency assembles."""
+    base = ModuleFamily(parse_module(text, n, 30), trunc, pole)
+    return [complex_from_family(family, (trunc, pole), "")
+            for family in (base, KernelFamily(base), CokernelFamily(base))]
+
+
+def full_insertion_dims(complex_):
+    """nullity(d^i) - rank(d^{i-1}), every rank over all of its columns."""
+    ranks = [d.rank() for d in complex_.differentials] + [0]
+    return tuple(dim - ranks[i] - (ranks[i - 1] if i else 0)
+                 for i, dim in enumerate(complex_.dims))
+
+
+def dependent_adds(monkeypatch):
+    """A list that records, for every later ``ColumnEchelon.add``, whether
+    the column was dependent."""
+    dependent = []
+    add = ColumnEchelon.add
+
+    def recorded(self, vec, combine=True):
+        result = add(self, vec, combine)
+        dependent.append(result is not None)
+        return result
+
+    monkeypatch.setattr(ColumnEchelon, "add", recorded)
+    return dependent
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", LES_CASES)
+def test_cohomology_dims_match_full_insertion(text, n, trunc, pole):
+    for complex_ in les_complexes(text, n, trunc, pole):
+        assert cohomology_dims(complex_).dims == full_insertion_dims(complex_)
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", LES_CASES)
+def test_cohomology_dims_insert_no_column_on_the_last_pivots(text, n, trunc,
+                                                              pole, monkeypatch):
+    # d^i takes the dim C^i - rank d^{i-1} cells off d^{i-1}'s pivots, and
+    # rank d^i of them are independent: h^i are dependent, for i below the
+    # top degree, which has no differential
+    complexes = les_complexes(text, n, trunc, pole)
+    expected = [sum(full_insertion_dims(c)[:-1]) for c in complexes]
+    dependent = dependent_adds(monkeypatch)
+    for complex_, count in zip(complexes, expected):
+        dependent.clear()
+        cohomology_dims(complex_)
+        assert sum(dependent) == count
+
+
+def _comparison_complexes(module, trunc, pole, block=True):
+    """Source and target ladders, their complexes and their level maps."""
+    fam_src, fam_tgt, maps, _ = derham._comparison_pair(module, trunc, pole, block)
+    complexes = [complex_from_family(family, None, "")
+                 for family in (fam_src, fam_tgt)]
+    return fam_src, fam_tgt, maps, complexes
+
+
+@pytest.mark.parametrize("text, n, truncations", STABLE_CASES,
+                         ids=[f"{text} n={n}" for text, n, _ in STABLE_CASES])
+def test_stable_dims_insert_no_column_on_the_last_pivots(text, n, truncations,
+                                                          monkeypatch):
+    # degree i inserts the cells of C^{i-1}_tgt off the pivots of d_tgt^{i-2}
+    # and those of C^i_src off the pivots of d_src^{i-1}; its echelon ends
+    # with rank d_tgt^{i-1} + rank d_src^i + stable h^i pivots.  So
+    # h^{i-1}(target) + h^i(source) - stable h^i of the adds are dependent
+    module = parse_module(text, n, 30)
+    module.weight_lattice  # its nullspace inserts columns of its own
+    dependent = dependent_adds(monkeypatch)
+    for trunc, pole in truncations:
+        _, _, _, (src, tgt) = _comparison_complexes(module, trunc, pole)
+        h_src, h_tgt = full_insertion_dims(src), full_insertion_dims(tgt)
+        dependent.clear()
+        stable = stable_cohomology_dims(module, trunc, pole).dims
+        assert sum(dependent) == sum((h_tgt[i - 1] if i else 0) + h_src[i] - h
+                                     for i, h in enumerate(stable))
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["block", "window"])
+@pytest.mark.parametrize("text, n, truncations", STABLE_CASES,
+                         ids=[f"{text} n={n}" for text, n, _ in STABLE_CASES])
+def test_the_comparison_maps_form_a_chain_map(text, n, truncations, block):
+    # the stable dims skip the source cells on the pivots of d_src^{i-1},
+    # which is exact because M_{i+1} o d_src^i = d_tgt^i o M_i
+    module = parse_module(text, n, 30)
+    for trunc, pole in truncations:
+        fam_src, fam_tgt, maps, (src, tgt) = _comparison_complexes(
+            module, trunc, pole, block)
+        level_maps = [Matrix.from_cols(
+            derham._comparison_columns(fam_src, fam_tgt, maps, i, 0), tgt.dims[i])
+            for i in range(n + 1)]
+        assert not all(m.is_zero() for m in level_maps)
+        for i in range(n):
+            assert (level_maps[i + 1].compose(src.differentials[i]).cols
+                    == tgt.differentials[i].compose(level_maps[i]).cols)
 
 
 def _signed(lattice):

@@ -205,6 +205,17 @@ def test_pivots_and_rank_do_not_depend_on_the_column_order(columns, data):
 
 
 @SETTINGS
+@given(sparse_int_columns(), st.data())
+def test_matrix_pivots_and_rank_leave_out_the_skipped_columns(columns, data):
+    skip = frozenset(data.draw(st.sets(st.integers(0, max(len(columns) - 1, 0)))))
+    kept = [col for j, col in enumerate(columns) if j not in skip]
+    matrix = Matrix.from_cols(columns, 12)
+    assert matrix.pivots(skip) == ColumnEchelon(kept).pivots()
+    assert matrix.rank(skip) == ColumnEchelon(kept).rank
+    assert matrix.rank() == ColumnEchelon(columns).rank
+
+
+@SETTINGS
 @given(int_matrices(), st.data())
 def test_projection_is_off_the_pivots_and_differs_by_the_span(rows, data):
     v = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows),
