@@ -475,14 +475,14 @@ class _Parser:
 
     def _times_derivative(self, value, literal, at):
         """value * d^beta for a derivative literal d^beta: its coefficient 1
-        is exact and derivatives commute, so every key of value shifts by
-        beta and no coefficient is differentiated."""
+        is exact and derivatives commute, so every key of value, a floor
+        included, shifts by beta and no coefficient is differentiated."""
         if isinstance(value, Symbol):
             raise ParseError("cannot mix derivative and symbol generators", at)
         (beta,) = literal.coeffs
         value = self._promote(value, DiffOp)
         return DiffOp(self.num_vars, {tuple(a + b for a, b in zip(alpha, beta)): c
-                                      for alpha, c in value.coeffs.items()})
+                                      for alpha, c in value.entries().items()})
 
     def _promote(self, value, cls):
         if isinstance(value, cls):

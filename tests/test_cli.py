@@ -15,7 +15,8 @@ from conftest import cli_report, run_cli
 # and x1*x2*x3 (N=3, K=1), and derham on R_loc(exp(x)-1) (N=3, K=1); prep,
 # divide (n=3, precision 10), regularize, poisson, bracket-probe,
 # involutive and malgrange reports on the series-calculus inputs of
-# bench/workloads.py at seed 1; regularity e0-cover on R, R_loc(x1*x2) and
+# bench/workloads.py at seed 1, and involutive on the failing pair (x2, z2),
+# whose unit bracket is certified not a member; regularity e0-cover on R, R_loc(x1*x2) and
 # conn(1; [[0]]; [[-1]]), etau on the cusp and kernel-relation on that
 # connection; rational data, whose ladders localize at c*f or scale nabla
 # by its denominators: etau on R_loc(1/2*x1*x2) (the lift of an element of

@@ -372,10 +372,9 @@ def test_folded_terms_match_constructed_values(sample):
         assert list(parsed.coeffs) == list(expected.coeffs)
         assert all(list(s.terms) == list(expected.coeffs[key].terms)
                    for key, s in parsed.coeffs.items())
-        # a symbol keeps the precision of each coefficient that vanishes
-        # (an operator term's d literal still drops it: ROADMAP item 4b)
-        if isinstance(parsed, Symbol):
-            assert parsed.floors == expected.floors
+        # the precision of each coefficient that vanishes is kept, also
+        # under an operator term's d literal
+        assert parsed.floors == expected.floors
 
 
 @pytest.mark.parametrize("head, tail", [
@@ -461,3 +460,57 @@ def test_sum_chain_errors_keep_their_positions(text, message, position):
         with pytest.raises(ParseError, match=re.escape(message)) as error:
             parse(text, 2, 4)
         assert error.value.position == position
+
+
+def test_a_d_literal_keeps_the_floor_of_its_coefficient():
+    # x1^9 vanishes to precision 4, and so does its coefficient of d1
+    parsed = parse_operator("x1^9*d1", 2, 4)
+    assert (parsed.coeffs, parsed.floors) == ({}, {(1, 0): 4})
+    product = parse_operator("x1^9", 2, 4) * DiffOp.generator(2, 1, 4)
+    assert (product.coeffs, product.floors) == (parsed.coeffs, parsed.floors)
+
+
+@st.composite
+def operators_times_literals(draw):
+    """(text of A*d^beta, text of A, text of d^beta, num_vars, precision):
+    A a sum of terms c*x^e*d^gamma, x^e past the precision too, or a single
+    such term, and d^beta a run of d literals."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def monomial(letter, high):
+        return "*".join(f"{letter}{axis}^{draw(st.integers(0, high))}"
+                        for axis in draw(st.lists(st.integers(1, n), max_size=2)))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = [f"({draw(rationals)})", monomial("x", 6),
+                   monomial("d", 2) if draw(st.booleans()) else ""]
+        terms.append("*".join(f for f in factors if f))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(terms),
+                          max_size=len(terms)))
+    a = " ".join(f"{sign} {term}" for sign, term in zip(signs, terms))
+    literal = monomial("d", 3) or "d1"
+    whole = f"{terms[0]}*{literal}" if len(terms) == 1 else f"({a})*{literal}"
+    return whole, terms[0] if len(terms) == 1 else a, literal, n, p
+
+
+@SETTINGS
+@given(operators_times_literals())
+@example(("x1^9*d1", "x1^9", "d1", 2, 4))
+@example(("(x1 - x1)*d1^2", "x1 - x1", "d1^2", 1, 3))
+@example(("(0)*d1*d1", "(0)*d1", "d1", 1, 1))
+def test_a_d_literal_shifts_every_key_of_its_operand(sample):
+    # A*d^beta moves each key of A, a floor included, by beta, with its
+    # precision: the literal's coefficient 1 is exact
+    whole, a, literal, n, p = sample
+    parsed, left = parse_operator(whole, n, p), parse_operator(a, n, p)
+    (beta,) = parse_operator(literal, n, p).coeffs
+    shift = lambda entries: {tuple(map(sum, zip(alpha, beta))): v
+                             for alpha, v in entries.items()}
+    assert parsed.coeffs == shift(left.coeffs)
+    assert parsed.floors == shift(left.floors)
+    if set(left.entries()) <= {(0,) * n}:
+        # with no d in A the DiffOp product moves nothing either: A*d^beta
+        # reads as the product of its parsed parts, floors included
+        product = left * parse_operator(literal, n, p)
+        assert (parsed.coeffs, parsed.floors) == (product.coeffs, product.floors)

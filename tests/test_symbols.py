@@ -5,6 +5,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
+from formald import symbols
+from formald.linalg import ColumnEchelon
+from formald.parser import parse_symbol
 from formald.series import Series, monomials_upto
 from formald.symbols import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Symbol,
                              bracket_chain_probe, involutivity_check,
@@ -12,6 +15,7 @@ from formald.symbols import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Symbol,
 from formald.weyl import DiffOp, commutator
 
 from conftest import random_series, random_xn_regular, coeffs_agree
+from test_cli import GOLDEN
 from test_weyl import _raised, random_op
 
 
@@ -210,6 +214,156 @@ def test_membership_witness_reproduces_target():
         for mult, gen in zip(verdict.multipliers, [g1, g2]):
             recon = recon + mult * gen
         assert coeffs_agree(recon, target, precision=3)
+
+
+def _reference_membership(target, gens, x_bound, zeta_bound):
+    """The system on tuple keys and Fraction columns, solved by a tracked
+    express: the formulation membership_truncated replaced, kept as its
+    oracle.  (status, multipliers); NotMember and the early verdicts have
+    no multipliers."""
+    n = target.num_vars
+    live = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
+    precs = [g.min_precision() for _, g in live] + [target.min_precision()]
+    x_used = min([x_bound] + precs)
+    if x_used < 0 or (target.is_zero() and not live):
+        return (INCONCLUSIVE if not target.is_zero() else MEMBER), None
+    columns, labels, row_of = [], [], {}
+    for i, g in live:
+        zmax = zeta_bound - g.zeta_order()
+        for zu in monomials_upto(n, zmax):
+            for mu in monomials_upto(n, x_used):
+                col = {}
+                for zg, s in g.coeffs.items():
+                    zrow = tuple(a + b for a, b in zip(zu, zg))
+                    if sum(zrow) > zeta_bound:
+                        continue
+                    for eg, c in s.terms.items():
+                        erow = tuple(a + b for a, b in zip(mu, eg))
+                        if sum(erow) <= x_used:
+                            col[row_of.setdefault((erow, zrow), len(row_of))] = c
+                if col:
+                    columns.append(col)
+                    labels.append((i, mu, zu))
+    rhs = {}
+    for z, s in target.coeffs.items():
+        if sum(z) <= zeta_bound:
+            for e, c in s.terms.items():
+                if sum(e) <= x_used:
+                    rhs[row_of.setdefault((e, z), len(row_of))] = c
+    combo = ColumnEchelon(columns, track=True).express(rhs)
+    if combo is None:
+        return NOT_MEMBER, None
+    terms = [{} for _ in gens]
+    for j, value in sorted(combo.items()):
+        i, mu, zu = labels[j]
+        terms[i].setdefault(zu, {})[mu] = value
+    return MEMBER, [Symbol(n, {zu: Series(n, x_used, t) for zu, t in by_zeta.items()})
+                    for by_zeta in terms]
+
+
+def _truncated_terms(symbol, x_bound, zeta_bound):
+    """{(e, z): c} over x-degree <= x_bound and z-degree <= zeta_bound."""
+    return {(e, z): c for z, s in symbol.coeffs.items() if sum(z) <= zeta_bound
+            for e, c in s.terms.items() if sum(e) <= x_bound}
+
+
+def _membership_draws():
+    """240 seeded (target, gens, x_bound, zeta_bound): members g1*a + g2*b,
+    units, arbitrary symbols (mostly non-members), the zero target, a zero
+    generator, and coefficients whose precisions clamp the x-bound."""
+    rng = random.Random(29)
+    for k in range(240):
+        n = rng.choice([1, 2, 2])
+        prec = rng.randint(2, 5)
+        x_bound, zeta_bound = rng.randint(0, 4), rng.randint(0, 2)
+        gens = [random_symbol(rng, n, prec, max_zeta=1)
+                for _ in range(rng.randint(1, 3))]
+        if k % 7 == 0:
+            gens.insert(rng.randrange(len(gens) + 1), Symbol.zero(n))
+        kind = k % 4
+        if kind in (0, 1):
+            target = Symbol.zero(n)
+            for g in gens:
+                target = target + g * random_symbol(rng, n, prec, max_zeta=1)
+        elif kind == 2:
+            target = Symbol.from_series(random_series(rng, n, prec, degree=1, unit=True))
+        else:
+            target = random_symbol(rng, n, rng.randint(2, prec), max_zeta=2)
+        yield target, gens, x_bound, zeta_bound
+
+
+def test_membership_matches_the_tracked_fraction_system():
+    # the span decision and the witness read on demand give the status and,
+    # term for term, the multipliers of the tracked system on Fraction
+    # columns; each multiplier set gives back the target in the truncation
+    statuses = []
+    for target, gens, x_bound, zeta_bound in _membership_draws():
+        verdict = membership_truncated(target, gens, x_bound, zeta_bound)
+        status, expected = _reference_membership(target, gens, x_bound, zeta_bound)
+        statuses.append(status)
+        assert verdict.status == status
+        got = verdict.multipliers
+        if expected is None:
+            assert got is None
+            continue
+        assert [list(m.coeffs.items()) for m in got] == \
+            [list(m.coeffs.items()) for m in expected]
+        assert all(list(s.terms.items()) == list(e.coeffs[z].terms.items())
+                   for m, e in zip(got, expected) for z, s in m.coeffs.items())
+        recon = Symbol.zero(target.num_vars)
+        for mult, gen in zip(got, gens):
+            recon = recon + mult * gen
+        used = verdict.x_bound_used
+        assert _truncated_terms(recon, used, zeta_bound) == \
+            _truncated_terms(target, used, zeta_bound)
+    # every status is reached, each many times
+    assert min(statuses.count(s) for s in (MEMBER, NOT_MEMBER)) >= 40
+
+
+class _CountedEchelon(ColumnEchelon):
+    """A ColumnEchelon that counts the echelons built, tracked and not."""
+
+    built = {True: 0, False: 0}
+
+    def __init__(self, columns=(), track=False):
+        _CountedEchelon.built[track] += 1
+        super().__init__(columns, track)
+
+
+def _lagrangian_generators():
+    case = next(c for c in GOLDEN
+                if c["argv"][0] == "involutive" and "status: pass" in c["stdout"])
+    n, trunc = int(case["argv"][-3]), int(case["argv"][-1])
+    return [parse_symbol(text, n, trunc) for text in case["argv"][1:-4]], trunc
+
+
+def test_involutivity_builds_no_tracked_echelon(monkeypatch):
+    monkeypatch.setattr(symbols, "ColumnEchelon", _CountedEchelon)
+    monkeypatch.setattr(_CountedEchelon, "built", {True: 0, False: 0})
+    gens, trunc = _lagrangian_generators()
+    assert involutivity_check(gens, trunc, 3).status == "pass"
+    assert _CountedEchelon.built == {True: 0, False: 1}
+    n, prec = 2, 6
+    failing = [Symbol.from_series(Series.variable(n, 2, prec)), Symbol.zeta(n, 2, prec)]
+    assert involutivity_check(failing, 4, 2).status == "fail"
+    assert _CountedEchelon.built == {True: 0, False: 2}
+
+
+def test_the_witness_is_solved_once_on_first_read(monkeypatch):
+    monkeypatch.setattr(symbols, "ColumnEchelon", _CountedEchelon)
+    monkeypatch.setattr(_CountedEchelon, "built", {True: 0, False: 0})
+    gens, trunc = _lagrangian_generators()
+    verdict = membership_truncated(poisson_bracket(gens[1], gens[0]), gens, trunc, 3)
+    assert verdict.status == MEMBER
+    assert _CountedEchelon.built == {True: 0, False: 1}
+    first = verdict.multipliers
+    assert _CountedEchelon.built == {True: 1, False: 1}
+    assert verdict.multipliers is first
+    assert _CountedEchelon.built == {True: 1, False: 1}
+    recon = first[0] * gens[0] + first[1] * gens[1]
+    target = poisson_bracket(gens[1], gens[0])
+    assert _truncated_terms(recon, verdict.x_bound_used, 3) == \
+        _truncated_terms(target, verdict.x_bound_used, 3)
 
 
 def test_involutivity_pass_for_commuting_generators():
