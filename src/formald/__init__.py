@@ -13,10 +13,10 @@ from .errors import (BoundOverflow, InsufficientPrecision, NonIntegrable,
                      NotAUnit, NotFoundWithinBudget, NotRegular, ParseError,
                      PoleBudgetExceeded, PreconditionViolated, ToolkitError,
                      UnsupportedExponent, WrongVariant, ZeroOperator)
-from .series import (LinearSubstitution, Series, WeierstrassForm,
+from .series import (Divisor, LinearSubstitution, Series, WeierstrassForm,
                      apply_linear_substitution, exp_series,
                      find_regularizing_substitution, invert_unit,
-                     is_xn_regular, try_divide, weierstrass_divide,
+                     is_xn_regular, weierstrass_divide,
                      weierstrass_prepare, xn_coefficient)
 from .weyl import DiffOp, commutator, op_product
 from .symbols import (MembershipVerdict, Symbol, bracket_chain_probe,

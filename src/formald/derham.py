@@ -76,7 +76,25 @@ M d_src = d_tgt M.  :func:`cohomology_dims` clears in the same way.
 
 The kernel and cokernel of the last derivative acting on the ladder are
 again ladders with one variable less, so the same complex builder serves
-the long-exact-sequence checks.
+the long-exact-sequence checks.  Each level's d_n is eliminated once:
+one tracked echelon of its columns (:meth:`ModuleFamily.dn_elimination`),
+whose nullspace is the kernel ladder's basis and whose pivots and
+projections give the cokernel ladder's.
+
+The stable cokernel (:func:`cokernel_of_dn`) counts the comparison
+columns into target level t+1 that stay independent of d_n(target level
+t) and of the comparison columns before them.  With a weight lattice it
+builds only the d_n columns of the multidegrees some comparison column
+has, which is exact: (i) the windows are spans of monomial cells, so
+target level t+1 is the direct sum of its multidegree parts; (ii) d_n is
+multidegree-homogeneous, shifting the multidegree of x^e/f^k by -W_n,
+and so is the comparison (multiplication by a power of c*f, or a
+connection's prefix projection), which keeps it.  A homogeneous vector
+in the span of homogeneous ones lies in the span of those of its own
+multidegree, so whether a comparison column is independent depends only
+on the columns of its multidegree, and every dim and representative is
+the one the whole target gives.  An m-adic ladder (truncating f) must
+recheck this homogeneity, as it must recheck (iii).
 
 Every ladder column is an ``int`` column, for any presentation: a
 localization's ladder localizes at c*f, c the lcm of the denominators of
@@ -171,6 +189,7 @@ class ModuleFamily(_Ladder):
         self._block_packings = {}
         self._cells_cache = {}
         self._partial_cache = {}
+        self._dn_cache = {}
         self._free = None  # (top bound, rows, free count, monomials)
 
     def bound(self, t):
@@ -343,12 +362,26 @@ class ModuleFamily(_Ladder):
             labels = self.basis(t)
             wanted = (sorted({k for k, dx in self.cells(t) if axis not in dx})
                       if self.lattice else range(len(labels)))
-            images = self.shift_columns(t + 1, [labels[k] for k in wanted],
-                                        self.module.ladder_form(axis, self.pole(t)),
-                                        axis)
+            images = self.derivative_columns(axis, t, [labels[k] for k in wanted])
             cols = dict(zip(wanted, images))
             self._partial_cache[axis, t] = [cols.get(k) for k in range(len(labels))]
         return self._partial_cache[axis, t]
+
+    def derivative_columns(self, axis, t, labels):
+        """Level-(t+1) coordinates of d_axis of the given level-t labels,
+        built afresh: :meth:`partial_columns` is its cached whole level."""
+        return self.shift_columns(t + 1, labels,
+                                  self.module.ladder_form(axis, self.pole(t)), axis)
+
+    def dn_elimination(self, t):
+        """(echelon, nullspace) of d_n on level t: the one tracked echelon
+        of its columns (:meth:`formald.linalg.Matrix.eliminate`), built once
+        per level and shared by the kernel ladder, which reads the
+        nullspace, and the cokernel ladder, which reads the pivots and
+        projects against it."""
+        if t not in self._dn_cache:
+            self._dn_cache[t] = self.partial_matrix(self.num_vars, t).eliminate()
+        return self._dn_cache[t]
 
     def shift_columns(self, t, labels, form, axis=None):
         """Level-t coordinates of each label (c, x^e) under a form (F, T):
@@ -419,25 +452,23 @@ class ModuleFamily(_Ladder):
 class KernelFamily(_Ladder):
     """ker(d_n) on a ladder, with the surviving d_1..d_{n-1} actions.
 
-    Level t's basis is ``Matrix.nullspace``'s: each vector is 1 at its
-    largest key, its lead, which no other vector holds.  So a kernel
-    element's coordinate on a vector is its entry at the lead, read off
-    with no elimination; what the combination leaves must be empty.  The
-    actions apply the base matrices, which hold ints, to each level's
-    integer forms, so their images are integer-valued."""
+    Level t's basis is ``Matrix.nullspace``'s, read off the base ladder's
+    one d_n elimination (:meth:`ModuleFamily.dn_elimination`): each vector
+    is 1 at its largest key, its lead, which no other vector holds.  So a
+    kernel element's coordinate on a vector is its entry at the lead, read
+    off with no elimination; what the combination leaves must be empty.
+    The actions apply the base matrices, which hold ints, to each level's
+    integer forms, so their images are integer-valued, and a coordinate is
+    an int when the source level's vectors are."""
 
     def __init__(self, base):
         self.base = base
         self.num_vars = base.num_vars - 1
         self.axes = list(range(1, base.num_vars))
-        self._vectors_cache = {}
         self._integral_cache = {}
 
     def vectors(self, t):
-        if t not in self._vectors_cache:
-            matrix = self.base.partial_matrix(self.base.num_vars, t)
-            self._vectors_cache[t] = matrix.nullspace()
-        return self._vectors_cache[t]
+        return self.base.dn_elimination(t)[1]
 
     def _integral(self, t):
         """(integer vectors, den): the level-t basis vectors times den, the
@@ -464,9 +495,9 @@ class KernelFamily(_Ladder):
         """Level-t coordinates of the matrix's image of each level-``source``
         basis vector, checked to lie in the kernel.  The images are of the
         integer forms, so each read coordinate is divided by their one
-        denominator.  The check subtracts in integers, den * vec and scale *
-        image: in Fractions it would cost more than the elimination it
-        replaces."""
+        denominator, and is the image's int when that is 1.  The check
+        subtracts in integers, den * vec and scale * image: in Fractions it
+        would cost more than the elimination it replaces."""
         lead_of = {max(vec): i for i, vec in enumerate(self.vectors(t))}
         scaled, den = self._integral(t)
         sources, source_den = self._integral(source)
@@ -479,7 +510,7 @@ class KernelFamily(_Ladder):
                     vec_add_scaled(residual, scaled[lead_of[row]], -v)
             if residual:
                 raise AssertionError(f"{action} left the kernel ladder")
-            cols.append({lead_of[row]: Fraction(c, source_den)
+            cols.append({lead_of[row]: c if source_den == 1 else Fraction(c, source_den)
                          for row, c in image.items() if row in lead_of})
         return cols
 
@@ -494,26 +525,28 @@ class KernelFamily(_Ladder):
 
 
 class CokernelFamily(_Ladder):
-    """coker(d_n) on a ladder: level t is base level t+1 modulo the image."""
+    """coker(d_n) on a ladder: level t is base level t+1 modulo the image.
+
+    The image is the base ladder's one d_n elimination of level t
+    (:meth:`ModuleFamily.dn_elimination`): level t's representatives are
+    the base labels off its pivots, and a derivative's column is its
+    residual against level t+1's, an int column when the reduction needs
+    no scale."""
 
     def __init__(self, base):
         self.base = base
         self.num_vars = base.num_vars - 1
         self.axes = list(range(1, base.num_vars))
-        self._ech_cache = {}
         self._reps_cache = {}
 
     def _image(self, t):
-        if t not in self._ech_cache:
-            ech = ColumnEchelon(self.base.partial_columns(self.base.num_vars, t))
-            self._ech_cache[t] = ech
-            pivots = set(ech.pivots())
-            self._reps_cache[t] = [i for i in range(self.base.dim(t + 1))
-                                   if i not in pivots]
-        return self._ech_cache[t]
+        return self.base.dn_elimination(t)[0]
 
     def representatives(self, t):
-        self._image(t)
+        if t not in self._reps_cache:
+            pivots = set(self._image(t).pivots())
+            self._reps_cache[t] = [i for i in range(self.base.dim(t + 1))
+                                   if i not in pivots]
         return self._reps_cache[t]
 
     def basis(self, t):
@@ -685,9 +718,9 @@ def stable_cohomology_dims(module, trunc, pole=None):
                             if j not in skip_tgt)
         boundary_rank = ech.rank
         skip_tgt = frozenset(row - off for row in ech.pivots())
-        images = _comparison_columns(fam_src, fam_tgt, maps, i, off)
+        images = _comparison_columns(fam_src, fam_tgt, maps, i, off, skip_src)
         for pos, col in enumerate(images):
-            if pos not in skip_src:
+            if col is not None:
                 if i < top:
                     col.update(complex_src.differentials[i].cols[pos])
                 ech.add(col)
@@ -698,14 +731,18 @@ def stable_cohomology_dims(module, trunc, pole=None):
                             deepened=deepened)
 
 
-def _comparison_columns(fam_src, fam_tgt, maps, i, off):
+def _comparison_columns(fam_src, fam_tgt, maps, i, off, skip=frozenset()):
     """The comparison map M_i on degree-i cells: each source cell's image
     on the target's cells (its label's level map, on the same form), with
-    every row shifted by ``off``."""
+    every row shifted by ``off``; a cell whose position is in ``skip`` is
+    not built and reads None."""
     target = _cell_positions(fam_tgt.cells(i))
     level_cols = maps(i)
     cols = []
-    for key_pos, form in fam_src.cells(i):
+    for pos, (key_pos, form) in enumerate(fam_src.cells(i)):
+        if pos in skip:
+            cols.append(None)
+            continue
         rows = target.get(form, {})
         cols.append({off + rows[row]: c for row, c in level_cols[key_pos].items()})
     return cols
@@ -756,19 +793,53 @@ def cokernel_of_dn(module, trunc, pole=None):
     needs one pole more than the window holds (x2^j/x1^{K+1} for the
     localization at x1); the reported dimensions count the image of the
     raw quotient inside the deepened one, and the representative labels
-    are the basis elements that stay independent there."""
+    are the basis elements that stay independent there.
+
+    With a weight lattice the target's d_n columns are built only where a
+    comparison column can meet them: a level-t label's column has the
+    label's multidegree less W_n, and it is built only if some source
+    label of level t+1 with a nonzero comparison column has that
+    multidegree (the module docstring says why that is exact)."""
     fam_src, fam_tgt, maps, _ = _comparison_pair(module, trunc, pole)
     axis = module.num_vars
+    if module.weight_lattice:
+        strides, per_pole = _multidegree_packing(module.weight_lattice,
+                                                 (fam_src, fam_tgt))
     dims = []
     texts = None
     for t in range(axis):
-        ech = ColumnEchelon(fam_tgt.partial_columns(axis, t))
-        reps = [label for col, label in zip(maps(t + 1), fam_src.basis(t + 1))
+        comparison = maps(t + 1)
+        labels = fam_tgt.basis(t)
+        if module.weight_lattice:
+            pole_src = fam_src.pole(t + 1) or 0
+            reached = {sum(map(mul, e, strides)) - pole_src * per_pole
+                       for col, (_, e) in zip(comparison, fam_src.basis(t + 1)) if col}
+            # d_n x^e/f^k has the multidegree of x^(e - 1_n)/f^k
+            offset = strides[-1] + (fam_tgt.pole(t) or 0) * per_pole
+            labels = [(c, e) for c, e in labels
+                      if sum(map(mul, e, strides)) - offset in reached]
+        ech = ColumnEchelon(fam_tgt.derivative_columns(axis, t, labels))
+        reps = [label for col, label in zip(comparison, fam_src.basis(t + 1))
                 if ech.add(col) is None]
         dims.append(len(reps))
         if t == 0:
             texts = tuple(fam_src.label_text(1, label) for label in reps)
     return DnSubquotient(None, tuple(dims), texts or ())
+
+
+def _multidegree_packing(lattice, families):
+    """(strides, per_pole): the multidegree W.e - k*D of a label x^e over
+    f^k of levels 0..n of the families, or of x^(e - 1_n) over it, is the
+    one int sum e_j*strides_j - k*per_pole.  The weights are read in a base
+    above twice any |coordinate| those can reach, so equal ints are equal
+    multidegrees."""
+    n = families[0].num_vars
+    top = max(0, *(fam.bound(t) for fam in families for t in range(n + 1))) + 1
+    poles = max(fam.pole(n) or 0 for fam in families)
+    base = 2 * max(abs(c) for w, d in lattice for c in (*w, d)) * (top + poles) + 1
+    powers = [base ** i for i in range(len(lattice))]
+    strides = [sum(w[j] * p for (w, _), p in zip(lattice, powers)) for j in range(n)]
+    return strides, sum(d * p for (_, d), p in zip(lattice, powers))
 
 
 # -- long-exact-sequence consistency ---------------------------------------

@@ -17,10 +17,15 @@ Each pivot step of a reduction is one pass over the stored vector, which
 adds it in and queues the stored pivots it brings, and a column with no
 ``Fraction`` entry enters unscaled.  ``Fraction``s are made only in what
 ``add``, ``express`` and ``project`` return, and so in
-``Matrix.nullspace``.  ``scale_to_integers`` is the one Fraction ->
-integer scaler and ``vec_add_scaled`` the one scaled accumulate of sparse
-vectors outside the echelon; truncated products of exponent dicts go
-through :func:`formald.series.packed_products`.
+``Matrix.nullspace``; ``project`` returns ints when its reduction's scale
+is 1, an int column reduced against pivots whose leads divide the
+entries they clear, as the d_n echelons of the ring and of monomial
+localizations do for the cokernel ladder.  ``Matrix.eliminate`` is the
+one nullspace loop: it returns the tracked echelon with the basis, for a
+caller that also projects against the span.  ``scale_to_integers`` is
+the one Fraction -> integer scaler and ``vec_add_scaled`` the one scaled
+accumulate of sparse vectors outside the echelon; truncated products of
+exponent dicts go through :func:`formald.series.packed_products`.
 """
 
 from __future__ import annotations
@@ -185,9 +190,12 @@ class ColumnEchelon:
         return not w or min(w) >= _LABELS
 
     def project(self, vec):
-        """Residual of vec after reduction; it has no entry on a pivot row."""
+        """Residual of vec after reduction; it has no entry on a pivot row.
+        Its entries are ints when the reduction's scale is 1."""
         w = self._reduce(vec, self.added)
         scale = w[_LABELS + self.added]
+        if scale == 1:
+            return {k: v for k, v in w.items() if k < _LABELS}
         return {k: Fraction(v, scale) for k, v in w.items() if k < _LABELS}
 
 
@@ -244,10 +252,17 @@ class Matrix:
         Each vector is 1 at its largest key, a column dependent on the
         columns before it, and no other returned vector has that key: the
         other keys are labels of independent columns."""
+        return self.eliminate()[1]
+
+    def eliminate(self):
+        """(echelon, nullspace): one tracked echelon of the columns, in
+        order, and the kernel basis :meth:`nullspace` returns, read off its
+        dependences.  A caller that also projects against the columns'
+        span or reads their pivots keeps the echelon."""
         ech = ColumnEchelon(track=True)
         basis = []
         for j, col in enumerate(self.cols):
             comb = ech.add(col)
             if comb is not None:  # its labels are all below j
                 basis.append({j: Fraction(1), **{k: -v for k, v in comb.items()}})
-        return basis
+        return ech, basis

@@ -33,7 +33,7 @@ from functools import cached_property
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      WrongVariant)
 from .linalg import Matrix, scale_to_integers
-from .series import Series, monomials_upto, product_by, try_divide
+from .series import Divisor, Series, monomials_upto, product_by
 
 
 def _ring_form(n):
@@ -154,7 +154,12 @@ class Localization(ModulePresentation):
         if k == 0:
             return LocElement(g.partial(axis), 0)
         numerator = g.partial(axis) * self.f - g * self.f.partial(axis) * k
-        return loc_normalize(LocElement(numerator, k + 1), self.f)
+        return loc_normalize(LocElement(numerator, k + 1), self.divisor)
+
+    @cached_property
+    def divisor(self):
+        """f prepared once for the divisions ``partial`` normalizes by."""
+        return Divisor(self.f)
 
     def scale(self, element, series):
         return LocElement(series * element.numerator, element.pole_order)
@@ -436,13 +441,15 @@ def check_integrability(module):
 
 
 def loc_normalize(element, f):
-    """Strip every f-factor of the numerator detectable at precision."""
+    """Strip every f-factor of the numerator detectable at precision; f is
+    a series or its prepared :class:`formald.series.Divisor`."""
+    divisor = f if isinstance(f, Divisor) else Divisor(f)
     numerator, pole = element.numerator, element.pole_order
     while pole > 0:
         if numerator.is_zero():
             pole = 0
             break
-        quotient = try_divide(numerator, f)
+        quotient = divisor.divide(numerator)
         if quotient is None:
             break
         numerator, pole = quotient, pole - 1

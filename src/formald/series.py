@@ -52,6 +52,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add, ge, itemgetter
 from operator import mul as times
@@ -1115,33 +1116,57 @@ def find_regularizing_substitution(f):
         f"no regularizing substitution with shear bound {_SHEAR_BOUND}")
 
 
-def try_divide(g, f):
-    """Exact quotient q with g = q*f detectable at truncation, else None.
+class Divisor:
+    """f prepared for repeated exact division (:meth:`divide`).
 
-    Units divide directly; otherwise f is made regular in the last variable
-    by a deterministic substitution and Weierstrass division decides
-    divisibility (zero remainder at the output precision).
-    """
-    if f.is_zero():
-        raise ValueError("division by a series that is zero to precision")
-    if f.num_vars != g.num_vars:
-        raise ValueError("mismatched variable counts")
-    if f.is_unit():
-        prec = min(f.precision, g.precision)
-        return invert_unit(f.truncate(prec)) * g.truncate(prec)
-    if is_xn_regular(f):
-        sub = None
-        gg, ff = g, f
-    else:
+    A non-unit f is made regular in the last variable once, on the first
+    division that needs it: the deterministic substitution L
+    (:func:`find_regularizing_substitution`), f(L x) and L's inverse are
+    kept, so a caller dividing many series by one f searches once.  An f
+    that no substitution within the search budget makes regular divides
+    nothing."""
+
+    def __init__(self, f):
+        self.f = f
+
+    @cached_property
+    def _regular(self):
+        """(L, f(L x), L^-1), L None for an x_n-regular f; None if the
+        search finds no L."""
+        f = self.f
+        if is_xn_regular(f):
+            return None, f, None
         try:
             sub, _ = find_regularizing_substitution(f)
         except NotFoundWithinBudget:
             return None
-        gg = apply_linear_substitution(g, sub)
-        ff = apply_linear_substitution(f, sub)
-    q, r = weierstrass_divide(gg, ff)
-    if any(not ri.is_zero() for ri in r):
-        return None
-    if sub is not None:
-        q = apply_linear_substitution(q, sub.inverse())
-    return q
+        return sub, apply_linear_substitution(f, sub), sub.inverse()
+
+    def divide(self, g):
+        """Exact quotient q with g = q*f detectable at truncation, else
+        None: a unit divides directly; otherwise Weierstrass division of
+        g(L x) by f(L x) decides divisibility (zero remainder at the output
+        precision), and the quotient is taken back through L^-1."""
+        f = self.f
+        if f.is_zero():
+            raise ValueError("division by a series that is zero to precision")
+        if f.num_vars != g.num_vars:
+            raise ValueError("mismatched variable counts")
+        if f.is_unit():
+            prec = min(f.precision, g.precision)
+            return invert_unit(f.truncate(prec)) * g.truncate(prec)
+        if self._regular is None:
+            return None
+        sub, ff, inverse = self._regular
+        if sub is not None:
+            g = apply_linear_substitution(g, sub)
+        q, r = weierstrass_divide(g, ff)
+        if any(not ri.is_zero() for ri in r):
+            return None
+        return q if sub is None else apply_linear_substitution(q, inverse)
+
+
+def try_divide(g, f):
+    """Exact quotient q with g = q*f detectable at truncation, else None
+    (:meth:`Divisor.divide`, f prepared for this one call)."""
+    return Divisor(f).divide(g)

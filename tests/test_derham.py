@@ -152,6 +152,67 @@ def test_cokernel_of_dn():
     assert cokernel_of_dn(M3, 6, 4).dims[0] == 0
 
 
+def reference_cokernel(module, trunc, pole):
+    """cokernel_of_dn's dims and level-0 texts with every d_n column of the
+    deepened target inserted before the comparison columns."""
+    fam_src, fam_tgt, maps, _ = derham._comparison_pair(module, trunc, pole)
+    n = module.num_vars
+    dims, texts = [], ()
+    for t in range(n):
+        ech = ColumnEchelon(fam_tgt.partial_columns(n, t))
+        reps = [label for col, label in zip(maps(t + 1), fam_src.basis(t + 1))
+                if ech.add(col) is None]
+        dims.append(len(reps))
+        if t == 0:
+            texts = tuple(fam_src.label_text(1, label) for label in reps)
+    return tuple(dims), texts
+
+
+@st.composite
+def cokernel_modules(draw):
+    """(module text, n, N, K) at small truncations: R, monomials, the cusp,
+    A1, x1^a+x2^b, x1*(1+x2) (its weight (1, 0) is not positive), and two
+    non-zero connections, whose lattice is empty."""
+    kind = draw(st.sampled_from(["R", "monomial", "sum", "fixed", "conn"]))
+    if kind == "R":
+        n = draw(st.integers(1, 3))
+        text = "R"
+    elif kind == "monomial":
+        n = draw(st.integers(1, 3))
+        exps = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        text = "R_loc(" + "*".join(f"x{i}^{a}" for i, a in
+                                   enumerate(exps, start=1)) + ")"
+    elif kind == "sum":
+        n, (a, b) = 2, draw(st.tuples(st.integers(2, 4), st.integers(2, 4)))
+        text = f"R_loc(x1^{a}+x2^{b})"
+    elif kind == "fixed":
+        text, n = draw(st.sampled_from([("R_loc(x1^2-x2^3)", 2),
+                                        ("R_loc(x1^2+x2^2+x3^2)", 3),
+                                        ("R_loc(x1*(1+x2))", 2)]))
+    else:
+        text, n = draw(st.sampled_from([("conn(1; [[1/2*x2]]; [[1/2*x1]])", 2),
+                                        ("conn(1; [[0]]; [[-1]])", 2)]))
+    trunc = draw(st.integers(1, 5 if n < 3 else 3))
+    pole = draw(st.integers(0, 3 if n < 3 else 1)) if "loc" in text else None
+    return text, n, trunc, pole
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cokernel_modules())
+@example(("R", 3, 3, None))
+@example(("R_loc(x1*x2*x3)", 3, 2, 1))
+@example(("R_loc(x1*(1+x2))", 2, 4, 2))
+@example(("conn(1; [[1/2*x2]]; [[1/2*x1]])", 2, 4, None))
+def test_cokernel_cut_to_reached_multidegrees_changes_no_answer(case):
+    # with a weight lattice only the target d_n columns whose multidegree a
+    # comparison column reaches are built; every dim and text is the one
+    # the whole target gives
+    text, n, trunc, pole = case
+    module = parse_module(text, n, 30)
+    data = cokernel_of_dn(module, trunc, pole)
+    assert (data.dims, data.basis_texts) == reference_cokernel(module, trunc, pole)
+
+
 def test_subquotient_family_agrees_with_its_dims():
     # the cokernel dims are counted stably, across a deepening, so no single
     # ladder has them and no family is returned; the kernel ladder has them
@@ -237,19 +298,48 @@ def test_an_image_outside_the_kernel_is_caught(action, message, monkeypatch):
         getattr(family, action)(1, 0)
 
 
-def test_the_kernel_ladder_builds_one_tracked_echelon_per_level(monkeypatch):
-    tracked = []
-    init = linalg.ColumnEchelon.__init__
+def _recorded_echelons(monkeypatch):
+    """echelon -> [track, added columns] for every ColumnEchelon built."""
+    echelons = {}
+    init, add = linalg.ColumnEchelon.__init__, linalg.ColumnEchelon.add
 
-    def recorded(self, columns=(), track=False):
-        tracked.append(track)
+    def recorded_init(self, columns=(), track=False):
+        echelons[self] = [track, []]
         init(self, columns, track)
 
-    monkeypatch.setattr(linalg.ColumnEchelon, "__init__", recorded)
+    def recorded_add(self, vec, combine=True):
+        echelons[self][1].append(vec)
+        return add(self, vec, combine)
+
+    monkeypatch.setattr(linalg.ColumnEchelon, "__init__", recorded_init)
+    monkeypatch.setattr(linalg.ColumnEchelon, "add", recorded_add)
+    return echelons
+
+
+def test_the_kernel_ladder_builds_one_tracked_echelon_per_level(monkeypatch):
+    echelons = _recorded_echelons(monkeypatch)
     data = kernel_of_dn(parse_module("R_loc(x1*x2)", 2, 30), 6, 3)
     data.family.partial_columns(1, 0)
     # one nullspace per level, and no second echelon over its vectors
-    assert sum(tracked) == len(data.dims) == 2
+    assert sum(track for track, _ in echelons.values()) == len(data.dims) == 2
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", [("R", 3, 5, None),
+                                                  ("R_loc(x1*x2)", 2, 6, 3),
+                                                  ("R_loc(x1^2-x2^3)", 2, 4, 2)])
+def test_les_builds_one_tracked_dn_echelon_per_level(text, n, trunc, pole,
+                                                      monkeypatch):
+    # the kernel ladder reads the nullspace of each level's d_n and the
+    # cokernel ladder its pivots and projections: one tracked elimination
+    # of d_n per base level serves both, and no untracked one is built
+    module = parse_module(text, n, 30)
+    columns = ModuleFamily(module, trunc, pole)
+    dn = {t: columns.partial_columns(n, t) for t in range(n)}
+    echelons = _recorded_echelons(monkeypatch)
+    assert les_consistency(module, trunc, pole).consistent
+    per_level = {t: [track for track, added in echelons.values() if added == cols]
+                 for t, cols in dn.items()}
+    assert per_level == {t: [True] for t in range(n)}
 
 
 @pytest.mark.parametrize("compute", [stable_cohomology_dims, cokernel_of_dn,
@@ -519,6 +609,17 @@ def les_complexes(text, n, trunc, pole):
     base = ModuleFamily(parse_module(text, n, 30), trunc, pole)
     return [complex_from_family(family, (trunc, pole), "")
             for family in (base, KernelFamily(base), CokernelFamily(base))]
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", LES_CASES[:3])
+def test_monomial_kernel_and_cokernel_complexes_hold_ints(text, n, trunc, pole):
+    # on R and monomial f every nullspace vector has denominator 1 and no
+    # projection needs a scale, so both complexes and their d o d and
+    # ranks run on ints
+    _, kernel, cokernel = les_complexes(text, n, trunc, pole)
+    assert {type(v) for complex_ in (kernel, cokernel)
+            for d in complex_.differentials for col in d.cols
+            for v in col.values()} == {int}
 
 
 def full_insertion_dims(complex_):

@@ -8,7 +8,7 @@ through the library functions with tuple elements.
 
 import pytest
 
-from formald import regularity as reg
+from formald import regularity as reg, series
 from formald.derham import ModuleFamily
 from formald.errors import PoleBudgetExceeded, PreconditionViolated
 from formald.modules import LocElement
@@ -274,3 +274,24 @@ def test_localization_pole_budget(loc):
     # a wider window also widens the budget of the actions
     wide = reg.power_search(loc, inverse, _s("x2"), 2, 4, 4, 6)
     assert (wide.found_s, wide.recurrence.order, wide.recurrence.pole) == (1, 1, 6)
+
+
+def test_the_localization_regularizes_f_once(loc, monkeypatch):
+    # x1*x2 is not x2-regular: every normalization of an iterate divides by
+    # f through the one substitution the presentation found for it
+    searches, divisions = [], []
+    search, divide = series.find_regularizing_substitution, series.Divisor.divide
+
+    def counted_search(f):
+        searches.append(f)
+        return search(f)
+
+    def counted_divide(self, g):
+        divisions.append(g)
+        return divide(self, g)
+
+    monkeypatch.setattr(series, "find_regularizing_substitution", counted_search)
+    monkeypatch.setattr(series.Divisor, "divide", counted_divide)
+    report = reg.iterate_recurrence(loc, LocElement(_s("1"), 1), _s("x1*x2"), 4, 4, 3)
+    assert report.found() and report.order == 1
+    assert len(searches) == 1 and len(divisions) > 1
