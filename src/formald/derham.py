@@ -79,7 +79,7 @@ again ladders with one variable less, so the same complex builder serves
 the long-exact-sequence checks.  Each level's d_n is eliminated once:
 one tracked echelon of its columns (:meth:`ModuleFamily.dn_elimination`),
 whose nullspace is the kernel ladder's basis and whose pivots and
-projections give the cokernel ladder's.
+residuals give the cokernel ladder's.
 
 The stable cokernel (:func:`cokernel_of_dn`) counts the comparison
 columns into target level t+1 that stay independent of d_n(target level
@@ -107,6 +107,15 @@ those of f and A.  The texts ``(x^e)/f^k`` read f as c*f.  So the
 differentials, the d o d compose and the comparison maps run on ints, and
 :class:`formald.linalg.ColumnEchelon` stores them as primitive integer
 vectors unscaled: an exact rank costs no ``Fraction`` arithmetic.
+
+The cokernel ladder's columns are ints too, though a projection against
+d_n's image may need a scale.  Each level-t column is the integer
+residual times L_t over its scale, L_t the lcm of the scales of every
+axis's level-t residuals, so the degree-t differential of the cokernel
+complex is L_t times the true one.  Then d'^(t+1) o d'^t is
+L_(t+1)*L_t*(d^(t+1) o d^t), zero exactly when d o d is, and no rank
+changes: :func:`complex_from_family` runs the whole d o d check and
+:func:`cohomology_dims` every rank on ints.
 """
 
 from __future__ import annotations
@@ -530,14 +539,19 @@ class CokernelFamily(_Ladder):
     The image is the base ladder's one d_n elimination of level t
     (:meth:`ModuleFamily.dn_elimination`): level t's representatives are
     the base labels off its pivots, and a derivative's column is its
-    residual against level t+1's, an int column when the reduction needs
-    no scale."""
+    residual against level t+1's
+    (:meth:`formald.linalg.ColumnEchelon.residual`).  Each level's columns
+    are built for every axis at once and scaled to one denominator, L_t
+    the lcm of their scales: the columns hold ints, and each is L_t times
+    the true one (the module docstring says why the complex keeps its
+    d o d check and its ranks)."""
 
     def __init__(self, base):
         self.base = base
         self.num_vars = base.num_vars - 1
         self.axes = list(range(1, base.num_vars))
         self._reps_cache = {}
+        self._cols_cache = {}
 
     def _image(self, t):
         return self.base.dn_elimination(t)[0]
@@ -555,15 +569,27 @@ class CokernelFamily(_Ladder):
     def dim(self, t):
         return len(self.representatives(t))
 
+    def _columns(self, t):
+        """axis -> level-t columns: each representative's d_axis residual
+        against level t+1's image, times L_t // its scale, for L_t the lcm
+        of the level's scales over every axis."""
+        if t not in self._cols_cache:
+            ech_target = self._image(t + 1)
+            reps_target = {pos: i for i, pos in enumerate(self.representatives(t + 1))}
+            reps = self.representatives(t)
+            residuals = {}
+            for axis in self.axes:
+                base_cols = self.base.partial_columns(axis, t + 1)
+                residuals[axis] = [ech_target.residual(base_cols[pos]) for pos in reps]
+            common = math.lcm(*(s for level in residuals.values() for _, s in level))
+            self._cols_cache[t] = {
+                axis: [{reps_target[p]: c * (common // s) for p, c in ints.items()}
+                       for ints, s in level]
+                for axis, level in residuals.items()}
+        return self._cols_cache[t]
+
     def partial_columns(self, axis, t):
-        ech_target = self._image(t + 1)
-        reps_target = {pos: i for i, pos in enumerate(self.representatives(t + 1))}
-        base_cols = self.base.partial_columns(axis, t + 1)
-        cols = []
-        for pos in self.representatives(t):
-            residual = ech_target.project(base_cols[pos])
-            cols.append({reps_target[p]: c for p, c in residual.items()})
-        return cols
+        return self._columns(t)[axis]
 
 
 # -- complexes -------------------------------------------------------------

@@ -19,13 +19,15 @@ adds it in and queues the stored pivots it brings, and a column with no
 ``add``, ``express`` and ``project`` return, and so in
 ``Matrix.nullspace``; ``project`` returns ints when its reduction's scale
 is 1, an int column reduced against pivots whose leads divide the
-entries they clear, as the d_n echelons of the ring and of monomial
-localizations do for the cokernel ladder.  ``Matrix.eliminate`` is the
-one nullspace loop: it returns the tracked echelon with the basis, for a
-caller that also projects against the span.  ``scale_to_integers`` is
-the one Fraction -> integer scaler and ``vec_add_scaled`` the one scaled
-accumulate of sparse vectors outside the echelon; truncated products of
-exponent dicts go through :func:`formald.series.packed_products`.
+entries they clear.  ``residual`` makes none: it returns the integer
+residual and its scale in lowest terms, and the cokernel ladder scales
+each level's residuals to one denominator with it.  ``Matrix.eliminate``
+is the one nullspace loop: it returns the tracked echelon with the
+basis, for a caller that also projects against the span.
+``scale_to_integers`` is the one Fraction -> integer scaler and
+``vec_add_scaled`` the one scaled accumulate of sparse vectors outside
+the echelon; truncated products of exponent dicts go through
+:func:`formald.series.packed_products`.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class ColumnEchelon:
     residual's.  ``add`` stores what is left, divided by its content,
     under its least row; if only labels are left they are a dependence,
     which ``add`` returns as the combination of the columns before
-    (``True`` untracked) and does not store.  ``express`` and ``project``
+    (``True`` untracked) and does not store.  ``express`` and ``residual``
     give their vector the next unused label, whose final entry is the
-    scale to divide by; ``contains`` and ``project`` ignore label rows.
+    scale to divide by; ``contains`` and ``residual`` ignore label rows.
     Residuals, pivot rows and combinations over the independent columns
     do not depend on how the stored vectors are scaled, so every answer
     is the one a ``Fraction`` elimination gives.
@@ -189,14 +191,26 @@ class ColumnEchelon:
         w = self._reduce(vec)
         return not w or min(w) >= _LABELS
 
-    def project(self, vec):
-        """Residual of vec after reduction; it has no entry on a pivot row.
-        Its entries are ints when the reduction's scale is 1."""
+    def residual(self, vec):
+        """(ints, scale): vec's residual after reduction, which has no entry
+        on a pivot row, as an integer vector over a positive int, in lowest
+        terms: scale is the lcm of the residual's denominators, 1 for an
+        empty one."""
         w = self._reduce(vec, self.added)
-        scale = w[_LABELS + self.added]
+        scale = w.pop(_LABELS + self.added)
+        ints = {k: v for k, v in w.items() if k < _LABELS}
+        g = math.gcd(scale, *ints.values())
+        if g != 1:
+            ints = {k: v // g for k, v in ints.items()}
+        return ints, scale // g
+
+    def project(self, vec):
+        """Residual of vec after reduction, ints/scale for ``residual``'s
+        pair: its entries are ints when the scale is 1."""
+        ints, scale = self.residual(vec)
         if scale == 1:
-            return {k: v for k, v in w.items() if k < _LABELS}
-        return {k: Fraction(v, scale) for k, v in w.items() if k < _LABELS}
+            return ints
+        return {k: Fraction(v, scale) for k, v in ints.items()}
 
 
 def _combination(w, label):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
-                     WrongVariant)
+                     PreconditionViolated, WrongVariant)
 from .linalg import Matrix, scale_to_integers
 from .series import Divisor, Series, monomials_upto, product_by
 
@@ -100,7 +100,9 @@ class Localization(ModulePresentation):
 
     def __init__(self, f):
         if f.is_zero():
-            raise ValueError("cannot localize at a series that is zero to precision")
+            # an exact zero and a series known to no nonzero term read alike
+            raise PreconditionViolated(
+                "cannot localize at a series that is zero to precision")
         self.num_vars = f.num_vars
         self.f = f
         # the ladder localizes at c*f, c the lcm of f's denominators

@@ -23,7 +23,9 @@ from conftest import cli_report, run_cli
 # pole 1), kernel on R_loc(1/2*x1^2-1/3*x2^3) (N=6, K=2), and derham and
 # kernel (N=5) on conn(1; [[1/2*x2]]; [[1/2*x1]]); les and cokernel on
 # R_loc(x1*x2*x3*x4) (N=2, K=1), whose ladder keys pack four exponents;
-# every line is pinned byte for byte
+# les on the cusp (N=8, K=4), A1 (4,2), R_loc(1/2*x1^2-1/3*x2^3) (6,2)
+# and A1 in four variables (3,1), whose cokernel projections against d_n's
+# image need scales other than 1; every line is pinned byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
@@ -216,6 +218,17 @@ def test_variable_at_precision_zero_is_a_typed_error(argv, capsys):
     assert (report["status"], report["error"], report["message"]) == (
         "error", "InsufficientPrecision",
         "variable 'x1' at position 0 needs precision >= 1")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["derham", "cokernel"])
+def test_localizing_at_zero_to_precision_is_a_typed_error(verb, capsys):
+    # 0-x1+x1 cancels to no known term; this was a bare ValueError
+    code, report = cli_report([verb, "--module", "R_loc(0-x1+x1)", "--vars", "1"])
+    assert code == 1
+    assert (report["status"], report["error"], report["message"]) == (
+        "error", "PreconditionViolated",
+        "cannot localize at a series that is zero to precision")
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -622,6 +622,48 @@ def test_monomial_kernel_and_cokernel_complexes_hold_ints(text, n, trunc, pole):
             for v in col.values()} == {int}
 
 
+# the LES_CASES and a rational cusp, whose ladder localizes at 6*f: on the
+# cusps and A1 the projections against d_n's image need scales other than 1
+COKERNEL_CASES = LES_CASES + [("R_loc(1/2*x1^2-1/3*x2^3)", 2, 6, 2)]
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", COKERNEL_CASES)
+def test_every_cokernel_complex_holds_ints(text, n, trunc, pole):
+    # each level's columns share one scale, so the d o d check and the
+    # ranks of the cokernel complex run on ints
+    _, _, cokernel = les_complexes(text, n, trunc, pole)
+    assert {type(v) for d in cokernel.differentials for col in d.cols
+            for v in col.values()} <= {int}
+
+
+@pytest.mark.parametrize("text, n, trunc, pole", COKERNEL_CASES)
+def test_cokernel_columns_are_one_int_per_level_times_the_projections(text, n,
+                                                                      trunc, pole):
+    # against a fresh echelon of d_n's columns: the residual off its pivots
+    # depends only on the span, so this is the true cokernel column
+    base = ModuleFamily(parse_module(text, n, 30), trunc, pole)
+    family = CokernelFamily(base)
+
+    def representatives(t):
+        pivots = set(ColumnEchelon(base.partial_columns(n, t)).pivots())
+        return [i for i in range(base.dim(t + 1)) if i not in pivots]
+
+    for t in range(n - 1):
+        image = ColumnEchelon(base.partial_columns(n, t + 1))
+        target = {pos: i for i, pos in enumerate(representatives(t + 1))}
+        reference = {axis: [{target[p]: c for p, c in
+                             image.project(base.partial_columns(axis, t + 1)[pos]).items()}
+                            for pos in representatives(t)]
+                     for axis in range(1, n)}
+        # L_t: the least int that clears every denominator of the level
+        scale = math.lcm(*(c.denominator for cols in reference.values()
+                           for col in cols for c in col.values()))
+        for axis, cols in reference.items():
+            columns = family.partial_columns(axis, t)
+            assert columns == [{p: scale * c for p, c in col.items()} for col in cols]
+            assert all(type(c) is int for col in columns for c in col.values())
+
+
 def full_insertion_dims(complex_):
     """nullity(d^i) - rank(d^{i-1}), every rank over all of its columns."""
     ranks = [d.rank() for d in complex_.differentials] + [0]

@@ -488,6 +488,42 @@ def test_label_rows_do_not_leak_into_answers(sample, data):
     assert (ech.rank, ech.pivots()) == (rank, pivots)
 
 
+@SETTINGS
+@given(rational_columns(), st.data())
+def test_a_residual_has_a_positive_int_scale(sample, data):
+    columns, probe = sample
+    ech = ColumnEchelon(columns, track=data.draw(st.booleans()))
+    ints, scale = ech.residual(probe)
+    assert type(scale) is int and scale > 0
+    assert all(type(c) is int for c in ints.values())
+    assert not set(ints) & set(ech.pivots()) and max(ints, default=0) < _LABELS
+
+
+@SETTINGS
+@given(rational_columns(), st.data())
+def test_projection_is_the_residual_over_its_scale(sample, data):
+    columns, probe = sample
+    ech = ColumnEchelon(columns, track=data.draw(st.booleans()))
+    ints, scale = ech.residual(probe)
+    assert ech.project(probe) == {k: Fraction(c, scale) for k, c in ints.items()}
+    # lowest terms: the scale is the lcm of the projection's denominators
+    assert math.gcd(scale, *ints.values()) == 1
+
+
+@SETTINGS
+@given(rational_columns())
+def test_tracking_changes_no_residual(sample):
+    # the label rows change how the stored vectors are scaled, and so the
+    # reduction's multipliers, but not the residual over its scale; in
+    # lowest terms that is one pair
+    columns, probe = sample
+    tracked, untracked = ColumnEchelon(track=True), ColumnEchelon()
+    for col in columns:
+        tracked.add(col)
+        untracked.add(col)
+        assert tracked.residual(probe) == untracked.residual(probe)
+
+
 @st.composite
 def scaled_int_columns(draw):
     """(integer columns, one nonzero rational scale per column); a third of
