@@ -27,7 +27,7 @@ from .modules import (LocElement, ModulePresentation, check_integrability,
 from .derham import (CohomologyReport, TruncatedComplex, cohomology_dims,
                      cokernel_of_dn, kernel_of_dn, les_consistency,
                      stable_cohomology_dims, stabilized_dims)
-from .malgrange import (IndicialData, finite_dims, indicial_data, solve,
+from .malgrange import (IndicialData, finite_dims, indicial_data,
                         truncated_cokernel_rank)
 from .regularity import (cover_check, iterate_recurrence,
                          kernel_relation_homogeneity, power_search,

@@ -168,7 +168,7 @@ def _run_involutive(args, report):
     if outcome.witness_pair is not None:
         report.add("witness-pair", f"{outcome.witness_pair[0]},{outcome.witness_pair[1]}")
         report.add("witness-bracket", str(outcome.witness_bracket))
-    return 0 if outcome.status == "pass" else (2 if outcome.status == "fail" else 0)
+    return 0 if outcome.status == "pass" else 2
 
 
 def _run_malgrange(args, report):
@@ -204,9 +204,11 @@ def _run_derham(args, report):
             report.add(f"h{i}", f"{dim} {flag}")
     else:
         outcome = stable_cohomology_dims(module, args.trunc, args.pole_bound)
+        trunc, pole = outcome.truncation
         report.add("status", "ok")
-        report.add("trunc", args.trunc)
-        report.add("pole-bound", args.pole_bound)
+        report.add("trunc", trunc)
+        if pole is not None:
+            report.add("pole-bound", pole)
         for i, dim in enumerate(outcome.dims):
             report.add(f"h{i}", str(dim))
     return 0

@@ -753,7 +753,8 @@ def stable_cohomology_dims(module, trunc, pole=None):
         pivots = ech.pivots()
         skip_src = frozenset(row for row in pivots if row < off)
         dims.append(len(pivots) - len(skip_src) - boundary_rank)
-    return CohomologyReport(dims=tuple(dims), truncation=(trunc, pole),
+    # the pole the ladders read: None for a connection, whatever was passed
+    return CohomologyReport(dims=tuple(dims), truncation=(trunc, fam_src.pole0),
                             deepened=deepened)
 
 

@@ -7,7 +7,10 @@ r_l != 0 the indicial data (the degree shift s, the index set I where it
 is attained, the indicial polynomial P, and the threshold t0 past which P
 has no integer roots) turns Delta into an isomorphism m^t -> m^{t-s} for
 t >= t0.  The snake lemma then reduces kernel and cokernel of Delta on
-the whole ring to a single finite matrix, which is computed exactly.
+the whole ring to a single finite matrix, which is computed exactly
+(:func:`finite_dims`); :func:`truncated_cokernel_rank` is the brute-force
+oracle it is checked against.  Only dimensions are computed: no solution
+of Delta(f) = g is built.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, PreconditionViolated, ZeroOperator
+from .errors import InsufficientPrecision, ZeroOperator
 from .linalg import ColumnEchelon, Matrix, scale_to_integers, vec_add_scaled
 from .series import Series
 
@@ -63,9 +66,6 @@ class IndicialData:
     index_set: tuple
     poly: tuple
     t0: int
-
-    def eval(self, t):
-        return _eval_poly(self.poly, t)
 
 
 def _eval_poly(coeffs, t):
@@ -132,35 +132,6 @@ def indicial_data(op):
     if roots:
         t0 = max(t0, max(roots) + 1)
     return IndicialData(s=s, index_set=index_set, poly=tuple(poly), t0=t0)
-
-
-def solve(op, g, t):
-    """The unique f in m^t with Delta(f) = g, for t >= t0 and nu(g) >= t - s.
-
-    Solves coefficient by coefficient from degree t upward; every step
-    divides by P(j), which is nonzero by the threshold condition.  Tested
-    public API; no verb calls it."""
-    data = indicial_data(op)
-    rs = _coefficients(op)
-    if t < data.t0:
-        raise PreconditionViolated(f"t = {t} is below the threshold t0 = {data.t0}")
-    nu_g = g.order()
-    if nu_g is not None and nu_g < t - data.s:
-        raise PreconditionViolated(
-            f"right-hand side has valuation {nu_g} < t - s = {t - data.s}")
-    out_prec = min(g.precision, op.min_precision()) + data.s
-    if out_prec < t:
-        raise InsufficientPrecision("not enough precision to solve past degree t")
-    residual = {e[0]: c for e, c in g.terms.items()}
-    coeffs = {}
-    for j in range(t, out_prec + 1):
-        want = residual.get(j - data.s, Fraction(0))
-        if not want:
-            continue
-        cj = want / data.eval(j)
-        coeffs[(j,)] = cj
-        vec_add_scaled(residual, _monomial_column(rs, j, out_prec - data.s), -cj)
-    return Series(1, out_prec, coeffs)
 
 
 @dataclass(frozen=True)

@@ -270,13 +270,6 @@ class Series:
     def is_unit(self):
         return bool(self.constant_term)
 
-    def coefficient(self, exps):
-        exps = tuple(exps)
-        if sum(exps) > self.precision:
-            raise InsufficientPrecision(
-                f"coefficient at {exps} is beyond precision {self.precision}")
-        return self.terms.get(exps, Fraction(0))
-
     def order(self):
         """Least total degree of a stored term, or None if zero to precision."""
         if not self.terms:
@@ -1164,9 +1157,3 @@ class Divisor:
         if any(not ri.is_zero() for ri in r):
             return None
         return q if sub is None else apply_linear_substitution(q, inverse)
-
-
-def try_divide(g, f):
-    """Exact quotient q with g = q*f detectable at truncation, else None
-    (:meth:`Divisor.divide`, f prepared for this one call)."""
-    return Divisor(f).divide(g)

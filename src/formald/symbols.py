@@ -3,41 +3,36 @@
 Symbols are polynomials in the commuting generators z_1..z_n (the classes
 of the derivatives under the order filtration) with truncated series
 coefficients.  The module provides the Poisson bracket in closed form,
-truncated ideal-membership tests with three-valued verdicts, involutivity
-probing, and the repeated-bracket chain probe.  ``Symbol`` shares its
-coefficient container and its product with ``weyl.DiffOp``
-(``series.SeriesPoly``), and adds only printing and calculus: its
-generators commute with the coefficients.
+truncated ideal-membership tests, involutivity probing, and the
+repeated-bracket chain probe.  ``Symbol`` shares its coefficient
+container and its product with ``weyl.DiffOp`` (``series.SeriesPoly``),
+and adds only printing and calculus: its generators commute with the
+coefficients.
 
-Membership is decided by span and witnessed on demand.  The truncated
-system's columns are the generators, each scaled to integers once, times
-the multiplier monomials, on rows keyed by joint exponents packed into
-ints; one untracked echelon decides whether the target lies in their
-span.  The multipliers, a tracked solve on the same columns, are found
-only when a caller reads them, and ``involutivity_check`` never does:
-the Lagrangian pair of the ``series-calculus`` workload (260 columns,
-149 rows, rank 140) takes 4.0 to 4.6 ms where the tracked Fraction
-system took 12.8 to 13.8 ms (the whole job, best of 20, seeds 1-3,
-2-core x86 container, CPython 3.11).
+Membership is decided by span.  The truncated system's columns are the
+generators, each scaled to integers once, times the multiplier monomials,
+on rows keyed by joint exponents packed into ints; one untracked echelon
+decides whether the target lies in their span, and no multipliers are
+solved for: the Lagrangian pair of the ``series-calculus`` workload (260
+columns, 149 rows, rank 140) takes 4.0 to 4.6 ms where the tracked
+Fraction system took 12.8 to 13.8 ms (the whole job, best of 20, seeds
+1-3, 2-core x86 container, CPython 3.11).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from .errors import BoundOverflow
 from .linalg import ColumnEchelon, scale_to_integers
-from .series import Series, SeriesPoly, format_poly, monomials_upto
+from .series import SeriesPoly, format_poly, monomials_upto
 
 _COLUMN_GUARD = 50000
 
 NOT_MEMBER = "NotMember_certified"
 MEMBER = "MemberWitness"
-INCONCLUSIVE = "Inconclusive"
 
 
 class Symbol(SeriesPoly):
@@ -112,27 +107,17 @@ def poisson_bracket(a, b):
 
 @dataclass
 class MembershipVerdict:
-    """Three-valued membership outcome; only NotMember is a certificate.
-
-    The status is decided by span alone.  ``multipliers``, the witness of
-    a MEMBER verdict (one multiplier per generator, zero generators
-    included), is solved on its first read and kept: a caller that reads
-    only the status never pays for it.  It is None for the other statuses
-    and for a zero target with no nonzero generator."""
+    """Membership outcome; only NotMember is a certificate.  MEMBER says
+    the target lies in the span of the truncated system, that is, some
+    multipliers give it back modulo the truncation."""
 
     status: str
     x_bound: int
     zeta_bound: int
     x_bound_used: int
-    _witness: Callable | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self):
         return self.status == MEMBER
-
-    @cached_property
-    def multipliers(self):
-        witness, self._witness = self._witness, None
-        return witness() if witness is not None else None
 
 
 def membership_truncated(target, gens, x_bound, zeta_bound):
@@ -142,8 +127,8 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
     <= zeta_bound - (least z-degree of the generator); equations compare
     all coefficients with x-degree <= x_bound (clamped to the available
     precision) and z-degree <= zeta_bound.  Infeasibility of these
-    necessary constraints certifies non-membership; feasibility produces
-    multipliers valid modulo the truncation.
+    necessary constraints certifies non-membership; feasibility means
+    multipliers valid modulo the truncation exist.
 
     The system's columns are the truncated products m*g, one per
     generator g and multiplier monomial m, taken generator by generator,
@@ -153,21 +138,16 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
     once, by the lcm of its denominators: a constant per generator leaves
     the span unchanged, and the echelon takes int columns as they are.
     The status is one untracked echelon's span test, which is the test
-    "a tracked ``express`` finds no combination".  The witness, a tracked
-    ``express`` on the same columns whose values are multiplied back by
-    their generator's scale, runs only when ``multipliers`` is read: a
-    combination over the independent columns is unique, so it is the one
-    the unscaled system gives.
+    "a tracked ``express`` finds no combination".
     """
     if x_bound < 0 or zeta_bound < 0:
         raise ValueError("bounds must be nonnegative")
     n = target.num_vars
-    live = [(i, g) for i, g in enumerate(gens) if not g.is_zero()]
-    precs = [g.min_precision() for _, g in live] + [target.min_precision()]
+    live = [g for g in gens if not g.is_zero()]
+    precs = [g.min_precision() for g in live] + [target.min_precision()]
     x_used = min([x_bound] + precs)
-    if x_used < 0 or (target.is_zero() and not live):
-        return MembershipVerdict(INCONCLUSIVE if not target.is_zero() else MEMBER,
-                                 x_bound, zeta_bound, max(x_used, 0))
+    if target.is_zero() and not live:
+        return MembershipVerdict(MEMBER, x_bound, zeta_bound, x_used)
 
     # a kept row has |e| <= x_used and |z| <= zeta_bound, so a joint
     # exponent packs into one int with no carry and a column term's row
@@ -175,32 +155,30 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
     base = max(x_used, zeta_bound) + 1
     x_strides = [base ** k for k in range(n)]
     z_strides = [base ** k for k in range(n, 2 * n)]
-    x_monos = [(mu, sum(map(mul, mu, x_strides)), x_used - sum(mu))
+    x_monos = [(sum(map(mul, mu, x_strides)), x_used - sum(mu))
                for mu in monomials_upto(n, x_used)]
     # graded, so the monomials up to any zmax are a prefix
-    z_monos = [(zu, sum(map(mul, zu, z_strides)), sum(zu))
+    z_monos = [(sum(map(mul, zu, z_strides)), sum(zu))
                for zu in monomials_upto(n, zeta_bound)]
 
     columns = []
-    labels = []  # (generator, mu, zu) of each column
-    scales = {}  # generator -> the lcm its column entries carry
     row_of = {}  # packed (x-exponent, z-exponent) -> int row, by first appearance
-    for i, g in live:
+    for g in live:
         zmax = zeta_bound - g.zeta_order()
         if zmax < 0:
             continue
-        *ints, scales[i] = scale_to_integers(*(s.terms for s in g.coeffs.values()))
+        *ints, _ = scale_to_integers(*(s.terms for s in g.coeffs.values()))
         terms = []  # (packed key, x-degree, z-degree, int coefficient) per term
         for zg, t in zip(g.coeffs, ints):
             zkey = sum(map(mul, zg, z_strides))
             terms += [(zkey + sum(map(mul, eg, x_strides)), sum(eg), sum(zg), c)
                       for eg, c in t.items()]
-        for zu, zkey, zdeg in z_monos:
+        for zkey, zdeg in z_monos:
             if zdeg > zmax:
                 break
             zroom = zeta_bound - zdeg
             kept = [(key + zkey, xdeg, c) for key, xdeg, tz, c in terms if tz <= zroom]
-            for mu, mkey, xroom in x_monos:
+            for mkey, xroom in x_monos:
                 col = {}
                 for key, xdeg, c in kept:
                     if xdeg <= xroom:
@@ -209,7 +187,6 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
                         col[row_of.setdefault(key, len(row_of))] = c
                 if col:
                     columns.append(col)
-                    labels.append((i, mu, zu))
                     if len(columns) > _COLUMN_GUARD:
                         raise BoundOverflow("membership system exceeds the size guard")
 
@@ -222,25 +199,13 @@ def membership_truncated(target, gens, x_bound, zeta_bound):
             if sum(e) <= x_used:
                 rhs[row_of.setdefault(zkey + sum(map(mul, e, x_strides)), len(row_of))] = c
 
-    if not ColumnEchelon(columns).contains(rhs):
-        return MembershipVerdict(NOT_MEMBER, x_bound, zeta_bound, x_used)
-
-    def witness():
-        combo = ColumnEchelon(columns, track=True).express(rhs)
-        # the labels (i, mu, zu) are distinct, so each multiplier is built once
-        terms = [{} for _ in gens]
-        for j, value in sorted(combo.items()):
-            i, mu, zu = labels[j]
-            terms[i].setdefault(zu, {})[mu] = value * scales[i]
-        return [Symbol(n, {zu: Series(n, x_used, t) for zu, t in by_zeta.items()})
-                for by_zeta in terms]
-
-    return MembershipVerdict(MEMBER, x_bound, zeta_bound, x_used, witness)
+    status = MEMBER if ColumnEchelon(columns).contains(rhs) else NOT_MEMBER
+    return MembershipVerdict(status, x_bound, zeta_bound, x_used)
 
 
 @dataclass
 class InvolutivityReport:
-    status: str  # "pass", "fail", or "inconclusive"
+    status: str  # "pass" or "fail"
     witness_pair: tuple | None
     witness_bracket: Symbol | None
     verdicts: list = field(default_factory=list)
@@ -269,8 +234,6 @@ def involutivity_check(gens, x_bound, zeta_bound):
                 status = "fail"
                 witness_pair = (j, i)
                 witness_bracket = bracket
-            elif verdict.status == INCONCLUSIVE and status == "pass":
-                status = "inconclusive"
     return InvolutivityReport(status, witness_pair, witness_bracket, verdicts)
 
 

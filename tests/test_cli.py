@@ -25,7 +25,11 @@ from conftest import cli_report, run_cli
 # R_loc(x1*x2*x3*x4) (N=2, K=1), whose ladder keys pack four exponents;
 # les on the cusp (N=8, K=4), A1 (4,2), R_loc(1/2*x1^2-1/3*x2^3) (6,2)
 # and A1 in four variables (3,1), whose cokernel projections against d_n's
-# image need scales other than 1; every line is pinned byte for byte
+# image need scales other than 1; derham --schedule on the cusp, and
+# regularity element on the cusp and reglink on R, so that every verb path
+# runs here (tests/test_reachability.py reads this corpus); derham echoes
+# pole-bound only for a localization, whose ladder reads it; every line is
+# pinned byte for byte
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 

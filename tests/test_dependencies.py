@@ -53,7 +53,6 @@ def test_every_imported_name_is_used():
 # names __init__.py exports that no other module needs to read, and why
 UNREAD_EXPORTS = {
     "commutator": "the bench job commutator:n2 calls it",
-    "solve": "tested public API; no verb calls it",
 }
 
 

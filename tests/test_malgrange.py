@@ -1,19 +1,16 @@
-"""Indicial data, the coefficient recursion, exact kernel/cokernel dims."""
+"""Indicial data and exact kernel/cokernel dims."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from formald.errors import (InsufficientPrecision, PreconditionViolated,
-                            ZeroOperator)
+from formald.errors import InsufficientPrecision, ZeroOperator
 from formald.linalg import Matrix
 from formald.malgrange import (_eval_poly, _integer_roots, finite_dims,
-                               indicial_data, solve, truncated_cokernel_rank)
+                               indicial_data, truncated_cokernel_rank)
 from formald.series import Series
 from formald.weyl import DiffOp
-
-from conftest import random_series, series_agree
 
 PREC = 64
 
@@ -58,60 +55,6 @@ def test_indicial_data_unit_perturbation():
     assert data.poly == (Fraction(1),)
 
 
-def test_solve_first_derivative():
-    op = one_var({}, {0: 1})
-    x = Series.variable(1, 1, 8)
-    f = solve(op, x * x, 1)
-    assert series_agree(f, Series(1, 8, {(3,): Fraction(1, 3)}), precision=8)
-
-
-def test_solve_euler():
-    op = one_var({}, {1: 1})
-    x = Series.variable(1, 1, PREC)
-    f = solve(op, x, 1)
-    assert f.terms == {(1,): Fraction(1)}
-
-
-def test_solve_perturbed_and_verify():
-    op = one_var({0: 1}, {2: 1})                  # f + x^2 f' = g
-    x = Series.variable(1, 1, PREC)
-    f = solve(op, x, 1)
-    assert f.coefficient((1,)) == 1
-    assert f.coefficient((2,)) == -1
-    residual = op.apply(f) - x.truncate(op.apply(f).precision)
-    assert residual.truncate(8).is_zero()
-
-
-def test_solve_round_trip_random():
-    rng = random.Random(70)
-    done = 0
-    while done < 50:
-        coeffs = []
-        order = rng.randint(1, 3)
-        for i in range(order + 1):
-            terms = {}
-            for e in range(4):
-                if rng.random() < 0.4:
-                    terms[(e,)] = Fraction(rng.randint(-3, 3))
-            coeffs.append(Series(1, PREC, terms))
-        op = one_var_op(coeffs)
-        if op.is_zero():
-            continue
-        data = indicial_data(op)
-        t = data.t0 + rng.randint(0, 2)
-        g_terms = {}
-        for e in range(max(t - data.s, 0), max(t - data.s, 0) + 6):
-            if rng.random() < 0.6:
-                g_terms[(e,)] = Fraction(rng.randint(-4, 4))
-        g = Series(1, 30, g_terms)
-        f = solve(op, g, t)
-        if f.order() is not None:
-            assert f.order() >= t
-        residual = op.apply(f) - g.truncate(op.apply(f).precision)
-        assert residual.truncate(20).is_zero()
-        done += 1
-
-
 def test_solve_uniqueness_via_invertible_block():
     # the restriction of the operator to m^t -> m^{t-s} is invertible on a
     # 10-step window at t = t0: exact determinant nonzero
@@ -128,13 +71,6 @@ def test_solve_uniqueness_via_invertible_block():
                          if t - data.s <= deg < t - data.s + width})
         m = Matrix.from_cols(cols, width)
         assert m.rank() == width
-
-
-def test_solve_preconditions():
-    op = one_var({}, {0: 1})
-    x = Series.variable(1, 1, 10)
-    with pytest.raises(PreconditionViolated):
-        solve(op, x, 0)                           # t below threshold
 
 
 def test_finite_dims_named_cases():

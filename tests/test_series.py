@@ -11,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from formald.errors import (InsufficientPrecision, NotAUnit, NotRegular,
                             UnsupportedExponent)
-from formald.series import (LinearSubstitution, Series,
+from formald.series import (Divisor, LinearSubstitution, Series,
                             apply_linear_substitution, exp_series,
                             find_regularizing_substitution, invert_unit,
                             is_xn_regular, monomials_upto, product_by,
-                            try_divide, weierstrass_divide,
-                            weierstrass_prepare, xn_coefficient)
+                            weierstrass_divide, weierstrass_prepare,
+                            xn_coefficient)
 
 from conftest import random_series, random_xn_regular, series_agree
 
@@ -360,11 +360,11 @@ def test_find_regularizing_shear():
 def test_try_divide():
     n, prec = 2, 8
     x1, x2 = x(1, n, prec), x(2, n, prec)
-    assert try_divide(x1 * x2, x1) == x2.truncate(x2.precision - 1)
-    assert try_divide(x1, x2) is None
+    assert Divisor(x1).divide(x1 * x2) == x2.truncate(x2.precision - 1)
+    assert Divisor(x2).divide(x1) is None
     rng = random.Random(11)
     g = random_series(rng, n, prec)
-    q = try_divide(g * (x1 * x2), x1 * x2)
+    q = Divisor(x1 * x2).divide(g * (x1 * x2))
     assert series_agree(q, g)
 
 
