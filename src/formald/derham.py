@@ -15,40 +15,54 @@ blocks and every column that shifts a term dict, from the form (F, T)
 of nabla_j each presentation gives (:meth:`ModuleFamily.shift_columns`).
 A whole-window ladder lays its labels out once, in one window order: a
 level's basis is the prefix of degree <= its bound, and a shift column
-adds packed int keys (:class:`ModuleFamily`).  Each presentation also
-gives the bound of every level (see :mod:`formald.modules`):
+adds packed int keys (:class:`ModuleFamily`).  Level t's bound is N +
+K*deg F + t*growth, read off the presentation's data (see
+:mod:`formald.modules`):
 
 * connection of rank r, the ring R being rank 1 with zero matrices:
-  component tags times degree <= N - t monomials, with maps truncated to
-  the target bound (this is what keeps d o d = 0 exact when flatness only
-  holds to precision);
+  F is a constant and the growth -1, so component tags times degree
+  <= N - t monomials, with maps truncated to the target bound (this is
+  what keeps d o d = 0 exact when flatness only holds to precision);
 * localization at f: monomials x^e / f^(K+t) with
-  |e| <= N + K*deg f + t*(deg f - 1), f's stored terms being treated as an
-  exact polynomial.  The baseline N + K*deg f keeps every x^e/f^k with
-  k <= K and |e| <= N representable at the common denominator, and the
-  per-level growth of deg f - 1 matches exactly what the quotient rule
-  adds, so no top-of-window shell escapes the differential.
+  |e| <= N + K*deg f + t*max(deg f - 1, 0), f's stored terms being
+  treated as an exact polynomial.  The baseline N + K*deg f keeps every
+  x^e/f^k with k <= K and |e| <= N representable at the common
+  denominator, and the per-level growth of deg f - 1 matches exactly what
+  the quotient rule adds, so no top-of-window shell escapes the
+  differential.
 
 A complex is assembled on cells (label, form): degree i pairs level-i
 labels with i-forms.  Stable dims (:func:`stable_cohomology_dims`) keep
 only the cells x^e dx_I / f^k of multidegree W.e + W.1_I - k*D = 0 for
-the presentation's weight lattice W (f is W-homogeneous of degrees D).
-For the Euler field E of a weight, Cartan's formula L_E = d iota_E +
-iota_E d makes every other multidegree of the comparison map zero, so
-the image of H(source) in H(target) lives in the block.  That is exact
-on this ladder because of three conditions: (i) every window is a span
-of monomial cells, (ii) d and the comparison map (multiplication by f,
-or a connection's truncation) preserve multidegree, and (iii) iota_E of
-a source level-i cell's image fits in target level i-1, whose bound
-exceeds source level i's by deg f + 1 for a localization; a connection
-level's bound N - t rises by one for each degree down, and iota adds
-one to |e|.  The ring and R^r given by zero matrices are the case D = 0
-with the coordinate weights: their block is the r cells of level 0 with
-e = 0 and no form.  An m-adic ladder (truncating f) must recheck (iii).
-An empty lattice (non-zero connections, and f such as x + x^2) gives
-the whole window in its usual order, and the kernel, cokernel and
-long-exact-sequence checks always assemble whole windows: they print
-window sizes.
+the presentation's weight lattice W: every weight F's terms are
+homogeneous for, D = W.e0 their degrees, when every A_j is zero, and
+none otherwise.  A constant F (the ring, and R^r given by zero matrices)
+gives the coordinate weights with D = 0: the cell x^e dx_I has
+multidegree e + 1_I, and the block is the r cells of level 0 with e = 0
+and no form.  For the Euler field E of a weight, Cartan's formula L_E =
+d iota_E + iota_E d makes every other multidegree of the comparison map
+zero, so the image of H(source) in H(target) lives in the block.  That
+is exact on these ladders because of three conditions:
+
+(i) every window is a span of monomial cells;
+(ii) d and the comparison map (multiplication by a power of c*f, or a
+     connection's truncation) preserve multidegree, so the comparison
+     splits by multidegree;
+(iii) for the Euler field E_j of the j-th weight, iota_{E_j} of a
+     source level-i cocycle's image lies in target level i-1.  For a
+     localization that level has pole K+i and a bound deg f + 1 above
+     source level i's, and iota adds 1 to the degree.  For a connection,
+     whose target is the undeepened ladder, a level's bound N - t rises
+     by one for each degree down, and iota adds one to |e|.
+
+Cartan's formula then makes the image of a cocycle of multidegree m
+with m_j != 0 the boundary d(iota_{E_j} of it)/m_j, which the
+untruncated differential reaches (for the ring, the formal Poincare
+lemma).  An m-adic ladder (truncating f or its differentials) must
+recheck (iii).  An empty lattice (non-zero connections, and f such as
+x + x^2) gives the whole window in its usual order, and the kernel,
+cokernel and long-exact-sequence checks always assemble whole windows:
+they print window sizes.
 
 Stable dims are ranks only.  With D = d_src^i, M the comparison's level
 maps and B = d_tgt^{i-1}, h^i = rank [B | M ker D] - rank B, and
@@ -286,9 +300,9 @@ class ModuleFamily(_Ladder):
     def _weight_labels(self, degrees, bound):
         """The labels (comp, x^e), every component with every x^e of |e| <=
         bound and w.e = degree for every weight of the lattice, in label
-        order.  Each weight has a coordinate no other weight touches (the
-        nullspace of a localization leaves one, and the coordinate weights
-        are their own); that one is solved for, and the free coordinates run
+        order.  Each weight has a coordinate no other weight touches (a
+        nullspace basis vector's lead; for the coordinate weights, their
+        own); that one is solved for, and the free coordinates run
         over the monomials up to the bound (:meth:`_free_monomials`)."""
         rows, monomials = self._free_monomials(bound)
         labels = []
@@ -689,17 +703,17 @@ def cohomology_dims(complex_):
 
 
 def _comparison_pair(module, trunc, pole, block=False):
-    """(source family, target family, level column maps, deepened params).
+    """(source family, target family, level column maps, deepened ladder).
 
     The stable dimensions are ranks of H(source) mapped into H(target)
     along an exact chain map between the ladder and its one-step
     deepening; the presentation picks the direction and the map.  The
-    source ladder validates (N, K) before anything is deepened."""
-    source = ModuleFamily(module, trunc, pole, block)
-    deepened = module.deepened(trunc, pole)
-    fam_src, fam_tgt, maps = module.comparison(
-        source, ModuleFamily(module, *deepened, block))
-    return fam_src, fam_tgt, maps, deepened
+    ladder validates (N, K) before anything is deepened, and the deepening
+    reads its pole0."""
+    ladder = ModuleFamily(module, trunc, pole, block)
+    deep = ModuleFamily(module, *module.deepened(trunc, ladder.pole0), block)
+    fam_src, fam_tgt, maps = module.comparison(ladder, deep)
+    return fam_src, fam_tgt, maps, deep
 
 
 def stable_cohomology_dims(module, trunc, pole=None):
@@ -713,9 +727,8 @@ def stable_cohomology_dims(module, trunc, pole=None):
     dimensions a schedule can meaningfully compare.
 
     Both ladders are blocks: only the multidegree-0 cells of the
-    presentation's weight lattice, which carry the whole image (see
-    :class:`formald.modules.Localization` and
-    :class:`formald.modules.Connection` for why that is exact).
+    presentation's weight lattice, which carry the whole image; the module
+    docstring's conditions (i)-(iii) say why that is exact.
 
     Degree i is rank [B | M ker D] - rank B: the pivots >= off of one
     untracked echelon on B and the stacked source columns (D x; M x),
@@ -725,8 +738,8 @@ def stable_cohomology_dims(module, trunc, pole=None):
     leaves its span and so every pivot unchanged: that rests on d o d = 0,
     checked in :func:`complex_from_family`, and on M being a chain map,
     M d_src = d_tgt M (the module docstring has the argument)."""
-    fam_src, fam_tgt, maps, deepened = _comparison_pair(module, trunc, pole,
-                                                        block=True)
+    fam_src, fam_tgt, maps, deep = _comparison_pair(module, trunc, pole,
+                                                    block=True)
     complex_src = complex_from_family(
         fam_src, (fam_src.trunc, fam_src.pole0), module.describe())
     complex_tgt = complex_from_family(
@@ -753,9 +766,9 @@ def stable_cohomology_dims(module, trunc, pole=None):
         pivots = ech.pivots()
         skip_src = frozenset(row for row in pivots if row < off)
         dims.append(len(pivots) - len(skip_src) - boundary_rank)
-    # the pole the ladders read: None for a connection, whatever was passed
+    # the poles the ladders read: None for a connection, whatever was passed
     return CohomologyReport(dims=tuple(dims), truncation=(trunc, fam_src.pole0),
-                            deepened=deepened)
+                            deepened=(deep.trunc, deep.pole0))
 
 
 def _comparison_columns(fam_src, fam_tgt, maps, i, off, skip=frozenset()):

@@ -5,23 +5,31 @@ connection given by one matrix per variable.  The ring R itself is the
 rank-1 connection with zero matrices.  Elements are LocElement fractions
 or tuples of series (one per component).
 
-A presentation carries no truncation and no ladder geometry: N, K, the
-basis labels (component, exponent) and their text, the weight blocks and
-the x_axis columns belong to the ladder of :mod:`formald.derham`, as they
-read only the lattice, the rank and the pole.  A presentation gives the
-form (F, T) of nabla_j, from which the ladder builds every shift column:
-e_j*F shifted by e - 1_j plus T shifted by e.  Both forms hold ints, for
-rational data too: a connection gives F = L, T = L*A_j, nabla scaled by
-L, the lcm of the denominators of its matrix entries; a localization
-gives F = c*f, T = -k*d_j(c*f) at pole k, as its ladder localizes at c*f,
-c the lcm of the denominators of f's coefficients (R_f = R_(c*f)).  Each
-rescales every level's basis by one nonzero constant, so no rank, span or
-nullspace vector changes, and every ladder column is an int.  It also
-supplies the validated pole0, every level's bound, the comparison into a
-deepened ladder, the level-0 coordinates of its elements (enforcing the
-pole budget K), the d_n image the cover probe spans and the weight
-lattice (empty for a non-zero connection); and the element action
-(``element``, ``partial``, ``scale``) the regularity probes iterate.
+Each presentation gives the ladder of :mod:`formald.derham` the same
+data, in ints: F, its derivatives d_j F, the matrices A_j and the
+per-level growth of the bound.  A localization gives F = c*f, c the lcm
+of the denominators of f's coefficients, as its ladder localizes at c*f
+(R_f = R_(c*f)); zero A_j; and growth max(deg f - 1, 0), f's stored terms
+being treated as an exact polynomial.  A connection gives F = L and the
+A_j times L, nabla scaled by L, the lcm of the denominators of its matrix
+entries; and growth -1, as its ladder truncates.  Each rescales every
+level's basis by one nonzero constant, so no rank, span or nullspace
+vector changes, and every ladder column is an int.
+
+The geometry that reads the data is written once, on
+:class:`ModulePresentation`: the form (F, T) of nabla_j at pole k, T =
+A_j - k*d_j F on the diagonal, from which the ladder builds every shift
+column (e_j*F shifted by e - 1_j plus T shifted by e); every level's
+bound N + K*deg F + t*growth; the deepened truncation; the weight
+lattice; and the level-0 coordinates of an element, enforcing the pole
+budget K.  What stays per class: the element action (``element``,
+``partial``, ``scale``) the regularity probes iterate and ``describe``;
+the validated pole0 (the pole budget of R_f, the flatness and precision
+of a connection); the comparison into the deepened ladder (an exact
+ladder embeds by powers of c*f, a truncating one is the projection of
+its deepening); and the d_n image the cover probe spans.  The ladder
+holds N, K, the basis labels (component, exponent) and their text, the
+weight blocks and the x_axis columns.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from functools import cached_property
 
 from .errors import (InsufficientPrecision, NonIntegrable, PoleBudgetExceeded,
                      PreconditionViolated, WrongVariant)
-from .linalg import Matrix, scale_to_integers
+from .linalg import Matrix, scale_to_integers, vec_add_scaled
 from .series import Divisor, Series, monomials_upto, product_by
 
 
@@ -44,14 +52,11 @@ def _ring_form(n):
 class ModulePresentation:
     """A localization or a connection; the constructors pick the class.
 
-    Ladder methods take the :class:`formald.derham.ModuleFamily` they serve
-    (its ``trunc``, ``pole0`` and cached level bases and indices), which
-    lays out the ``(component, exponent)`` labels of every level in one
-    window order."""
-
-    # no weights: a stable-dims ladder of a non-zero connection is its
-    # whole window
-    weight_lattice = ()
+    Each class sets its ladder data with :meth:`_ladder_data`.  Ladder
+    methods take the :class:`formald.derham.ModuleFamily` they serve (its
+    ``trunc``, ``pole0`` and cached level bases and indices), which lays
+    out the ``(component, exponent)`` labels of every level in one window
+    order; a connection's pole0 None reads as K = 0."""
 
     @staticmethod
     def structure(num_vars, precision):
@@ -71,66 +76,65 @@ class ModulePresentation:
     def __repr__(self):
         return f"ModulePresentation<{self.describe()}, n={self.num_vars}>"
 
-
-class Localization(ModulePresentation):
-    """R_f with elements numerator / f^k, for every k >= 0.
-
-    The ladder localizes at c*f, c the lcm of the denominators of f's
-    coefficients: R_f = R_(c*f), and c*f's terms are ints, so every column
-    it builds is.  A ladder with pole K holds at level t the x^e /
-    (c*f)^(K+t) with |e| <= N + K*deg f + t*(deg f - 1), f's stored terms
-    being treated as an exact polynomial; the deepened ladder receives it
-    by multiplying numerators by c*f.  An element g/f^k enters a ladder
-    only with k <= K, as c^k*g*(c*f)^(K-k) over (c*f)^K.
-
-    The weight lattice W is every weight f's terms are homogeneous for.
-    The cell x^e dx_I / f^k has multidegree W.e + W.1_I - k*D, D = W.e0,
-    and the stable-dims ladders keep only its multidegree-0 cells, which
-    is exact on this ladder because (i) its windows are spans of monomial
-    cells, (ii) d and the comparison's multiplication by f preserve
-    multidegree, so the comparison splits by multidegree, and (iii) for
-    the Euler field E_j of a weight with c_j != 0, iota_{E_j} of a source
-    level-i cocycle's image lies in target level i-1: that level has pole
-    K+i and a bound deg f + 1 above source level i's, and iota adds 1 to
-    the degree.  Cartan's formula then makes the image d(iota_{E_j} of
-    it)/c_j, a boundary the untruncated differential reaches.  A ladder
-    that truncates f or its differentials must recheck (iii)."""
-
-    rank = 1
-
-    def __init__(self, f):
-        if f.is_zero():
-            # an exact zero and a series known to no nonzero term read alike
-            raise PreconditionViolated(
-                "cannot localize at a series that is zero to precision")
-        self.num_vars = f.num_vars
-        self.f = f
-        # the ladder localizes at c*f, c the lcm of f's denominators
-        self.f_terms, self.f_den = scale_to_integers(f.terms)
-        self.f_deg = f.degree()
-        self.f_ord = f.order()
-        # the ladder copy of each d_j (c*f), read off f_terms
-        self.df_terms = [{e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
-                          for e, c in self.f_terms.items() if e[j]}
-                         for j in range(self.num_vars)]
+    def _ladder_data(self, F, c, A, growth):
+        """F (a nonzero term dict) and each A_j (rank x rank term dicts) in
+        ints, c with F = c*f for the f an element's pole counts, and the
+        per-level growth of the bound; d_j F, deg F and ord F are read off
+        F."""
+        self.F, self.c, self.A, self.growth = F, c, A, growth
+        self.F_deg = max(map(sum, F))
+        self.F_ord = min(map(sum, F))
+        self.dF = [{e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
+                    for e, v in F.items() if e[j]}
+                   for j in range(self.num_vars)]
         self._powers = {}
 
     def _power(self, k, bound):
-        """((c*f)^k cut at ``bound``, the product by it cut there),
-        prepared once per (k, bound) for both the comparison and ``embed``."""
+        """(F^k cut at ``bound``, the product by it cut there), prepared
+        once per (k, bound) for both the comparison and ``embed``."""
         if (k, bound) not in self._powers:
-            terms = (self._power(k - 1, bound)[1]({}, self.f_terms) if k
+            terms = (self._power(k - 1, bound)[1]({}, self.F) if k
                      else {(0,) * self.num_vars: 1})
             self._powers[k, bound] = terms, product_by(terms, bound)
         return self._powers[k, bound]
 
+    def level_bound(self, ladder, t):
+        """N + K*deg F + t*growth: the baseline keeps every x^e/f^k with k
+        <= K and |e| <= N at the common denominator F^K, and a level grows
+        by what nabla adds (deg F - 1, never below 0, for R_f, whose ladder
+        cuts nothing; -1 for a connection, whose maps cut at the target
+        bound)."""
+        return (ladder.trunc + (ladder.pole0 or 0) * self.F_deg
+                + t * self.growth)
+
+    def ladder_form(self, axis, pole):
+        """nabla_axis on x^e/F^k: (e_j x^(e-1_j) F + x^e T) / F^(k+1) with
+        T = A_axis - k*d_axis F on the diagonal, in ints; F stands alone at
+        k = 0.  On a localization ladder nothing is cut: both terms have
+        degree <= |e| + deg f - 1 <= B_(t+1), the bound of level t+1."""
+        a = self.A[axis - 1]
+        if not pole:
+            return self.F, a
+        t = [[dict(entry) for entry in row] for row in a]
+        for i, row in enumerate(t):
+            vec_add_scaled(row[i], self.dF[axis - 1], -pole)
+        return self.F, t
+
+    def deepened(self, trunc, pole):
+        """(N + max(deg F, 1), K + 1): one pole more and room for it; no
+        pole stays none."""
+        return trunc + max(self.F_deg, 1), None if pole is None else pole + 1
+
     @cached_property
     def weight_lattice(self):
         """Pairs (w, d): w runs over an integer basis of the weights
-        {w in Q^n : w.e is the same for every e in supp f}, found as the
-        nullspace of the differences e - e0, and d = w.e0.  The support is
-        read from f_terms, the very terms the ladder multiplies by."""
-        exps = list(self.f_terms)
+        {w in Q^n : w.e is the same for every e in supp F}, found as the
+        nullspace of the differences e - e0, and d = w.e0; none if some
+        A_j is nonzero, and the stable dims run on the whole window.  A
+        constant F (R, R^r) gives the n coordinate weights of degree 0."""
+        if any(entry for m in self.A for row in m for entry in row):
+            return ()
+        exps = list(self.F)
         e0 = exps[0]
         diffs = Matrix.from_cols(
             [{k: e[j] - e0[j] for k, e in enumerate(exps[1:]) if e[j] != e0[j]}
@@ -144,11 +148,56 @@ class Localization(ModulePresentation):
             lattice.append((w, sum(a * b for a, b in zip(w, e0))))
         return tuple(lattice)
 
+    def embed(self, ladder, element):
+        """Level-0 coordinates of an element with components g_c over f^k,
+        c^k*g_c*F^(K-k) over F^K cut at the bound, and the degree the data
+        is exact to; k above the budget K is an error."""
+        components, k = self._parts(element)
+        pole = ladder.pole(0) or 0
+        if k > pole:
+            raise PoleBudgetExceeded(f"pole order {k} exceeds budget {pole}")
+        steps, bound, index = pole - k, ladder.bound(0), ladder.index(0)
+        product = self._power(steps, bound)[1]
+        vec = {}
+        known = bound
+        for comp, series in enumerate(components):
+            for e, v in product({}, series.terms, self.c ** k).items():
+                vec[index[comp, e]] = v
+            known = min(known, series.precision + steps * self.F_ord)
+        return vec, known
+
+
+class Localization(ModulePresentation):
+    """R_f with elements numerator / f^k, for every k >= 0.
+
+    A ladder with pole K holds at level t the x^e / (c*f)^(K+t) with |e|
+    <= N + K*deg f + t*max(deg f - 1, 0); the deepened ladder receives it
+    by multiplying numerators by c*f.  An element g/f^k enters a ladder
+    only with k <= K.  Its weight lattice is every weight f's terms are
+    homogeneous for."""
+
+    rank = 1
+
+    def __init__(self, f):
+        if f.is_zero():
+            # an exact zero and a series known to no nonzero term read alike
+            raise PreconditionViolated(
+                "cannot localize at a series that is zero to precision")
+        self.num_vars = f.num_vars
+        self.f = f
+        # the ladder localizes at c*f, c the lcm of f's denominators
+        terms, c = scale_to_integers(f.terms)
+        self._ladder_data(terms, c, [[[{}]]] * f.num_vars,
+                          max(f.degree() - 1, 0))
+
     def describe(self):
         return f"R_loc({self.f})"
 
     def element(self, series, pole=0):
         return LocElement(series, pole)
+
+    def _parts(self, element):
+        return (element.numerator,), element.pole_order
 
     def partial(self, element, axis):
         """d(g/f^k) = (d(g) f - k g d(f)) / f^(k+1) for k >= 1, normalized."""
@@ -176,22 +225,6 @@ class Localization(ModulePresentation):
             raise ValueError("pole bound must be >= 0")
         return pole
 
-    def level_bound(self, ladder, t):
-        return (ladder.trunc + ladder.pole0 * self.f_deg
-                + t * max(self.f_deg - 1, 0))
-
-    def ladder_form(self, axis, pole):
-        """d_axis(x^e/g^k) = (e_j x^(e-1_j) g - k x^e d_j g) / g^(k+1) for
-        g = c*f: F = g and T = [[-k d_j g]], in ints, adding nothing at k = 0.
-
-        On a ladder nothing is cut: both terms have degree <= |e| + deg f - 1
-        <= B_t + max(deg f - 1, 0) = B_(t+1), the bound of level t+1."""
-        df = self.df_terms[axis - 1]
-        return self.f_terms, [[{e: -pole * c for e, c in df.items()} if pole else {}]]
-
-    def deepened(self, trunc, pole):
-        return trunc + max(self.f_deg, 1), pole + 1
-
     def comparison(self, fam_a, fam_b):
         """Embed the ladder into its deepening by multiplying numerators by
         c*f once per extra pole: an exact chain map, since no differential
@@ -202,22 +235,6 @@ class Localization(ModulePresentation):
             return fam_b.shift_columns(t, fam_a.basis(t), (None, [[power]]))
 
         return fam_a, fam_b, maps
-
-    def embed(self, ladder, element):
-        """Level-0 coordinates of numerator / f^k, that is of c^k *
-        numerator * (c*f)^(K - k) over (c*f)^K, plus the degree the data is
-        exact to; k above the budget K is an error."""
-        pole = ladder.pole(0)
-        if element.pole_order > pole:
-            raise PoleBudgetExceeded(
-                f"pole order {element.pole_order} exceeds budget {pole}")
-        steps = pole - element.pole_order
-        bound = ladder.bound(0)
-        terms = self._power(steps, bound)[1]({}, element.numerator.terms,
-                                              self.f_den ** element.pole_order)
-        known = min(element.numerator.precision + steps * self.f_ord, bound)
-        index = ladder.index(0)
-        return {index[(0, e)]: c for e, c in terms.items()}, known
 
     def dn_image_columns(self, ladder):
         """Level-0 coordinates spanning d_n(x^e / (c*f)^(K-1)) for |e| <= N +
@@ -239,23 +256,10 @@ class Connection(ModulePresentation):
     Ladder level t holds component tags times monomials of degree <= N - t,
     with maps truncated to the target bound (this is what keeps d o d = 0
     exact when flatness only holds to precision); the deepened ladder maps
-    back onto it by truncation.  The ladder scales nabla by L, the lcm of
-    the denominators of every matrix entry: level t's basis is L^-t times
-    the unscaled one, so its nabla_j is F = L, T = L*A_j in ints, and the
-    comparison (between equal levels) and ``embed`` (level 0) are as
-    unscaled.
-
-    With every matrix zero (R and R^r) the weight lattice is the n
-    coordinate weights, each of degree 0: the cell x^e dx_I has
-    multidegree e + 1_I, and the stable-dims ladders keep only the cells
-    of multidegree 0, the r cells of level 0 with e = 0 and no form.  That
-    is exact on this ladder because (i) its windows are spans of monomial
-    cells, (ii) d and the comparison's truncation preserve multidegree,
-    and (iii) for the Euler field x_j d_j, iota of a target level-i
-    cocycle lies in target level i-1: a level's bound N - t rises by one
-    for each degree down, and iota adds one to |e|.  Cartan's formula then
-    makes a cocycle of multidegree m with m_j != 0 the boundary
-    d(iota of it)/m_j (the formal Poincare lemma)."""
+    back onto it by truncation.  Level t's basis is L^-t times the
+    unscaled one, so the comparison (between equal levels) and ``embed``
+    (level 0) are as unscaled.  Its weight lattice is the coordinate
+    weights when every matrix is zero, and none otherwise."""
 
     def __init__(self, matrices):
         matrices = tuple(tuple(tuple(row) for row in m) for m in matrices)
@@ -277,9 +281,9 @@ class Connection(ModulePresentation):
         self.matrices = matrices
         *scaled, den = scale_to_integers(*(entry.terms for entry in self._entries()))
         scaled = iter(scaled)
-        one = {(0,) * num_vars: den}
-        self._forms = [(one, [[next(scaled) for _ in row] for row in m])
-                       for m in matrices]
+        self._ladder_data({(0,) * num_vars: den}, den,
+                          [[[next(scaled) for _ in row] for row in m]
+                           for m in matrices], -1)
 
     def _entries(self):
         return [entry for m in self.matrices for row in m for entry in row]
@@ -288,17 +292,6 @@ class Connection(ModulePresentation):
         if self.rank == 1 and all(entry.is_zero() for entry in self._entries()):
             return "R"
         return f"conn(rank {self.rank})"
-
-    @cached_property
-    def weight_lattice(self):
-        """The n coordinate weights, each of degree 0, when every matrix
-        entry is zero; otherwise none, and the stable dims run on the whole
-        window."""
-        if any(not entry.is_zero() for entry in self._entries()):
-            return ()
-        n = self.num_vars
-        return tuple((tuple(int(i == j) for i in range(n)), 0)
-                     for j in range(n))
 
     def element(self, series, pole=0):
         """A single series is an element of a rank-1 connection only, and
@@ -311,6 +304,9 @@ class Connection(ModulePresentation):
             raise WrongVariant(
                 f"a connection element takes no pole, got pole order {pole}")
         return (series,)
+
+    def _parts(self, element):
+        return element, 0
 
     def partial(self, element, axis):
         a = self.matrices[axis - 1]
@@ -344,17 +340,6 @@ class Connection(ModulePresentation):
             raise InsufficientPrecision(
                 f"connection entries known to {prec}, need >= {trunc - 1}")
 
-    def level_bound(self, ladder, t):
-        return ladder.trunc - t
-
-    def ladder_form(self, axis, pole):
-        """nabla_axis = d_axis + A_axis, scaled by L: F = L and T = L*A_axis,
-        in ints.  A ladder cuts each term at the target bound."""
-        return self._forms[axis - 1]
-
-    def deepened(self, trunc, pole):
-        return trunc + 1, pole
-
     def comparison(self, fam_a, fam_b):
         """Project the deepened ladder onto this one: truncation is a chain
         map even though the differentials themselves truncate.  Both
@@ -367,20 +352,6 @@ class Connection(ModulePresentation):
             return [{i: 1} if i < dim_a else {} for i in range(fam_b.dim(t))]
 
         return fam_b, fam_a, maps
-
-    def embed(self, ladder, element):
-        """Level-0 coordinates of a tuple element, plus the degree the data
-        is exact to."""
-        index = ladder.index(0)
-        bound = ladder.bound(0)
-        vec = {}
-        known = bound
-        for comp, series in enumerate(element):
-            known = min(known, series.precision)
-            for e, c in series.terms.items():
-                if sum(e) <= bound:
-                    vec[index[(comp, e)]] = c
-        return vec, known
 
     def dn_image_columns(self, ladder):
         """Level-0 coordinates spanning nabla_n of every component tag times

@@ -11,10 +11,13 @@ data can support the underlying statements but never refute them.
 
 Elements are compared in the level-0 coordinates of the truncation ladder
 (:class:`formald.derham.ModuleFamily`) each probe builds from its
-``trunc`` and ``pole``: a localization needs the pole, sits over the
-common denominator (c*f)^pole (c the lcm of f's denominators, f's stored
-terms treated as an exact polynomial) and rejects an element past it; a
-connection has no pole and is compared component by component.  Every
+``trunc`` and ``pole``, through the one
+:meth:`formald.modules.ModulePresentation.embed`: each component g over
+f^k enters as c^k*g*F^(pole-k) over F^pole, cut at level 0's bound.  A
+localization needs the pole, sits over the common denominator F^pole =
+(c*f)^pole (c the lcm of f's denominators, f's stored terms treated as
+an exact polynomial) and rejects an element past it; a connection has
+no pole, so its components enter as they are, cut at the bound.  Every
 element carries the same factor c^pole, so relations and spans are
 those over f^pole.
 """

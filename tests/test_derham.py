@@ -571,8 +571,9 @@ def test_stable_dims_run_no_nullspace_and_no_tracked_echelon(monkeypatch):
              ("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2, 5, None),
              ("R_loc(x1*x2)", 2, 4, 2)]
     modules = [parse_module(text, n, 30) for text, n, _, _ in cases]
-    # weight_lattice takes its own nullspace, with a tracked echelon
-    assert len(modules[2].weight_lattice) == 2
+    # weight_lattice takes its own nullspace, with a tracked echelon: the
+    # coordinate weights of R, none for a non-zero connection, and f's
+    assert [len(module.weight_lattice) for module in modules] == [3, 0, 2]
     tracked = []
     init = linalg.ColumnEchelon.__init__
 
@@ -777,7 +778,7 @@ def test_weight_lattice(text, n, rank, expected):
     lattice = module.weight_lattice
     assert len(lattice) == rank
     for w, d in lattice:
-        assert all(sum(a * b for a, b in zip(w, e)) == d for e in module.f_terms)
+        assert all(sum(a * b for a, b in zip(w, e)) == d for e in module.F)
     if expected is not None:
         assert _signed(lattice) == expected
 
@@ -789,6 +790,32 @@ def test_presentations_without_a_lattice():
                                                        ((0, 1), 0))
     assert parse_module("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2,
                         30).weight_lattice == ()
+
+
+@pytest.mark.parametrize("text, n, pole, deepened", [
+    # no pole: the deepened ladder reads none, whatever pole was passed
+    ("R", 2, 4, (5, None)),
+    ("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2, 4, (5, None)),
+    # (N + max(deg f, 1), K + 1), a constant f deepening N by one
+    ("R_loc(x1*x2)", 2, 4, (6, 5)),
+    ("R_loc(2)", 2, 1, (5, 2)),
+])
+def test_the_report_gives_the_deepened_ladders_own_truncation(text, n, pole,
+                                                              deepened):
+    report = stable_cohomology_dims(parse_module(text, n, 30), 4, pole)
+    assert report.deepened == deepened
+
+
+@pytest.mark.parametrize("trunc, kernel, module_dims",
+                         [(2, (3, 3), (1, 4, 3)), (3, (4, 4), (1, 5, 4))])
+def test_a_constant_localization_keeps_the_bound_n(trunc, kernel, module_dims):
+    # R_loc(c) = R: deg f = 0 gives growth 0, so every level's bound is N
+    # (not a connection's N - t), and the window dims stay those of N
+    module = parse_module("R_loc(2)", 2, 30)
+    ladder = ModuleFamily(module, trunc, 1)
+    assert [ladder.bound(t) for t in range(-1, 4)] == [trunc] * 5
+    assert kernel_of_dn(module, trunc, 1).dims == kernel
+    assert les_consistency(module, trunc, 1).dims_module == module_dims
 
 
 @pytest.mark.parametrize("text, n, rank", [

@@ -116,6 +116,24 @@ def test_pole_budget_enforced():
         M.embed(ladder, d)
 
 
+def test_a_connection_element_embeds_its_terms_cut_at_the_bound():
+    # each component's terms at (component, e), up to level 0's bound N;
+    # known to N and to the least precision of a component
+    from formald.parser import parse_module
+
+    M = parse_module("conn(2; [[0,1],[0,0]]; [[1,0],[0,1]])", 2, 12)
+    ladder = ModuleFamily(M, 4)
+    element = (Series(2, 3, {(0, 0): 2, (1, 2): Fraction(-1, 3)}),
+               Series(2, 6, {(0, 1): 5, (2, 2): 7, (1, 4): 1, (0, 6): -2}))
+    vec, known = M.embed(ladder, element)
+    index = ladder.index(0)
+    assert vec == {index[0, (0, 0)]: 2, index[0, (1, 2)]: Fraction(-1, 3),
+                   index[1, (0, 1)]: 5, index[1, (2, 2)]: 7}
+    assert known == 3
+    vec, known = M.embed(ModuleFamily(M, 2), element)
+    assert len(vec) == 2 and known == 2
+
+
 def test_mixed_partials_commute_on_localization():
     rng = random.Random(51)
     prec = 12
@@ -286,6 +304,23 @@ def test_rational_data_builds_integer_ladders(f, g, constants, rank, q, trunc, p
             == stable_cohomology_dims(local, trunc, pole).dims)
     assert (kernel_of_dn(scaled, trunc, pole).basis_texts
             == kernel_of_dn(local, trunc, pole).basis_texts)
+
+
+# g with no constant term, so exp(g) is a unit of R
+germs = st.dictionaries(st.sampled_from(monomials_upto(2, 3)[1:]), rationals,
+                        max_size=5).map(lambda terms: Series(2, 6, terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=germs, constants=st.lists(rationals, min_size=2, max_size=2),
+       rank=st.integers(1, 2))
+def test_flat_connections_are_trivial_by_formal_frobenius(g, constants, rank):
+    # a flat formal connection is R^rank (formal Frobenius): the gauge
+    # exp(g) times exp of minus the constant nilpotent part takes nabla to
+    # d, so its de Rham cohomology is (rank, 0, 0)
+    module = flat_connection(g, constants, rank)
+    for trunc in (2, 3, 4):
+        assert stable_cohomology_dims(module, trunc).dims == (rank, 0, 0)
 
 
 # flat connections with nonzero matrices: rank 1, and rank 2 with an
